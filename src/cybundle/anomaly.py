@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import PullbackBundle, SpectralBundle, bundle_chern, validate_bundle
-from .ring import FourClass, c2_tangent
+from .ring import DivisorX, FourClass, c2_tangent
 from .surfaces import BaseSurface, DivisorClass
 
 
@@ -85,8 +85,6 @@ def spectral_af(
     lam = Fraction(lam)
     if eta != s.c1.scale(12):
         raise ValueError("display assumes eta=12c1")
-    from .ring import DivisorX
-
     bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha))
     outcome = anomaly_class(s, bundle)
     displayed = (

@@ -26,10 +26,24 @@ def _env_bound() -> int:
     raw = os.environ.get("CYBUNDLE_BOUND")
     if raw is None:
         return DEFAULT_BOUND
+    message = f"CYBUNDLE_BOUND must be a non-negative integer, got {raw!r}"
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
-        raise SystemExit(EXIT_INPUT)
+        raise ValueError(message) from None
+    if bound < 0:
+        raise ValueError(message)
+    return bound
+
+
+def _show(value) -> str:
+    """Rationals as exact p/q, element by element inside tuples."""
+    if isinstance(value, tuple):
+        inner = ", ".join(_show(v) for v in value)
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return jsonio.frac_to_str(value)
+    return repr(value)
 
 
 def cmd_verify_paper(_args) -> int:
@@ -43,9 +57,9 @@ def cmd_verify_paper(_args) -> int:
                 print(f"    (info) {check.quantity}: {check.got}")
                 continue
             mark = "ok" if check.ok else "MISMATCH"
-            line = f"    [{check.tag}] {check.quantity}: computed {check.got!r}"
+            line = f"    [{check.tag}] {check.quantity}: computed {_show(check.got)}"
             if not check.ok:
-                line += f", expected {check.expected!r}"
+                line += f", expected {_show(check.expected)}"
                 hard_fail = True
             print(f"{line}  {mark}")
     total = sum(len(f.checks) for f in results)

@@ -181,27 +181,34 @@ def fixture_sign_necessity() -> FixtureResult:
     return res
 
 
-def fixture_prop71_scan() -> FixtureResult:
-    res = FixtureResult(
-        "prop71-enriques",
-        "Enriques pullback: wB >= 0 plus the sign condition forces x = 0",
-    )
+def prop71_scan():
+    """Enriques pullback scan: n=2, H=(2,3), x = +-1..3, alpha in [-10,10]^2.
+
+    Returns (scanned, hits); a hit has wB zero or effective and passes the
+    sign condition x*(alpha.H) < 0.
+    """
     enr = make_base("enriques")
     h = _pad((2, 3), 10)
     n = 2
-    hits = 0
-    scanned = 0
+    hits = scanned = 0
     for x in (-3, -2, -1, 1, 2, 3):
         for a0 in range(-10, 11):
             for a1 in range(-10, 11):
                 scanned += 1
                 alpha = _pad((a0, a1), 10)
-                w_b = alpha.scale(n * (n + 1) * x) - enr.c1.scale(
-                    Fraction(n * (n + 1) * x * x, 2)
-                )
-                eff = enr.cone_position(w_b).effective or w_b.is_zero()
-                if eff and sign_necessity(x, enr.intersect(alpha, h)):
+                out = anomaly_class(enr, PullbackBundle(n=n, c2E=12, twist=DivisorX(x, alpha)))
+                effective = out.wB.is_zero() or enr.cone_position(out.wB).effective is True
+                if effective and sign_necessity(x, enr.intersect(alpha, h)):
                     hits += 1
+    return scanned, hits
+
+
+def fixture_prop71_scan() -> FixtureResult:
+    res = FixtureResult(
+        "prop71-enriques",
+        "Enriques pullback: wB >= 0 plus the sign condition forces x = 0",
+    )
+    scanned, hits = prop71_scan()
     res.checks.append(Check(f"passing records ({scanned} scanned)", 0, hits, "reference"))
     return res
 

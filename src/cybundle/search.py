@@ -6,7 +6,6 @@ and the JSONL output is deterministic for any worker count.
 
 from __future__ import annotations
 
-import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -222,29 +221,32 @@ class SearchConfig:
         if mode not in ("pullback", "spectral"):
             raise ValueError("mode must be 'pullback' or 'spectral'")
         if "x_values" in obj:
-            x_values = tuple(int(v) for v in obj["x_values"])
+            x_values = _int_list(obj["x_values"], "x_values")
         elif "x_range" in obj:
-            lo, hi = obj["x_range"]
-            x_values = tuple(range(int(lo), int(hi) + 1))
+            lo, hi = _int_pair(obj["x_range"], "x_range")
+            x_values = tuple(range(lo, hi + 1))
         else:
             x_values = (0,)
         require = obj.get("require")
         if require not in (None, "W_zero", "W_effective"):
             raise ValueError("require must be 'W_zero', 'W_effective' or null")
+        limit = obj.get("limit")
+        if limit is not None:
+            limit = _nonnegative_int(limit, "limit")
         return SearchConfig(
             base=str(obj["base"]),
             mode=mode,
-            n_range=tuple(int(v) for v in obj["n_range"]),
+            n_range=_int_pair(obj["n_range"], "n_range"),
             x_values=x_values,
-            alpha_box=tuple(tuple(int(v) for v in pair) for pair in obj.get("alpha_box", [])),
-            c2E_range=tuple(int(v) for v in obj["c2E_range"]) if "c2E_range" in obj else None,
-            eta_box=tuple(tuple(int(v) for v in pair) for pair in obj["eta_box"]) if "eta_box" in obj else None,
-            lambda_values=tuple(jsonio.frac_from_str(v) for v in obj.get("lambda_values", [])),
-            H_values=tuple(tuple(int(c) for c in vec) for vec in obj.get("H_values", [])),
-            h_values=tuple(jsonio.frac_from_str(v) for v in obj.get("h_values", [])),
+            alpha_box=_int_pairs(obj.get("alpha_box", []), "alpha_box"),
+            c2E_range=_int_pair(obj["c2E_range"], "c2E_range") if "c2E_range" in obj else None,
+            eta_box=_int_pairs(obj["eta_box"], "eta_box") if "eta_box" in obj else None,
+            lambda_values=_frac_list(obj.get("lambda_values", []), "lambda_values"),
+            H_values=tuple(_int_list(v, "H_values") for v in _list(obj.get("H_values", []), "H_values")),
+            h_values=_frac_list(obj.get("h_values", []), "h_values"),
             require=require,
-            bound=int(obj.get("bound", DEFAULT_BOUND)),
-            limit=obj.get("limit"),
+            bound=_nonnegative_int(obj.get("bound", DEFAULT_BOUND), "bound"),
+            limit=limit,
         )
 
     def to_json(self) -> dict:
@@ -269,6 +271,47 @@ class SearchConfig:
         if self.h_values:
             out["h_values"] = [jsonio.frac_to_str(v) for v in self.h_values]
         return out
+
+
+def _list(value, name: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config field '{name}' must be a list, got {value!r}")
+    return value
+
+
+def _int(value, name: str) -> int:
+    # bool is an int subclass; int() would truncate floats and parse strings
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config field '{name}' must hold integers, got {value!r}")
+    return value
+
+
+def _nonnegative_int(value, name: str) -> int:
+    if _int(value, name) < 0:
+        raise ValueError(f"config field '{name}' must be non-negative, got {value!r}")
+    return value
+
+
+def _int_list(value, name: str) -> tuple:
+    return tuple(_int(v, name) for v in _list(value, name))
+
+
+def _int_pair(value, name: str) -> tuple:
+    if len(_list(value, name)) != 2:
+        raise ValueError(f"config field '{name}' must be a pair [lo, hi], got {value!r}")
+    return _int_list(value, name)
+
+
+def _int_pairs(value, name: str) -> tuple:
+    return tuple(_int_pair(pair, name) for pair in _list(value, name))
+
+
+def _frac_list(value, name: str) -> tuple:
+    items = _list(value, name)
+    try:
+        return tuple(jsonio.frac_from_str(v) for v in items)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"config field '{name}' must hold rationals, got {value!r}") from None
 
 
 def _padded_class(coeffs, rank) -> DivisorClass:

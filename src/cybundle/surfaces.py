@@ -9,12 +9,13 @@ canonical class, which pairs to zero with everything.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+# Every cone query is exact; only the Enriques minimum degree reads the
+# bound, and raises below 1.
 DEFAULT_BOUND = 50
 
 # known numbers of (-1)-classes on dP_k, k = 1..8
@@ -82,6 +83,11 @@ class DivisorClass:
         return DivisorClass((0,) * rank)
 
 
+# positive-component selector for the Enriques effective cone; the two
+# components of {C^2 >= 0} are symmetric and this choice is a convention.
+ENRIQUES_H0 = DivisorClass((1, 1) + (0,) * 8)
+
+
 @dataclass(frozen=True)
 class ConeVerdict:
     """Effective / nef / ample triple; None means undecidable within bound."""
@@ -107,10 +113,6 @@ class BaseSurface:
     c1: DivisorClass
     c2: int
     cone_generators: tuple
-
-    # positive-component selector for the Enriques effective cone; the two
-    # components of {C^2 >= 0} are symmetric and this choice is a convention.
-    ENRIQUES_H0 = None  # set after class definition
 
     @property
     def is_enriques(self) -> bool:
@@ -141,40 +143,29 @@ class BaseSurface:
         if c.rank != self.rank:
             raise ValueError("rank mismatch")
         if self.is_enriques:
-            return self._cone_position_enriques(c, bound)
+            return self._cone_position_enriques(c)
         pairings = [self.intersect(c, g) for g in self.cone_generators]
         nef = all(p >= 0 for p in pairings)
         ample = all(p > 0 for p in pairings) and self.square(c) > 0
         effective = _in_cone(self.cone_generators, c)
         return ConeVerdict(effective=effective, nef=nef, ample=ample)
 
-    def _cone_position_enriques(self, c: DivisorClass, bound: int) -> ConeVerdict:
-        h0 = BaseSurface.ENRIQUES_H0
+    def _cone_position_enriques(self, c: DivisorClass) -> ConeVerdict:
         if c.free_is_zero():
             # pure torsion (or zero): c1 = f1 - f2 is not effective
-            effective = False
+            sq, effective = 0, False
         else:
-            effective = self.square(c) >= 0 and self.intersect(c, h0) > 0
+            sq = self.square(c)
+            effective = sq >= 0 and self.intersect(c, ENRIQUES_H0) > 0
         if not self._gamma11_only(c):
             note = ("undecidable within bound",)
             return ConeVerdict(effective=effective, nef=None, ample=None, notes=note)
         x, y = c.coeffs[0], c.coeffs[1]
         nef = x >= 0 and y >= 0
-        ample = False
-        if nef and self.square(c) >= 6:
-            ample = all(
-                self.intersect(c, e) > 0
-                for e in self._effective_gamma11(bound)
-            )
+        # nef with C^2 = 2xy >= 6 forces x, y > 0, so C pairs positively with
+        # every nonzero effective Gamma^{1,1} class (a, b), a, b >= 0
+        ample = nef and sq >= 6
         return ConeVerdict(effective=effective, nef=nef, ample=ample)
-
-    def _effective_gamma11(self, bound: int):
-        zero = [0] * (self.rank - 2)
-        for a in range(bound + 1):
-            for b in range(bound + 1):
-                if a == 0 and b == 0:
-                    continue
-                yield DivisorClass((a, b, *zero))
 
     def min_positive_degree(self, h: DivisorClass, bound: int = DEFAULT_BOUND) -> MinDegree:
         verdict = self.cone_position(h, bound)
@@ -183,16 +174,16 @@ class BaseSurface:
         if self.is_enriques:
             if not self._gamma11_only(h):
                 raise ValueError("Enriques polarization must lie in the Gamma^{1,1} sublattice")
-            best = None
-            for lam in self._effective_gamma11(bound):
-                deg = self.intersect(lam, h)
-                if deg > 0 and (best is None or deg < best.value):
-                    best = MinDegree(value=deg, witness=lam)
-            # the minimum is attained at (1,0) or (0,1); any bound >= 1 certifies it
-            limited = bound < 1 or best is None
-            if best is None:
+            if bound < 1:
                 raise ValueError("no effective class of positive degree within bound")
-            return MinDegree(best.value, best.witness, bound_limited=limited)
+            # H = (x, y) is ample, so x, y > 0 and (a, b).H = a*y + b*x over
+            # a, b >= 0 is smallest at (0, 1) (degree x) or (1, 0) (degree y);
+            # a tie goes to (0, 1), the first in lexicographic order
+            x, y = h.coeffs[0], h.coeffs[1]
+            witness = (0, 1) if x <= y else (1, 0)
+            return MinDegree(
+                value=min(x, y), witness=DivisorClass(witness + (0,) * (self.rank - 2))
+            )
         degs = [(self.intersect(g, h), g) for g in self.cone_generators]
         value, witness = min(degs, key=lambda t: (t[0], t[1].coeffs))
         # all generator degrees are positive (H ample), so the single-generator
@@ -379,9 +370,6 @@ def make_base(kind: str) -> BaseSurface:
             cone_generators=(),
         )
     raise ValueError("unsupported surface")
-
-
-BaseSurface.ENRIQUES_H0 = DivisorClass((1, 1) + (0,) * 8)
 
 
 def signature(gram):

@@ -80,7 +80,7 @@ def _solve_strict_linear(inequalities, domain):
 def kahler_check(s: BaseSurface, j: DivisorX, bound: int = DEFAULT_BOUND) -> bool | None:
     """J = z*sigma + pi^*H in the Kaehler cone of X: z > 0 and H - z*c1 ample.
 
-    Returns None if ampleness is undecidable within the enumeration bound.
+    Returns None if ampleness is undecidable (an Enriques H outside Gamma^{1,1}).
     """
     z, h = j.x, j.alpha
     if z <= 0:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from cybundle.anomaly import anomaly_class, solve_alpha_zero, solve_c2E_zero, spectral_af
 from cybundle.bundles import PullbackBundle
+from cybundle.fixtures import prop71_scan
 from cybundle.nonsplit import spectral_nonsplit, w0_nonsplit_delpezzo
 from cybundle.ring import (
     DivisorX,
@@ -22,7 +23,6 @@ from cybundle.surfaces import DivisorClass, MINUS_ONE_COUNTS, make_base, minus_o
 from cybundle.windows import (
     delpezzo_closed_form,
     enriques_closed_form,
-    sign_necessity,
     spectral_stability_check,
     window_delpezzo,
     window_enriques,
@@ -124,23 +124,7 @@ def test_criterion_5_window_equivalence_sweep():
 
 def test_criterion_6_enriques_anomaly_scan():
     """Enriques pullback scan: wB effective plus the sign condition is empty."""
-    enr = make_base("enriques")
-    h = pad((2, 3), 10)  # fixed ample polarization
-    n = 2
-    hits = scanned = 0
-    for x in (-3, -2, -1, 1, 2, 3):
-        for a0 in range(-10, 11):
-            for a1 in range(-10, 11):
-                scanned += 1
-                alpha = pad((a0, a1), 10)
-                out = anomaly_class(
-                    enr, PullbackBundle(n=n, c2E=12, twist=DivisorX(x, alpha))
-                )
-                effective = out.wB.is_zero() or (
-                    enr.cone_position(out.wB).effective is True
-                )
-                if effective and sign_necessity(x, enr.intersect(alpha, h)):
-                    hits += 1
+    scanned, hits = prop71_scan()
     assert scanned == 6 * 21 * 21
     assert hits == 0
     print(f"PASS criterion 6: 0/{scanned} Enriques x!=0 models survive (x=0 forced)")

@@ -65,6 +65,8 @@ def test_verify_paper_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all hard checks passed" in proc.stdout
     assert "af readings reported" in proc.stdout  # informational fixture present
+    assert "Fraction(" not in proc.stdout  # rationals print as exact p/q
+    assert "alpha: computed (-1, -1)  ok" in proc.stdout
 
 
 def test_check_passing_model(tmp_path):
@@ -169,6 +171,37 @@ def test_env_bound_must_be_integer(tmp_path):
         env={"CYBUNDLE_BOUND": "many"},
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_env_bound_rejected_with_message(tmp_path, raw):
+    config = write(tmp_path, "e6.json", E6_CONFIG)
+    for args in (("check", write(tmp_path, "so10.json", SO10_MODEL)), ("search", config)):
+        proc = run_cli(*args, env={"CYBUNDLE_BOUND": raw})
+        assert proc.returncode == 2
+        assert "CYBUNDLE_BOUND" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("limit", "5"),
+        ("limit", -1),
+        ("n_range", [2, 2.9]),
+        ("n_range", [2]),
+        ("bound", -1),
+        ("bound", True),
+        ("x_values", ["1"]),
+        ("alpha_box", [[0, 0], 1]),
+        ("c2E_range", "92"),
+        ("h_values", ["1/0"]),
+    ],
+)
+def test_search_bad_field_is_named(tmp_path, field, value):
+    proc = run_cli("search", write(tmp_path, "bad.json", dict(E6_CONFIG, **{field: value})))
+    assert proc.returncode == 2
+    assert f"'{field}'" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_env_bound_accepted(tmp_path):

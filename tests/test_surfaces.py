@@ -1,13 +1,16 @@
 """Tests for the base-surface intersection lattices."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from cybundle.surfaces import (
+    ConeVerdict,
     DivisorClass,
     MINUS_ONE_COUNTS,
+    MinDegree,
     make_base,
     minus_one_classes,
     signature,
@@ -289,3 +292,98 @@ def test_min_degree_stable_in_bound():
     h = pad((5, 6), 10)
     values = [enr.min_positive_degree(h, bound=b).value for b in (2, 10, 50)]
     assert values[0] == values[1] == values[2]
+
+
+# ---------------------------------------------------------------------------
+# Enriques closed forms against the bounded enumeration they replaced
+
+
+def _box_degrees(enr, c, bound):
+    """((a, b), (a, b).c) for every nonzero 0 <= a, b <= bound, in lex order.
+
+    This is the bounded enumeration the closed forms replaced.  The pairing
+    is expanded by bilinearity and summed over integers, so that the
+    2,601-class box stays cheap.
+    """
+    d1 = enr.intersect(pad((1, 0), 10), c)
+    d2 = enr.intersect(pad((0, 1), 10), c)
+    q = math.lcm(d1.denominator, d2.denominator)
+    n1, n2 = int(d1 * q), int(d2 * q)
+    for a in range(bound + 1):
+        for b in range(bound + 1):
+            if a or b:
+                yield (a, b), Fraction(a * n1 + b * n2, q)
+
+
+def _oracle_cone(enr, c, bound):
+    if c.free_is_zero():
+        effective = False
+    else:
+        effective = enr.square(c) >= 0 and enr.intersect(c, pad((1, 1), 10)) > 0
+    if any(v != 0 for v in c.coeffs[2:]):
+        return ConeVerdict(effective, None, None, ("undecidable within bound",))
+    x, y = c.coeffs[0], c.coeffs[1]
+    nef = x >= 0 and y >= 0
+    ample = False
+    if nef and enr.square(c) >= 6:
+        ample = all(deg > 0 for _, deg in _box_degrees(enr, c, bound))
+    return ConeVerdict(effective, nef, ample)
+
+
+def _oracle_min_degree(enr, h, bound, verdict):
+    if verdict.ample is not True:
+        raise ValueError("polarization not ample")
+    if any(v != 0 for v in h.coeffs[2:]):
+        raise ValueError("Enriques polarization must lie in the Gamma^{1,1} sublattice")
+    best = None
+    for ab, deg in _box_degrees(enr, h, bound):
+        if deg > 0 and (best is None or deg < best[0]):
+            best = (deg, ab)
+    if best is None:
+        raise ValueError("no effective class of positive degree within bound")
+    return MinDegree(best[0], pad(best[1], 10), bound_limited=bound < 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_enriques_closed_forms_match_enumeration():
+    enr = make_base("enriques")
+    values = sorted({Fraction(k, d) for k in range(-7, 8) for d in (1, 2, 3)})
+    classes = [pad((x, y), 10) for x in values for y in values]
+    # torsion and E8 components reach the other branches
+    classes += [DivisorClass(c.coeffs, torsion=1) for c in classes[::7]]
+    classes += [pad((2, 3, 1), 10), pad((0, 0, 0, -1), 10), enr.c1]
+    kinds = set()
+    for bound in (0, 1, 2, 50):
+        for c in classes:
+            verdict = _oracle_cone(enr, c, bound)
+            assert enr.cone_position(c, bound) == verdict
+            got = _outcome(enr.min_positive_degree, c, bound)
+            assert got == _outcome(_oracle_min_degree, enr, c, bound, verdict)
+            if isinstance(got, MinDegree):
+                assert got.bound_limited is False
+                assert type(got.value) is Fraction
+                kinds.add("value")
+            else:
+                kinds.add(got[1])
+    assert kinds == {
+        "value",
+        "polarization not ample",
+        "no effective class of positive degree within bound",
+    }
+
+
+def test_enriques_min_degree_tie_takes_first_witness():
+    enr = make_base("enriques")
+    for x in (Fraction(5, 2), 3, 7):
+        md = enr.min_positive_degree(pad((x, x), 10))
+        assert md.value == x
+        assert md.witness == pad((0, 1), 10)
+    assert enr.min_positive_degree(pad((6, 5), 10)).witness == pad((1, 0), 10)
+    with pytest.raises(ValueError, match="no effective class"):
+        enr.min_positive_degree(pad((3, 3), 10), bound=0)
