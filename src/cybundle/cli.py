@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import fixtures, jsonio
 from .bundles import PullbackBundle, SpectralBundle
 from .search import Polarization, SearchConfig, check_model, run_search
+from .search import _int, _nonnegative_int, _positive, _require  # shared field rules
 from .surfaces import DEFAULT_BOUND, make_base
 
 EXIT_OK = 0
@@ -88,12 +89,12 @@ def _parse_model(obj):
         raise ValueError("bundle must be an object with a 'type' field")
     if "n" not in spec:
         raise ValueError("bundle missing field 'n'")
-    n = int(spec["n"])
+    n = _int(spec["n"], "n")
     twist = jsonio.divisor_x_from_json(spec.get("twist"), surface.rank)
     if spec["type"] == "pullback":
         if "c2E" not in spec:
             raise ValueError("pullback bundle missing field 'c2E'")
-        bundle = PullbackBundle(n=n, c2E=int(spec["c2E"]), twist=twist)
+        bundle = PullbackBundle(n=n, c2E=_int(spec["c2E"], "c2E"), twist=twist)
     elif spec["type"] == "spectral":
         for key in ("eta", "lambda"):
             if key not in spec:
@@ -107,11 +108,13 @@ def _parse_model(obj):
     else:
         raise ValueError(f"unknown bundle type '{spec['type']}'")
     pol_obj = obj.get("polarization", {})
+    if not isinstance(pol_obj, dict):
+        raise ValueError(f"field 'polarization' must be an object, got {pol_obj!r}")
     pol = Polarization(
         H=jsonio.divisor_from_json(pol_obj["H"], surface.rank) if "H" in pol_obj else None,
-        h=jsonio.frac_from_str(pol_obj["h"]) if "h" in pol_obj else None,
+        h=_positive(jsonio.frac_from_str(pol_obj["h"]), "h") if "h" in pol_obj else None,
     )
-    return surface, bundle, pol, obj.get("require")
+    return surface, bundle, pol, _require(obj.get("require"))
 
 
 def cmd_check(args) -> int:
@@ -132,11 +135,13 @@ def cmd_search(args) -> int:
     obj = _load_json(args.config)
     try:
         config = SearchConfig.from_json(obj)
+        if args.limit is not None:
+            config.limit = _nonnegative_int(args.limit, "limit")
         if config.bound == DEFAULT_BOUND:
             config.bound = _env_bound()
         out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
         try:
-            summary = run_search(config, jobs=args.jobs, out=out, limit=args.limit)
+            summary = run_search(config, jobs=args.jobs, out=out)
         finally:
             if args.out is not None:
                 out.close()

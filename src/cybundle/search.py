@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 from . import jsonio
 from .anomaly import anomaly_class, spectral_af
@@ -17,12 +19,7 @@ from .bundles import PullbackBundle, SpectralBundle, validate_bundle
 from .nonsplit import nonsplit_feasible, spectral_nonsplit
 from .ring import DivisorX
 from .surfaces import BaseSurface, DivisorClass, DEFAULT_BOUND, make_base
-from .windows import (
-    StabilityWindow,
-    spectral_stability_check,
-    window_delpezzo,
-    window_enriques,
-)
+from .windows import spectral_stability_check, window_delpezzo, window_enriques
 
 STAGES = ("validity", "anomaly", "nonsplit", "stability")
 
@@ -52,12 +49,6 @@ class ModelRecord:
         return json.dumps(self.to_json(), separators=(",", ":"), sort_keys=False)
 
 
-def _window_verdict(window: StabilityWindow) -> dict:
-    out = jsonio.window_to_json(window)
-    out["passed"] = window.nonempty
-    return out
-
-
 def check_model(
     s: BaseSurface,
     bundle,
@@ -67,25 +58,40 @@ def check_model(
     short_circuit: bool = True,
     params: dict | None = None,
 ) -> ModelRecord:
-    """Run the full verification pipeline on one model."""
+    """Run the full verification pipeline on one model.
+
+    The first failed stage is `failed_stage`.  A failure stops the run
+    under `short_circuit`; a verdict carrying an "error" always stops it.
+    """
     verdicts: dict = {}
     failed: str | None = None
+    for name, stage in _PIPELINES[type(bundle)]:
+        verdict = verdicts[name] = stage(s, bundle, pol, require, bound)
+        if not verdict["passed"]:
+            if failed is None:
+                failed = name
+            if short_circuit or "error" in verdict:
+                break
+    return ModelRecord(params or {}, verdicts, failed is None, failed)
 
-    def fail(stage):
-        nonlocal failed
-        if failed is None:
-            failed = stage
 
-    # validity
+# Stage functions: (s, bundle, pol, require, bound) -> verdict dict, whose
+# key order is part of the JSONL output.
+
+
+def _error(message: str) -> dict:
+    return {"passed": False, "error": message}
+
+
+def _validity(s, bundle, pol, require, bound) -> dict:
     try:
         validate_bundle(s, bundle)
-        verdicts["validity"] = {"passed": True}
     except ValueError as exc:
-        verdicts["validity"] = {"passed": False, "error": str(exc)}
-        fail("validity")
-        return ModelRecord(params or {}, verdicts, False, failed)
+        return _error(str(exc))
+    return {"passed": True}
 
-    # anomaly
+
+def _anomaly(s, bundle, pol, require, bound) -> dict:
     outcome = anomaly_class(s, bundle)
     det = {
         "wB": jsonio.divisor_to_json(outcome.wB),
@@ -93,93 +99,87 @@ def check_model(
         "W_zero": outcome.W_zero,
         "W_effective": outcome.W_effective,
     }
-    if (
-        isinstance(bundle, SpectralBundle)
-        and bundle.twist.x == 0
-        and bundle.eta == s.c1.scale(12)
-    ):
+    if require == "W_zero":
+        det["passed"] = outcome.W_zero
+    elif require == "W_effective":
+        det["passed"] = outcome.W_effective is True
+    else:
+        det["passed"] = True
+    return det
+
+
+def _spectral_anomaly(s, bundle, pol, require, bound) -> dict:
+    """[W], plus both af readings for the paper's eta = 12 c1 family."""
+    det = _anomaly(s, bundle, pol, require, bound)
+    if bundle.twist.x == 0 and bundle.eta == s.c1.scale(12):
         rep = spectral_af(s, bundle.n, bundle.lam, bundle.twist.alpha, bundle.eta)
+        passed = det.pop("passed")  # re-inserted below: it is the last key
         det["af_displayed"] = jsonio.frac_to_str(rep.af_displayed)
         det["af_direct"] = jsonio.frac_to_str(rep.af_direct)
         det["display_agrees"] = rep.agree
-    if require == "W_zero":
-        passed = outcome.W_zero
-    elif require == "W_effective":
-        passed = outcome.W_effective is True
-    else:
-        passed = True
-    det["passed"] = passed
-    verdicts["anomaly"] = det
-    if not passed:
-        fail("anomaly")
-        if short_circuit:
-            return ModelRecord(params or {}, verdicts, False, failed)
-
-    # non-split
-    if isinstance(bundle, PullbackBundle):
-        try:
-            h_class, z_rep = _pullback_polarization(s, pol)
-        except ValueError as exc:
-            verdicts["nonsplit"] = {"passed": False, "error": str(exc)}
-            fail("nonsplit")
-            return ModelRecord(params or {}, verdicts, False, failed)
-        ns = nonsplit_feasible(
-            s, bundle.n, int(bundle.twist.x), bundle.twist.alpha, bundle.c2E, h_class, z_rep
-        )
-        verdicts["nonsplit"] = {
-            "passed": ns.passed,
-            "clause": ns.clause,
-            "value": jsonio.frac_to_str(ns.value),
-        }
-    else:
-        ns = spectral_nonsplit(s, bundle.n, bundle.n + 1, bundle.eta, bundle.twist.alpha)
-        verdicts["nonsplit"] = {
-            "passed": ns.passed,
-            "clause": "spectral chi>0",
-            "value": jsonio.frac_to_str(ns.value),
-        }
-    if not ns.passed:
-        fail("nonsplit")
-        if short_circuit:
-            return ModelRecord(params or {}, verdicts, False, failed)
-
-    # stability
-    if isinstance(bundle, PullbackBundle):
-        x = int(bundle.twist.x)
-        if s.is_enriques:
-            a = s.intersect(bundle.twist.alpha, pol.H)
-            window = window_enriques(bundle.n, x, a, s.square(pol.H))
-        else:
-            a = s.intersect(bundle.twist.alpha, s.c1)
-            window = window_delpezzo(bundle.n, x, a, s.c1_sq, pol.h)
-        verdicts["stability"] = _window_verdict(window)
-        stable = window.nonempty
-    else:
-        ver = spectral_stability_check(s, bundle.n, bundle.twist.alpha, _spectral_h(s, pol), bound)
-        verdicts["stability"] = {
-            "passed": ver.passed,
-            "alpha_H": jsonio.frac_to_str(ver.a_h),
-            "n_alpha_H": jsonio.frac_to_str(ver.n_a_h),
-            "min_degree": jsonio.frac_to_str(ver.min_degree),
-            "witness": jsonio.divisor_to_json(ver.witness),
-            "bound_limited": ver.bound_limited,
-        }
-        stable = ver.passed
-    if not stable:
-        fail("stability")
-
-    return ModelRecord(params or {}, verdicts, failed is None, failed)
+        det["passed"] = passed
+    return det
 
 
-def _pullback_polarization(s: BaseSurface, pol: Polarization):
+def _pullback_nonsplit(s, bundle, pol, require, bound) -> dict:
     if s.is_enriques:
         if pol.H is None:
-            raise ValueError("Enriques pullback models need an explicit polarization H")
-        return pol.H, Fraction(1)
-    if pol.h is None:
-        raise ValueError("pullback models on a -K-ample base need the ray parameter h")
-    h = Fraction(pol.h)
-    return s.c1.scale(h), h
+            return _error("Enriques pullback models need an explicit polarization H")
+        h_class, z_rep = pol.H, Fraction(1)
+    elif pol.h is None:
+        return _error("pullback models on a -K-ample base need the ray parameter h")
+    else:
+        z_rep = Fraction(pol.h)
+        h_class = s.c1.scale(z_rep)
+    ns = nonsplit_feasible(
+        s, bundle.n, int(bundle.twist.x), bundle.twist.alpha, bundle.c2E, h_class, z_rep
+    )
+    return {"passed": ns.passed, "clause": ns.clause, "value": jsonio.frac_to_str(ns.value)}
+
+
+def _spectral_nonsplit(s, bundle, pol, require, bound) -> dict:
+    ns = spectral_nonsplit(s, bundle.n, bundle.n + 1, bundle.eta, bundle.twist.alpha)
+    return {
+        "passed": ns.passed,
+        "clause": "spectral chi>0",
+        "value": jsonio.frac_to_str(ns.value),
+    }
+
+
+def _pullback_stability(s, bundle, pol, require, bound) -> dict:
+    x = int(bundle.twist.x)
+    if s.is_enriques:
+        a = s.intersect(bundle.twist.alpha, pol.H)
+        window = window_enriques(bundle.n, x, a, s.square(pol.H))
+    else:
+        a = s.intersect(bundle.twist.alpha, s.c1)
+        window = window_delpezzo(bundle.n, x, a, s.c1_sq, pol.h)
+    out = jsonio.window_to_json(window)
+    out["passed"] = window.nonempty
+    return out
+
+
+def _spectral_stability(s, bundle, pol, require, bound) -> dict:
+    ver = spectral_stability_check(s, bundle.n, bundle.twist.alpha, _spectral_h(s, pol), bound)
+    return {
+        "passed": ver.passed,
+        "alpha_H": jsonio.frac_to_str(ver.a_h),
+        "n_alpha_H": jsonio.frac_to_str(ver.n_a_h),
+        "min_degree": jsonio.frac_to_str(ver.min_degree),
+        "witness": jsonio.divisor_to_json(ver.witness),
+        "bound_limited": ver.bound_limited,
+    }
+
+
+# bundle type -> ((stage name, stage function), ...) in STAGES order
+_PIPELINES = {
+    PullbackBundle: tuple(
+        zip(STAGES, (_validity, _anomaly, _pullback_nonsplit, _pullback_stability))
+    ),
+    SpectralBundle: tuple(
+        zip(STAGES, (_validity, _spectral_anomaly, _spectral_nonsplit, _spectral_stability))
+    ),
+}
 
 
 def _spectral_h(s: BaseSurface, pol: Polarization) -> DivisorClass:
@@ -227,9 +227,6 @@ class SearchConfig:
             x_values = tuple(range(lo, hi + 1))
         else:
             x_values = (0,)
-        require = obj.get("require")
-        if require not in (None, "W_zero", "W_effective"):
-            raise ValueError("require must be 'W_zero', 'W_effective' or null")
         limit = obj.get("limit")
         if limit is not None:
             limit = _nonnegative_int(limit, "limit")
@@ -244,33 +241,10 @@ class SearchConfig:
             lambda_values=_frac_list(obj.get("lambda_values", []), "lambda_values"),
             H_values=tuple(_int_list(v, "H_values") for v in _list(obj.get("H_values", []), "H_values")),
             h_values=_frac_list(obj.get("h_values", []), "h_values"),
-            require=require,
+            require=_require(obj.get("require")),
             bound=_nonnegative_int(obj.get("bound", DEFAULT_BOUND), "bound"),
             limit=limit,
         )
-
-    def to_json(self) -> dict:
-        out = {
-            "base": self.base,
-            "mode": self.mode,
-            "n_range": list(self.n_range),
-            "x_values": list(self.x_values),
-            "alpha_box": [list(p) for p in self.alpha_box],
-            "require": self.require,
-            "bound": self.bound,
-            "limit": self.limit,
-        }
-        if self.c2E_range is not None:
-            out["c2E_range"] = list(self.c2E_range)
-        if self.eta_box is not None:
-            out["eta_box"] = [list(p) for p in self.eta_box]
-        if self.lambda_values:
-            out["lambda_values"] = [jsonio.frac_to_str(v) for v in self.lambda_values]
-        if self.H_values:
-            out["H_values"] = [list(v) for v in self.H_values]
-        if self.h_values:
-            out["h_values"] = [jsonio.frac_to_str(v) for v in self.h_values]
-        return out
 
 
 def _list(value, name: str):
@@ -279,17 +253,33 @@ def _list(value, name: str):
     return value
 
 
+# _int, _require and _positive also check the fields of a `check` model file.
+
+
 def _int(value, name: str) -> int:
     # bool is an int subclass; int() would truncate floats and parse strings
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config field '{name}' must hold integers, got {value!r}")
+        raise ValueError(f"field '{name}' must hold integers, got {value!r}")
     return value
 
 
 def _nonnegative_int(value, name: str) -> int:
     if _int(value, name) < 0:
-        raise ValueError(f"config field '{name}' must be non-negative, got {value!r}")
+        raise ValueError(f"field '{name}' must be non-negative, got {value!r}")
     return value
+
+
+def _require(value):
+    if value not in (None, "W_zero", "W_effective"):
+        raise ValueError(f"field 'require' must be 'W_zero', 'W_effective' or null, got {value!r}")
+    return value
+
+
+def _positive(h: Fraction, name: str) -> Fraction:
+    # H = h * c1 is ample on a -K-ample base exactly when h > 0
+    if h <= 0:
+        raise ValueError(f"field '{name}' must be positive, got {jsonio.frac_to_str(h)!r}")
+    return h
 
 
 def _int_list(value, name: str) -> tuple:
@@ -316,13 +306,23 @@ def _frac_list(value, name: str) -> tuple:
 
 def _padded_class(coeffs, rank) -> DivisorClass:
     coeffs = tuple(coeffs)
-    if len(coeffs) > rank:
-        raise ValueError("rank mismatch")
     return DivisorClass(coeffs + (0,) * (rank - len(coeffs)))
 
 
 def _axes(config: SearchConfig, s: BaseSurface):
-    """Ordered (name, values) axes spanning the parameter box."""
+    """Ordered (name, values) axes spanning the parameter box.
+
+    Refuses a class with more coordinates than the base rank and a
+    polarization that is not ample, naming the config field, so that a
+    bad config fails before any model is scanned.
+    """
+    classes = [("alpha_box", config.alpha_box), ("eta_box", config.eta_box or ())]
+    for name, coords in classes + [("H_values", vec) for vec in config.H_values]:
+        if len(coords) > s.rank:
+            raise ValueError(
+                f"config field '{name}' has {len(coords)} entries"
+                f" but base {s.kind} has rank {s.rank}"
+            )
     axes = [("n", tuple(range(config.n_range[0], config.n_range[1] + 1)))]
     if config.mode == "pullback":
         axes.append(("x", config.x_values))
@@ -338,9 +338,14 @@ def _axes(config: SearchConfig, s: BaseSurface):
         axes.append(("lambda", config.lambda_values or (Fraction(0),)))
     pols = []
     for vec in config.H_values:
+        # ample None (an Enriques H outside Gamma^{1,1}) is left to the stages
+        if s.cone_position(_padded_class(vec, s.rank)).ample is False:
+            raise ValueError(
+                f"config field 'H_values' entry {list(vec)} is not ample on base {s.kind}"
+            )
         pols.append(("H", vec))
     for h in config.h_values:
-        pols.append(("h", h))
+        pols.append(("h", _positive(h, "h_values")))
     if not pols:
         raise ValueError("config needs H_values or h_values")
     axes.append(("pol", tuple(pols)))
@@ -405,6 +410,12 @@ class SearchSummary:
             "stage_failures": self.stage_failures,
         }
 
+    def merge(self, other: "SearchSummary") -> None:
+        self.scanned += other.scanned
+        self.passed += other.passed
+        for key, val in other.stage_failures.items():
+            self.stage_failures[key] += val
+
 
 def _emit(record: ModelRecord, require: str | None) -> bool:
     """Records are emitted unconditionally without a requirement; with one,
@@ -414,17 +425,22 @@ def _emit(record: ModelRecord, require: str | None) -> bool:
     return record.verdicts.get("anomaly", {}).get("passed") is True
 
 
-def _evaluate_range(config: SearchConfig, start: int, stop: int):
+def _records(config: SearchConfig, start: int, stop: int | None):
+    """Yield the ModelRecord of box points start..stop-1 (None: to the end)."""
     s = make_base(config.base)
     axes = _axes(config, s)
+    if stop is None:
+        stop = _box_volume(axes)
+    for index in range(start, stop):
+        bundle, pol, params = _instantiate(config, s, _decode(axes, index))
+        yield check_model(s, bundle, pol, require=config.require, bound=config.bound, params=params)
+
+
+def _evaluate_range(config: SearchConfig, start: int, stop: int):
+    """JSONL lines to emit and the summary of one chunk of the box."""
     lines = []
     summary = SearchSummary()
-    for index in range(start, stop):
-        values = _decode(axes, index)
-        bundle, pol, params = _instantiate(config, s, values)
-        record = check_model(
-            s, bundle, pol, require=config.require, bound=config.bound, params=params
-        )
+    for record in _records(config, start, stop):
         summary.scanned += 1
         if record.overall:
             summary.passed += 1
@@ -435,25 +451,12 @@ def _evaluate_range(config: SearchConfig, start: int, stop: int):
     return lines, summary
 
 
-def _search_chunk(config_json: dict, start: int, stop: int):
-    config = SearchConfig.from_json(config_json)
-    lines, summary = _evaluate_range(config, start, stop)
-    return lines, summary.to_json()
-
-
 def enumerate_models(config: SearchConfig):
     """Yield a ModelRecord per lattice point of the box, in lex order.
 
     With a requirement set, only records meeting it are yielded.
     """
-    s = make_base(config.base)
-    axes = _axes(config, s)
-    for index in range(_box_volume(axes)):
-        values = _decode(axes, index)
-        bundle, pol, params = _instantiate(config, s, values)
-        record = check_model(
-            s, bundle, pol, require=config.require, bound=config.bound, params=params
-        )
+    for record in _records(config, 0, None):
         if _emit(record, config.require):
             yield record
 
@@ -461,55 +464,31 @@ def enumerate_models(config: SearchConfig):
 def run_search(config: SearchConfig, jobs: int = 1, out=None, limit: int | None = None):
     """Scan the whole box; write JSONL records to `out`; return the summary.
 
-    Output is byte-identical for any `jobs` value: chunks are merged in
-    enumeration order before writing.
+    `limit` caps the records written; the summary still counts the whole
+    box.  Output is byte-identical for any `jobs` value: chunks are merged
+    in enumeration order before writing.
     """
-    s = make_base(config.base)
-    axes = _axes(config, s)
-    total = _box_volume(axes)
+    total = _box_volume(_axes(config, make_base(config.base)))
     if limit is None:
         limit = config.limit
+    step = max(1, total if jobs <= 1 else -(-total // (jobs * 4)))
+    starts = range(0, total, step)
+    stops = [min(lo + step, total) for lo in starts]
     summary = SearchSummary()
     emitted = 0
-
-    def write_lines(lines):
-        nonlocal emitted
-        for line in lines:
-            if limit is not None and emitted >= limit:
-                return
+    with ExitStack() as stack:
+        evaluate = map
+        if len(starts) > 1:
+            evaluate = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        for lines, part in evaluate(_evaluate_range, repeat(config), starts, stops):
+            summary.merge(part)
+            if limit is not None:
+                lines = lines[: max(0, limit - emitted)]
             if out is not None:
-                out.write(line + "\n")
-            emitted += 1
-
-    if jobs <= 1 or total <= 1:
-        chunks = [(0, total)]
-    else:
-        step = max(1, -(-total // (jobs * 4)))
-        chunks = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-    if jobs <= 1 or len(chunks) == 1:
-        for lo, hi in chunks:
-            lines, part = _evaluate_range(config, lo, hi)
-            _merge_summary(summary, part.to_json())
-            write_lines(lines)
-    else:
-        cfg = config.to_json()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_search_chunk, cfg, lo, hi) for lo, hi in chunks]
-            for fut in futures:
-                lines, part = fut.result()
-                _merge_summary(summary, part)
-                write_lines(lines)
+                out.writelines(line + "\n" for line in lines)
+            emitted += len(lines)
     summary_obj = summary.to_json()
     summary_obj["emitted"] = emitted
     if out is not None:
         out.write("# " + json.dumps(summary_obj, separators=(",", ":")) + "\n")
     return summary_obj
-
-
-def _merge_summary(summary: SearchSummary, part: dict):
-    summary.scanned += part["scanned"]
-    summary.passed += part["passed"]
-    for key, val in part["stage_failures"].items():
-        if key is not None and key != "null":
-            summary.stage_failures[key] = summary.stage_failures.get(key, 0) + val

@@ -90,7 +90,8 @@ ENRIQUES_H0 = DivisorClass((1, 1) + (0,) * 8)
 
 @dataclass(frozen=True)
 class ConeVerdict:
-    """Effective / nef / ample triple; None means undecidable within bound."""
+    """Effective / nef / ample triple; None means not decided (nef and ample
+    of an Enriques class outside Gamma^{1,1})."""
 
     effective: bool | None
     nef: bool | None
@@ -139,7 +140,7 @@ class BaseSurface:
     def _gamma11_only(self, c: DivisorClass) -> bool:
         return all(v == 0 for v in c.coeffs[2:])
 
-    def cone_position(self, c: DivisorClass, bound: int = DEFAULT_BOUND) -> ConeVerdict:
+    def cone_position(self, c: DivisorClass) -> ConeVerdict:
         if c.rank != self.rank:
             raise ValueError("rank mismatch")
         if self.is_enriques:
@@ -158,7 +159,7 @@ class BaseSurface:
             sq = self.square(c)
             effective = sq >= 0 and self.intersect(c, ENRIQUES_H0) > 0
         if not self._gamma11_only(c):
-            note = ("undecidable within bound",)
+            note = ("class lies outside Gamma^{1,1}",)
             return ConeVerdict(effective=effective, nef=None, ample=None, notes=note)
         x, y = c.coeffs[0], c.coeffs[1]
         nef = x >= 0 and y >= 0
@@ -168,7 +169,7 @@ class BaseSurface:
         return ConeVerdict(effective=effective, nef=nef, ample=ample)
 
     def min_positive_degree(self, h: DivisorClass, bound: int = DEFAULT_BOUND) -> MinDegree:
-        verdict = self.cone_position(h, bound)
+        verdict = self.cone_position(h)
         if verdict.ample is not True:
             raise ValueError("polarization not ample")
         if self.is_enriques:

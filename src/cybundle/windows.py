@@ -77,7 +77,7 @@ def _solve_strict_linear(inequalities, domain):
     return lo[0], hi[0], tuple(binding), nonempty
 
 
-def kahler_check(s: BaseSurface, j: DivisorX, bound: int = DEFAULT_BOUND) -> bool | None:
+def kahler_check(s: BaseSurface, j: DivisorX) -> bool | None:
     """J = z*sigma + pi^*H in the Kaehler cone of X: z > 0 and H - z*c1 ample.
 
     Returns None if ampleness is undecidable (an Enriques H outside Gamma^{1,1}).
@@ -87,9 +87,9 @@ def kahler_check(s: BaseSurface, j: DivisorX, bound: int = DEFAULT_BOUND) -> boo
         return False
     if s.is_enriques:
         # c1 is torsion, so H - z*c1 is ample iff H is
-        return s.cone_position(h, bound).ample
+        return s.cone_position(h).ample
     shifted = h - s.c1.scale(z)
-    return s.cone_position(shifted, bound).ample
+    return s.cone_position(shifted).ample
 
 
 def sign_necessity(x: int, a_h) -> bool:

@@ -224,3 +224,81 @@ def test_rationals_serialize_exactly(tmp_path):
     assert isinstance(window["lower"], str)
     assert Fraction(window["lower"]) < Fraction(window["upper"])
     assert "z_interval_approx" in window
+
+
+ENRIQUES_PULLBACK = {
+    "base": "enriques",
+    "mode": "pullback",
+    "n_range": [2, 2],
+    "x_values": [1],
+    "alpha_box": [[0, 0], [0, 0]],
+    "c2E_range": [12, 12],
+    "H_values": [[2, 3]],
+}
+
+F0_SPECTRAL = {
+    "base": "F0",
+    "mode": "spectral",
+    "n_range": [2, 2],
+    "alpha_box": [[1, 1], [-11, -11]],
+    "lambda_values": ["3/2"],
+    "H_values": [[3, 34]],
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (dict(E6_CONFIG, alpha_box=[[0, 0]] * 3), "alpha_box"),
+        # refused before scanning, so an empty box is refused too
+        (dict(E6_CONFIG, alpha_box=[[0, 0]] * 3, n_range=[3, 2]), "alpha_box"),
+        (dict(F0_SPECTRAL, eta_box=[[12, 12]] * 3), "eta_box"),
+        (dict(F0_SPECTRAL, H_values=[[3, 34, 1]]), "H_values"),
+        (dict(E6_CONFIG, h_values=["0"]), "h_values"),
+        (dict(E6_CONFIG, h_values=["1", "-1"]), "h_values"),
+        (dict(F0_SPECTRAL, H_values=[], h_values=["0"]), "h_values"),
+        (dict(ENRIQUES_PULLBACK, H_values=[[1, -1]]), "H_values"),
+        (dict(F0_SPECTRAL, H_values=[[1, 0]]), "H_values"),
+    ],
+)
+def test_search_rank_and_polarization_refused(tmp_path, config, field, jobs):
+    proc = run_cli("search", write(tmp_path, "bad.json", config), "--jobs", jobs)
+    assert proc.returncode == 2
+    assert f"'{field}'" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_search_enriques_h_outside_gamma11_still_scanned(tmp_path):
+    # ampleness outside Gamma^{1,1} is undecided, so the config is not refused
+    config = dict(ENRIQUES_PULLBACK, H_values=[[2, 3, 1]])
+    proc = run_cli("search", write(tmp_path, "box.json", config))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["scanned"] == 1
+
+
+@pytest.mark.parametrize(
+    "model, field",
+    [
+        (dict(SO10_MODEL, bundle=dict(SO10_MODEL["bundle"], n=None)), "'n'"),
+        (dict(SO10_MODEL, bundle=dict(SO10_MODEL["bundle"], n=3.7)), "'n'"),
+        (dict(SO10_MODEL, bundle=dict(SO10_MODEL["bundle"], c2E="104")), "'c2E'"),
+        (dict(SO10_MODEL, polarization="1"), "'polarization'"),
+        (dict(SO10_MODEL, polarization=[1]), "'polarization'"),
+        (dict(SO10_MODEL, polarization={"h": "0"}), "'h'"),
+        (dict(SO10_MODEL, polarization={"h": "-1/2"}), "'h'"),
+        (dict(SO10_MODEL, require="maybe"), "'require'"),
+    ],
+)
+def test_check_bad_model_field_is_named(tmp_path, model, field):
+    proc = run_cli("check", write(tmp_path, "bad.json", model))
+    assert proc.returncode == 2
+    assert field in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_search_negative_limit_flag_refused(tmp_path):
+    proc = run_cli("search", write(tmp_path, "e6.json", E6_CONFIG), "--limit", "-1")
+    assert proc.returncode == 2
+    assert "'limit'" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

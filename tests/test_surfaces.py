@@ -188,7 +188,7 @@ def test_cone_enriques_undecidable_outside_gamma11():
     c = pad((1, 1, 1), 10)
     v = enr.cone_position(c)
     assert v.nef is None and v.ample is None
-    assert "undecidable within bound" in v.notes
+    assert "class lies outside Gamma^{1,1}" in v.notes
 
 
 def test_cone_enriques_ample_needs_square_six():
@@ -321,7 +321,7 @@ def _oracle_cone(enr, c, bound):
     else:
         effective = enr.square(c) >= 0 and enr.intersect(c, pad((1, 1), 10)) > 0
     if any(v != 0 for v in c.coeffs[2:]):
-        return ConeVerdict(effective, None, None, ("undecidable within bound",))
+        return ConeVerdict(effective, None, None, ("class lies outside Gamma^{1,1}",))
     x, y = c.coeffs[0], c.coeffs[1]
     nef = x >= 0 and y >= 0
     ample = False
@@ -362,7 +362,7 @@ def test_enriques_closed_forms_match_enumeration():
     for bound in (0, 1, 2, 50):
         for c in classes:
             verdict = _oracle_cone(enr, c, bound)
-            assert enr.cone_position(c, bound) == verdict
+            assert enr.cone_position(c) == verdict
             got = _outcome(enr.min_positive_degree, c, bound)
             assert got == _outcome(_oracle_min_degree, enr, c, bound, verdict)
             if isinstance(got, MinDegree):
