@@ -90,7 +90,7 @@ def _parse_model(obj):
     if "n" not in spec:
         raise ValueError("bundle missing field 'n'")
     n = _int(spec["n"], "n")
-    twist = jsonio.divisor_x_from_json(spec.get("twist"), surface.rank)
+    twist = jsonio.divisor_x_from_json(spec.get("twist"), surface)
     if spec["type"] == "pullback":
         if "c2E" not in spec:
             raise ValueError("pullback bundle missing field 'c2E'")
@@ -101,8 +101,8 @@ def _parse_model(obj):
                 raise ValueError(f"spectral bundle missing field '{key}'")
         bundle = SpectralBundle(
             n=n,
-            eta=jsonio.divisor_from_json(spec["eta"], surface.rank),
-            lam=jsonio.frac_from_str(spec["lambda"]),
+            eta=jsonio.divisor_from_json(spec["eta"], surface),
+            lam=jsonio.frac_field(spec["lambda"], "lambda"),
             twist=twist,
         )
     else:
@@ -111,8 +111,8 @@ def _parse_model(obj):
     if not isinstance(pol_obj, dict):
         raise ValueError(f"field 'polarization' must be an object, got {pol_obj!r}")
     pol = Polarization(
-        H=jsonio.divisor_from_json(pol_obj["H"], surface.rank) if "H" in pol_obj else None,
-        h=_positive(jsonio.frac_from_str(pol_obj["h"]), "h") if "h" in pol_obj else None,
+        H=jsonio.divisor_from_json(pol_obj["H"], surface) if "H" in pol_obj else None,
+        h=_positive(jsonio.frac_field(pol_obj["h"], "h"), "h") if "h" in pol_obj else None,
     )
     return surface, bundle, pol, _require(obj.get("require"))
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import DivisorX, FourClass
-from .surfaces import DivisorClass
+from .ring import DivisorX
+from .surfaces import BaseSurface, DivisorClass
 from .windows import StabilityWindow
 
 
@@ -20,32 +20,42 @@ def frac_from_str(s) -> Fraction:
     return Fraction(str(s))
 
 
+def frac_field(value, name: str) -> Fraction:
+    """A rational field of a model file or config: a number or a "p/q" string."""
+    message = f"field '{name}' must hold rationals, got {value!r}"
+    if value is None or isinstance(value, bool):
+        raise ValueError(message)
+    try:
+        return frac_from_str(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(message) from None
+
+
 def divisor_to_json(d: DivisorClass) -> dict:
     return {"coeffs": [frac_to_str(c) for c in d.coeffs], "torsion": d.torsion}
 
 
-def divisor_from_json(obj, rank: int | None = None) -> DivisorClass:
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise ValueError("divisor class must be an object with a 'coeffs' field")
-    coeffs = tuple(frac_from_str(c) for c in obj["coeffs"])
-    d = DivisorClass(coeffs, int(obj.get("torsion", 0)))
-    if rank is not None and d.rank != rank:
-        raise ValueError("rank mismatch")
+def divisor_from_json(obj, surface: BaseSurface) -> DivisorClass:
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+        raise ValueError("divisor class must be an object with a 'coeffs' list")
+    torsion = obj.get("torsion", 0)
+    # refuses bool and float too: int() would read true as 1 and 1.5 as 1
+    if type(torsion) is not int or torsion not in (0, 1):
+        raise ValueError(f"field 'torsion' must be 0 or 1, got {torsion!r}")
+    if torsion and not surface.is_enriques:
+        raise ValueError(f"field 'torsion' must be 0: base {surface.kind} has no 2-torsion")
+    d = DivisorClass(tuple(frac_field(c, "coeffs") for c in obj["coeffs"]), torsion)
+    if d.rank != surface.rank:
+        raise ValueError(
+            f"field 'coeffs' has {d.rank} entries but base {surface.kind} has rank {surface.rank}"
+        )
     return d
 
 
-def divisor_x_to_json(d: DivisorX) -> dict:
-    return {"x": frac_to_str(d.x), "alpha": divisor_to_json(d.alpha)}
-
-
-def divisor_x_from_json(obj, rank: int) -> DivisorX:
+def divisor_x_from_json(obj, surface: BaseSurface) -> DivisorX:
     if not isinstance(obj, dict) or "x" not in obj or "alpha" not in obj:
         raise ValueError("twist must be an object with 'x' and 'alpha' fields")
-    return DivisorX(frac_from_str(obj["x"]), divisor_from_json(obj["alpha"], rank))
-
-
-def fourclass_to_json(w: FourClass) -> dict:
-    return {"beta": divisor_to_json(w.beta), "fiber": frac_to_str(w.fiber)}
+    return DivisorX(frac_field(obj["x"], "x"), divisor_from_json(obj["alpha"], surface))
 
 
 def window_to_json(w: StabilityWindow) -> dict:

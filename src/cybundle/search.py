@@ -297,11 +297,7 @@ def _int_pairs(value, name: str) -> tuple:
 
 
 def _frac_list(value, name: str) -> tuple:
-    items = _list(value, name)
-    try:
-        return tuple(jsonio.frac_from_str(v) for v in items)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"config field '{name}' must hold rationals, got {value!r}") from None
+    return tuple(jsonio.frac_field(v, name) for v in _list(value, name))
 
 
 def _padded_class(coeffs, rank) -> DivisorClass:

@@ -148,8 +148,27 @@ class BaseSurface:
         pairings = [self.intersect(c, g) for g in self.cone_generators]
         nef = all(p >= 0 for p in pairings)
         ample = all(p > 0 for p in pairings) and self.square(c) > 0
-        effective = _in_cone(self.cone_generators, c)
-        return ConeVerdict(effective=effective, nef=nef, ample=ample)
+        return ConeVerdict(effective=self._reduces_to_nef(c, pairings), nef=nef, ample=ample)
+
+    def _reduces_to_nef(self, d: DivisorClass, pairings) -> bool:
+        # Zariski's fixed-component reduction.  Distinct generators pair >= 0,
+        # so an effective D = sum a_G G with D.E < 0 has a_E E^2 <= D.E: it
+        # contains E at least t_E = D.E / E^2 times, and D is effective exactly
+        # when D - sum t_E E is.  A generator G with G^2 >= 0 pairs >= 0 with
+        # every generator, so G is nef and D.G < 0 rules D out; so does
+        # D.c1 < 0, c1 being ample.  With no pairing negative D is nef, and on
+        # these bases Nef lies inside Eff.  Each round lowers c1.D by sum t_E
+        # (E.c1 = 1), a positive multiple of 1/den(D), which no round enlarges.
+        while self.intersect(d, self.c1) >= 0:
+            negative = [(g, p) for g, p in zip(self.cone_generators, pairings) if p < 0]
+            if not negative:
+                return True
+            if any(self.square(g) >= 0 for g, _ in negative):
+                return False
+            for g, p in negative:
+                d = d - g.scale(p / self.square(g))
+            pairings = [self.intersect(d, g) for g in self.cone_generators]
+        return False
 
     def _cone_position_enriques(self, c: DivisorClass) -> ConeVerdict:
         if c.free_is_zero():
@@ -190,67 +209,6 @@ class BaseSurface:
         # all generator degrees are positive (H ample), so the single-generator
         # minimum is the exact minimum over the effective monoid
         return MinDegree(value=value, witness=witness)
-
-
-def _in_cone(generators, target: DivisorClass) -> bool:
-    """Exact test: target is a non-negative rational combination of generators.
-
-    For the del Pezzo / Hirzebruch effective monoids the generating rays are
-    saturated, so for integral classes this agrees with membership in the
-    monoid of non-negative integer combinations.
-    """
-    columns = [g.coeffs for g in generators]
-    return _feasible_nonneg_combination(columns, target.coeffs)
-
-
-def _feasible_nonneg_combination(columns, target) -> bool:
-    """Phase-1 simplex over Fraction with Bland's rule."""
-    m = len(columns)
-    n = len(target)
-    rows = [[Fraction(columns[j][i]) for j in range(m)] for i in range(n)]
-    b = [Fraction(t) for t in target]
-    for i in range(n):
-        if b[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            b[i] = -b[i]
-    # tableau: m structural columns, n artificial columns, rhs
-    tab = [rows[i] + [Fraction(int(k == i)) for k in range(n)] + [b[i]] for i in range(n)]
-    basis = [m + i for i in range(n)]
-    # phase-1 objective: minimize the sum of artificials.  Basic (artificial)
-    # columns must start with zero reduced cost.
-    cost = [Fraction(0)] * (m + n + 1)
-    for i in range(n):
-        for j in range(m):
-            cost[j] -= tab[i][j]
-        cost[-1] -= tab[i][-1]
-    while True:
-        enter = next((j for j in range(m + n) if cost[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        for i in range(n):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if (
-                    leave is None
-                    or ratio < leave[0]
-                    or (ratio == leave[0] and basis[i] < basis[leave[1]])
-                ):
-                    leave = (ratio, i)
-        if leave is None:
-            return False
-        row = leave[1]
-        piv = tab[row][enter]
-        tab[row] = [v / piv for v in tab[row]]
-        for i in range(n):
-            if i != row and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * c for a, c in zip(tab[i], tab[row])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [a - f * c for a, c in zip(cost, tab[row])]
-        basis[row] = enter
-    return -cost[-1] == 0
 
 
 def minus_one_classes(k: int, bound: int = 20):

@@ -24,12 +24,6 @@ class StabilityWindow:
     binding: tuple
     z_interval_approx: tuple | None = None
 
-    def contains(self, t) -> bool:
-        t = Fraction(t)
-        if not self.nonempty:
-            return False
-        return self.lower < t < self.upper
-
     @property
     def midpoint(self) -> Fraction:
         return (self.lower + self.upper) / 2

@@ -195,6 +195,8 @@ def test_env_bound_rejected_with_message(tmp_path, raw):
         ("alpha_box", [[0, 0], 1]),
         ("c2E_range", "92"),
         ("h_values", ["1/0"]),
+        ("h_values", [True]),
+        ("lambda_values", [None]),
     ],
 )
 def test_search_bad_field_is_named(tmp_path, field, value):
@@ -277,6 +279,28 @@ def test_search_enriques_h_outside_gamma11_still_scanned(tmp_path):
     assert json.loads(proc.stderr.strip().splitlines()[-1])["scanned"] == 1
 
 
+SPECTRAL_MODEL = {
+    "base": "F0",
+    "bundle": {
+        "type": "spectral",
+        "n": 2,
+        "eta": {"coeffs": ["24", "24"]},
+        "lambda": "3/2",
+        "twist": {"x": "0", "alpha": {"coeffs": ["1", "-11"]}},
+    },
+    "polarization": {"H": {"coeffs": ["3", "34"]}},
+}
+
+
+def _with_twist(**twist):
+    bundle = dict(SO10_MODEL["bundle"], twist=dict(SO10_MODEL["bundle"]["twist"], **twist))
+    return dict(SO10_MODEL, bundle=bundle)
+
+
+def _with_spectral(**fields):
+    return dict(SPECTRAL_MODEL, bundle=dict(SPECTRAL_MODEL["bundle"], **fields))
+
+
 @pytest.mark.parametrize(
     "model, field",
     [
@@ -288,6 +312,22 @@ def test_search_enriques_h_outside_gamma11_still_scanned(tmp_path):
         (dict(SO10_MODEL, polarization={"h": "0"}), "'h'"),
         (dict(SO10_MODEL, polarization={"h": "-1/2"}), "'h'"),
         (dict(SO10_MODEL, require="maybe"), "'require'"),
+        (dict(SO10_MODEL, polarization={"h": None}), "'h'"),
+        (dict(SO10_MODEL, polarization={"h": True}), "'h'"),
+        (_with_twist(x=None), "'x'"),
+        (_with_twist(alpha={"coeffs": ["-1", None]}), "'coeffs'"),
+        (_with_twist(alpha={"coeffs": ["-1", False]}), "'coeffs'"),
+        (_with_twist(alpha={"coeffs": ["-1", "1/0"]}), "'coeffs'"),
+        (_with_twist(alpha={"coeffs": ["-1", "-1", "0"]}), "'coeffs'"),
+        (_with_twist(alpha={"coeffs": None}), "'coeffs'"),
+        (_with_spectral(**{"lambda": None}), "'lambda'"),
+        (_with_spectral(**{"lambda": True}), "'lambda'"),
+        (_with_twist(alpha={"coeffs": ["-1", "-1"], "torsion": None}), "'torsion'"),
+        (_with_twist(alpha={"coeffs": ["-1", "-1"], "torsion": 1.5}), "'torsion'"),
+        (_with_twist(alpha={"coeffs": ["-1", "-1"], "torsion": True}), "'torsion'"),
+        (_with_twist(alpha={"coeffs": ["-1", "-1"], "torsion": 2}), "'torsion'"),
+        # F0 has no 2-torsion: the bit would otherwise change wB and drop af
+        (_with_spectral(eta={"coeffs": ["24", "24"], "torsion": 1}), "'torsion'"),
     ],
 )
 def test_check_bad_model_field_is_named(tmp_path, model, field):
@@ -302,3 +342,19 @@ def test_search_negative_limit_flag_refused(tmp_path):
     assert proc.returncode == 2
     assert "'limit'" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_check_enriques_torsion_bit_accepted(tmp_path):
+    model = {
+        "base": "enriques",
+        "bundle": {
+            "type": "pullback",
+            "n": 2,
+            "c2E": 12,
+            "twist": {"x": "1", "alpha": {"coeffs": ["0"] * 10, "torsion": 1}},
+        },
+        "polarization": {"H": {"coeffs": ["2", "3"] + ["0"] * 8}},
+    }
+    proc = run_cli("check", write(tmp_path, "enriques.json", model))
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -207,7 +207,7 @@ def test_cone_del_pezzo_effective_membership():
 
 def test_effective_combinations_random():
     rng = random.Random(23)
-    for kind in ("dP2", "dP4", "F0"):
+    for kind in ("dP2", "dP4", "F0", "dP0", "dP1", "dP3", "dP5", "dP6", "dP7", "dP8"):
         s = make_base(kind)
         gens = s.cone_generators
         for _ in range(25):
@@ -225,6 +225,129 @@ def test_effective_nonneg_on_nef():
         c = random_class(rng, s.rank, -4, 4)
         if s.cone_position(c).effective:
             assert s.intersect(c, nef) >= 0
+
+
+DEL_PEZZO_AND_F0 = ["F0"] + [f"dP{k}" for k in range(9)]
+
+
+def _int_pairings(s, classes):
+    """Integer matrix of pairings; the generators are integral classes."""
+    rows = [[int(v) for v in c.coeffs] for c in classes]
+    dual = [[sum(s.gram[i][j] * r[i] for i in range(s.rank)) for j in range(s.rank)] for r in rows]
+    return [[sum(x * y for x, y in zip(d, r)) for r in rows] for d in dual]
+
+
+@pytest.mark.parametrize("kind", DEL_PEZZO_AND_F0)
+def test_generator_facts_behind_the_reduction(kind):
+    s = make_base(kind)
+    gens = s.cone_generators
+    assert all(g.is_integral() and g.torsion == 0 for g in gens)
+    pair = _int_pairings(s, gens + (s.c1,))
+    squares = [pair[i][i] for i in range(len(gens))]
+    for i, g in enumerate(gens):
+        assert pair[i][i] == s.square(g)
+        # distinct generators pair >= 0, a nef generator pairs >= 0 with all
+        assert all(pair[i][j] >= 0 for j in range(len(gens)) if j != i or squares[i] >= 0)
+        if squares[i] < 0:
+            assert squares[i] == -1 and pair[i][-1] == 1
+        # c1 pairs > 0 with every generator
+        assert pair[i][-1] > 0
+
+
+def _simplex_in_cone(generators, target: DivisorClass) -> bool:
+    """Exact test: target is a non-negative rational combination of generators.
+
+    Phase-1 simplex over Fraction with Bland's rule: the effectivity test
+    the Zariski reduction of `cone_position` replaced, kept as its oracle.
+    """
+    columns = [g.coeffs for g in generators]
+    m = len(columns)
+    n = len(target.coeffs)
+    rows = [[Fraction(columns[j][i]) for j in range(m)] for i in range(n)]
+    b = [Fraction(t) for t in target.coeffs]
+    for i in range(n):
+        if b[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            b[i] = -b[i]
+    # tableau: m structural columns, n artificial columns, rhs
+    tab = [rows[i] + [Fraction(int(k == i)) for k in range(n)] + [b[i]] for i in range(n)]
+    basis = [m + i for i in range(n)]
+    # phase-1 objective: minimize the sum of artificials.  Basic (artificial)
+    # columns must start with zero reduced cost.
+    cost = [Fraction(0)] * (m + n + 1)
+    for i in range(n):
+        for j in range(m):
+            cost[j] -= tab[i][j]
+        cost[-1] -= tab[i][-1]
+    while True:
+        enter = next((j for j in range(m + n) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(n):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if (
+                    leave is None
+                    or ratio < leave[0]
+                    or (ratio == leave[0] and basis[i] < basis[leave[1]])
+                ):
+                    leave = (ratio, i)
+        if leave is None:
+            return False
+        row = leave[1]
+        piv = tab[row][enter]
+        tab[row] = [v / piv for v in tab[row]]
+        for i in range(n):
+            if i != row and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * c for a, c in zip(tab[i], tab[row])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [a - f * c for a, c in zip(cost, tab[row])]
+        basis[row] = enter
+    return -cost[-1] == 0
+
+
+def _differential_classes(s, rng, count):
+    """Integral and rational classes, positive combinations of generators,
+    and such combinations moved off by one small step along a basis vector."""
+    out = [DivisorClass.zero(s.rank), s.c1]
+    for i in range(count):
+        shape = i % 4
+        if shape == 0:
+            out.append(random_class(rng, s.rank))
+        elif shape == 1:
+            out.append(
+                DivisorClass(
+                    tuple(Fraction(rng.randint(-12, 12), rng.choice((2, 3))) for _ in range(s.rank))
+                )
+            )
+        else:
+            c = DivisorClass.zero(s.rank)
+            for _ in range(rng.randint(1, 4)):
+                c = c + rng.choice(s.cone_generators).scale(
+                    Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))
+                )
+            if shape == 3:
+                step = [0] * s.rank
+                step[rng.randrange(s.rank)] = Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+                c = c + DivisorClass(tuple(step))
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("kind", DEL_PEZZO_AND_F0)
+def test_effective_reduction_matches_simplex(kind):
+    s = make_base(kind)
+    # the simplex pivots over 56 (dP7) and 240 (dP8) columns, up to 1 s a class
+    count = {"dP7": 24, "dP8": 6}.get(kind, 40)
+    classes = _differential_classes(s, random.Random(kind), count)
+    verdicts = [s.cone_position(c).effective for c in classes]
+    expected = [_simplex_in_cone(s.cone_generators, c) for c in classes]
+    mismatches = [c for c, got, want in zip(classes, verdicts, expected) if got != want]
+    assert mismatches == []
+    assert set(verdicts) == {True, False}
 
 
 # ---------------------------------------------------------------------------
