@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import fixtures, jsonio
 from .bundles import PullbackBundle, SpectralBundle
 from .search import Polarization, SearchConfig, check_model, run_search
-from .search import _int, _nonnegative_int, _positive, _require  # shared field rules
-from .surfaces import DEFAULT_BOUND, make_base
+from .search import _int, _nonnegative_int, _positive, _require, _surface  # shared field rules
+from .surfaces import DEFAULT_BOUND
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -83,7 +83,7 @@ def _parse_model(obj):
     for key in ("base", "bundle"):
         if key not in obj:
             raise ValueError(f"model file missing field '{key}'")
-    surface = make_base(str(obj["base"]))
+    surface = _surface(obj["base"])
     spec = obj["bundle"]
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("bundle must be an object with a 'type' field")

@@ -230,6 +230,7 @@ class SearchConfig:
         limit = obj.get("limit")
         if limit is not None:
             limit = _nonnegative_int(limit, "limit")
+        _surface(obj["base"])  # an unknown base is refused before scanning
         return SearchConfig(
             base=str(obj["base"]),
             mode=mode,
@@ -253,7 +254,15 @@ def _list(value, name: str):
     return value
 
 
-# _int, _require and _positive also check the fields of a `check` model file.
+# _surface, _int, _require and _positive also check the fields of a `check`
+# model file.
+
+
+def _surface(value) -> BaseSurface:
+    try:
+        return make_base(str(value))
+    except ValueError as exc:
+        raise ValueError(f"field 'base': {exc}") from None
 
 
 def _int(value, name: str) -> int:
@@ -308,9 +317,10 @@ def _padded_class(coeffs, rank) -> DivisorClass:
 def _axes(config: SearchConfig, s: BaseSurface):
     """Ordered (name, values) axes spanning the parameter box.
 
-    Refuses a class with more coordinates than the base rank and a
-    polarization that is not ample, naming the config field, so that a
-    bad config fails before any model is scanned.
+    Refuses a class with more coordinates than the base rank, a pullback
+    polarization of the kind the base does not use and a polarization that
+    is not ample, naming the config field, so that a bad config fails
+    before any model is scanned.
     """
     classes = [("alpha_box", config.alpha_box), ("eta_box", config.eta_box or ())]
     for name, coords in classes + [("H_values", vec) for vec in config.H_values]:
@@ -318,6 +328,15 @@ def _axes(config: SearchConfig, s: BaseSurface):
             raise ValueError(
                 f"config field '{name}' has {len(coords)} entries"
                 f" but base {s.kind} has rank {s.rank}"
+            )
+    if config.mode == "pullback":
+        # the non-split stage of a pullback model reads H on Enriques and h
+        # on a -K-ample base
+        needed, other = ("H_values", "h_values") if s.is_enriques else ("h_values", "H_values")
+        if getattr(config, other):
+            raise ValueError(
+                f"config field '{other}' does not apply to pullback models"
+                f" on base {s.kind}, which take {needed}"
             )
     axes = [("n", tuple(range(config.n_range[0], config.n_range[1] + 1)))]
     if config.mode == "pullback":

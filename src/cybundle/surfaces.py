@@ -10,7 +10,8 @@ canonical class, which pairs to zero with everything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -114,6 +115,21 @@ class BaseSurface:
     c1: DivisorClass
     c2: int
     cone_generators: tuple
+    # (G, Gram.G, G^2) in ints per cone generator, and Gram.c1: the integer
+    # side of every F0/dP generator query (generators and c1 are integral)
+    _generators: tuple = field(init=False, repr=False, compare=False)
+    _c1_dual: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        def dual(v):
+            return tuple(_dot(row, v) for row in self.gram)
+
+        gens = []
+        for g in self.cone_generators:
+            coeffs = tuple(int(v) for v in g.coeffs)
+            gens.append((coeffs, dual(coeffs), _dot(coeffs, dual(coeffs))))
+        object.__setattr__(self, "_generators", tuple(gens))
+        object.__setattr__(self, "_c1_dual", dual(tuple(int(v) for v in self.c1.coeffs)))
 
     @property
     def is_enriques(self) -> bool:
@@ -140,34 +156,42 @@ class BaseSurface:
     def _gamma11_only(self, c: DivisorClass) -> bool:
         return all(v == 0 for v in c.coeffs[2:])
 
+    def _generator_pairings(self, nums) -> list:
+        """den * (D.G) for every cone generator G, given nums = den * D."""
+        return [_dot(nums, g_dual) for _, g_dual, _ in self._generators]
+
     def cone_position(self, c: DivisorClass) -> ConeVerdict:
         if c.rank != self.rank:
             raise ValueError("rank mismatch")
         if self.is_enriques:
             return self._cone_position_enriques(c)
-        pairings = [self.intersect(c, g) for g in self.cone_generators]
+        nums, _ = _over_common_denominator(c)
+        pairings = self._generator_pairings(nums)
         nef = all(p >= 0 for p in pairings)
         ample = all(p > 0 for p in pairings) and self.square(c) > 0
-        return ConeVerdict(effective=self._reduces_to_nef(c, pairings), nef=nef, ample=ample)
+        return ConeVerdict(effective=self._reduces_to_nef(nums, pairings), nef=nef, ample=ample)
 
-    def _reduces_to_nef(self, d: DivisorClass, pairings) -> bool:
-        # Zariski's fixed-component reduction.  Distinct generators pair >= 0,
-        # so an effective D = sum a_G G with D.E < 0 has a_E E^2 <= D.E: it
-        # contains E at least t_E = D.E / E^2 times, and D is effective exactly
-        # when D - sum t_E E is.  A generator G with G^2 >= 0 pairs >= 0 with
-        # every generator, so G is nef and D.G < 0 rules D out; so does
-        # D.c1 < 0, c1 being ample.  With no pairing negative D is nef, and on
-        # these bases Nef lies inside Eff.  Each round lowers c1.D by sum t_E
-        # (E.c1 = 1), a positive multiple of 1/den(D), which no round enlarges.
-        while self.intersect(d, self.c1) >= 0:
-            negative = [(g, p) for g, p in zip(self.cone_generators, pairings) if p < 0]
+    def _reduces_to_nef(self, nums, pairings) -> bool:
+        # Zariski's fixed-component reduction on nums = den * D.  Distinct
+        # generators pair >= 0, so an effective D = sum a_G G with D.E < 0 has
+        # a_E E^2 <= D.E: it contains E at least t_E = D.E / E^2 times, and D
+        # is effective exactly when D - sum t_E E is.  A generator G with
+        # G^2 >= 0 pairs >= 0 with every generator, so G is nef and D.G < 0
+        # rules D out; so does D.c1 < 0, c1 being ample.  With no pairing
+        # negative D is nef, and on these bases Nef lies inside Eff.  Every
+        # negative generator has E^2 = -1, so den * (D - t_E E) is
+        # nums + p_E E with p_E = den * (D.E): den never changes and nums stay
+        # integers.  Each round lowers den * c1.D by sum -p_E > 0 (E.c1 = 1),
+        # so the loop ends.
+        while _dot(nums, self._c1_dual) >= 0:
+            negative = [(g, sq, p) for (g, _, sq), p in zip(self._generators, pairings) if p < 0]
             if not negative:
                 return True
-            if any(self.square(g) >= 0 for g, _ in negative):
+            if any(sq >= 0 for _, sq, _ in negative):
                 return False
-            for g, p in negative:
-                d = d - g.scale(p / self.square(g))
-            pairings = [self.intersect(d, g) for g in self.cone_generators]
+            for g, _, p in negative:
+                nums = [n + p * e for n, e in zip(nums, g)]
+            pairings = self._generator_pairings(nums)
         return False
 
     def _cone_position_enriques(self, c: DivisorClass) -> ConeVerdict:
@@ -204,11 +228,24 @@ class BaseSurface:
             return MinDegree(
                 value=min(x, y), witness=DivisorClass(witness + (0,) * (self.rank - 2))
             )
-        degs = [(self.intersect(g, h), g) for g in self.cone_generators]
-        value, witness = min(degs, key=lambda t: (t[0], t[1].coeffs))
-        # all generator degrees are positive (H ample), so the single-generator
-        # minimum is the exact minimum over the effective monoid
-        return MinDegree(value=value, witness=witness)
+        nums, den = _over_common_denominator(h)
+        # (degree, coeffs) order; all generator degrees are positive (H
+        # ample), so the single-generator minimum is the exact minimum over
+        # the effective monoid
+        pairings = self._generator_pairings(nums)
+        p, _, witness = min(zip(pairings, self._generators, self.cone_generators))
+        return MinDegree(value=Fraction(p, den), witness=witness)
+
+
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _over_common_denominator(c: DivisorClass):
+    """(nums, den): den is the least common denominator of the coefficients
+    of c and nums = den * c, as ints."""
+    den = math.lcm(*(q.denominator for q in c.coeffs))
+    return [q.numerator * (den // q.denominator) for q in c.coeffs], den
 
 
 def minus_one_classes(k: int, bound: int = 20):
@@ -289,12 +326,8 @@ def make_base(kind: str) -> BaseSurface:
     if key in ("f1", "hirzebruch1"):
         # F1 is isomorphic to dP1; we return the dP1 descriptor
         return make_base("dP1")
-    if key.startswith("f") and key[1:].isdigit():
-        raise ValueError("unsupported surface")
-    if key.startswith("dp"):
+    if key.startswith("dp") and key[2:].isdigit() and 0 <= int(key[2:]) <= 8:
         k = int(key[2:])
-        if not 0 <= k <= 8:
-            raise ValueError("unsupported surface")
         rank = k + 1
         gram = tuple(
             tuple((1 if i == 0 else -1) if i == j else 0 for j in range(rank))
@@ -328,7 +361,7 @@ def make_base(kind: str) -> BaseSurface:
             c2=12,
             cone_generators=(),
         )
-    raise ValueError("unsupported surface")
+    raise ValueError(f"unsupported surface {kind!r}")
 
 
 def signature(gram):

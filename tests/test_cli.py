@@ -197,6 +197,9 @@ def test_env_bound_rejected_with_message(tmp_path, raw):
         ("h_values", ["1/0"]),
         ("h_values", [True]),
         ("lambda_values", [None]),
+        ("base", "dP9"),
+        ("base", "dPx"),
+        ("base", None),
     ],
 )
 def test_search_bad_field_is_named(tmp_path, field, value):
@@ -262,6 +265,11 @@ F0_SPECTRAL = {
         (dict(F0_SPECTRAL, H_values=[], h_values=["0"]), "h_values"),
         (dict(ENRIQUES_PULLBACK, H_values=[[1, -1]]), "H_values"),
         (dict(F0_SPECTRAL, H_values=[[1, 0]]), "H_values"),
+        # a pullback model takes H on Enriques and h on a -K-ample base
+        (dict(ENRIQUES_PULLBACK, H_values=[], h_values=["1"]), "h_values"),
+        (dict(ENRIQUES_PULLBACK, h_values=["1"]), "h_values"),
+        (dict(E6_CONFIG, H_values=[[1, 1]]), "H_values"),
+        (dict(E6_CONFIG, base="dP6", h_values=[], H_values=[[3, -1, -1, -1, -1, -1, -1]]), "H_values"),
     ],
 )
 def test_search_rank_and_polarization_refused(tmp_path, config, field, jobs):
@@ -269,6 +277,15 @@ def test_search_rank_and_polarization_refused(tmp_path, config, field, jobs):
     assert proc.returncode == 2
     assert f"'{field}'" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_spectral_takes_both_polarization_kinds(tmp_path, jobs):
+    config = dict(F0_SPECTRAL, h_values=["1", "2"])
+    proc = run_cli("search", write(tmp_path, "box.json", config), "--jobs", jobs)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert summary["scanned"] == 3 and summary["stage_failures"]["nonsplit"] == 0
 
 
 def test_search_enriques_h_outside_gamma11_still_scanned(tmp_path):
@@ -328,6 +345,8 @@ def _with_spectral(**fields):
         (_with_twist(alpha={"coeffs": ["-1", "-1"], "torsion": 2}), "'torsion'"),
         # F0 has no 2-torsion: the bit would otherwise change wB and drop af
         (_with_spectral(eta={"coeffs": ["24", "24"], "torsion": 1}), "'torsion'"),
+        (dict(SO10_MODEL, base="dP9"), "'base'"),
+        (dict(SO10_MODEL, base="dPx"), "'base'"),
     ],
 )
 def test_check_bad_model_field_is_named(tmp_path, model, field):

@@ -350,6 +350,102 @@ def test_effective_reduction_matches_simplex(kind):
     assert set(verdicts) == {True, False}
 
 
+def _fraction_cone(s, c):
+    """The Fraction path the integer generator pairings replaced: every
+    pairing through `intersect`, and the reduction on Fraction classes."""
+    pairings = [s.intersect(c, g) for g in s.cone_generators]
+    nef = all(p >= 0 for p in pairings)
+    ample = all(p > 0 for p in pairings) and s.square(c) > 0
+    return ConeVerdict(effective=_fraction_reduces_to_nef(s, c, pairings), nef=nef, ample=ample)
+
+
+def _fraction_reduces_to_nef(s, d, pairings):
+    while s.intersect(d, s.c1) >= 0:
+        negative = [(g, p) for g, p in zip(s.cone_generators, pairings) if p < 0]
+        if not negative:
+            return True
+        if any(s.square(g) >= 0 for g, _ in negative):
+            return False
+        for g, p in negative:
+            d = d - g.scale(p / s.square(g))
+        pairings = [s.intersect(d, g) for g in s.cone_generators]
+    return False
+
+
+def _fraction_min_degree(s, h, verdict):
+    if verdict.ample is not True:
+        raise ValueError("polarization not ample")
+    degs = [(s.intersect(g, h), g) for g in s.cone_generators]
+    value, witness = min(degs, key=lambda t: (t[0], t[1].coeffs))
+    return MinDegree(value=value, witness=witness)
+
+
+def _denominator_classes(s, rng, count):
+    """0, c1 and its multiples, then random classes, rational combinations of
+    generators and moved multiples of c1, over denominators 1, 2, 3, 6 and
+    a mixed one drawn per coefficient."""
+    out = [DivisorClass.zero(s.rank), s.c1, s.c1.scale(Fraction(1, 2)), s.c1.scale(Fraction(5, 6))]
+    for i in range(count):
+        den = (1, 2, 3, 6, None)[i % 5]
+
+        def q(lo, hi):
+            return Fraction(rng.randint(lo, hi), den or rng.choice((1, 2, 3, 6)))
+
+        shape = (i // 5) % 3
+        if shape == 0:
+            out.append(DivisorClass(tuple(q(-12, 12) for _ in range(s.rank))))
+        elif shape == 1:
+            c = DivisorClass.zero(s.rank)
+            for _ in range(rng.randint(1, 4)):
+                c = c + rng.choice(s.cone_generators).scale(q(1, 6))
+            out.append(c)
+        else:
+            step = DivisorClass(tuple(q(-2, 2) for _ in range(s.rank)))
+            out.append(s.c1.scale(q(1, 12)) + step)
+    return out
+
+
+@pytest.mark.parametrize("kind", DEL_PEZZO_AND_F0)
+def test_integer_generator_data_is_gram_times_generator(kind):
+    s = make_base(kind)
+    assert len(s._generators) == len(s.cone_generators)
+    for (g, dual, sq), gen in zip(s._generators, s.cone_generators):
+        assert g == gen.coeffs and all(type(v) is int for v in g + dual)
+        assert dual == tuple(sum(s.gram[i][j] * g[j] for j in range(s.rank)) for i in range(s.rank))
+        assert sq == s.square(gen)
+    c1 = s.c1.coeffs
+    assert s._c1_dual == tuple(sum(s.gram[i][j] * c1[j] for j in range(s.rank)) for i in range(s.rank))
+
+
+@pytest.mark.parametrize("kind", DEL_PEZZO_AND_F0)
+def test_integer_cone_queries_match_fraction_path(kind):
+    s = make_base(kind)
+    # the Fraction reduction takes about 0.2 s a class on dP8
+    count = {"dP7": 30, "dP8": 15}.get(kind, 60)
+    classes = _denominator_classes(s, random.Random("int-" + kind), count)
+    seen, ties = set(), 0
+    for c in classes:
+        verdict = s.cone_position(c)
+        assert verdict == _fraction_cone(s, c)
+        seen |= {("effective", verdict.effective), ("nef", verdict.nef), ("ample", verdict.ample)}
+        got = _outcome(s.min_positive_degree, c)
+        assert got == _outcome(_fraction_min_degree, s, c, verdict)
+        if isinstance(got, MinDegree):
+            assert type(got.value) is Fraction and got.witness in s.cone_generators
+            ties += sum(s.intersect(g, c) == got.value for g in s.cone_generators) > 1
+    assert seen == {(field, value) for field in ("effective", "nef", "ample") for value in (True, False)}
+    # c1 has the same degree on every generator of F0 and dP2-dP8
+    assert ties > 0 or kind in ("dP0", "dP1")
+
+
+def test_min_degree_tie_takes_smallest_coefficients():
+    f0 = make_base("F0")
+    md = f0.min_positive_degree(DivisorClass((Fraction(1, 2), Fraction(1, 2))))
+    assert md == MinDegree(Fraction(1, 2), DivisorClass((0, 1)))
+    # on dP1 (2, -1) pairs 1 with both e1 = (0, 1) and l - e1 = (1, -1)
+    assert make_base("dP1").min_positive_degree(DivisorClass((2, -1))).witness == DivisorClass((0, 1))
+
+
 # ---------------------------------------------------------------------------
 # (-1)-classes
 
