@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundles import PullbackBundle, SpectralBundle, bundle_chern, validate_bundle
-from .ring import DivisorX, FourClass, c2_tangent
+from .bundles import SpectralBundle, bundle_chern
+from .ring import FourClass, c2_tangent
 from .surfaces import BaseSurface, DivisorClass
 
 
@@ -21,7 +21,7 @@ class AnomalyOutcome:
 
 
 def anomaly_class(s: BaseSurface, bundle) -> AnomalyOutcome:
-    validate_bundle(s, bundle)
+    """[W] = c2(X) - c2(V) of a bundle that has already passed `validate_bundle`."""
     c2v = bundle_chern(s, bundle).c2
     w = c2_tangent(s) - c2v
     return decompose_w(s, w)
@@ -32,9 +32,6 @@ def decompose_w(s: BaseSurface, w: FourClass) -> AnomalyOutcome:
     w_zero = w_b.is_zero() and a_f == 0
     if w_b.is_zero():
         effective = a_f >= 0
-    elif w_b.free_is_zero() and w_b.torsion:
-        # pure torsion wB is never effective
-        effective = False
     else:
         eff = s.cone_position(w_b).effective
         effective = None if eff is None else (eff and a_f >= 0)
@@ -72,21 +69,17 @@ class SpectralAfReport:
     wB: DivisorClass
 
 
-def spectral_af(
-    s: BaseSurface, n: int, lam, alpha: DivisorClass, eta: DivisorClass
-) -> SpectralAfReport:
-    """Compare the ring computation of af with the printed closed-form equation.
+def spectral_af(s: BaseSurface, bundle: SpectralBundle, outcome: AnomalyOutcome) -> SpectralAfReport:
+    """Compare af of [W] = `outcome` = anomaly_class(s, bundle) with the printed equation.
 
-    af_direct (authoritative) comes from c2(X) - c2(V) through the ring with
-    twist D = pi^*alpha.  af_displayed is the left side of the printed
-    equation, which assumes eta = 12 c1; the two are reported together with
-    an agreement flag and no claim about which normalization was intended.
+    af_direct (authoritative) is outcome.af, from c2(X) - c2(V) through the
+    ring.  af_displayed is the left side of the printed equation, which
+    assumes eta = 12 c1; the two are reported together with an agreement
+    flag and no claim about which normalization was intended.
     """
-    lam = Fraction(lam)
-    if eta != s.c1.scale(12):
+    if bundle.eta != s.c1.scale(12):
         raise ValueError("display assumes eta=12c1")
-    bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha))
-    outcome = anomaly_class(s, bundle)
+    n, lam = bundle.n, bundle.lam
     displayed = (
         s.c2
         + s.c1_sq
@@ -95,7 +88,7 @@ def spectral_af(
             + Fraction(n**3 - n, 24)
             - Fraction(1, 2) * (lam * lam - Fraction(1, 4)) * (12 - n) * n
         )
-        + Fraction(n * (n + 1), 2) * s.square(alpha)
+        + Fraction(n * (n + 1), 2) * s.square(bundle.twist.alpha)
     )
     return SpectralAfReport(
         af_direct=outcome.af,

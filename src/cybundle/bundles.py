@@ -61,8 +61,6 @@ def validate_bundle(s: BaseSurface, bundle) -> None:
 def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> None:
     """Parity and irreducibility constraints on spectral data (n, eta, lambda)."""
     lam = Fraction(lam)
-    if eta.rank != s.rank:
-        raise ValueError("rank mismatch")
     if n % 2 == 0:
         if (lam - Fraction(1, 2)).denominator != 1:
             raise ValueError("spectral data invalid")
@@ -70,9 +68,7 @@ def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction
         if lam.denominator != 1:
             raise ValueError("spectral data invalid")
         diff = eta - s.c1
-        if not diff.is_integral() or any(c.numerator % 2 != 0 for c in diff.coeffs):
-            raise ValueError("spectral data invalid")
-        if diff.torsion != 0:
+        if diff.torsion or not diff.is_integral() or any(c.numerator % 2 for c in diff.coeffs):
             raise ValueError("spectral data invalid")
     resid = eta - s.c1.scale(n)
     if s.cone_position(resid).effective is not True:
@@ -115,9 +111,10 @@ def chern_extension(
 
 
 def c2_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> FourClass:
-    """c2 of a spectral cover bundle V_n with data (eta, lambda)."""
+    """c2 of a spectral cover bundle V_n whose data (eta, lambda) has already
+    passed `check_spectral_data`, by FMW's formula
+    c2 = eta sigma + (-(n^3-n)/24 c1^2 + 1/2 (lambda^2 - 1/4) n eta.(eta - n c1)) F."""
     lam = Fraction(lam)
-    check_spectral_data(s, n, eta, lam)
     fiber = (
         -Fraction(n**3 - n, 24) * s.c1_sq
         + Fraction(1, 2)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import fixtures, jsonio
 from .bundles import PullbackBundle, SpectralBundle
 from .search import Polarization, SearchConfig, check_model, run_search
-from .search import _int, _nonnegative_int, _positive, _require, _surface  # shared field rules
+from .search import _int, _nonnegative_int, _positive, _refuse_unusable_H, _require, _surface
 from .surfaces import DEFAULT_BOUND
 
 EXIT_OK = 0
@@ -114,6 +114,11 @@ def _parse_model(obj):
         H=jsonio.divisor_from_json(pol_obj["H"], surface) if "H" in pol_obj else None,
         h=_positive(jsonio.frac_field(pol_obj["h"], "h"), "h") if "h" in pol_obj else None,
     )
+    if isinstance(bundle, SpectralBundle):  # the rules of a spectral `search` config
+        if surface.is_enriques and pol.h is not None:
+            raise ValueError("field 'h' does not apply to spectral models on base enriques, which take H")
+        if pol.H is not None:
+            _refuse_unusable_H(surface, "spectral", pol.H, "field 'H'")
     return surface, bundle, pol, _require(obj.get("require"))
 
 

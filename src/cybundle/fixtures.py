@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .anomaly import anomaly_class, solve_alpha_zero, solve_c2E_zero, spectral_af
-from .bundles import PullbackBundle, SpectralBundle
+from .bundles import PullbackBundle, SpectralBundle, validate_bundle
 from .nonsplit import chi_coefficients, spectral_nonsplit, w0_nonsplit_delpezzo
 from .ring import DivisorX, c2_tangent
 from .surfaces import DivisorClass, MINUS_ONE_COUNTS, make_base, minus_one_classes
@@ -97,7 +97,9 @@ def fixture_spectral_f0() -> FixtureResult:
     ns = spectral_nonsplit(f0, 2, 3, eta, alpha)
     res.checks.append(Check("non-split value", Fraction(1800), ns.value, "derived"))
     res.checks.append(Check("non-split > 0", True, ns.passed, "reference"))
-    rep = spectral_af(f0, 2, Fraction(3, 2), alpha, eta)
+    bundle = SpectralBundle(n=2, eta=eta, lam=Fraction(3, 2), twist=DivisorX(0, alpha))
+    validate_bundle(f0, bundle)
+    rep = spectral_af(f0, bundle, anomaly_class(f0, bundle))
     res.checks.append(Check("wB (eta=12c1)", True, rep.wB.is_zero(), "reference"))
     # informational: both af readings are reported with the agreement flag;
     # neither value is asserted to be zero

@@ -92,33 +92,32 @@ def _validity(s, bundle, pol, require, bound) -> dict:
 
 
 def _anomaly(s, bundle, pol, require, bound) -> dict:
-    outcome = anomaly_class(s, bundle)
-    det = {
-        "wB": jsonio.divisor_to_json(outcome.wB),
-        "af": jsonio.frac_to_str(outcome.af),
-        "W_zero": outcome.W_zero,
-        "W_effective": outcome.W_effective,
-    }
-    if require == "W_zero":
-        det["passed"] = outcome.W_zero
-    elif require == "W_effective":
-        det["passed"] = outcome.W_effective is True
-    else:
-        det["passed"] = True
-    return det
+    return _anomaly_verdict(anomaly_class(s, bundle), require)
 
 
 def _spectral_anomaly(s, bundle, pol, require, bound) -> dict:
     """[W], plus both af readings for the paper's eta = 12 c1 family."""
-    det = _anomaly(s, bundle, pol, require, bound)
-    if bundle.twist.x == 0 and bundle.eta == s.c1.scale(12):
-        rep = spectral_af(s, bundle.n, bundle.lam, bundle.twist.alpha, bundle.eta)
-        passed = det.pop("passed")  # re-inserted below: it is the last key
-        det["af_displayed"] = jsonio.frac_to_str(rep.af_displayed)
-        det["af_direct"] = jsonio.frac_to_str(rep.af_direct)
-        det["display_agrees"] = rep.agree
-        det["passed"] = passed
-    return det
+    outcome = anomaly_class(s, bundle)
+    if bundle.eta != s.c1.scale(12):
+        return _anomaly_verdict(outcome, require)
+    rep = spectral_af(s, bundle, outcome)
+    return _anomaly_verdict(
+        outcome, require, af_displayed=jsonio.frac_to_str(rep.af_displayed),
+        af_direct=jsonio.frac_to_str(rep.af_direct), display_agrees=rep.agree,
+    )
+
+
+def _anomaly_verdict(outcome, require, **readings) -> dict:
+    """The anomaly verdict of `outcome`; `readings` go before "passed"."""
+    passed = {"W_zero": outcome.W_zero, "W_effective": outcome.W_effective is True}
+    return {
+        "wB": jsonio.divisor_to_json(outcome.wB),
+        "af": jsonio.frac_to_str(outcome.af),
+        "W_zero": outcome.W_zero,
+        "W_effective": outcome.W_effective,
+        **readings,
+        "passed": passed.get(require, True),
+    }
 
 
 def _pullback_nonsplit(s, bundle, pol, require, bound) -> dict:
@@ -254,8 +253,8 @@ def _list(value, name: str):
     return value
 
 
-# _surface, _int, _require and _positive also check the fields of a `check`
-# model file.
+# _surface, _int, _require, _positive and _refuse_unusable_H also check the
+# fields of a `check` model file.
 
 
 def _surface(value) -> BaseSurface:
@@ -289,6 +288,15 @@ def _positive(h: Fraction, name: str) -> Fraction:
     if h <= 0:
         raise ValueError(f"field '{name}' must be positive, got {jsonio.frac_to_str(h)!r}")
     return h
+
+
+def _refuse_unusable_H(s: BaseSurface, mode: str, H: DivisorClass, where: str) -> None:
+    """Refuse an H that is not ample and, as the spectral stability stage
+    needs H ample, a spectral H whose ampleness is undecided."""
+    ample = s.cone_position(H).ample
+    if ample is False or (ample is None and mode == "spectral"):
+        status = "not" if ample is False else "not known to be"
+        raise ValueError(f"{where} is {status} ample on base {s.kind}")
 
 
 def _int_list(value, name: str) -> tuple:
@@ -329,15 +337,14 @@ def _axes(config: SearchConfig, s: BaseSurface):
                 f"config field '{name}' has {len(coords)} entries"
                 f" but base {s.kind} has rank {s.rank}"
             )
-    if config.mode == "pullback":
-        # the non-split stage of a pullback model reads H on Enriques and h
-        # on a -K-ample base
-        needed, other = ("H_values", "h_values") if s.is_enriques else ("h_values", "H_values")
-        if getattr(config, other):
-            raise ValueError(
-                f"config field '{other}' does not apply to pullback models"
-                f" on base {s.kind}, which take {needed}"
-            )
+    # H = h c1 is pure 2-torsion on Enriques, never ample; the non-split
+    # stage of a pullback model on a -K-ample base reads h
+    needed, other = ("H_values", "h_values") if s.is_enriques else ("h_values", "H_values")
+    if getattr(config, other) and (s.is_enriques or config.mode == "pullback"):
+        raise ValueError(
+            f"config field '{other}' does not apply to {config.mode} models"
+            f" on base {s.kind}, which take {needed}"
+        )
     axes = [("n", tuple(range(config.n_range[0], config.n_range[1] + 1)))]
     if config.mode == "pullback":
         axes.append(("x", config.x_values))
@@ -353,11 +360,8 @@ def _axes(config: SearchConfig, s: BaseSurface):
         axes.append(("lambda", config.lambda_values or (Fraction(0),)))
     pols = []
     for vec in config.H_values:
-        # ample None (an Enriques H outside Gamma^{1,1}) is left to the stages
-        if s.cone_position(_padded_class(vec, s.rank)).ample is False:
-            raise ValueError(
-                f"config field 'H_values' entry {list(vec)} is not ample on base {s.kind}"
-            )
+        where = f"config field 'H_values' entry {list(vec)}"
+        _refuse_unusable_H(s, config.mode, _padded_class(vec, s.rank), where)
         pols.append(("H", vec))
     for h in config.h_values:
         pols.append(("h", _positive(h, "h_values")))
@@ -476,16 +480,14 @@ def enumerate_models(config: SearchConfig):
             yield record
 
 
-def run_search(config: SearchConfig, jobs: int = 1, out=None, limit: int | None = None):
+def run_search(config: SearchConfig, jobs: int = 1, out=None):
     """Scan the whole box; write JSONL records to `out`; return the summary.
 
-    `limit` caps the records written; the summary still counts the whole
-    box.  Output is byte-identical for any `jobs` value: chunks are merged
-    in enumeration order before writing.
+    `config.limit` caps the records written; the summary still counts the
+    whole box.  Output is byte-identical for any `jobs` value: chunks are
+    merged in enumeration order before writing.
     """
     total = _box_volume(_axes(config, make_base(config.base)))
-    if limit is None:
-        limit = config.limit
     step = max(1, total if jobs <= 1 else -(-total // (jobs * 4)))
     starts = range(0, total, step)
     stops = [min(lo + step, total) for lo in starts]
@@ -497,8 +499,8 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None, limit: int | None 
             evaluate = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
         for lines, part in evaluate(_evaluate_range, repeat(config), starts, stops):
             summary.merge(part)
-            if limit is not None:
-                lines = lines[: max(0, limit - emitted)]
+            if config.limit is not None:
+                lines = lines[: max(0, config.limit - emitted)]
             if out is not None:
                 out.writelines(line + "\n" for line in lines)
             emitted += len(lines)

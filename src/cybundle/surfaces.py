@@ -115,8 +115,10 @@ class BaseSurface:
     c1: DivisorClass
     c2: int
     cone_generators: tuple
-    # (G, Gram.G, G^2) in ints per cone generator, and Gram.c1: the integer
-    # side of every F0/dP generator query (generators and c1 are integral)
+    # c1^2, fixed when the base is built; (G, Gram.G, G^2) in ints per cone
+    # generator, and Gram.c1: the integer side of every F0/dP generator
+    # query (generators and c1 are integral)
+    c1_sq: int = field(init=False, repr=False, compare=False)
     _generators: tuple = field(init=False, repr=False, compare=False)
     _c1_dual: tuple = field(init=False, repr=False, compare=False)
 
@@ -128,8 +130,10 @@ class BaseSurface:
         for g in self.cone_generators:
             coeffs = tuple(int(v) for v in g.coeffs)
             gens.append((coeffs, dual(coeffs), _dot(coeffs, dual(coeffs))))
+        c1 = tuple(int(v) for v in self.c1.coeffs)
         object.__setattr__(self, "_generators", tuple(gens))
-        object.__setattr__(self, "_c1_dual", dual(tuple(int(v) for v in self.c1.coeffs)))
+        object.__setattr__(self, "_c1_dual", dual(c1))
+        object.__setattr__(self, "c1_sq", _dot(c1, self._c1_dual))
 
     @property
     def is_enriques(self) -> bool:
@@ -148,10 +152,6 @@ class BaseSurface:
 
     def square(self, a: DivisorClass) -> Fraction:
         return self.intersect(a, a)
-
-    @property
-    def c1_sq(self) -> Fraction:
-        return self.square(self.c1)
 
     def _gamma11_only(self, c: DivisorClass) -> bool:
         return all(v == 0 for v in c.coeffs[2:])

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from cybundle.anomaly import anomaly_class, solve_alpha_zero, solve_c2E_zero, spectral_af
-from cybundle.bundles import PullbackBundle
+from cybundle.bundles import PullbackBundle, SpectralBundle
 from cybundle.fixtures import prop71_scan
 from cybundle.nonsplit import spectral_nonsplit, w0_nonsplit_delpezzo
 from cybundle.ring import (
@@ -73,7 +73,8 @@ def test_criterion_3_spectral_example():
     assert ver.passed and ver.n_a_h == 2 and ver.min_degree == 3
     ns = spectral_nonsplit(f0, 2, 3, f0.c1.scale(12), alpha)
     assert ns.passed and ns.value == 1800
-    rep = spectral_af(f0, 2, Fraction(3, 2), alpha, f0.c1.scale(12))
+    bundle = SpectralBundle(n=2, eta=f0.c1.scale(12), lam=Fraction(3, 2), twist=DivisorX(0, alpha))
+    rep = spectral_af(f0, bundle, anomaly_class(f0, bundle))
     # informational: both values produced and flagged; no zero assertion
     assert rep.af_direct is not None and rep.af_displayed is not None
     assert isinstance(rep.agree, bool)

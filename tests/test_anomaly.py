@@ -138,15 +138,21 @@ def test_round_trip_w_zero():
 # spectral af report
 
 
+def _spectral_bundle(eta):
+    return SpectralBundle(n=2, eta=eta, lam=Fraction(3, 2), twist=DivisorX(0, DivisorClass((1, -11))))
+
+
 def test_spectral_af_requires_canonical_eta():
     f0 = make_base("F0")
+    b = _spectral_bundle(f0.c1.scale(11))
     with pytest.raises(ValueError, match="display assumes eta=12c1"):
-        spectral_af(f0, 2, Fraction(3, 2), DivisorClass((1, -11)), f0.c1.scale(11))
+        spectral_af(f0, b, anomaly_class(f0, b))
 
 
 def test_spectral_af_reports_both_values():
     f0 = make_base("F0")
-    rep = spectral_af(f0, 2, Fraction(3, 2), DivisorClass((1, -11)), f0.c1.scale(12))
+    b = _spectral_bundle(f0.c1.scale(12))
+    rep = spectral_af(f0, b, anomaly_class(f0, b))
     assert rep.wB.is_zero()
     assert rep.af_direct == -1892
     assert rep.af_displayed == -132

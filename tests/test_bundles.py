@@ -113,20 +113,24 @@ def test_c2_spectral_vanishing_twist_term():
     assert w.fiber == -Fraction(3**3 - 3, 24) * 9 == -9
 
 
+def _spectral(n, eta, lam):
+    return SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, DivisorClass.zero(eta.rank)))
+
+
 def test_c2_spectral_parity_rejection():
     f0 = make_base("F0")
     with pytest.raises(ValueError, match="spectral data invalid"):
-        c2_spectral(f0, 2, f0.c1.scale(12), Fraction(1))
+        validate_bundle(f0, _spectral(2, f0.c1.scale(12), Fraction(1)))
     with pytest.raises(ValueError, match="spectral data invalid"):
         # n odd needs eta = c1 mod 2
-        c2_spectral(f0, 3, DivisorClass((7, 8)), Fraction(1))
+        validate_bundle(f0, _spectral(3, DivisorClass((7, 8)), Fraction(1)))
 
 
 def test_c2_spectral_irreducibility_rejection():
     f0 = make_base("F0")
     with pytest.raises(ValueError, match="spectral data invalid"):
         # eta - 2c1 = -c1 is not effective
-        c2_spectral(f0, 2, f0.c1, Fraction(1, 2))
+        validate_bundle(f0, _spectral(2, f0.c1, Fraction(1, 2)))
 
 
 def test_c2_spectral_integral_even_rank_even_lattice():

@@ -250,6 +250,16 @@ F0_SPECTRAL = {
     "H_values": [[3, 34]],
 }
 
+ENRIQUES_SPECTRAL = {
+    "base": "enriques",
+    "mode": "spectral",
+    "n_range": [2, 2],
+    "alpha_box": [[0, 0], [-1, -1]],
+    "eta_box": [[2, 2], [3, 3]],
+    "lambda_values": ["1/2"],
+    "H_values": [[4, 3]],
+}
+
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize(
@@ -270,6 +280,11 @@ F0_SPECTRAL = {
         (dict(ENRIQUES_PULLBACK, h_values=["1"]), "h_values"),
         (dict(E6_CONFIG, H_values=[[1, 1]]), "H_values"),
         (dict(E6_CONFIG, base="dP6", h_values=[], H_values=[[3, -1, -1, -1, -1, -1, -1]]), "H_values"),
+        # the spectral stability stage needs H ample: on Enriques h c1 is pure
+        # torsion, and ampleness outside Gamma^{1,1} is undecided
+        (dict(ENRIQUES_SPECTRAL, H_values=[], h_values=["1"]), "h_values"),
+        (dict(ENRIQUES_SPECTRAL, h_values=["1"]), "h_values"),
+        (dict(ENRIQUES_SPECTRAL, H_values=[[5, 6, 1]]), "H_values"),
     ],
 )
 def test_search_rank_and_polarization_refused(tmp_path, config, field, jobs):
@@ -306,6 +321,19 @@ SPECTRAL_MODEL = {
         "twist": {"x": "0", "alpha": {"coeffs": ["1", "-11"]}},
     },
     "polarization": {"H": {"coeffs": ["3", "34"]}},
+}
+
+
+ENRIQUES_SPECTRAL_MODEL = {
+    "base": "enriques",
+    "bundle": {
+        "type": "spectral",
+        "n": 2,
+        "eta": {"coeffs": ["2", "3"] + ["0"] * 8},
+        "lambda": "1/2",
+        "twist": {"x": "0", "alpha": {"coeffs": ["0", "-1"] + ["0"] * 8}},
+    },
+    "polarization": {"H": {"coeffs": ["4", "3"] + ["0"] * 8}},
 }
 
 
@@ -347,6 +375,8 @@ def _with_spectral(**fields):
         (_with_spectral(eta={"coeffs": ["24", "24"], "torsion": 1}), "'torsion'"),
         (dict(SO10_MODEL, base="dP9"), "'base'"),
         (dict(SO10_MODEL, base="dPx"), "'base'"),
+        (dict(ENRIQUES_SPECTRAL_MODEL, polarization={"h": "1"}), "'h'"),
+        (dict(ENRIQUES_SPECTRAL_MODEL, polarization={"H": {"coeffs": ["5", "6", "1"] + ["0"] * 7}}), "'H'"),
     ],
 )
 def test_check_bad_model_field_is_named(tmp_path, model, field):
@@ -354,6 +384,13 @@ def test_check_bad_model_field_is_named(tmp_path, model, field):
     assert proc.returncode == 2
     assert field in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_check_enriques_spectral_model_scanned(tmp_path):
+    # an ample Gamma^{1,1} polarization is not refused
+    proc = run_cli("check", write(tmp_path, "model.json", ENRIQUES_SPECTRAL_MODEL))
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["failed_stage"] == "stability"
 
 
 def test_search_negative_limit_flag_refused(tmp_path):

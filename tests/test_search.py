@@ -1,10 +1,13 @@
 """Tests for the exhaustive model scan."""
 
+import dataclasses
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from cybundle import anomaly, bundles, search
 from cybundle.bundles import PullbackBundle, SpectralBundle
 from cybundle.ring import DivisorX
 from cybundle.search import (
@@ -14,7 +17,7 @@ from cybundle.search import (
     enumerate_models,
     run_search,
 )
-from cybundle.surfaces import DivisorClass, make_base
+from cybundle.surfaces import BaseSurface, DivisorClass, make_base
 from cybundle import jsonio
 
 
@@ -152,11 +155,53 @@ def test_empty_box_is_empty_stream():
 
 def test_limit_zero_still_scans():
     out = io.StringIO()
-    summary = run_search(SO10_CONFIG, out=out, limit=0)
+    summary = run_search(dataclasses.replace(SO10_CONFIG, limit=0), out=out)
     assert summary["scanned"] == 1
     assert summary["emitted"] == 0
     lines = out.getvalue().splitlines()
     assert lines == ["# " + json.dumps(summary, separators=(",", ":"))]
+
+
+def _count_calls(monkeypatch, counts, func):
+    """Count calls of `func` through every module-level name bound to it."""
+
+    def counted(*args, **kwargs):
+        counts[func.__name__] += 1
+        return func(*args, **kwargs)
+
+    counts[func.__name__] = 0
+    for module in (search, anomaly, bundles):
+        if getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
+
+
+def test_each_model_quantity_computed_once(monkeypatch):
+    counts = {}
+    for func in (bundles.validate_bundle, bundles.check_spectral_data, anomaly.anomaly_class):
+        _count_calls(monkeypatch, counts, func)
+    pullback = dataclasses.replace(SO10_CONFIG, n_range=(2, 3), x_values=(1, 2), require=None)
+    # eta = 12 c1; lambda = 1 is parity-invalid for n = 2 and 1/2 for n = 3
+    spectral = SearchConfig(
+        base="F0",
+        mode="spectral",
+        n_range=(2, 3),
+        alpha_box=((1, 1), (-12, -10)),
+        lambda_values=(Fraction(1, 2), Fraction(3, 2), Fraction(1)),
+        H_values=((3, 34),),
+    )
+    summaries = [run_search(config) for config in (pullback, spectral)]
+    models = sum(s["scanned"] for s in summaries)
+    valid = models - sum(s["stage_failures"]["validity"] for s in summaries)
+    assert 0 < valid < models
+    assert counts == {
+        "validate_bundle": models,
+        "check_spectral_data": summaries[1]["scanned"],
+        "anomaly_class": valid,
+    }
+    calls = []
+    intersect = BaseSurface.intersect
+    monkeypatch.setattr(BaseSurface, "intersect", lambda *args: calls.append(1) or intersect(*args))
+    assert make_base("F0").c1_sq == 8 and calls == []
 
 
 def test_lexicographic_order():

@@ -67,6 +67,12 @@ def test_del_pezzo_numerics(k):
     assert s.c2 == 3 + k
 
 
+@pytest.mark.parametrize("kind", ["F0", "enriques"] + [f"dP{k}" for k in range(9)])
+def test_c1_sq_is_stored_int(kind):
+    s = make_base(kind)
+    assert type(s.c1_sq) is int and s.c1_sq == s.square(s.c1)
+
+
 @pytest.mark.parametrize("kind", ["F2", "F9", "dP9", "quadric", ""])
 def test_unsupported_surface(kind):
     with pytest.raises(ValueError, match="unsupported surface"):
