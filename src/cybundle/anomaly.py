@@ -17,7 +17,7 @@ class AnomalyOutcome:
     wB: DivisorClass
     af: Fraction
     W_zero: bool
-    W_effective: bool | None
+    W_effective: bool
 
 
 def anomaly_class(s: BaseSurface, bundle) -> AnomalyOutcome:
@@ -30,11 +30,7 @@ def anomaly_class(s: BaseSurface, bundle) -> AnomalyOutcome:
 def decompose_w(s: BaseSurface, w: FourClass) -> AnomalyOutcome:
     w_b, a_f = w.beta, w.fiber
     w_zero = w_b.is_zero() and a_f == 0
-    if w_b.is_zero():
-        effective = a_f >= 0
-    else:
-        eff = s.cone_position(w_b).effective
-        effective = None if eff is None else (eff and a_f >= 0)
+    effective = (w_b.is_zero() or s.cone_position(w_b).effective) and a_f >= 0
     return AnomalyOutcome(wB=w_b, af=a_f, W_zero=w_zero, W_effective=effective)
 
 

@@ -59,7 +59,8 @@ def validate_bundle(s: BaseSurface, bundle) -> None:
 
 
 def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> None:
-    """Parity and irreducibility constraints on spectral data (n, eta, lambda)."""
+    """Parity, irreducibility and integrality constraints on spectral data
+    (n, eta, lambda); the last asks for an integral c2(V_n)."""
     lam = Fraction(lam)
     if n % 2 == 0:
         if (lam - Fraction(1, 2)).denominator != 1:
@@ -71,8 +72,10 @@ def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction
         if diff.torsion or not diff.is_integral() or any(c.numerator % 2 for c in diff.coeffs):
             raise ValueError("spectral data invalid")
     resid = eta - s.c1.scale(n)
-    if s.cone_position(resid).effective is not True:
+    if not s.cone_position(resid).effective:
         raise ValueError("spectral data invalid: eta - n*c1 not effective")
+    if _spectral_fiber(s, n, eta, lam).denominator != 1:
+        raise ValueError("spectral data invalid: non-integral Chern class")
 
 
 def chern_extension(
@@ -114,17 +117,19 @@ def c2_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fou
     """c2 of a spectral cover bundle V_n whose data (eta, lambda) has already
     passed `check_spectral_data`, by FMW's formula
     c2 = eta sigma + (-(n^3-n)/24 c1^2 + 1/2 (lambda^2 - 1/4) n eta.(eta - n c1)) F."""
+    return FourClass(eta, _spectral_fiber(s, n, eta, lam))
+
+
+def _spectral_fiber(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
+    """The F coefficient of c2(V_n) in FMW's formula."""
     lam = Fraction(lam)
-    fiber = (
+    return (
         -Fraction(n**3 - n, 24) * s.c1_sq
         + Fraction(1, 2)
         * (lam * lam - Fraction(1, 4))
         * n
         * s.intersect(eta, eta - s.c1.scale(n))
     )
-    if fiber.denominator != 1:
-        raise ValueError("non-integral Chern class")
-    return FourClass(eta, fiber)
 
 
 def bundle_chern(s: BaseSurface, bundle) -> ExtensionChern:

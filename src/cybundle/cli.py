@@ -8,33 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import fixtures, jsonio
 from .bundles import PullbackBundle, SpectralBundle
 from .search import Polarization, SearchConfig, check_model, run_search
-from .search import _int, _nonnegative_int, _positive, _refuse_unusable_H, _require, _surface
-from .surfaces import DEFAULT_BOUND
+from .search import _int, _nonnegative_int, _refuse_unusable_H, _refuse_wrong_kind, _require, _surface
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-
-
-def _env_bound() -> int:
-    raw = os.environ.get("CYBUNDLE_BOUND")
-    if raw is None:
-        return DEFAULT_BOUND
-    message = f"CYBUNDLE_BOUND must be a non-negative integer, got {raw!r}"
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise ValueError(message) from None
-    if bound < 0:
-        raise ValueError(message)
-    return bound
 
 
 def _show(value) -> str:
@@ -112,13 +96,12 @@ def _parse_model(obj):
         raise ValueError(f"field 'polarization' must be an object, got {pol_obj!r}")
     pol = Polarization(
         H=jsonio.divisor_from_json(pol_obj["H"], surface) if "H" in pol_obj else None,
-        h=_positive(jsonio.frac_field(pol_obj["h"], "h"), "h") if "h" in pol_obj else None,
+        h=jsonio.frac_field(pol_obj["h"], "h") if "h" in pol_obj else None,
     )
-    if isinstance(bundle, SpectralBundle):  # the rules of a spectral `search` config
-        if surface.is_enriques and pol.h is not None:
-            raise ValueError("field 'h' does not apply to spectral models on base enriques, which take H")
-        if pol.H is not None:
-            _refuse_unusable_H(surface, "spectral", pol.H, "field 'H'")
+    # the rules of a search config, so that the two commands agree
+    _refuse_wrong_kind(surface, spec["type"], pol)
+    if pol.H is not None:
+        _refuse_unusable_H(surface, spec["type"], pol.H, "field 'H'")
     return surface, bundle, pol, _require(obj.get("require"))
 
 
@@ -126,9 +109,7 @@ def cmd_check(args) -> int:
     obj = _load_json(args.path)
     try:
         surface, bundle, pol, require = _parse_model(obj)
-        record = check_model(
-            surface, bundle, pol, require=require, bound=_env_bound(), short_circuit=False
-        )
+        record = check_model(surface, bundle, pol, require=require, short_circuit=False)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -142,8 +123,6 @@ def cmd_search(args) -> int:
         config = SearchConfig.from_json(obj)
         if args.limit is not None:
             config.limit = _nonnegative_int(args.limit, "limit")
-        if config.bound == DEFAULT_BOUND:
-            config.bound = _env_bound()
         out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
         try:
             summary = run_search(config, jobs=args.jobs, out=out)

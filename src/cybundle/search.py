@@ -18,7 +18,7 @@ from .anomaly import anomaly_class, spectral_af
 from .bundles import PullbackBundle, SpectralBundle, validate_bundle
 from .nonsplit import nonsplit_feasible, spectral_nonsplit
 from .ring import DivisorX
-from .surfaces import BaseSurface, DivisorClass, DEFAULT_BOUND, make_base
+from .surfaces import BaseSurface, DivisorClass, make_base
 from .windows import spectral_stability_check, window_delpezzo, window_enriques
 
 STAGES = ("validity", "anomaly", "nonsplit", "stability")
@@ -54,19 +54,22 @@ def check_model(
     bundle,
     pol: Polarization,
     require: str | None = None,
-    bound: int = DEFAULT_BOUND,
+    bound: int | None = None,
     short_circuit: bool = True,
     params: dict | None = None,
 ) -> ModelRecord:
     """Run the full verification pipeline on one model.
 
     The first failed stage is `failed_stage`.  A failure stops the run
-    under `short_circuit`; a verdict carrying an "error" always stops it.
+    under `short_circuit`; a verdict carrying an "error", which only the
+    validity stage gives, always stops it.  `bound` is accepted and unread:
+    no query enumerates any more, and the benchmark (bench/child.py) still
+    passes it.
     """
     verdicts: dict = {}
     failed: str | None = None
     for name, stage in _PIPELINES[type(bundle)]:
-        verdict = verdicts[name] = stage(s, bundle, pol, require, bound)
+        verdict = verdicts[name] = stage(s, bundle, pol, require)
         if not verdict["passed"]:
             if failed is None:
                 failed = name
@@ -75,27 +78,25 @@ def check_model(
     return ModelRecord(params or {}, verdicts, failed is None, failed)
 
 
-# Stage functions: (s, bundle, pol, require, bound) -> verdict dict, whose
-# key order is part of the JSONL output.
+# Stage functions: (s, bundle, pol, require) -> verdict dict, whose key
+# order is part of the JSONL output.  Only `_validity` reads the input for
+# errors; the later stages compute from data it has passed.
 
 
-def _error(message: str) -> dict:
-    return {"passed": False, "error": message}
-
-
-def _validity(s, bundle, pol, require, bound) -> dict:
+def _validity(s, bundle, pol, require) -> dict:
     try:
         validate_bundle(s, bundle)
+        _refuse_wrong_kind(s, _MODES[type(bundle)], pol)
     except ValueError as exc:
-        return _error(str(exc))
+        return {"passed": False, "error": str(exc)}
     return {"passed": True}
 
 
-def _anomaly(s, bundle, pol, require, bound) -> dict:
+def _anomaly(s, bundle, pol, require) -> dict:
     return _anomaly_verdict(anomaly_class(s, bundle), require)
 
 
-def _spectral_anomaly(s, bundle, pol, require, bound) -> dict:
+def _spectral_anomaly(s, bundle, pol, require) -> dict:
     """[W], plus both af readings for the paper's eta = 12 c1 family."""
     outcome = anomaly_class(s, bundle)
     if bundle.eta != s.c1.scale(12):
@@ -120,13 +121,9 @@ def _anomaly_verdict(outcome, require, **readings) -> dict:
     }
 
 
-def _pullback_nonsplit(s, bundle, pol, require, bound) -> dict:
+def _pullback_nonsplit(s, bundle, pol, require) -> dict:
     if s.is_enriques:
-        if pol.H is None:
-            return _error("Enriques pullback models need an explicit polarization H")
         h_class, z_rep = pol.H, Fraction(1)
-    elif pol.h is None:
-        return _error("pullback models on a -K-ample base need the ray parameter h")
     else:
         z_rep = Fraction(pol.h)
         h_class = s.c1.scale(z_rep)
@@ -136,7 +133,7 @@ def _pullback_nonsplit(s, bundle, pol, require, bound) -> dict:
     return {"passed": ns.passed, "clause": ns.clause, "value": jsonio.frac_to_str(ns.value)}
 
 
-def _spectral_nonsplit(s, bundle, pol, require, bound) -> dict:
+def _spectral_nonsplit(s, bundle, pol, require) -> dict:
     ns = spectral_nonsplit(s, bundle.n, bundle.n + 1, bundle.eta, bundle.twist.alpha)
     return {
         "passed": ns.passed,
@@ -145,7 +142,7 @@ def _spectral_nonsplit(s, bundle, pol, require, bound) -> dict:
     }
 
 
-def _pullback_stability(s, bundle, pol, require, bound) -> dict:
+def _pullback_stability(s, bundle, pol, require) -> dict:
     x = int(bundle.twist.x)
     if s.is_enriques:
         a = s.intersect(bundle.twist.alpha, pol.H)
@@ -158,15 +155,18 @@ def _pullback_stability(s, bundle, pol, require, bound) -> dict:
     return out
 
 
-def _spectral_stability(s, bundle, pol, require, bound) -> dict:
-    ver = spectral_stability_check(s, bundle.n, bundle.twist.alpha, _spectral_h(s, pol), bound)
+def _spectral_stability(s, bundle, pol, require) -> dict:
+    h = pol.H if pol.H is not None else s.c1.scale(Fraction(pol.h))
+    ver = spectral_stability_check(s, bundle.n, bundle.twist.alpha, h)
     return {
         "passed": ver.passed,
         "alpha_H": jsonio.frac_to_str(ver.a_h),
         "n_alpha_H": jsonio.frac_to_str(ver.n_a_h),
         "min_degree": jsonio.frac_to_str(ver.min_degree),
         "witness": jsonio.divisor_to_json(ver.witness),
-        "bound_limited": ver.bound_limited,
+        # no degree query is bounded any more; the key stays until the
+        # output format next changes (ROADMAP items 7 and 9)
+        "bound_limited": False,
     }
 
 
@@ -179,14 +179,7 @@ _PIPELINES = {
         zip(STAGES, (_validity, _spectral_anomaly, _spectral_nonsplit, _spectral_stability))
     ),
 }
-
-
-def _spectral_h(s: BaseSurface, pol: Polarization) -> DivisorClass:
-    if pol.H is not None:
-        return pol.H
-    if pol.h is not None:
-        return s.c1.scale(Fraction(pol.h))
-    raise ValueError("spectral models need a polarization (H or h)")
+_MODES = {PullbackBundle: "pullback", SpectralBundle: "spectral"}  # as model files name them
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,9 @@ class SearchConfig:
     H_values: tuple = ()
     h_values: tuple = ()
     require: str | None = None
-    bound: int = DEFAULT_BOUND
+    # validated, then unread: no query enumerates any more, and the
+    # benchmark (bench/child.py) still passes it to check_model
+    bound: int | None = None
     limit: int | None = None
 
     @staticmethod
@@ -242,7 +237,7 @@ class SearchConfig:
             H_values=tuple(_int_list(v, "H_values") for v in _list(obj.get("H_values", []), "H_values")),
             h_values=_frac_list(obj.get("h_values", []), "h_values"),
             require=_require(obj.get("require")),
-            bound=_nonnegative_int(obj.get("bound", DEFAULT_BOUND), "bound"),
+            bound=_nonnegative_int(obj["bound"], "bound") if "bound" in obj else None,
             limit=limit,
         )
 
@@ -253,8 +248,8 @@ def _list(value, name: str):
     return value
 
 
-# _surface, _int, _require, _positive and _refuse_unusable_H also check the
-# fields of a `check` model file.
+# _surface, _int, _require, _refuse_wrong_kind and _refuse_unusable_H also
+# check the fields of a `check` model file.
 
 
 def _surface(value) -> BaseSurface:
@@ -283,11 +278,34 @@ def _require(value):
     return value
 
 
-def _positive(h: Fraction, name: str) -> Fraction:
-    # H = h * c1 is ample on a -K-ample base exactly when h > 0
-    if h <= 0:
-        raise ValueError(f"field '{name}' must be positive, got {jsonio.frac_to_str(h)!r}")
-    return h
+def _refuse_wrong_kind(s: BaseSurface, mode: str, pol: Polarization, in_config=False) -> None:
+    """The polarization rule of a `mode` model on `s`, and h > 0.
+
+    Enriques models take H: there H = h c1 is pure 2-torsion, never ample.
+    On F0 and dPk, where H = h c1 is ample exactly when h > 0, a pullback
+    model takes h, which its non-split stage reads, and a spectral model
+    exactly one of h and H.  Fields are named as in a `check` model file, or
+    under `in_config` as in a search config.
+    """
+    suffix, where = ("_values", "config field") if in_config else ("", "field")
+    needed, other = ("H", "h") if s.is_enriques else ("h", "H")
+    if getattr(pol, other) is not None and (s.is_enriques or mode == "pullback"):
+        raise ValueError(
+            f"{where} '{other}{suffix}' does not apply to {mode} models"
+            f" on base {s.kind}, which take {needed}{suffix}"
+        )
+    if pol.H is None and pol.h is None:
+        if s.is_enriques:
+            need = f"Enriques {mode} models need an explicit polarization H"
+        elif mode == "pullback":
+            need = "pullback models on a -K-ample base need the ray parameter h"
+        else:
+            need = "spectral models need a polarization (H or h)"
+        raise ValueError(f"field 'polarization': {need}")
+    if pol.H is not None and pol.h is not None:
+        raise ValueError(f"field 'polarization': {mode} models on base {s.kind} take exactly one of h and H")
+    if pol.h is not None and pol.h <= 0:
+        raise ValueError(f"field 'h{suffix}' must be positive, got {jsonio.frac_to_str(pol.h)!r}")
 
 
 def _refuse_unusable_H(s: BaseSurface, mode: str, H: DivisorClass, where: str) -> None:
@@ -325,10 +343,9 @@ def _padded_class(coeffs, rank) -> DivisorClass:
 def _axes(config: SearchConfig, s: BaseSurface):
     """Ordered (name, values) axes spanning the parameter box.
 
-    Refuses a class with more coordinates than the base rank, a pullback
-    polarization of the kind the base does not use and a polarization that
-    is not ample, naming the config field, so that a bad config fails
-    before any model is scanned.
+    Refuses a class with more coordinates than the base rank and a
+    polarization of the wrong kind or not ample, naming the config field,
+    so that a bad config fails before any model is scanned.
     """
     classes = [("alpha_box", config.alpha_box), ("eta_box", config.eta_box or ())]
     for name, coords in classes + [("H_values", vec) for vec in config.H_values]:
@@ -337,14 +354,6 @@ def _axes(config: SearchConfig, s: BaseSurface):
                 f"config field '{name}' has {len(coords)} entries"
                 f" but base {s.kind} has rank {s.rank}"
             )
-    # H = h c1 is pure 2-torsion on Enriques, never ample; the non-split
-    # stage of a pullback model on a -K-ample base reads h
-    needed, other = ("H_values", "h_values") if s.is_enriques else ("h_values", "H_values")
-    if getattr(config, other) and (s.is_enriques or config.mode == "pullback"):
-        raise ValueError(
-            f"config field '{other}' does not apply to {config.mode} models"
-            f" on base {s.kind}, which take {needed}"
-        )
     axes = [("n", tuple(range(config.n_range[0], config.n_range[1] + 1)))]
     if config.mode == "pullback":
         axes.append(("x", config.x_values))
@@ -360,11 +369,13 @@ def _axes(config: SearchConfig, s: BaseSurface):
         axes.append(("lambda", config.lambda_values or (Fraction(0),)))
     pols = []
     for vec in config.H_values:
-        where = f"config field 'H_values' entry {list(vec)}"
-        _refuse_unusable_H(s, config.mode, _padded_class(vec, s.rank), where)
+        H = _padded_class(vec, s.rank)
+        _refuse_wrong_kind(s, config.mode, Polarization(H=H), in_config=True)
+        _refuse_unusable_H(s, config.mode, H, f"config field 'H_values' entry {list(vec)}")
         pols.append(("H", vec))
     for h in config.h_values:
-        pols.append(("h", _positive(h, "h_values")))
+        _refuse_wrong_kind(s, config.mode, Polarization(h=h), in_config=True)
+        pols.append(("h", h))
     if not pols:
         raise ValueError("config needs H_values or h_values")
     axes.append(("pol", tuple(pols)))
@@ -452,7 +463,7 @@ def _records(config: SearchConfig, start: int, stop: int | None):
         stop = _box_volume(axes)
     for index in range(start, stop):
         bundle, pol, params = _instantiate(config, s, _decode(axes, index))
-        yield check_model(s, bundle, pol, require=config.require, bound=config.bound, params=params)
+        yield check_model(s, bundle, pol, require=config.require, params=params)
 
 
 def _evaluate_range(config: SearchConfig, start: int, stop: int):

@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-# Every cone query is exact; only the Enriques minimum degree reads the
-# bound, and raises below 1.
-DEFAULT_BOUND = 50
-
 # known numbers of (-1)-classes on dP_k, k = 1..8
 MINUS_ONE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
@@ -92,9 +88,9 @@ ENRIQUES_H0 = DivisorClass((1, 1) + (0,) * 8)
 @dataclass(frozen=True)
 class ConeVerdict:
     """Effective / nef / ample triple; None means not decided (nef and ample
-    of an Enriques class outside Gamma^{1,1})."""
+    of an Enriques class outside Gamma^{1,1}).  Effectivity is always decided."""
 
-    effective: bool | None
+    effective: bool
     nef: bool | None
     ample: bool | None
     notes: tuple = ()
@@ -104,7 +100,6 @@ class ConeVerdict:
 class MinDegree:
     value: Fraction
     witness: DivisorClass
-    bound_limited: bool = False
 
 
 @dataclass(frozen=True)
@@ -211,15 +206,13 @@ class BaseSurface:
         ample = nef and sq >= 6
         return ConeVerdict(effective=effective, nef=nef, ample=ample)
 
-    def min_positive_degree(self, h: DivisorClass, bound: int = DEFAULT_BOUND) -> MinDegree:
+    def min_positive_degree(self, h: DivisorClass) -> MinDegree:
         verdict = self.cone_position(h)
         if verdict.ample is not True:
             raise ValueError("polarization not ample")
         if self.is_enriques:
             if not self._gamma11_only(h):
                 raise ValueError("Enriques polarization must lie in the Gamma^{1,1} sublattice")
-            if bound < 1:
-                raise ValueError("no effective class of positive degree within bound")
             # H = (x, y) is ample, so x, y > 0 and (a, b).H = a*y + b*x over
             # a, b >= 0 is smallest at (0, 1) (degree x) or (1, 0) (degree y);
             # a tie goes to (0, 1), the first in lexicographic order

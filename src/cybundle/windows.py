@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import DivisorX
-from .surfaces import BaseSurface, DivisorClass, DEFAULT_BOUND
+from .surfaces import BaseSurface, DivisorClass
 
 
 @dataclass(frozen=True)
@@ -176,15 +176,10 @@ class SpectralStabilityVerdict:
     n_a_h: Fraction
     min_degree: Fraction
     witness: DivisorClass
-    bound_limited: bool
 
 
 def spectral_stability_check(
-    s: BaseSurface,
-    n: int,
-    alpha: DivisorClass,
-    h: DivisorClass,
-    bound: int = DEFAULT_BOUND,
+    s: BaseSurface, n: int, alpha: DivisorClass, h: DivisorClass
 ) -> SpectralStabilityVerdict:
     """Stability test for an extension of O(n pi^*alpha) by V_n(-pi^*alpha).
 
@@ -192,7 +187,7 @@ def spectral_stability_check(
     reduces to 0 < n*(alpha.H) < (Lambda.H)_min.
     """
     a_h = s.intersect(alpha, h)
-    md = s.min_positive_degree(h, bound)
+    md = s.min_positive_degree(h)
     passed = 0 < n * a_h < md.value
     return SpectralStabilityVerdict(
         passed=passed,
@@ -200,5 +195,4 @@ def spectral_stability_check(
         n_a_h=n * a_h,
         min_degree=md.value,
         witness=md.witness,
-        bound_limited=md.bound_limited,
     )

@@ -152,8 +152,8 @@ def test_c2_spectral_integral_even_rank_even_lattice():
 def test_c2_spectral_non_integral_fiber_rejected():
     # parity alone does not force integrality on odd lattices
     dp0 = make_base("dP0")
-    with pytest.raises(ValueError, match="non-integral Chern class"):
-        c2_spectral(dp0, 3, dp0.c1.scale(5), Fraction(1))
+    with pytest.raises(ValueError, match="spectral data invalid: non-integral Chern class"):
+        validate_bundle(dp0, _spectral(3, dp0.c1.scale(5), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from cybundle import cli
+
 CLI = [sys.executable, "-m", "cybundle.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SO10_MODEL = {
     "base": "F0",
@@ -45,12 +48,11 @@ E6_CONFIG = {
 }
 
 
-def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
+    # the child imports cybundle from this checkout, installed or not
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=full_env
+        CLI + list(args), capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
     )
 
 
@@ -164,24 +166,6 @@ def test_search_invalid_config(tmp_path):
     assert proc.returncode == 2
 
 
-def test_env_bound_must_be_integer(tmp_path):
-    proc = run_cli(
-        "check",
-        write(tmp_path, "so10.json", SO10_MODEL),
-        env={"CYBUNDLE_BOUND": "many"},
-    )
-    assert proc.returncode == 2
-
-
-@pytest.mark.parametrize("raw", ["abc", "-3"])
-def test_env_bound_rejected_with_message(tmp_path, raw):
-    config = write(tmp_path, "e6.json", E6_CONFIG)
-    for args in (("check", write(tmp_path, "so10.json", SO10_MODEL)), ("search", config)):
-        proc = run_cli(*args, env={"CYBUNDLE_BOUND": raw})
-        assert proc.returncode == 2
-        assert "CYBUNDLE_BOUND" in proc.stderr and "Traceback" not in proc.stderr
-
-
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -207,15 +191,6 @@ def test_search_bad_field_is_named(tmp_path, field, value):
     assert proc.returncode == 2
     assert f"'{field}'" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
-
-
-def test_env_bound_accepted(tmp_path):
-    proc = run_cli(
-        "check",
-        write(tmp_path, "so10.json", SO10_MODEL),
-        env={"CYBUNDLE_BOUND": "20"},
-    )
-    assert proc.returncode == 0
 
 
 def test_rationals_serialize_exactly(tmp_path):
@@ -414,3 +389,177 @@ def test_check_enriques_torsion_bit_accepted(tmp_path):
     proc = run_cli("check", write(tmp_path, "enriques.json", model))
     assert proc.returncode in (0, 1), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# spectral data whose c2(V_n) is not integral fails validity, scan or check
+
+NON_INTEGRAL_C2 = [
+    {
+        "base": "dP0",
+        "mode": "spectral",
+        "n_range": [3, 3],
+        "alpha_box": [[0, 1]],
+        "eta_box": [[15, 15]],
+        "lambda_values": ["1"],
+        "H_values": [[1]],
+    },
+    # eta = 12 c1 and lambda = 1/2: the fiber term of c2 is -(n^3 - n)/24 c1^2 = -9/4
+    {
+        "base": "dP0",
+        "mode": "spectral",
+        "n_range": [2, 2],
+        "alpha_box": [[0, 1]],
+        "lambda_values": ["1/2"],
+        "H_values": [[1]],
+    },
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("config", NON_INTEGRAL_C2)
+def test_search_non_integral_c2_fails_validity(tmp_path, config, jobs):
+    proc = run_cli("search", write(tmp_path, "box.json", config), "--jobs", jobs)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert summary["scanned"] == 2 and summary["stage_failures"]["validity"] == 2
+    for line in proc.stdout.splitlines()[:-1]:
+        error = json.loads(line)["verdicts"]["validity"]["error"]
+        assert error == "spectral data invalid: non-integral Chern class"
+
+
+def test_check_non_integral_c2_fails_validity(tmp_path):
+    model = {
+        "base": "dP0",
+        "bundle": {
+            "type": "spectral",
+            "n": 3,
+            "eta": {"coeffs": ["15"]},
+            "lambda": "1",
+            "twist": {"x": "0", "alpha": {"coeffs": ["0"]}},
+        },
+        "polarization": {"H": {"coeffs": ["1"]}},
+    }
+    proc = run_cli("check", write(tmp_path, "model.json", model))
+    assert proc.returncode == 1, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["failed_stage"] == "validity"
+    assert record["verdicts"]["validity"]["error"] == "spectral data invalid: non-integral Chern class"
+
+
+# ---------------------------------------------------------------------------
+# `check` and `search` apply one polarization rule
+
+
+def _zeros(rank):
+    return ["0"] * rank
+
+
+DP6_C1 = ["3"] + ["-1"] * 6
+
+# a model per base and mode that passes validity; its polarization is set per case
+AGREEMENT_MODELS = {
+    ("F0", "pullback"): SO10_MODEL["bundle"],
+    ("F0", "spectral"): SPECTRAL_MODEL["bundle"],
+    ("dP6", "pullback"): {
+        "type": "pullback",
+        "n": 2,
+        "c2E": 100,
+        "twist": {"x": "1", "alpha": {"coeffs": _zeros(7)}},
+    },
+    ("dP6", "spectral"): {
+        "type": "spectral",
+        "n": 3,
+        "eta": {"coeffs": [str(11 * int(c)) for c in DP6_C1]},
+        "lambda": "1",
+        "twist": {"x": "0", "alpha": {"coeffs": _zeros(7)}},
+    },
+    ("enriques", "pullback"): {
+        "type": "pullback",
+        "n": 2,
+        "c2E": 12,
+        "twist": {"x": "1", "alpha": {"coeffs": _zeros(10)}},
+    },
+    ("enriques", "spectral"): ENRIQUES_SPECTRAL_MODEL["bundle"],
+}
+
+# (ample H, H that is not ample) per base
+AGREEMENT_H = {
+    "F0": (["3", "34"], ["1", "0"]),
+    "dP6": (DP6_C1, ["1"] + _zeros(6)),
+    "enriques": (["4", "3"] + _zeros(8), ["1"] + _zeros(9)),
+}
+
+AGREEMENT_SHAPES = {
+    "h": lambda H, bad: {"h": "1"},
+    "H": lambda H, bad: {"H": {"coeffs": H}},
+    "both": lambda H, bad: {"h": "1", "H": {"coeffs": H}},
+    "none": lambda H, bad: {},
+    "h<=0": lambda H, bad: {"h": "0"},
+    "non-ample H": lambda H, bad: {"H": {"coeffs": bad}},
+}
+
+# the field refused per shape (absent: accepted) on Enriques in both modes,
+# and per mode on F0 and dP6
+AGREEMENT_REFUSED = {
+    "enriques": {"h": "h", "both": "h", "none": "polarization", "h<=0": "h", "non-ample H": "H"},
+    "pullback": {"H": "H", "both": "H", "none": "polarization", "h<=0": "h", "non-ample H": "H"},
+    "spectral": {"both": "polarization", "none": "polarization", "h<=0": "h", "non-ample H": "H"},
+}
+
+# how a search config names the field a `check` model file names
+SEARCH_FIELD = {"h": "'h_values'", "H": "'H_values'", "polarization": "H_values or h_values"}
+
+
+def _singleton_config(model):
+    """The search config whose box is the one model of a `check` model file."""
+    bundle = model["bundle"]
+
+    def point(coeffs):
+        return [[int(c), int(c)] for c in coeffs]
+
+    config = {
+        "base": model["base"],
+        "mode": bundle["type"],
+        "n_range": [bundle["n"], bundle["n"]],
+        "alpha_box": point(bundle["twist"]["alpha"]["coeffs"]),
+    }
+    if bundle["type"] == "pullback":
+        config.update(x_values=[int(bundle["twist"]["x"])], c2E_range=[bundle["c2E"]] * 2)
+    else:
+        config.update(eta_box=point(bundle["eta"]["coeffs"]), lambda_values=[bundle["lambda"]])
+    pol = model["polarization"]
+    if "h" in pol:
+        config["h_values"] = [pol["h"]]
+    if "H" in pol:
+        config["H_values"] = [[int(c) for c in pol["H"]["coeffs"]]]
+    return config
+
+
+def _run_main(capsys, *args):
+    code = cli.main(list(args))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", AGREEMENT_SHAPES)
+@pytest.mark.parametrize("mode", ["pullback", "spectral"])
+@pytest.mark.parametrize("base", ["F0", "dP6", "enriques"])
+def test_check_and_search_agree_on_polarization(tmp_path, capsys, base, mode, shape):
+    model = {
+        "base": base,
+        "bundle": AGREEMENT_MODELS[base, mode],
+        "polarization": AGREEMENT_SHAPES[shape](*AGREEMENT_H[base]),
+    }
+    refused = AGREEMENT_REFUSED["enriques" if base == "enriques" else mode].get(shape)
+    check_code, check_err = _run_main(capsys, "check", write(tmp_path, "model.json", model))
+    config = write(tmp_path, "box.json", _singleton_config(model))
+    search_code, search_err = _run_main(capsys, "search", config)
+    if refused is None:
+        assert check_code in (0, 1) and search_code == 0, check_err + search_err
+        return
+    assert check_code == 2 and f"'{refused}'" in check_err, check_err
+    if shape == "both" and refused == "polarization":
+        # a config lists values: h_values and H_values give one model each
+        assert search_code == 0, search_err
+    else:
+        assert search_code == 2 and SEARCH_FIELD[refused] in search_err, search_err

@@ -91,10 +91,10 @@ def test_check_model_error_verdict_stops_without_short_circuit():
     enr = make_base("enriques")
     b = PullbackBundle(n=2, c2E=12, twist=DivisorX(1, pad((-1, 0), 10)))
     rec = check_model(enr, b, Polarization(), short_circuit=False)
-    assert list(rec.verdicts) == ["validity", "anomaly", "nonsplit"]
-    assert rec.verdicts["nonsplit"]["passed"] is False
-    assert "explicit polarization H" in rec.verdicts["nonsplit"]["error"]
-    assert rec.failed_stage == "nonsplit" and not rec.overall
+    assert list(rec.verdicts) == ["validity"]
+    assert rec.verdicts["validity"]["passed"] is False
+    assert "explicit polarization H" in rec.verdicts["validity"]["error"]
+    assert rec.failed_stage == "validity" and not rec.overall
 
 
 def test_record_invariant_overall_implies_all_stages():

@@ -432,7 +432,7 @@ def test_integer_cone_queries_match_fraction_path(kind):
     seen, ties = set(), 0
     for c in classes:
         verdict = s.cone_position(c)
-        assert verdict == _fraction_cone(s, c)
+        assert verdict == _fraction_cone(s, c) and type(verdict.effective) is bool
         seen |= {("effective", verdict.effective), ("nef", verdict.nef), ("ample", verdict.ample)}
         got = _outcome(s.min_positive_degree, c)
         assert got == _outcome(_fraction_min_degree, s, c, verdict)
@@ -489,7 +489,6 @@ def test_min_degree_f0():
     md = f0.min_positive_degree(DivisorClass((3, 34)))
     assert md.value == 3
     assert md.witness == DivisorClass((0, 1))
-    assert not md.bound_limited
 
 
 def test_min_degree_enriques():
@@ -512,19 +511,15 @@ def test_min_degree_rejects_non_ample():
         f0.min_positive_degree(DivisorClass((1, 0)))
 
 
-def test_min_degree_stable_in_bound():
-    enr = make_base("enriques")
-    h = pad((5, 6), 10)
-    values = [enr.min_positive_degree(h, bound=b).value for b in (2, 10, 50)]
-    assert values[0] == values[1] == values[2]
-
-
 # ---------------------------------------------------------------------------
 # Enriques closed forms against the bounded enumeration they replaced
 
 
-def _box_degrees(enr, c, bound):
-    """((a, b), (a, b).c) for every nonzero 0 <= a, b <= bound, in lex order.
+ORACLE_BOUND = 50  # the default bound of the replaced enumeration
+
+
+def _box_degrees(enr, c):
+    """((a, b), (a, b).c) for every nonzero 0 <= a, b <= ORACLE_BOUND, in lex order.
 
     This is the bounded enumeration the closed forms replaced.  The pairing
     is expanded by bilinearity and summed over integers, so that the
@@ -534,13 +529,13 @@ def _box_degrees(enr, c, bound):
     d2 = enr.intersect(pad((0, 1), 10), c)
     q = math.lcm(d1.denominator, d2.denominator)
     n1, n2 = int(d1 * q), int(d2 * q)
-    for a in range(bound + 1):
-        for b in range(bound + 1):
+    for a in range(ORACLE_BOUND + 1):
+        for b in range(ORACLE_BOUND + 1):
             if a or b:
                 yield (a, b), Fraction(a * n1 + b * n2, q)
 
 
-def _oracle_cone(enr, c, bound):
+def _oracle_cone(enr, c):
     if c.free_is_zero():
         effective = False
     else:
@@ -551,22 +546,20 @@ def _oracle_cone(enr, c, bound):
     nef = x >= 0 and y >= 0
     ample = False
     if nef and enr.square(c) >= 6:
-        ample = all(deg > 0 for _, deg in _box_degrees(enr, c, bound))
+        ample = all(deg > 0 for _, deg in _box_degrees(enr, c))
     return ConeVerdict(effective, nef, ample)
 
 
-def _oracle_min_degree(enr, h, bound, verdict):
+def _oracle_min_degree(enr, h, verdict):
     if verdict.ample is not True:
         raise ValueError("polarization not ample")
     if any(v != 0 for v in h.coeffs[2:]):
         raise ValueError("Enriques polarization must lie in the Gamma^{1,1} sublattice")
     best = None
-    for ab, deg in _box_degrees(enr, h, bound):
+    for ab, deg in _box_degrees(enr, h):
         if deg > 0 and (best is None or deg < best[0]):
             best = (deg, ab)
-    if best is None:
-        raise ValueError("no effective class of positive degree within bound")
-    return MinDegree(best[0], pad(best[1], 10), bound_limited=bound < 1)
+    return MinDegree(best[0], pad(best[1], 10))
 
 
 def _outcome(fn, *args):
@@ -584,23 +577,18 @@ def test_enriques_closed_forms_match_enumeration():
     classes += [DivisorClass(c.coeffs, torsion=1) for c in classes[::7]]
     classes += [pad((2, 3, 1), 10), pad((0, 0, 0, -1), 10), enr.c1]
     kinds = set()
-    for bound in (0, 1, 2, 50):
-        for c in classes:
-            verdict = _oracle_cone(enr, c, bound)
-            assert enr.cone_position(c) == verdict
-            got = _outcome(enr.min_positive_degree, c, bound)
-            assert got == _outcome(_oracle_min_degree, enr, c, bound, verdict)
-            if isinstance(got, MinDegree):
-                assert got.bound_limited is False
-                assert type(got.value) is Fraction
-                kinds.add("value")
-            else:
-                kinds.add(got[1])
-    assert kinds == {
-        "value",
-        "polarization not ample",
-        "no effective class of positive degree within bound",
-    }
+    for c in classes:
+        verdict = _oracle_cone(enr, c)
+        position = enr.cone_position(c)
+        assert position == verdict and type(position.effective) is bool
+        got = _outcome(enr.min_positive_degree, c)
+        assert got == _outcome(_oracle_min_degree, enr, c, verdict)
+        if isinstance(got, MinDegree):
+            assert type(got.value) is Fraction
+            kinds.add("value")
+        else:
+            kinds.add(got[1])
+    assert kinds == {"value", "polarization not ample"}
 
 
 def test_enriques_min_degree_tie_takes_first_witness():
@@ -610,5 +598,3 @@ def test_enriques_min_degree_tie_takes_first_witness():
         assert md.value == x
         assert md.witness == pad((0, 1), 10)
     assert enr.min_positive_degree(pad((6, 5), 10)).witness == pad((1, 0), 10)
-    with pytest.raises(ValueError, match="no effective class"):
-        enr.min_positive_degree(pad((3, 3), 10), bound=0)
