@@ -120,6 +120,11 @@ def c2_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fou
     return FourClass(eta, _spectral_fiber(s, n, eta, lam))
 
 
+def c3_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
+    """c3 of a spectral cover bundle V_n by FMW's formula c3 = 2 lambda eta.(eta - n c1)."""
+    return 2 * Fraction(lam) * s.intersect(eta, eta - s.c1.scale(n))
+
+
 def _spectral_fiber(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
     """The F coefficient of c2(V_n) in FMW's formula."""
     lam = Fraction(lam)
@@ -136,10 +141,12 @@ def bundle_chern(s: BaseSurface, bundle) -> ExtensionChern:
     """c2/c3 of the full rank-(n+1) extension V defined by the bundle spec."""
     n = bundle.n
     if isinstance(bundle, PullbackBundle):
-        c2u = FourClass.fiber_class(s.rank, bundle.c2E)
+        # pi^*E has no c3: E lives on the surface
+        c2u, c3u = FourClass.fiber_class(s.rank, bundle.c2E), Fraction(0)
     elif isinstance(bundle, SpectralBundle):
         c2u = c2_spectral(s, n, bundle.eta, bundle.lam)
+        c3u = c3_spectral(s, n, bundle.eta, bundle.lam)
     else:
         raise TypeError(f"unknown bundle spec {type(bundle)!r}")
     zero = FourClass.zero(s.rank)
-    return chern_extension(s, n, 1, bundle.twist, c2u, zero)
+    return chern_extension(s, n, 1, bundle.twist, c2u, zero, c3u)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .ring import DivisorX
@@ -20,11 +21,30 @@ def frac_from_str(s) -> Fraction:
     return Fraction(str(s))
 
 
+# the interpreter's default limit on int digits; a decimal exponent past it
+# would have Fraction build an integer of that many digits, and "1e999999999"
+# never finishes
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
+
+
+def _exponent_too_large(text: str) -> bool:
+    match = _EXPONENT.search(text)
+    try:
+        return match is not None and abs(int(match.group(1))) > MAX_EXPONENT
+    except ValueError:  # more digits than int() reads: far past the limit
+        return True
+
+
 def frac_field(value, name: str) -> Fraction:
     """A rational field of a model file or config: a number or a "p/q" string."""
     message = f"field '{name}' must hold rationals, got {value!r}"
     if value is None or isinstance(value, bool):
         raise ValueError(message)
+    if isinstance(value, str) and _exponent_too_large(value):
+        raise ValueError(
+            f"field '{name}' has a decimal exponent beyond {MAX_EXPONENT} in absolute value"
+        )
     try:
         return frac_from_str(value)
     except (ValueError, ZeroDivisionError):

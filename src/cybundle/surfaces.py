@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 # known numbers of (-1)-classes on dP_k, k = 1..8
 MINUS_ONE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -241,51 +242,40 @@ def _over_common_denominator(c: DivisorClass):
     return [q.numerator * (den // q.denominator) for q in c.coeffs], den
 
 
-def minus_one_classes(k: int, bound: int = 20):
-    """All classes E on dP_k with E^2 = -1 and E.c1 = 1, by pruned search.
-
-    Basis (l, e_1..e_k), gram diag(1,-1,...,-1).  E = a*l + sum(c_i e_i) must
-    satisfy sum(c_i) = 1 - 3a and sum(c_i^2) = a^2 + 1.
-    """
-    results = []
-    for a in range(-bound, bound + 1):
-        s_target = 1 - 3 * a
-        q_target = a * a + 1
-        if k == 0:
-            continue
-        if s_target * s_target > k * q_target:
-            continue
-        for tail in _sum_square_solutions(k, s_target, q_target):
-            results.append(DivisorClass((a, *tail)))
-    results.sort(key=lambda d: d.coeffs)
-    return results
+# (a; b) types of the (-1)-curves a*l - sum b_i e_i on dP_k, k <= 8: each value
+# of b sits on as many distinct e_i as given (Manin, Cubic Forms, Section 26)
+_MINUS_ONE_TYPES = (
+    (0, {-1: 1}),
+    (1, {1: 2}),
+    (2, {1: 5}),
+    (3, {2: 1, 1: 6}),
+    (4, {2: 3, 1: 5}),
+    (5, {2: 6, 1: 2}),
+    (6, {3: 1, 2: 7}),
+)
 
 
-def _sum_square_solutions(r, s, q):
-    """Integer r-tuples with given coordinate sum s and sum of squares q."""
-    if r == 0:
-        if s == 0 and q == 0:
-            yield ()
-        return
-    lim = math.isqrt(q)
-    for c in range(-lim, lim + 1):
-        s2, q2 = s - c, q - c * c
-        if q2 < 0 or s2 * s2 > (r - 1) * q2:
-            continue
-        for tail in _sum_square_solutions(r - 1, s2, q2):
-            yield (c, *tail)
+def minus_one_classes(k: int):
+    """All classes E on dP_k with E^2 = -1 and E.c1 = 1, from their
+    classification, sorted by coefficients.  Basis (l, e_1..e_k)."""
+    found = []
+    for a, b in _MINUS_ONE_TYPES:
+        placements = [{}]
+        for value, m in b.items():
+            placements = [
+                {**p, **dict.fromkeys(chosen, value)}
+                for p in placements
+                for chosen in combinations([i for i in range(k) if i not in p], m)
+            ]
+        found += [(a, *(-p.get(i, 0) for i in range(k))) for p in placements]
+    return [DivisorClass(c) for c in sorted(found)]
 
 
 @lru_cache(maxsize=None)
 def _del_pezzo_generators(k: int):
     if k == 0:
         return (DivisorClass((1,)),)
-    gens = list(minus_one_classes(k))
-    if len(gens) != MINUS_ONE_COUNTS[k]:
-        raise RuntimeError(
-            f"dP{k} (-1)-class enumeration produced {len(gens)} classes, "
-            f"expected {MINUS_ONE_COUNTS[k]}"
-        )
+    gens = minus_one_classes(k)
     if k == 1:
         gens.append(DivisorClass((1, -1)))  # fiber class l - e1
     return tuple(sorted(gens, key=lambda d: d.coeffs))

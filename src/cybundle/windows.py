@@ -71,6 +71,17 @@ def _solve_strict_linear(inequalities, domain):
     return lo[0], hi[0], tuple(binding), nonempty
 
 
+def _z_approx(nonempty, lo, hi, to_z):
+    """(to_z(lo), to_z(hi)) in floats, for display only; None for an empty
+    or unbounded window, and for one whose floats would overflow."""
+    if not nonempty or lo is None or hi is None:
+        return None
+    try:
+        return (to_z(lo), to_z(hi))
+    except OverflowError:
+        return None
+
+
 def kahler_check(s: BaseSurface, j: DivisorX) -> bool | None:
     """J = z*sigma + pi^*H in the Kaehler cone of X: z > 0 and H - z*c1 ample.
 
@@ -106,9 +117,7 @@ def window_enriques(n: int, x: int, a, hsq) -> StabilityWindow:
         ("DJ2>0", 2 * a, x * hsq, "gt"),
     ]
     lo, hi, binding, nonempty = _solve_strict_linear(ineqs, [("z>0", 0, "gt")])
-    approx = None
-    if nonempty and lo is not None and hi is not None:
-        approx = (float(lo), float(hi))
+    approx = _z_approx(nonempty, lo, hi, float)
     return StabilityWindow("z", lo, hi, nonempty, binding, approx)
 
 
@@ -148,11 +157,7 @@ def window_delpezzo(n: int, x: int, a, c1sq, h) -> StabilityWindow:
     ]
     domain = [("u>0", 0, "gt"), ("u<h^2", hsq, "lt")]
     lo, hi, binding, nonempty = _solve_strict_linear(ineqs, domain)
-    approx = None
-    if nonempty and lo is not None and hi is not None:
-        z_lo = float(h) - math.sqrt(float(hsq - lo))
-        z_hi = float(h) - math.sqrt(float(hsq - hi))
-        approx = (z_lo, z_hi)
+    approx = _z_approx(nonempty, lo, hi, lambda u: float(h) - math.sqrt(float(hsq - u)))
     return StabilityWindow("u", lo, hi, nonempty, binding, approx)
 
 

@@ -10,6 +10,7 @@ from cybundle.bundles import (
     SpectralBundle,
     bundle_chern,
     c2_spectral,
+    c3_spectral,
     chern_extension,
     validate_bundle,
 )
@@ -193,3 +194,14 @@ def test_bundle_chern_pullback_matches_extension():
         f0, 3, 1, twist, FourClass.fiber_class(2, 104), FourClass.zero(2)
     )
     assert bundle_chern(f0, b).c2 == direct.c2
+
+
+def test_bundle_chern_spectral_c3_includes_fmw_term():
+    # the paper's spectral model: eta.(eta - 2 c1) = 960, so
+    # c3(V_n) = 2 (3/2) 960 = 2880, added to the extension's -480
+    f0 = make_base("F0")
+    b = SpectralBundle(
+        n=2, eta=f0.c1.scale(12), lam=Fraction(3, 2), twist=DivisorX(0, DivisorClass((1, -11)))
+    )
+    assert c3_spectral(f0, 2, b.eta, b.lam) == 2880
+    assert bundle_chern(f0, b).c3 == 2400

@@ -95,6 +95,65 @@ def test_check_truncated_file(tmp_path):
     assert "error" in proc.stderr
 
 
+# input files the JSON reader cannot turn into a value
+UNREADABLE = {
+    "non-utf8": b'{"base": "F0\xff"}',
+    "long-int": b'{"base": "F0", "n": ' + b"1" * 5000 + b"}",
+    "deep-nesting": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["check", "search"])
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_file_exits_2(tmp_path, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "search"])
+def test_oversized_exponent_is_refused_naming_the_field(tmp_path, command):
+    # "1e5000" would be a 5,001-digit integer; "1e999999999" would never finish
+    if command == "check":
+        model = dict(SO10_MODEL, polarization={"h": "1e5000"})
+        path, field = write(tmp_path, "model.json", model), "'h'"
+    else:
+        config = dict(E6_CONFIG, h_values=["1e5000"])
+        path, field = write(tmp_path, "box.json", config), "'h_values'"
+    proc = run_cli(command, path)
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr and "Traceback" not in proc.stderr
+
+
+ENRIQUES_PULLBACK = {
+    "base": "enriques",
+    "bundle": {
+        "type": "pullback",
+        "n": 2,
+        "c2E": 12,
+        "twist": {"x": "1", "alpha": {"coeffs": ["-1", "-1"] + ["0"] * 8}},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        dict(SO10_MODEL, polarization={"h": "1e160"}),
+        dict(ENRIQUES_PULLBACK, polarization={"H": {"coeffs": ["1e310", "1e310"] + ["0"] * 8}}),
+    ],
+    ids=["so10-h", "enriques-H"],
+)
+def test_window_past_float_range_has_no_approximation(tmp_path, model):
+    proc = run_cli("check", write(tmp_path, "model.json", model))
+    assert proc.returncode == 0, proc.stderr
+    stability = json.loads(proc.stdout)["verdicts"]["stability"]
+    assert stability["passed"] is True and "z_interval_approx" not in stability
+
+
 def test_check_missing_field_names_it(tmp_path):
     broken = {
         "base": "F0",

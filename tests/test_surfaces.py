@@ -458,7 +458,11 @@ def test_min_degree_tie_takes_smallest_coefficients():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_minus_one_counts(k):
-    assert len(minus_one_classes(k)) == MINUS_ONE_COUNTS[k]
+    classes = minus_one_classes(k)
+    assert len(classes) == MINUS_ONE_COUNTS[k]
+    # with the defining equations below, count and distinctness prove the
+    # classification complete
+    assert len(set(classes)) == len(classes)
 
 
 def test_minus_one_classes_satisfy_defining_equations():

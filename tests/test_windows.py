@@ -211,6 +211,16 @@ def test_window_delpezzo_matches_closed_form():
                     assert (w.lower, w.upper) == (lo, hi)
 
 
+def test_window_past_float_range_keeps_exact_bounds():
+    # the exact endpoints stay; only the float z approximation is left out
+    big = Fraction(10**160)
+    w, small = window_delpezzo(3, 1, -4, 8, big), window_delpezzo(3, 1, -4, 8, 1)
+    assert w.nonempty and w.z_interval_approx is None
+    assert (w.lower, w.upper) == (small.lower * big**2, small.upper * big**2)
+    assert window_enriques(2, 1, -(10**310), 2 * 10**620).z_interval_approx is None
+    assert window_delpezzo(3, 1, -4, 8, 10**150).z_interval_approx is not None
+
+
 def test_window_delpezzo_contained_in_domain():
     rng = random.Random(47)
     for _ in range(100):
