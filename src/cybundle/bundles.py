@@ -45,7 +45,8 @@ def validate_bundle(s: BaseSurface, bundle) -> None:
     d = bundle.twist
     if d.alpha.rank != s.rank:
         raise ValueError("rank mismatch")
-    if not d.is_integral():
+    half_integral = not d.is_integral()
+    if half_integral:
         # half-integral twists are allowed only when 2D is integral
         two_d = DivisorX(2 * d.x, d.alpha.scale(2))
         if not two_d.is_integral():
@@ -56,6 +57,11 @@ def validate_bundle(s: BaseSurface, bundle) -> None:
         if d.x != 0:
             raise ValueError("spectral extensions use twists D = pi^*alpha (x = 0)")
         check_spectral_data(s, bundle.n, bundle.eta, bundle.lam)
+    # with 2D integral and x in Z, n(n+1)/2 alpha^2 is the one term of
+    # c2(V) = c2(U) - n(n+1)/2 D^2 that can leave Z, so n(n+1) alpha^2 must
+    # be even; c3(V) is then integral too
+    if half_integral and bundle.n * (bundle.n + 1) * s.square(d.alpha) % 2 != 0:
+        raise ValueError("twist invalid: non-integral Chern class")
 
 
 def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> None:

@@ -21,19 +21,27 @@ def frac_from_str(s) -> Fraction:
     return Fraction(str(s))
 
 
-# the interpreter's default limit on int digits; a decimal exponent past it
-# would have Fraction build an integer of that many digits, and "1e999999999"
-# never finishes
-MAX_EXPONENT = 4300
+# the most digits a numerator, denominator or integer of any input field may
+# have; a decimal exponent past it is refused before Fraction builds the
+# number ("1e999999999" would never finish), and products of capped inputs
+# stay below the interpreter's limit on the digits of an int it prints
+MAX_DIGITS = 1000
+_DIGITS_BOUND = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
 
 
 def _exponent_too_large(text: str) -> bool:
     match = _EXPONENT.search(text)
     try:
-        return match is not None and abs(int(match.group(1))) > MAX_EXPONENT
-    except ValueError:  # more digits than int() reads: far past the limit
+        return match is not None and abs(int(match.group(1))) > MAX_DIGITS
+    except ValueError:  # more digits than int() reads: far past the cap
         return True
+
+
+def refuse_too_many_digits(*ints: int, name: str) -> None:
+    """Refuse input field `name` if one of `ints` has more than MAX_DIGITS digits."""
+    if any(abs(i) >= _DIGITS_BOUND for i in ints):
+        raise ValueError(f"field '{name}' has more than {MAX_DIGITS} digits")
 
 
 def frac_field(value, name: str) -> Fraction:
@@ -43,12 +51,14 @@ def frac_field(value, name: str) -> Fraction:
         raise ValueError(message)
     if isinstance(value, str) and _exponent_too_large(value):
         raise ValueError(
-            f"field '{name}' has a decimal exponent beyond {MAX_EXPONENT} in absolute value"
+            f"field '{name}' has a decimal exponent beyond {MAX_DIGITS} in absolute value"
         )
     try:
-        return frac_from_str(value)
+        f = frac_from_str(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(message) from None
+    refuse_too_many_digits(f.numerator, f.denominator, name=name)
+    return f
 
 
 def divisor_to_json(d: DivisorClass) -> dict:

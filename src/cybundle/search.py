@@ -7,11 +7,12 @@ and the JSONL output is deterministic for any worker count.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, product, repeat
 
 from . import jsonio
 from .anomaly import anomaly_class, spectral_af
@@ -263,6 +264,7 @@ def _int(value, name: str) -> int:
     # bool is an int subclass; int() would truncate floats and parse strings
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"field '{name}' must hold integers, got {value!r}")
+    jsonio.refuse_too_many_digits(value, name=name)
     return value
 
 
@@ -340,12 +342,15 @@ def _padded_class(coeffs, rank) -> DivisorClass:
     return DivisorClass(coeffs + (0,) * (rank - len(coeffs)))
 
 
-def _axes(config: SearchConfig, s: BaseSurface):
-    """Ordered (name, values) axes spanning the parameter box.
+def _axes(config: SearchConfig, s: BaseSurface) -> list:
+    """The box's axes, sized sequences in enumeration order (last fastest).
 
-    Refuses a class with more coordinates than the base rank and a
-    polarization of the wrong kind or not ample, naming the config field,
-    so that a bad config fails before any model is scanned.
+    Pullback: n, x, one range per alpha_box pair, c2E; spectral: n, the
+    alpha_box ranges, the eta_box ranges, lambda.  Last come the
+    polarizations as (Polarization, params entry) pairs, H_values entries
+    before h_values entries.  Refuses a class with more coordinates than the
+    base rank and a polarization of the wrong kind or not ample, naming the
+    config field, so that a bad config fails before any model is scanned.
     """
     classes = [("alpha_box", config.alpha_box), ("eta_box", config.eta_box or ())]
     for name, coords in classes + [("H_values", vec) for vec in config.H_values]:
@@ -354,77 +359,47 @@ def _axes(config: SearchConfig, s: BaseSurface):
                 f"config field '{name}' has {len(coords)} entries"
                 f" but base {s.kind} has rank {s.rank}"
             )
-    axes = [("n", tuple(range(config.n_range[0], config.n_range[1] + 1)))]
-    if config.mode == "pullback":
-        axes.append(("x", config.x_values))
-    for i, (lo, hi) in enumerate(config.alpha_box):
-        axes.append((f"alpha{i}", tuple(range(lo, hi + 1))))
+    alpha = [range(lo, hi + 1) for lo, hi in config.alpha_box]
+    n = range(config.n_range[0], config.n_range[1] + 1)
     if config.mode == "pullback":
         if config.c2E_range is None:
             raise ValueError("pullback searches need c2E_range")
-        axes.append(("c2E", tuple(range(config.c2E_range[0], config.c2E_range[1] + 1))))
+        axes = [n, config.x_values, *alpha, range(config.c2E_range[0], config.c2E_range[1] + 1)]
     else:
-        for i, (lo, hi) in enumerate(config.eta_box or ()):
-            axes.append((f"eta{i}", tuple(range(lo, hi + 1))))
-        axes.append(("lambda", config.lambda_values or (Fraction(0),)))
+        eta = [range(lo, hi + 1) for lo, hi in config.eta_box or ()]
+        axes = [n, *alpha, *eta, config.lambda_values or (Fraction(0),)]
     pols = []
     for vec in config.H_values:
-        H = _padded_class(vec, s.rank)
-        _refuse_wrong_kind(s, config.mode, Polarization(H=H), in_config=True)
-        _refuse_unusable_H(s, config.mode, H, f"config field 'H_values' entry {list(vec)}")
-        pols.append(("H", vec))
+        pol = Polarization(H=_padded_class(vec, s.rank))
+        _refuse_wrong_kind(s, config.mode, pol, in_config=True)
+        _refuse_unusable_H(s, config.mode, pol.H, f"config field 'H_values' entry {list(vec)}")
+        pols.append((pol, {"H": list(vec)}))
     for h in config.h_values:
-        _refuse_wrong_kind(s, config.mode, Polarization(h=h), in_config=True)
-        pols.append(("h", h))
+        pol = Polarization(h=Fraction(h))
+        _refuse_wrong_kind(s, config.mode, pol, in_config=True)
+        pols.append((pol, {"h": jsonio.frac_to_str(h)}))
     if not pols:
         raise ValueError("config needs H_values or h_values")
-    axes.append(("pol", tuple(pols)))
+    axes.append(pols)
     return axes
 
 
-def _decode(axes, index):
-    values = {}
-    for name, vals in reversed(axes):
-        index, r = divmod(index, len(vals))
-        values[name] = vals[r]
-    return values
-
-
-def _box_volume(axes) -> int:
-    total = 1
-    for _, vals in axes:
-        total *= len(vals)
-    return total
-
-
-def _instantiate(config: SearchConfig, s: BaseSurface, values: dict):
-    n = values["n"]
-    n_alpha = len(config.alpha_box)
-    alpha = _padded_class(tuple(values[f"alpha{i}"] for i in range(n_alpha)), s.rank)
-    kind, payload = values["pol"]
-    if kind == "H":
-        pol = Polarization(H=_padded_class(payload, s.rank))
-        pol_json = {"H": list(payload)}
+def _model(config: SearchConfig, s: BaseSurface, point: tuple):
+    """(bundle, pol, params) of one point of the box of `_axes`."""
+    n, *coords, (pol, pol_json) = point
+    if config.mode == "pullback":
+        x, *alpha, c2E = coords
     else:
-        pol = Polarization(h=Fraction(payload))
-        pol_json = {"h": jsonio.frac_to_str(payload)}
+        *coords, lam = coords
+        alpha, eta = coords[: len(config.alpha_box)], coords[len(config.alpha_box):]
+    alpha = _padded_class(alpha, s.rank)
     params = {"base": s.kind, "n": n, "alpha": [str(c) for c in alpha.coeffs], **pol_json}
     if config.mode == "pullback":
-        x = values["x"]
-        bundle = PullbackBundle(n=n, c2E=values["c2E"], twist=DivisorX(x, alpha))
-        params.update({"x": x, "c2E": values["c2E"]})
-    else:
-        n_eta = len(config.eta_box or ())
-        if n_eta:
-            eta = _padded_class(tuple(values[f"eta{i}"] for i in range(n_eta)), s.rank)
-        else:
-            eta = s.c1.scale(12)
-        lam = values["lambda"]
-        bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha))
-        params.update(
-            {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
-        )
-    return bundle, pol, params
+        params.update({"x": x, "c2E": c2E})
+        return PullbackBundle(n=n, c2E=c2E, twist=DivisorX(x, alpha)), pol, params
+    eta = _padded_class(eta, s.rank) if eta else s.c1.scale(12)
+    params.update({"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)})
+    return SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha)), pol, params
 
 
 @dataclass
@@ -458,11 +433,8 @@ def _emit(record: ModelRecord, require: str | None) -> bool:
 def _records(config: SearchConfig, start: int, stop: int | None):
     """Yield the ModelRecord of box points start..stop-1 (None: to the end)."""
     s = make_base(config.base)
-    axes = _axes(config, s)
-    if stop is None:
-        stop = _box_volume(axes)
-    for index in range(start, stop):
-        bundle, pol, params = _instantiate(config, s, _decode(axes, index))
+    for point in islice(product(*_axes(config, s)), start, stop):
+        bundle, pol, params = _model(config, s, point)
         yield check_model(s, bundle, pol, require=config.require, params=params)
 
 
@@ -498,7 +470,7 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
     whole box.  Output is byte-identical for any `jobs` value: chunks are
     merged in enumeration order before writing.
     """
-    total = _box_volume(_axes(config, make_base(config.base)))
+    total = math.prod(map(len, _axes(config, make_base(config.base))))
     step = max(1, total if jobs <= 1 else -(-total // (jobs * 4)))
     starts = range(0, total, step)
     stops = [min(lo + step, total) for lo in starts]

@@ -11,6 +11,7 @@ from cybundle.bundles import (
     bundle_chern,
     c2_spectral,
     c3_spectral,
+    check_spectral_data,
     chern_extension,
     validate_bundle,
 )
@@ -175,6 +176,63 @@ def test_validate_half_integral_twist():
     quarter = DivisorX(1, DivisorClass((Fraction(1, 4), 0)))
     with pytest.raises(ValueError, match="integral or half-integral"):
         validate_bundle(f0, PullbackBundle(n=3, c2E=104, twist=quarter))
+
+
+def _half_integral_twists(s, rng, count):
+    """`count` classes alpha with 2 alpha integral and alpha not integral."""
+    out = []
+    while len(out) < count:
+        coeffs = tuple(Fraction(rng.randint(-7, 7), 2) for _ in range(s.rank))
+        torsion = rng.randint(0, 1) if s.is_enriques else 0
+        alpha = DivisorClass(coeffs, torsion)
+        if not alpha.is_integral():
+            out.append(alpha)
+    return out
+
+
+def _spectral_data(s, n):
+    """Valid (eta, lambda) pairs. eta is 12, 13 or 15 c1 (the spectral parity
+    rule asks eta = c1 mod 2 for n odd), with or without (2, 3, 0, ...)
+    added, which makes eta - n c1 effective on Enriques."""
+    shift = DivisorClass((2, 3) + (0,) * (s.rank - 2))
+    out = []
+    for eta in [s.c1.scale(k) + extra for k in (12, 13, 15) for extra in (DivisorClass.zero(s.rank), shift)]:
+        for lam in (Fraction(1, 2), Fraction(3, 2), Fraction(1), Fraction(2)):
+            try:
+                check_spectral_data(s, n, eta, lam)
+            except ValueError:
+                continue
+            out.append((eta, lam))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["F0", "dP1", "dP5", "dP8", "enriques"])
+def test_half_integral_twist_validity_matches_chern_integrality(kind):
+    # differential test: validate_bundle's closed-form rule against the
+    # integrality of the assembled c2(V) and c3(V)
+    s = make_base(kind)
+    rng = random.Random(f"half-integral {kind}")
+    counts = {True: 0, False: 0}
+    for n in (2, 3, 4, 5):
+        bundles = [
+            PullbackBundle(n=n, c2E=rng.randint(0, 120), twist=DivisorX(rng.randint(-3, 3), alpha))
+            for alpha in _half_integral_twists(s, rng, 30)
+        ]
+        for eta, lam in _spectral_data(s, n):
+            bundles += [
+                SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha))
+                for alpha in _half_integral_twists(s, rng, 6)
+            ]
+        for b in bundles:
+            try:
+                validate_bundle(s, b)
+                valid = True
+            except ValueError as exc:
+                assert str(exc) == "twist invalid: non-integral Chern class"
+                valid = False
+            assert valid == bundle_chern(s, b).integral, b
+            counts[valid] += 1
+    assert counts[True] >= 20 and counts[False] >= 20, counts
 
 
 def test_validate_spectral_requires_x_zero():

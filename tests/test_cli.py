@@ -128,6 +128,74 @@ def test_oversized_exponent_is_refused_naming_the_field(tmp_path, command):
     assert field in proc.stderr and "Traceback" not in proc.stderr
 
 
+DIGITS_1001 = "1" + "0" * 1000
+DIGITS_1000 = "9" * 1000
+
+
+@pytest.mark.parametrize(
+    "command, obj, field",
+    [
+        ("check", dict(SO10_MODEL, polarization={"h": DIGITS_1001}), "'h'"),
+        ("check", dict(SO10_MODEL, polarization={"h": "1/" + DIGITS_1001}), "'h'"),
+        ("check", dict(SO10_MODEL, bundle=dict(SO10_MODEL["bundle"], c2E=int(DIGITS_1001))), "'c2E'"),
+        ("search", dict(E6_CONFIG, h_values=["1", DIGITS_1001]), "'h_values'"),
+        ("search", dict(E6_CONFIG, c2E_range=[0, int(DIGITS_1001)]), "'c2E_range'"),
+        # below the exponent guard, but h^2 would pass the interpreter's
+        # 4,300-digit limit in the window bounds
+        ("check", dict(SO10_MODEL, polarization={"h": "1e3000"}), "'h'"),
+        ("search", dict(E6_CONFIG, h_values=["1e3000"]), "'h_values'"),
+    ],
+)
+def test_field_past_digit_cap_is_refused_naming_it(tmp_path, command, obj, field):
+    proc = run_cli(command, write(tmp_path, "input.json", obj))
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {
+            "base": "F0",
+            "bundle": {
+                "type": "pullback",
+                "n": 3,
+                "c2E": -int(DIGITS_1000),
+                "twist": {"x": DIGITS_1000, "alpha": {"coeffs": [f"-{DIGITS_1000}/2", DIGITS_1000]}},
+            },
+            "polarization": {"h": f"{DIGITS_1000}/{DIGITS_1000[:-1]}7"},
+        },
+        {
+            "base": "F0",
+            "bundle": {
+                "type": "spectral",
+                "n": 2,
+                "eta": {"coeffs": [DIGITS_1000[:-1] + "8", "24"]},
+                "lambda": f"{DIGITS_1000}/2",
+                "twist": {"x": "0", "alpha": {"coeffs": ["1", f"-{DIGITS_1000}"]}},
+            },
+            "polarization": {"H": {"coeffs": ["3", DIGITS_1000]}},
+        },
+        {
+            "base": "enriques",
+            "bundle": {
+                "type": "pullback",
+                "n": 2,
+                "c2E": int(DIGITS_1000),
+                "twist": {"x": f"-{DIGITS_1000}", "alpha": {"coeffs": [DIGITS_1000, "1"] + ["0"] * 8}},
+            },
+            "polarization": {"H": {"coeffs": [DIGITS_1000, "3"] + ["0"] * 8}},
+        },
+    ],
+    ids=["F0-pullback", "F0-spectral", "enriques-pullback"],
+)
+def test_model_at_digit_cap_is_checked(tmp_path, model):
+    proc = run_cli("check", write(tmp_path, "model.json", model))
+    assert proc.returncode in (0, 1), proc.stderr
+    record = json.loads(proc.stdout)
+    assert "error" not in record["verdicts"]["validity"]
+
+
 ENRIQUES_PULLBACK = {
     "base": "enriques",
     "bundle": {
@@ -504,6 +572,16 @@ def test_check_non_integral_c2_fails_validity(tmp_path):
     record = json.loads(proc.stdout)
     assert record["failed_stage"] == "validity"
     assert record["verdicts"]["validity"]["error"] == "spectral data invalid: non-integral Chern class"
+
+
+def test_check_twist_with_non_integral_c2_fails_validity(tmp_path):
+    # alpha = (1/2, -11/2): n(n+1)/2 alpha^2 = 3 * 2 (1/2)(-11/2) = -33/2
+    model = _with_spectral(twist={"x": "0", "alpha": {"coeffs": ["1/2", "-11/2"]}})
+    proc = run_cli("check", write(tmp_path, "model.json", model))
+    assert proc.returncode == 1, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["failed_stage"] == "validity"
+    assert record["verdicts"]["validity"]["error"] == "twist invalid: non-integral Chern class"
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,59 @@ def test_lexicographic_order():
     assert len(keys) == 2 * 2 * 4 * 3
 
 
+def _ordered_params(config):
+    return [list(r.params.items()) for r in enumerate_models(config)]
+
+
+def test_pullback_enumeration_order_matches_nested_loops():
+    # two alpha_box pairs on the rank-3 dP2: the third coordinate is 0
+    config = SearchConfig.from_json({
+        "base": "dP2",
+        "mode": "pullback",
+        "n_range": [2, 3],
+        "x_values": [-1, 1],
+        "alpha_box": [[-1, 0], [0, 1]],
+        "c2E_range": [100, 101],
+        "h_values": ["1", "3/2"],
+    })
+    expected = []
+    for n in (2, 3):
+        for x in (-1, 1):
+            for a0 in (-1, 0):
+                for a1 in (0, 1):
+                    for c2E in (100, 101):
+                        for h in ("1", "3/2"):
+                            expected.append([
+                                ("base", "dP2"), ("n", n), ("alpha", [str(a0), str(a1), "0"]),
+                                ("h", h), ("x", x), ("c2E", c2E),
+                            ])
+    assert _ordered_params(config) == expected
+
+
+def test_spectral_enumeration_order_matches_nested_loops():
+    # no lambda_values: lambda is 0; H_values entries come before h_values entries
+    config = SearchConfig.from_json({
+        "base": "F0",
+        "mode": "spectral",
+        "n_range": [2, 3],
+        "alpha_box": [[0, 1], [-11, -10]],
+        "eta_box": [[24, 24], [24, 25]],
+        "H_values": [[3, 34]],
+        "h_values": ["1"],
+    })
+    expected = []
+    for n in (2, 3):
+        for a0 in (0, 1):
+            for a1 in (-11, -10):
+                for e1 in (24, 25):
+                    for pol in (("H", [3, 34]), ("h", "1")):
+                        expected.append([
+                            ("base", "F0"), ("n", n), ("alpha", [str(a0), str(a1)]), pol,
+                            ("eta", ["24", str(e1)]), ("lambda", "0"),
+                        ])
+    assert _ordered_params(config) == expected
+
+
 # ---------------------------------------------------------------------------
 # deterministic parallel driver
 

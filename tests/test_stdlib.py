@@ -1,0 +1,23 @@
+"""The library imports the standard library only."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cybundle"
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_imports_only_the_standard_library(path):
+    outside = {name for name in _absolute_imports(path) if name.split(".")[0] not in sys.stdlib_module_names}
+    assert not outside, f"{path.name} imports {sorted(outside)}"
