@@ -80,7 +80,7 @@ def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction
     resid = eta - s.c1.scale(n)
     if not s.cone_position(resid).effective:
         raise ValueError("spectral data invalid: eta - n*c1 not effective")
-    if _spectral_fiber(s, n, eta, lam).denominator != 1:
+    if _spectral_fiber(s, n, lam, s.intersect(eta, resid)).denominator != 1:
         raise ValueError("spectral data invalid: non-integral Chern class")
 
 
@@ -123,24 +123,31 @@ def c2_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fou
     """c2 of a spectral cover bundle V_n whose data (eta, lambda) has already
     passed `check_spectral_data`, by FMW's formula
     c2 = eta sigma + (-(n^3-n)/24 c1^2 + 1/2 (lambda^2 - 1/4) n eta.(eta - n c1)) F."""
-    return FourClass(eta, _spectral_fiber(s, n, eta, lam))
+    return FourClass(eta, _spectral_fiber(s, n, lam, _eta_pairing(s, n, eta)))
 
 
 def c3_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
     """c3 of a spectral cover bundle V_n by FMW's formula c3 = 2 lambda eta.(eta - n c1)."""
-    return 2 * Fraction(lam) * s.intersect(eta, eta - s.c1.scale(n))
+    return _spectral_c3(lam, _eta_pairing(s, n, eta))
 
 
-def _spectral_fiber(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
-    """The F coefficient of c2(V_n) in FMW's formula."""
+def _eta_pairing(s: BaseSurface, n: int, eta: DivisorClass) -> Fraction:
+    """eta.(eta - n c1), the pairing shared by c2(V_n) and c3(V_n)."""
+    return s.intersect(eta, eta - s.c1.scale(n))
+
+
+def _spectral_fiber(s: BaseSurface, n: int, lam: Fraction, pairing: Fraction) -> Fraction:
+    """The F coefficient of c2(V_n) in FMW's formula, given pairing = eta.(eta - n c1)."""
     lam = Fraction(lam)
     return (
         -Fraction(n**3 - n, 24) * s.c1_sq
-        + Fraction(1, 2)
-        * (lam * lam - Fraction(1, 4))
-        * n
-        * s.intersect(eta, eta - s.c1.scale(n))
+        + Fraction(1, 2) * (lam * lam - Fraction(1, 4)) * n * pairing
     )
+
+
+def _spectral_c3(lam: Fraction, pairing: Fraction) -> Fraction:
+    """c3(V_n) = 2 lambda eta.(eta - n c1), given pairing = eta.(eta - n c1)."""
+    return 2 * Fraction(lam) * pairing
 
 
 def bundle_chern(s: BaseSurface, bundle) -> ExtensionChern:
@@ -150,8 +157,9 @@ def bundle_chern(s: BaseSurface, bundle) -> ExtensionChern:
         # pi^*E has no c3: E lives on the surface
         c2u, c3u = FourClass.fiber_class(s.rank, bundle.c2E), Fraction(0)
     elif isinstance(bundle, SpectralBundle):
-        c2u = c2_spectral(s, n, bundle.eta, bundle.lam)
-        c3u = c3_spectral(s, n, bundle.eta, bundle.lam)
+        pairing = _eta_pairing(s, n, bundle.eta)
+        c2u = FourClass(bundle.eta, _spectral_fiber(s, n, bundle.lam, pairing))
+        c3u = _spectral_c3(bundle.lam, pairing)
     else:
         raise TypeError(f"unknown bundle spec {type(bundle)!r}")
     zero = FourClass.zero(s.rank)

@@ -125,6 +125,8 @@ def cmd_search(args) -> int:
         config = SearchConfig.from_json(obj)
         if args.limit is not None:
             config.limit = _nonnegative_int(args.limit, "limit")
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
         try:
             summary = run_search(config, jobs=args.jobs, out=out)

@@ -38,7 +38,8 @@ class FourClass:
     fiber: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "fiber", Fraction(self.fiber))
+        if type(self.fiber) is not Fraction:
+            object.__setattr__(self, "fiber", Fraction(self.fiber))
 
     def __add__(self, other):
         return FourClass(self.beta + other.beta, self.fiber + other.fiber)

@@ -479,7 +479,9 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
     with ExitStack() as stack:
         evaluate = map
         if len(starts) > 1:
-            evaluate = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+            # with fork, the pool starts all of its workers up front
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(starts)))
+            evaluate = stack.enter_context(pool).map
         for lines, part in evaluate(_evaluate_range, repeat(config), starts, stops):
             summary.merge(part)
             if config.limit is not None:

@@ -28,7 +28,8 @@ class DivisorClass:
     torsion: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
         if self.torsion not in (0, 1):
             raise ValueError("torsion bit must be 0 or 1")
 
@@ -52,14 +53,14 @@ class DivisorClass:
     def __add__(self, other):
         self._check(other)
         return DivisorClass(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+            tuple(a + b if a and b else a or b for a, b in zip(self.coeffs, other.coeffs)),
             (self.torsion + other.torsion) % 2,
         )
 
     def __sub__(self, other):
         self._check(other)
         return DivisorClass(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
+            tuple(a - b if b else a for a, b in zip(self.coeffs, other.coeffs)),
             (self.torsion + other.torsion) % 2,
         )
 
@@ -71,7 +72,7 @@ class DivisorClass:
         if self.torsion and s.denominator != 1:
             raise ValueError("cannot scale a torsion-carrying class by a non-integer")
         t = (self.torsion * s.numerator) % 2 if self.torsion else 0
-        return DivisorClass(tuple(s * a for a in self.coeffs), t)
+        return DivisorClass(tuple(s * a if a else a for a in self.coeffs), t)
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -111,10 +112,12 @@ class BaseSurface:
     c1: DivisorClass
     c2: int
     cone_generators: tuple
-    # c1^2, fixed when the base is built; (G, Gram.G, G^2) in ints per cone
+    # c1^2, fixed when the base is built; the nonzero (j, Gram[i][j]) of each
+    # row i, which `intersect` walks; (G, Gram.G, G^2) in ints per cone
     # generator, and Gram.c1: the integer side of every F0/dP generator
     # query (generators and c1 are integral)
     c1_sq: int = field(init=False, repr=False, compare=False)
+    _gram_rows: tuple = field(init=False, repr=False, compare=False)
     _generators: tuple = field(init=False, repr=False, compare=False)
     _c1_dual: tuple = field(init=False, repr=False, compare=False)
 
@@ -127,6 +130,8 @@ class BaseSurface:
             coeffs = tuple(int(v) for v in g.coeffs)
             gens.append((coeffs, dual(coeffs), _dot(coeffs, dual(coeffs))))
         c1 = tuple(int(v) for v in self.c1.coeffs)
+        rows = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
+        object.__setattr__(self, "_gram_rows", rows)
         object.__setattr__(self, "_generators", tuple(gens))
         object.__setattr__(self, "_c1_dual", dual(c1))
         object.__setattr__(self, "c1_sq", _dot(c1, self._c1_dual))
@@ -138,12 +143,11 @@ class BaseSurface:
     def intersect(self, a: DivisorClass, b: DivisorClass) -> Fraction:
         if a.rank != self.rank or b.rank != self.rank:
             raise ValueError("rank mismatch")
+        bs = b.coeffs
         total = Fraction(0)
-        for i, ai in enumerate(a.coeffs):
-            if ai == 0:
-                continue
-            row = self.gram[i]
-            total += ai * sum(row[j] * bj for j, bj in enumerate(b.coeffs) if bj != 0)
+        for ai, row in zip(a.coeffs, self._gram_rows):
+            if ai:
+                total += ai * sum(g * bs[j] for j, g in row if bs[j])
         return total
 
     def square(self, a: DivisorClass) -> Fraction:

@@ -502,6 +502,14 @@ def test_search_negative_limit_flag_refused(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_search_jobs_below_one_refused(tmp_path, jobs):
+    proc = run_cli("search", write(tmp_path, "e6.json", E6_CONFIG), "--jobs", jobs)
+    assert proc.returncode == 2
+    assert "--jobs" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_check_enriques_torsion_bit_accepted(tmp_path):
     model = {
         "base": "enriques",

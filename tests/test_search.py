@@ -299,6 +299,33 @@ def test_serial_parallel_equivalence():
     assert serial == search_bytes(config, 1)  # rerun determinism
 
 
+@pytest.mark.parametrize(
+    "jobs, n_range, workers", [(2, (2, 4), [2]), (4, (2, 4), [3]), (2, (3, 3), [])]
+)
+def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, jobs, n_range, workers):
+    # a 3-model (or 1-model) box; the recording pool maps in this process
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    config = dataclasses.replace(SO10_CONFIG, n_range=n_range, require=None)
+    serial = search_bytes(config, 1)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    assert search_bytes(config, jobs) == serial
+    assert started == workers
+
+
 @pytest.mark.parametrize("require", [None, "W_zero"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_enumerate_models_matches_run_search_lines(require, jobs):
