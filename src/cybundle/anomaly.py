@@ -1,12 +1,22 @@
-"""Anomaly class [W] = c2(X) - c2(V) and the closed-form [W]=0 solutions."""
+"""Anomaly class [W] = c2(X) - c2(V) and the closed-form [W]=0 solutions.
+
+With c2(V) = c2(U) - n(n+1)/2 D^2, c2(U) = eta sigma + f F the rank-n block
+(eta = 0 and f = c2E for a pullback bundle) and D = x sigma + pi^*alpha,
+
+    [W] = (12 c1 - eta + n(n+1)/2 (2x alpha - x^2 c1)) sigma
+          + (c2 + 11 c1^2 + n(n+1)/2 alpha^2 - f) F.
+
+The ring (`bundles.bundle_chern`) derives the same classes and is the
+tests' oracle for these closed forms.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundles import SpectralBundle, bundle_chern
-from .ring import FourClass, c2_tangent
+from .bundles import PullbackBundle, SpectralBundle, c2_spectral
+from .ring import DivisorX, FourClass
 from .surfaces import BaseSurface, DivisorClass
 
 
@@ -20,18 +30,42 @@ class AnomalyOutcome:
     W_effective: bool
 
 
+def w_base(
+    s: BaseSurface, n: int, twist: DivisorX, eta: DivisorClass | None = None
+) -> DivisorClass:
+    """wB = 12 c1 - eta + n(n+1)/2 (2x alpha - x^2 c1); eta None for a pullback bundle."""
+    k, x = n * (n + 1) // 2, twist.x
+    wb = s.c1.scale(12 - k * x * x) + twist.alpha.scale(2 * k * x)
+    return wb if eta is None else wb - eta
+
+
+def w_fiber(s: BaseSurface, n: int, a_sq, c2u_fiber) -> Fraction:
+    """af = c2 + 11 c1^2 + n(n+1)/2 alpha^2 - f, given a_sq = alpha^2 and f = c2(U).F."""
+    return s.c2 + 11 * s.c1_sq + n * (n + 1) // 2 * a_sq - c2u_fiber
+
+
+def w_verdict(af, wb_zero: bool, wb_effective) -> tuple:
+    """(W_zero, W_effective) of [W] = wB sigma + af F, wb_zero telling whether
+    wB = 0.  `wb_effective()` is the cone query of wB: it is asked only when
+    af >= 0 and wB != 0."""
+    return wb_zero and af == 0, af >= 0 and (wb_zero or wb_effective())
+
+
 def anomaly_class(s: BaseSurface, bundle) -> AnomalyOutcome:
     """[W] = c2(X) - c2(V) of a bundle that has already passed `validate_bundle`."""
-    c2v = bundle_chern(s, bundle).c2
-    w = c2_tangent(s) - c2v
-    return decompose_w(s, w)
+    if isinstance(bundle, PullbackBundle):
+        eta, fiber = None, bundle.c2E
+    else:
+        eta, fiber = bundle.eta, c2_spectral(s, bundle.n, bundle.eta, bundle.lam).fiber
+    wb = w_base(s, bundle.n, bundle.twist, eta)
+    af = w_fiber(s, bundle.n, s.square(bundle.twist.alpha), fiber)
+    return decompose_w(s, FourClass(wb, af))
 
 
 def decompose_w(s: BaseSurface, w: FourClass) -> AnomalyOutcome:
     w_b, a_f = w.beta, w.fiber
-    w_zero = w_b.is_zero() and a_f == 0
-    effective = (w_b.is_zero() or s.cone_position(w_b).effective) and a_f >= 0
-    return AnomalyOutcome(wB=w_b, af=a_f, W_zero=w_zero, W_effective=effective)
+    flags = w_verdict(a_f, w_b.is_zero(), lambda: s.cone_position(w_b).effective)
+    return AnomalyOutcome(w_b, a_f, *flags)
 
 
 @dataclass(frozen=True)
@@ -68,10 +102,10 @@ class SpectralAfReport:
 def spectral_af(s: BaseSurface, bundle: SpectralBundle, outcome: AnomalyOutcome) -> SpectralAfReport:
     """Compare af of [W] = `outcome` = anomaly_class(s, bundle) with the printed equation.
 
-    af_direct (authoritative) is outcome.af, from c2(X) - c2(V) through the
-    ring.  af_displayed is the left side of the printed equation, which
-    assumes eta = 12 c1; the two are reported together with an agreement
-    flag and no claim about which normalization was intended.
+    af_direct (authoritative) is outcome.af, the F coefficient of
+    c2(X) - c2(V).  af_displayed is the left side of the printed equation,
+    which assumes eta = 12 c1; the two are reported together with an
+    agreement flag and no claim about which normalization was intended.
     """
     if bundle.eta != s.c1.scale(12):
         raise ValueError("display assumes eta=12c1")

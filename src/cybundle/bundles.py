@@ -38,8 +38,13 @@ class ExtensionChern:
     integral: bool
 
 
-def validate_bundle(s: BaseSurface, bundle) -> None:
-    """Raise ValueError if the bundle data violates its invariants."""
+def validate_bundle(s: BaseSurface, bundle) -> Fraction:
+    """Raise ValueError if the bundle data violates its invariants.
+
+    Otherwise return the F coefficient of c2(U), U the rank-n block: c2E
+    for a pullback bundle, FMW's fiber term (checked integral) for a
+    spectral one.
+    """
     if bundle.n < 2:
         raise ValueError("bundle rank n must be >= 2")
     d = bundle.twist
@@ -51,22 +56,26 @@ def validate_bundle(s: BaseSurface, bundle) -> None:
         two_d = DivisorX(2 * d.x, d.alpha.scale(2))
         if not two_d.is_integral():
             raise ValueError("twist must be integral or half-integral")
-    if isinstance(bundle, PullbackBundle) and d.x.denominator != 1:
-        raise ValueError("pullback twist must have integer sigma-coefficient")
-    if isinstance(bundle, SpectralBundle):
+    if isinstance(bundle, PullbackBundle):
+        if d.x.denominator != 1:
+            raise ValueError("pullback twist must have integer sigma-coefficient")
+        c2u_fiber = Fraction(bundle.c2E)
+    else:
         if d.x != 0:
             raise ValueError("spectral extensions use twists D = pi^*alpha (x = 0)")
-        check_spectral_data(s, bundle.n, bundle.eta, bundle.lam)
+        c2u_fiber = check_spectral_data(s, bundle.n, bundle.eta, bundle.lam)
     # with 2D integral and x in Z, n(n+1)/2 alpha^2 is the one term of
     # c2(V) = c2(U) - n(n+1)/2 D^2 that can leave Z, so n(n+1) alpha^2 must
     # be even; c3(V) is then integral too
     if half_integral and bundle.n * (bundle.n + 1) * s.square(d.alpha) % 2 != 0:
         raise ValueError("twist invalid: non-integral Chern class")
+    return c2u_fiber
 
 
-def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> None:
+def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
     """Parity, irreducibility and integrality constraints on spectral data
-    (n, eta, lambda); the last asks for an integral c2(V_n)."""
+    (n, eta, lambda); the last asks for an integral c2(V_n).  Returns the F
+    coefficient of c2(V_n), the fiber term of FMW's formula."""
     lam = Fraction(lam)
     if n % 2 == 0:
         if (lam - Fraction(1, 2)).denominator != 1:
@@ -80,8 +89,10 @@ def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction
     resid = eta - s.c1.scale(n)
     if not s.cone_position(resid).effective:
         raise ValueError("spectral data invalid: eta - n*c1 not effective")
-    if _spectral_fiber(s, n, lam, s.intersect(eta, resid)).denominator != 1:
+    fiber = _spectral_fiber(s, n, lam, s.intersect(eta, resid))
+    if fiber.denominator != 1:
         raise ValueError("spectral data invalid: non-integral Chern class")
+    return fiber
 
 
 def chern_extension(

@@ -44,22 +44,27 @@ def chi_nonsplit(
     m = n+1 is the extension rank; x > 0 gives chi(B, E_1), x < 0 gives
     chi(B, E_2), x = 0 gives chi(B, E tensor O(-m alpha)).
     """
-    m = n + 1
-    a_sq = s.square(alpha)
-    a_c1 = s.intersect(alpha, s.c1)
-    if x == 0:
-        chi = n - c2e + Fraction(n * m, 2) * (m * a_sq - a_c1)
-        case = "xzero"
-    else:
-        y = m * x
-        co = chi_coefficients(y)
-        body = y * (n - c2e + Fraction(n * m * m, 2) * a_sq)
-        body += co.A3 * Fraction(n, 2) * s.c1_sq - co.A4 * n * m * a_c1
-        if x > 0:
-            chi, case = body, "xpos"
-        else:
-            chi, case = -body, "xneg"
+    chi = chi_value(n, x, c2e, s.square(alpha), s.intersect(alpha, s.c1), s.c1_sq)
+    case = "xpos" if x > 0 else "xneg" if x < 0 else "xzero"
     return ChiResult(case=case, chi=chi, integral=chi.denominator == 1)
+
+
+def chi_value(n: int, x: int, c2e: int, a_sq, a_c1, c1_sq) -> Fraction:
+    """The chi of `chi_nonsplit` from the scalars a_sq = alpha^2,
+    a_c1 = alpha.c1 and c1_sq = c1^2."""
+    m = n + 1
+    if x == 0:
+        return n - c2e + Fraction(n * m, 2) * (m * a_sq - a_c1)
+    # y(n - c2e + n m^2/2 alpha^2) + A3 n/2 c1^2 - A4 n m alpha.c1 with the
+    # chi_coefficients(y) A3 = (y-1)y(y+1)/3, an integer, and A4 = (y^2-2)/2
+    y = m * x
+    body = (
+        y * (n - c2e)
+        + Fraction(y * n * m * m, 2) * a_sq
+        + Fraction((y - 1) * y * (y + 1) // 3 * n * c1_sq, 2)
+        - Fraction((y * y - 2) * n * m, 2) * a_c1
+    )
+    return body if x > 0 else -body
 
 
 @dataclass(frozen=True)
@@ -83,16 +88,22 @@ def nonsplit_feasible(
     x > 0: (2H - z c1).alpha <= 0 and chi(B,E_1) > 0;
     x < 0: chi(B,E_2) < 0;  x = 0: chi(B, E(-m alpha)) < 0.
     """
-    z = Fraction(z)
-    res = chi_nonsplit(s, n, x, alpha, c2e)
+    a_c1 = s.intersect(alpha, s.c1)
+    slope = 2 * s.intersect(h, alpha) - Fraction(z) * a_c1 if x > 0 else None
+    chi = chi_value(n, x, c2e, s.square(alpha), a_c1, s.c1_sq)
+    return nonsplit_verdict(x, slope, chi)
+
+
+def nonsplit_verdict(x: int, slope, chi) -> NonsplitVerdict:
+    """The verdict of `nonsplit_feasible` from slope = (2H - z c1).alpha,
+    given for x > 0 only, and chi = chi_value(...)."""
     if x > 0:
-        slope = 2 * s.intersect(h, alpha) - z * s.intersect(s.c1, alpha)
         if slope > 0:
             return NonsplitVerdict(False, "(2H-zc1).alpha<=0", slope)
-        return NonsplitVerdict(res.chi > 0, "chi_E1>0", res.chi)
+        return NonsplitVerdict(chi > 0, "chi_E1>0", chi)
     if x < 0:
-        return NonsplitVerdict(res.chi < 0, "chi_E2<0", res.chi)
-    return NonsplitVerdict(res.chi < 0, "chi_x0<0", res.chi)
+        return NonsplitVerdict(chi < 0, "chi_E2<0", chi)
+    return NonsplitVerdict(chi < 0, "chi_x0<0", chi)
 
 
 def necessary_mu_condition(

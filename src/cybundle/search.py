@@ -8,19 +8,19 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, product, repeat
 
 from . import jsonio
-from .anomaly import anomaly_class, spectral_af
+from .anomaly import AnomalyOutcome, spectral_af, w_base, w_fiber, w_verdict
 from .bundles import PullbackBundle, SpectralBundle, validate_bundle
-from .nonsplit import nonsplit_feasible, spectral_nonsplit
+from .nonsplit import chi_value, nonsplit_verdict, spectral_nonsplit
 from .ring import DivisorX
 from .surfaces import BaseSurface, DivisorClass, make_base
-from .windows import spectral_stability_check, window_delpezzo, window_enriques
+from .windows import spectral_stability, window_delpezzo, window_enriques
 
 STAGES = ("validity", "anomaly", "nonsplit", "stability")
 
@@ -33,6 +33,9 @@ class Polarization:
 
 @dataclass
 class ModelRecord:
+    """One model's params and stage verdicts.  Records of one block share the
+    dicts and lists of what the block computed once; treat them as read-only."""
+
     params: dict
     verdicts: dict
     overall: bool
@@ -61,126 +64,198 @@ def check_model(
 ) -> ModelRecord:
     """Run the full verification pipeline on one model.
 
+    The model is evaluated as a block of one, on the path every scan takes.
     The first failed stage is `failed_stage`.  A failure stops the run
     under `short_circuit`; a verdict carrying an "error", which only the
     validity stage gives, always stops it.  `bound` is accepted and unread:
     no query enumerates any more, and the benchmark (bench/child.py) still
     passes it.
     """
-    verdicts: dict = {}
-    failed: str | None = None
-    for name, stage in _PIPELINES[type(bundle)]:
-        verdict = verdicts[name] = stage(s, bundle, pol, require)
-        if not verdict["passed"]:
-            if failed is None:
-                failed = name
-            if short_circuit or "error" in verdict:
-                break
-    return ModelRecord(params or {}, verdicts, failed is None, failed)
+    block = _BLOCKS[type(bundle)](s, bundle, require)
+    c2E = bundle.c2E if isinstance(bundle, PullbackBundle) else None
+    return block.record(c2E, _PolTerms(s, block.mode, pol), short_circuit, params or {})
 
 
-# Stage functions: (s, bundle, pol, require) -> verdict dict, whose key
-# order is part of the JSONL output.  Only `_validity` reads the input for
-# errors; the later stages compute from data it has passed.
+class _PolTerms:
+    """What the stages read of one polarization, worked out once per config
+    (or per `check_model`): the class H (h c1 for a ray h), H^2, the z of
+    the non-split slope (h on F0/dPk, 1 on Enriques) and, on first use, the
+    minimum degree.  `error` holds the polarization rule the model breaks."""
+
+    def __init__(self, s: BaseSurface, mode: str, pol: Polarization):
+        self.s = s
+        try:
+            _refuse_wrong_kind(s, mode, pol)
+        except ValueError as exc:
+            self.error = str(exc)
+            return
+        self.error = None
+        self.h = None if pol.h is None else Fraction(pol.h)
+        self.H = pol.H if pol.H is not None else s.c1.scale(self.h)
+        self.z = Fraction(1) if s.is_enriques else self.h
+        self.hsq = s.square(self.H)
+
+    @cached_property
+    def min_degree(self):
+        return self.s.min_positive_degree(self.H)
 
 
-def _validity(s, bundle, pol, require) -> dict:
-    try:
-        validate_bundle(s, bundle)
-        _refuse_wrong_kind(s, _MODES[type(bundle)], pol)
-    except ValueError as exc:
-        return {"passed": False, "error": str(exc)}
-    return {"passed": True}
+class _Block:
+    """The invariants of one run of the box in which only the fastest axes
+    vary: c2E and then the polarization for pullback models, a block per
+    (n, x, alpha); the polarization alone for spectral models, a block per
+    (n, alpha, eta, lambda).  Built from any model of the run; nothing it
+    holds outlives it.  Stages (`stages`, in STAGES order) map (block, c2E,
+    polarization terms) to a verdict dict, whose key order is part of the
+    JSONL output.  Only validity reads the input for errors; the other
+    stages compute from data it has passed.
+    """
+
+    mode: str
+    stages: tuple
+
+    def __init__(self, s: BaseSurface, bundle, require: str | None):
+        self.s, self.n, self.alpha, self.require = s, bundle.n, bundle.twist.alpha, require
+        try:
+            c2u_fiber = validate_bundle(s, bundle)
+        except ValueError as exc:
+            self.error = str(exc)
+        else:
+            self.error = None
+            self._invariants(bundle, c2u_fiber)
+
+    def record(self, c2E, pol: _PolTerms, short_circuit: bool, params: dict) -> ModelRecord:
+        verdicts: dict = {}
+        failed: str | None = None
+        for name, stage in zip(STAGES, self.stages):
+            verdict = verdicts[name] = stage(self, c2E, pol)
+            if not verdict["passed"]:
+                if failed is None:
+                    failed = name
+                if short_circuit or "error" in verdict:
+                    break
+        return ModelRecord(params, verdicts, failed is None, failed)
+
+    def _validity(self, c2E, pol) -> dict:
+        error = self.error or pol.error
+        return {"passed": False, "error": error} if error else {"passed": True}
+
+    def _anomaly_verdict(self, wb_json, af, w_zero, w_effective, **readings) -> dict:
+        """The anomaly verdict; `readings` go before "passed"."""
+        passed = {"W_zero": w_zero, "W_effective": w_effective}
+        return {
+            "wB": wb_json,
+            "af": jsonio.frac_to_str(af),
+            "W_zero": w_zero,
+            "W_effective": w_effective,
+            **readings,
+            "passed": passed.get(self.require, True),
+        }
 
 
-def _anomaly(s, bundle, pol, require) -> dict:
-    return _anomaly_verdict(anomaly_class(s, bundle), require)
+class _PullbackBlock(_Block):
+    """Per block: validity, alpha^2, alpha.c1, wB with its JSON and, when a
+    model with af >= 0 first asks, its cone query.  Per (block,
+    polarization), on first use: the non-split slope and the stability
+    window.  Per model: af and chi."""
+
+    mode = "pullback"
+
+    def _invariants(self, bundle, c2u_fiber) -> None:
+        s = self.s
+        self.x = int(bundle.twist.x)
+        self.a_sq, self.a_c1 = s.square(self.alpha), s.intersect(self.alpha, s.c1)
+        self.wB = w_base(s, self.n, bundle.twist)
+        self.wB_json = jsonio.divisor_to_json(self.wB)
+        self.wB_zero = self.wB.is_zero()
+        self._effective = None
+        self._slopes: dict = {}
+        self._windows: dict = {}
+
+    def _wb_effective(self) -> bool:
+        if self._effective is None:
+            self._effective = self.s.cone_position(self.wB).effective
+        return self._effective
+
+    def _anomaly(self, c2E, pol) -> dict:
+        af = w_fiber(self.s, self.n, self.a_sq, c2E)
+        flags = w_verdict(af, self.wB_zero, self._wb_effective)
+        return self._anomaly_verdict(self.wB_json, af, *flags)
+
+    def _nonsplit(self, c2E, pol) -> dict:
+        if self.x > 0 and pol not in self._slopes:
+            self._slopes[pol] = 2 * self.s.intersect(pol.H, self.alpha) - pol.z * self.a_c1
+        chi = chi_value(self.n, self.x, c2E, self.a_sq, self.a_c1, self.s.c1_sq)
+        ns = nonsplit_verdict(self.x, self._slopes.get(pol), chi)
+        return {"passed": ns.passed, "clause": ns.clause, "value": jsonio.frac_to_str(ns.value)}
+
+    def _stability(self, c2E, pol) -> dict:
+        verdict = self._windows.get(pol)
+        if verdict is None:
+            s, n, x = self.s, self.n, self.x
+            if s.is_enriques:
+                window = window_enriques(n, x, s.intersect(self.alpha, pol.H), pol.hsq)
+            else:
+                window = window_delpezzo(n, x, self.a_c1, s.c1_sq, pol.h)
+            verdict = {**jsonio.window_to_json(window), "passed": window.nonempty}
+            self._windows[pol] = verdict
+        return verdict
+
+    stages = (_Block._validity, _anomaly, _nonsplit, _stability)
 
 
-def _spectral_anomaly(s, bundle, pol, require) -> dict:
-    """[W], plus both af readings for the paper's eta = 12 c1 family."""
-    outcome = anomaly_class(s, bundle)
-    if bundle.eta != s.c1.scale(12):
-        return _anomaly_verdict(outcome, require)
-    rep = spectral_af(s, bundle, outcome)
-    return _anomaly_verdict(
-        outcome, require, af_displayed=jsonio.frac_to_str(rep.af_displayed),
-        af_direct=jsonio.frac_to_str(rep.af_direct), display_agrees=rep.agree,
-    )
+class _SpectralBlock(_Block):
+    """Per block: validity (with FMW's fiber term of c2(V_n), which it
+    checks integral), the anomaly verdict with both af readings for the
+    paper's eta = 12 c1 family, and the non-split verdict.  Per model, that
+    is per polarization: the stability test."""
+
+    mode = "spectral"
+
+    def _invariants(self, bundle, c2u_fiber) -> None:
+        s, n = self.s, self.n
+        wb = w_base(s, n, bundle.twist, bundle.eta)
+        af = w_fiber(s, n, s.square(self.alpha), c2u_fiber)
+        flags = w_verdict(af, wb.is_zero(), lambda: s.cone_position(wb).effective)
+        readings = {}
+        if bundle.eta == s.c1.scale(12):
+            rep = spectral_af(s, bundle, AnomalyOutcome(wb, af, *flags))
+            readings = {
+                "af_displayed": jsonio.frac_to_str(rep.af_displayed),
+                "af_direct": jsonio.frac_to_str(rep.af_direct),
+                "display_agrees": rep.agree,
+            }
+        self.anomaly = self._anomaly_verdict(jsonio.divisor_to_json(wb), af, *flags, **readings)
+        ns = spectral_nonsplit(s, n, n + 1, bundle.eta, self.alpha)
+        self.nonsplit = {
+            "passed": ns.passed,
+            "clause": "spectral chi>0",
+            "value": jsonio.frac_to_str(ns.value),
+        }
+
+    def _anomaly(self, c2E, pol) -> dict:
+        return self.anomaly
+
+    def _nonsplit(self, c2E, pol) -> dict:
+        return self.nonsplit
+
+    def _stability(self, c2E, pol) -> dict:
+        ver = spectral_stability(self.n, self.s.intersect(self.alpha, pol.H), pol.min_degree)
+        return {
+            "passed": ver.passed,
+            "alpha_H": jsonio.frac_to_str(ver.a_h),
+            "n_alpha_H": jsonio.frac_to_str(ver.n_a_h),
+            "min_degree": jsonio.frac_to_str(ver.min_degree),
+            "witness": jsonio.divisor_to_json(ver.witness),
+            # no degree query is bounded any more; the key stays until the
+            # output format next changes (ROADMAP items 7 and 9)
+            "bound_limited": False,
+        }
+
+    stages = (_Block._validity, _anomaly, _nonsplit, _stability)
 
 
-def _anomaly_verdict(outcome, require, **readings) -> dict:
-    """The anomaly verdict of `outcome`; `readings` go before "passed"."""
-    passed = {"W_zero": outcome.W_zero, "W_effective": outcome.W_effective is True}
-    return {
-        "wB": jsonio.divisor_to_json(outcome.wB),
-        "af": jsonio.frac_to_str(outcome.af),
-        "W_zero": outcome.W_zero,
-        "W_effective": outcome.W_effective,
-        **readings,
-        "passed": passed.get(require, True),
-    }
-
-
-def _pullback_nonsplit(s, bundle, pol, require) -> dict:
-    if s.is_enriques:
-        h_class, z_rep = pol.H, Fraction(1)
-    else:
-        z_rep = Fraction(pol.h)
-        h_class = s.c1.scale(z_rep)
-    ns = nonsplit_feasible(
-        s, bundle.n, int(bundle.twist.x), bundle.twist.alpha, bundle.c2E, h_class, z_rep
-    )
-    return {"passed": ns.passed, "clause": ns.clause, "value": jsonio.frac_to_str(ns.value)}
-
-
-def _spectral_nonsplit(s, bundle, pol, require) -> dict:
-    ns = spectral_nonsplit(s, bundle.n, bundle.n + 1, bundle.eta, bundle.twist.alpha)
-    return {
-        "passed": ns.passed,
-        "clause": "spectral chi>0",
-        "value": jsonio.frac_to_str(ns.value),
-    }
-
-
-def _pullback_stability(s, bundle, pol, require) -> dict:
-    x = int(bundle.twist.x)
-    if s.is_enriques:
-        a = s.intersect(bundle.twist.alpha, pol.H)
-        window = window_enriques(bundle.n, x, a, s.square(pol.H))
-    else:
-        a = s.intersect(bundle.twist.alpha, s.c1)
-        window = window_delpezzo(bundle.n, x, a, s.c1_sq, pol.h)
-    out = jsonio.window_to_json(window)
-    out["passed"] = window.nonempty
-    return out
-
-
-def _spectral_stability(s, bundle, pol, require) -> dict:
-    h = pol.H if pol.H is not None else s.c1.scale(Fraction(pol.h))
-    ver = spectral_stability_check(s, bundle.n, bundle.twist.alpha, h)
-    return {
-        "passed": ver.passed,
-        "alpha_H": jsonio.frac_to_str(ver.a_h),
-        "n_alpha_H": jsonio.frac_to_str(ver.n_a_h),
-        "min_degree": jsonio.frac_to_str(ver.min_degree),
-        "witness": jsonio.divisor_to_json(ver.witness),
-        # no degree query is bounded any more; the key stays until the
-        # output format next changes (ROADMAP items 7 and 9)
-        "bound_limited": False,
-    }
-
-
-# bundle type -> ((stage name, stage function), ...) in STAGES order
-_PIPELINES = {
-    PullbackBundle: tuple(
-        zip(STAGES, (_validity, _anomaly, _pullback_nonsplit, _pullback_stability))
-    ),
-    SpectralBundle: tuple(
-        zip(STAGES, (_validity, _spectral_anomaly, _spectral_nonsplit, _spectral_stability))
-    ),
-}
-_MODES = {PullbackBundle: "pullback", SpectralBundle: "spectral"}  # as model files name them
+_BLOCKS = {PullbackBundle: _PullbackBlock, SpectralBundle: _SpectralBlock}
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +422,7 @@ def _axes(config: SearchConfig, s: BaseSurface) -> list:
 
     Pullback: n, x, one range per alpha_box pair, c2E; spectral: n, the
     alpha_box ranges, the eta_box ranges, lambda.  Last come the
-    polarizations as (Polarization, params entry) pairs, H_values entries
+    polarizations as (_PolTerms, params entry) pairs, H_values entries
     before h_values entries.  Refuses a class with more coordinates than the
     base rank and a polarization of the wrong kind or not ample, naming the
     config field, so that a bad config fails before any model is scanned.
@@ -373,11 +448,11 @@ def _axes(config: SearchConfig, s: BaseSurface) -> list:
         pol = Polarization(H=_padded_class(vec, s.rank))
         _refuse_wrong_kind(s, config.mode, pol, in_config=True)
         _refuse_unusable_H(s, config.mode, pol.H, f"config field 'H_values' entry {list(vec)}")
-        pols.append((pol, {"H": list(vec)}))
+        pols.append((_PolTerms(s, config.mode, pol), {"H": list(vec)}))
     for h in config.h_values:
         pol = Polarization(h=Fraction(h))
         _refuse_wrong_kind(s, config.mode, pol, in_config=True)
-        pols.append((pol, {"h": jsonio.frac_to_str(h)}))
+        pols.append((_PolTerms(s, config.mode, pol), {"h": jsonio.frac_to_str(h)}))
     if not pols:
         raise ValueError("config needs H_values or h_values")
     axes.append(pols)
@@ -385,21 +460,22 @@ def _axes(config: SearchConfig, s: BaseSurface) -> list:
 
 
 def _model(config: SearchConfig, s: BaseSurface, point: tuple):
-    """(bundle, pol, params) of one point of the box of `_axes`."""
-    n, *coords, (pol, pol_json) = point
+    """(bundle, head, tail) of one point of the box of `_axes`.  The params of
+    a model are head, its polarization entry, tail and, for a pullback
+    model, c2E; head and tail are the same for the whole block."""
+    n, *coords, _ = point
     if config.mode == "pullback":
         x, *alpha, c2E = coords
     else:
         *coords, lam = coords
         alpha, eta = coords[: len(config.alpha_box)], coords[len(config.alpha_box):]
     alpha = _padded_class(alpha, s.rank)
-    params = {"base": s.kind, "n": n, "alpha": [str(c) for c in alpha.coeffs], **pol_json}
+    head = {"base": s.kind, "n": n, "alpha": [str(c) for c in alpha.coeffs]}
     if config.mode == "pullback":
-        params.update({"x": x, "c2E": c2E})
-        return PullbackBundle(n=n, c2E=c2E, twist=DivisorX(x, alpha)), pol, params
+        return PullbackBundle(n=n, c2E=c2E, twist=DivisorX(x, alpha)), head, {"x": x}
     eta = _padded_class(eta, s.rank) if eta else s.c1.scale(12)
-    params.update({"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)})
-    return SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha)), pol, params
+    tail = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
+    return SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha)), head, tail
 
 
 @dataclass
@@ -431,11 +507,26 @@ def _emit(record: ModelRecord, require: str | None) -> bool:
 
 
 def _records(config: SearchConfig, start: int, stop: int | None):
-    """Yield the ModelRecord of box points start..stop-1 (None: to the end)."""
+    """Yield the ModelRecord of box points start..stop-1 (None: to the end).
+
+    A block is rebuilt whenever a point's block prefix, the axes before c2E
+    (pullback) or before the polarization (spectral), changes; so a chunk
+    that starts inside a block builds that block itself.
+    """
     s = make_base(config.base)
+    inner = 2 if config.mode == "pullback" else 1
+    key = None
     for point in islice(product(*_axes(config, s)), start, stop):
-        bundle, pol, params = _model(config, s, point)
-        yield check_model(s, bundle, pol, require=config.require, params=params)
+        if point[:-inner] != key:
+            key = point[:-inner]
+            bundle, head, tail = _model(config, s, point)
+            block = _BLOCKS[type(bundle)](s, bundle, config.require)
+        pol, pol_json = point[-1]
+        params = {**head, **pol_json, **tail}
+        c2E = None
+        if inner == 2:
+            c2E = params["c2E"] = point[-2]
+        yield block.record(c2E, pol, True, params)
 
 
 def _evaluate_range(config: SearchConfig, start: int, stop: int):
@@ -479,7 +570,10 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
     with ExitStack() as stack:
         evaluate = map
         if len(starts) > 1:
-            # with fork, the pool starts all of its workers up front
+            # imported here, so that a serial scan never loads the pool; with
+            # fork, the pool starts all of its workers up front
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=min(jobs, len(starts)))
             evaluate = stack.enter_context(pool).map
         for lines, part in evaluate(_evaluate_range, repeat(config), starts, stops):

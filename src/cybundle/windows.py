@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import DivisorX
-from .surfaces import BaseSurface, DivisorClass
+from .surfaces import BaseSurface, DivisorClass, MinDegree
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,14 @@ def spectral_stability_check(
     With J = eps*sigma + pi^*H and eps a formal infinitesimal the criterion
     reduces to 0 < n*(alpha.H) < (Lambda.H)_min.
     """
-    a_h = s.intersect(alpha, h)
-    md = s.min_positive_degree(h)
-    passed = 0 < n * a_h < md.value
+    return spectral_stability(n, s.intersect(alpha, h), s.min_positive_degree(h))
+
+
+def spectral_stability(n: int, a_h, md: MinDegree) -> SpectralStabilityVerdict:
+    """The verdict of `spectral_stability_check` from a_h = alpha.H and
+    md = (Lambda.H)_min with its witness."""
     return SpectralStabilityVerdict(
-        passed=passed,
+        passed=0 < n * a_h < md.value,
         a_h=a_h,
         n_a_h=n * a_h,
         min_degree=md.value,

@@ -1,13 +1,18 @@
 """Tests for the exhaustive model scan."""
 
+import concurrent.futures
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from cybundle import anomaly, bundles, search
+from cybundle import anomaly, bundles, ring, search
 from cybundle.bundles import PullbackBundle, SpectralBundle
 from cybundle.ring import DivisorX
 from cybundle.search import (
@@ -170,34 +175,83 @@ def _count_calls(monkeypatch, counts, func):
         return func(*args, **kwargs)
 
     counts[func.__name__] = 0
-    for module in (search, anomaly, bundles):
+    for module in (search, anomaly, bundles, ring):
         if getattr(module, func.__name__, None) is func:
             monkeypatch.setattr(module, func.__name__, counted)
 
 
+def _blocks(records, inner):
+    """Records grouped by block: params without the `inner` keys."""
+    blocks = {}
+    for r in records:
+        key = tuple((k, repr(v)) for k, v in r.params.items() if k not in inner)
+        blocks.setdefault(key, []).append(r)
+    return list(blocks.values())
+
+
+def _wb_queries(blocks):
+    """The wB cone queries a scan should ask: one per block in which wB is
+    not zero and some model has af >= 0."""
+    asked = Counter()
+    for block in blocks:
+        anomalies = [r.verdicts["anomaly"] for r in block if "anomaly" in r.verdicts]
+        if any(Fraction(a["af"]) >= 0 for a in anomalies):
+            wb = jsonio.divisor_from_json(anomalies[0]["wB"], make_base(block[0].params["base"]))
+            if not wb.is_zero():
+                asked[wb] += 1
+    return asked
+
+
 def test_each_model_quantity_computed_once(monkeypatch):
+    # once per block, not per model: validity, the spectral data check and
+    # the cone query of wB; the Chern ring is not on the scan path at all
     counts = {}
-    for func in (bundles.validate_bundle, bundles.check_spectral_data, anomaly.anomaly_class):
+    for func in (
+        bundles.validate_bundle,
+        bundles.check_spectral_data,
+        bundles.chern_extension,
+        ring.triple_product,
+    ):
         _count_calls(monkeypatch, counts, func)
-    pullback = dataclasses.replace(SO10_CONFIG, n_range=(2, 3), x_values=(1, 2), require=None)
-    # eta = 12 c1; lambda = 1 is parity-invalid for n = 2 and 1/2 for n = 3
+    queried = Counter()
+    cone_position = BaseSurface.cone_position
+    monkeypatch.setattr(
+        BaseSurface, "cone_position", lambda s, c: queried.update([c]) or cone_position(s, c)
+    )
+    # alpha = 0 blocks have af < 0 for every c2E and ask no cone query
+    pullback = dataclasses.replace(
+        SO10_CONFIG,
+        n_range=(2, 3),
+        x_values=(-1, 1, 2),
+        alpha_box=((-2, 0), (-2, 0)),
+        c2E_range=(98, 104),
+        h_values=(1, 2),
+        require=None,
+    )
+    # wB = 12 c1 - eta is not zero for eta != 12 c1; lambda = 1 is
+    # parity-invalid for n = 2 and 1/2 for n = 3
     spectral = SearchConfig(
         base="F0",
         mode="spectral",
         n_range=(2, 3),
         alpha_box=((1, 1), (-12, -10)),
+        eta_box=((24, 25), (23, 24)),
         lambda_values=(Fraction(1, 2), Fraction(3, 2), Fraction(1)),
         H_values=((3, 34),),
+        h_values=(Fraction(1),),
     )
-    summaries = [run_search(config) for config in (pullback, spectral)]
-    models = sum(s["scanned"] for s in summaries)
-    valid = models - sum(s["stage_failures"]["validity"] for s in summaries)
-    assert 0 < valid < models
+    records = [list(enumerate_models(c)) for c in (pullback, spectral)]
+    blocks = [_blocks(records[0], ("c2E", "h")), _blocks(records[1], ("H", "h"))]
+    assert all(len(b) < len(r) for b, r in zip(blocks, records))
     assert counts == {
-        "validate_bundle": models,
-        "check_spectral_data": summaries[1]["scanned"],
-        "anomaly_class": valid,
+        "validate_bundle": len(blocks[0]) + len(blocks[1]),
+        "check_spectral_data": len(blocks[1]),
+        "chern_extension": 0,
+        "triple_product": 0,
     }
+    asked = _wb_queries(blocks[0]) + _wb_queries(blocks[1])
+    assert 0 < sum(asked.values()) < len(blocks[0]) + len(blocks[1])
+    assert Counter({c: queried[c] for c in asked}) == asked
     calls = []
     intersect = BaseSurface.intersect
     monkeypatch.setattr(BaseSurface, "intersect", lambda *args: calls.append(1) or intersect(*args))
@@ -321,9 +375,25 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, jobs, n_range, worke
 
     config = dataclasses.replace(SO10_CONFIG, n_range=n_range, require=None)
     serial = search_bytes(config, 1)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert search_bytes(config, jobs) == serial
     assert started == workers
+
+
+def test_import_loads_no_process_pool():
+    # the pool is imported where a parallel scan starts it
+    code = (
+        "import sys, cybundle, cybundle.cli;"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("require", [None, "W_zero"])
