@@ -38,12 +38,14 @@ class ExtensionChern:
     integral: bool
 
 
-def validate_bundle(s: BaseSurface, bundle) -> Fraction:
+def validate_bundle(s: BaseSurface, bundle, spectral_data=None) -> Fraction:
     """Raise ValueError if the bundle data violates its invariants.
 
     Otherwise return the F coefficient of c2(U), U the rank-n block: c2E
     for a pullback bundle, FMW's fiber term (checked integral) for a
-    spectral one.
+    spectral one.  `spectral_data(n, eta, lam)`, if given, stands in for
+    `check_spectral_data(s, n, eta, lam)`: a scan passes its table of the
+    outcomes, so that only the checks on n and the twist run per block.
     """
     if bundle.n < 2:
         raise ValueError("bundle rank n must be >= 2")
@@ -63,7 +65,10 @@ def validate_bundle(s: BaseSurface, bundle) -> Fraction:
     else:
         if d.x != 0:
             raise ValueError("spectral extensions use twists D = pi^*alpha (x = 0)")
-        c2u_fiber = check_spectral_data(s, bundle.n, bundle.eta, bundle.lam)
+        if spectral_data is None:
+            c2u_fiber = check_spectral_data(s, bundle.n, bundle.eta, bundle.lam)
+        else:
+            c2u_fiber = spectral_data(bundle.n, bundle.eta, bundle.lam)
     # with 2D integral and x in Z, n(n+1)/2 alpha^2 is the one term of
     # c2(V) = c2(U) - n(n+1)/2 D^2 that can leave Z, so n(n+1) alpha^2 must
     # be even; c3(V) is then integral too

@@ -11,6 +11,8 @@ from .windows import StabilityWindow
 
 
 def frac_to_str(f) -> str:
+    if type(f) is int:
+        return str(f)
     f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -62,7 +64,12 @@ def frac_field(value, name: str) -> Fraction:
 
 
 def divisor_to_json(d: DivisorClass) -> dict:
-    return {"coeffs": [frac_to_str(c) for c in d.coeffs], "torsion": d.torsion}
+    return coeffs_to_json(d.coeffs, d.torsion)
+
+
+def coeffs_to_json(coeffs, torsion: int) -> dict:
+    """The JSON of the class with these (int or Fraction) coefficients."""
+    return {"coeffs": [frac_to_str(c) for c in coeffs], "torsion": torsion}
 
 
 def divisor_from_json(obj, surface: BaseSurface) -> DivisorClass:

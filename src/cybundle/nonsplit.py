@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surfaces import BaseSurface, DivisorClass
+from .surfaces import BaseSurface, DivisorClass, ratio
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,25 @@ def chi_value(n: int, x: int, c2e: int, a_sq, a_c1, c1_sq) -> Fraction:
         - Fraction((y * y - 2) * n * m, 2) * a_c1
     )
     return body if x > 0 else -body
+
+
+def chi_line(n: int, x: int, a_sq: int, a_c1: int, den: int, c1_sq: int) -> tuple:
+    """(chi0, slope) with chi_value(n, x, c2e, ...) = chi0 - slope * c2e, in
+    ints, for alpha = nums/den given a_sq = den^2 alpha^2 and a_c1 = den
+    alpha.c1.  slope = |(n+1) x|, or 1 for x = 0; chi0 is an int when
+    integral and a Fraction otherwise."""
+    m, d2 = n + 1, den * den
+    if x == 0:
+        return ratio(2 * d2 * n + n * m * (m * a_sq - den * a_c1), 2 * d2), 1
+    # 2 den^2 times the c2e-free part of chi_value's body
+    y = m * x
+    body = (
+        2 * d2 * y * n
+        + y * n * m * m * a_sq
+        + (y - 1) * y * (y + 1) // 3 * n * c1_sq * d2
+        - (y * y - 2) * n * m * den * a_c1
+    )
+    return ratio(body if x > 0 else -body, 2 * d2), abs(y)
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,25 @@ import math
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice, product, repeat
 
 from . import jsonio
-from .anomaly import AnomalyOutcome, spectral_af, w_base, w_fiber, w_verdict
-from .bundles import PullbackBundle, SpectralBundle, validate_bundle
-from .nonsplit import chi_value, nonsplit_verdict, spectral_nonsplit
+from .anomaly import AnomalyOutcome, spectral_af, w_verdict
+from .bundles import PullbackBundle, SpectralBundle, check_spectral_data, validate_bundle
+from .nonsplit import chi_line, nonsplit_verdict
 from .ring import DivisorX
-from .surfaces import BaseSurface, DivisorClass, make_base
+from .surfaces import BaseSurface, DivisorClass, dot, make_base, ratio
 from .windows import spectral_stability, window_delpezzo, window_enriques
 
 STAGES = ("validity", "anomaly", "nonsplit", "stability")
+
+# The stages run on exact scalars: ints where integral and Fractions
+# otherwise, worked out over the least common denominator of the classes
+# they pair (`BaseSurface.integer_parts`).  The public Fraction functions
+# that take one model at a time (`anomaly_class`, `chi_nonsplit`,
+# `nonsplit_feasible`, `spectral_nonsplit`, `spectral_stability_check`)
+# compute the same verdicts and are the tests' oracles for these kernels.
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,10 @@ class ModelRecord:
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"), sort_keys=False)
+        return _ENCODER.encode(self.to_json())
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=False)
 
 
 def check_model(
@@ -71,16 +81,19 @@ def check_model(
     no query enumerates any more, and the benchmark (bench/child.py) still
     passes it.
     """
-    block = _BLOCKS[type(bundle)](s, bundle, require)
+    block = _BLOCKS[type(bundle)](s, bundle, require, _Spectra(s))
     c2E = bundle.c2E if isinstance(bundle, PullbackBundle) else None
     return block.record(c2E, _PolTerms(s, block.mode, pol), short_circuit, params or {})
 
 
 class _PolTerms:
     """What the stages read of one polarization, worked out once per config
-    (or per `check_model`): the class H (h c1 for a ray h), H^2, the z of
-    the non-split slope (h on F0/dPk, 1 on Enriques) and, on first use, the
-    minimum degree.  `error` holds the polarization rule the model breaks."""
+    (or per `check_model`): the class H (h c1 for a ray h) with its integer
+    parts, H^2, the z of the non-split slope (h on F0/dPk, 1 on Enriques)
+    and, on first use, the minimum degree.  `windows` holds the stability
+    verdicts solved so far, by (n, x, a) with a = alpha.c1 on F0/dPk and
+    alpha.H on Enriques, the only inputs of the window besides H.  `error`
+    holds the polarization rule the model breaks."""
 
     def __init__(self, s: BaseSurface, mode: str, pol: Polarization):
         self.s = s
@@ -92,12 +105,74 @@ class _PolTerms:
         self.error = None
         self.h = None if pol.h is None else Fraction(pol.h)
         self.H = pol.H if pol.H is not None else s.c1.scale(self.h)
+        _, self.H_dual, self.H_den = s.integer_parts(self.H)
         self.z = Fraction(1) if s.is_enriques else self.h
         self.hsq = s.square(self.H)
+        self.windows: dict = {}
 
     @cached_property
     def min_degree(self):
         return self.s.min_positive_degree(self.H)
+
+    @cached_property
+    def min_degree_json(self) -> tuple:
+        """(min_degree, witness) of the spectral stability verdict."""
+        md = self.min_degree
+        return jsonio.frac_to_str(md.value), jsonio.divisor_to_json(md.witness)
+
+
+class _Spectrum:
+    """What the spectral blocks of one (n, eta, lambda) share, worked out once
+    per config (or per `check_model`).  `error` is the message of
+    `check_spectral_data`, or None; then `fiber` is FMW's fiber term, and
+    there are wB = 12 c1 - eta (the twist pi^*alpha has x = 0, so wB does
+    not depend on alpha) with its JSON and, on first use, its cone verdict;
+    af0, the part of af without n(n+1)/2 alpha^2; `displayed0`, that part of
+    af_displayed when eta = 12 c1 (else None); and resid = eta - n c1 as
+    integer parts with 3 den^2 resid^2."""
+
+    def __init__(self, s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction):
+        try:
+            self.fiber = check_spectral_data(s, n, eta, lam)
+        except ValueError as exc:
+            self.error = str(exc)
+            return
+        self.error = None
+        self.s = s
+        self.af0 = s.c2 + 11 * s.c1_sq - self.fiber.numerator  # the fiber term is integral
+        twelve_c1 = s.c1.scale(12)
+        self.wB = twelve_c1 - eta
+        self.wB_json = jsonio.divisor_to_json(self.wB)
+        self.wB_zero = self.wB.is_zero()
+        self.displayed0 = None
+        if eta == twelve_c1:
+            # the reading of the twist alpha = 0; wB = 0, so no cone query
+            zero = SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, DivisorClass.zero(s.rank)))
+            outcome = AnomalyOutcome(self.wB, self.af0, *w_verdict(self.af0, True, None))
+            self.displayed0 = spectral_af(s, zero, outcome).af_displayed
+        nums, self.resid_dual, self.resid_den = s.integer_parts(eta - s.c1.scale(n))
+        self.resid_sq3 = 3 * dot(nums, self.resid_dual)
+
+    @cached_property
+    def wB_effective(self) -> bool:
+        return self.s.cone_position(self.wB).effective
+
+
+class _Spectra(dict):
+    """The `_Spectrum` of each (n, eta, lambda) met so far on one base."""
+
+    def __init__(self, s: BaseSurface):
+        super().__init__()
+        self.s = s
+
+    def check(self, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
+        """`check_spectral_data(s, n, eta, lam)`, run once per key."""
+        spectrum = self.get((n, eta, lam))
+        if spectrum is None:
+            spectrum = self[n, eta, lam] = _Spectrum(self.s, n, eta, lam)
+        if spectrum.error is not None:
+            raise ValueError(spectrum.error)
+        return spectrum.fiber
 
 
 class _Block:
@@ -108,21 +183,24 @@ class _Block:
     holds outlives it.  Stages (`stages`, in STAGES order) map (block, c2E,
     polarization terms) to a verdict dict, whose key order is part of the
     JSONL output.  Only validity reads the input for errors; the other
-    stages compute from data it has passed.
+    stages compute from data it has passed.  alpha is held as integer
+    parts: nums/den, with a_sq = den^2 alpha^2.
     """
 
     mode: str
     stages: tuple
 
-    def __init__(self, s: BaseSurface, bundle, require: str | None):
+    def __init__(self, s: BaseSurface, bundle, require: str | None, spectra: _Spectra):
         self.s, self.n, self.alpha, self.require = s, bundle.n, bundle.twist.alpha, require
         try:
-            c2u_fiber = validate_bundle(s, bundle)
+            validate_bundle(s, bundle, spectra.check)
         except ValueError as exc:
             self.error = str(exc)
         else:
             self.error = None
-            self._invariants(bundle, c2u_fiber)
+            self.nums, self.dual, self.den = s.integer_parts(self.alpha)
+            self.a_sq = dot(self.nums, self.dual)
+            self._invariants(bundle, spectra)
 
     def record(self, c2E, pol: _PolTerms, short_circuit: bool, params: dict) -> ModelRecord:
         verdicts: dict = {}
@@ -135,6 +213,10 @@ class _Block:
                 if short_circuit or "error" in verdict:
                     break
         return ModelRecord(params, verdicts, failed is None, failed)
+
+    def _alpha_dot(self, dual, den: int) -> tuple:
+        """(P, q) with alpha.c = P/q, for c of integer parts (_, dual, den)."""
+        return dot(self.nums, dual), self.den * den
 
     def _validity(self, c2E, pol) -> dict:
         error = self.error or pol.error
@@ -154,83 +236,104 @@ class _Block:
 
 
 class _PullbackBlock(_Block):
-    """Per block: validity, alpha^2, alpha.c1, wB with its JSON and, when a
-    model with af >= 0 first asks, its cone query.  Per (block,
-    polarization), on first use: the non-split slope and the stability
-    window.  Per model: af and chi."""
+    """Per block: validity, af0 and chi0 (af = af0 - c2E, chi = chi0 -
+    chi_slope c2E), alpha.c1, wB as numerators over den with its JSON and,
+    when a model with af >= 0 first asks, its cone query.  Per (block,
+    polarization), on first use: the non-split slope.  Per model: af, chi
+    and the lookup of the stability window, solved once per (n, x, a) and
+    polarization."""
 
     mode = "pullback"
 
-    def _invariants(self, bundle, c2u_fiber) -> None:
-        s = self.s
-        self.x = int(bundle.twist.x)
-        self.a_sq, self.a_c1 = s.square(self.alpha), s.intersect(self.alpha, s.c1)
-        self.wB = w_base(s, self.n, bundle.twist)
-        self.wB_json = jsonio.divisor_to_json(self.wB)
-        self.wB_zero = self.wB.is_zero()
+    def _invariants(self, bundle, spectra) -> None:
+        s, n, den = self.s, self.n, self.den
+        self.x = x = int(bundle.twist.x)
+        d2, k = den * den, n * (n + 1) // 2
+        self.a_c1_num = dot(self.dual, s.c1_ints)
+        self.a_c1 = ratio(self.a_c1_num, den)
+        self.af0 = ratio((s.c2 + 11 * s.c1_sq) * d2 + k * self.a_sq, d2)
+        self.chi0, self.chi_slope = chi_line(n, x, self.a_sq, self.a_c1_num, den, s.c1_sq)
+        # wB = (12 - k x^2) c1 + 2 k x alpha, over den
+        c, t = 12 - k * x * x, 2 * k * x
+        self.wB_nums = [c * den * ci + t * ai for ci, ai in zip(s.c1_ints, self.nums)]
+        self.wB_torsion = c * s.c1.torsion % 2  # t is even: t alpha has no torsion
+        self.wB_json = jsonio.coeffs_to_json([ratio(w, den) for w in self.wB_nums], self.wB_torsion)
+        self.wB_zero = not self.wB_torsion and not any(self.wB_nums)
         self._effective = None
         self._slopes: dict = {}
-        self._windows: dict = {}
 
     def _wb_effective(self) -> bool:
         if self._effective is None:
-            self._effective = self.s.cone_position(self.wB).effective
+            wb = DivisorClass(tuple(Fraction(w, self.den) for w in self.wB_nums), self.wB_torsion)
+            self._effective = self.s.cone_position(wb).effective
         return self._effective
 
     def _anomaly(self, c2E, pol) -> dict:
-        af = w_fiber(self.s, self.n, self.a_sq, c2E)
+        af = self.af0 - c2E
         flags = w_verdict(af, self.wB_zero, self._wb_effective)
         return self._anomaly_verdict(self.wB_json, af, *flags)
 
     def _nonsplit(self, c2E, pol) -> dict:
-        if self.x > 0 and pol not in self._slopes:
-            self._slopes[pol] = 2 * self.s.intersect(pol.H, self.alpha) - pol.z * self.a_c1
-        chi = chi_value(self.n, self.x, c2E, self.a_sq, self.a_c1, self.s.c1_sq)
-        ns = nonsplit_verdict(self.x, self._slopes.get(pol), chi)
+        slope = None
+        if self.x > 0:
+            slope = self._slopes.get(pol)
+            if slope is None:
+                # (2H - z c1).alpha over den * H_den * z_den
+                p, q = self._alpha_dot(pol.H_dual, pol.H_den)
+                z = pol.z
+                num = 2 * p * z.denominator - z.numerator * self.a_c1_num * pol.H_den
+                slope = self._slopes[pol] = ratio(num, q * z.denominator)
+        ns = nonsplit_verdict(self.x, slope, self.chi0 - self.chi_slope * c2E)
         return {"passed": ns.passed, "clause": ns.clause, "value": jsonio.frac_to_str(ns.value)}
 
     def _stability(self, c2E, pol) -> dict:
-        verdict = self._windows.get(pol)
+        s, n, x = self.s, self.n, self.x
+        a = ratio(*self._alpha_dot(pol.H_dual, pol.H_den)) if s.is_enriques else self.a_c1
+        verdict = pol.windows.get((n, x, a))
         if verdict is None:
-            s, n, x = self.s, self.n, self.x
             if s.is_enriques:
-                window = window_enriques(n, x, s.intersect(self.alpha, pol.H), pol.hsq)
+                window = window_enriques(n, x, a, pol.hsq)
             else:
-                window = window_delpezzo(n, x, self.a_c1, s.c1_sq, pol.h)
-            verdict = {**jsonio.window_to_json(window), "passed": window.nonempty}
-            self._windows[pol] = verdict
+                window = window_delpezzo(n, x, a, s.c1_sq, pol.h)
+            verdict = pol.windows[n, x, a] = {**jsonio.window_to_json(window), "passed": window.nonempty}
         return verdict
 
     stages = (_Block._validity, _anomaly, _nonsplit, _stability)
 
 
 class _SpectralBlock(_Block):
-    """Per block: validity (with FMW's fiber term of c2(V_n), which it
-    checks integral), the anomaly verdict with both af readings for the
-    paper's eta = 12 c1 family, and the non-split verdict.  Per model, that
-    is per polarization: the stability test."""
+    """Per block: validity, whose spectral data check is read from the
+    config's `_Spectrum` of (n, eta, lambda); the anomaly verdict, with both
+    af readings for the paper's eta = 12 c1 family; and the non-split
+    verdict 3/2 resid^2 - (n+1) alpha.resid > 0.  Per model, that is per
+    polarization: the stability test 0 < n alpha.H < (Lambda.H)_min."""
 
     mode = "spectral"
 
-    def _invariants(self, bundle, c2u_fiber) -> None:
-        s, n = self.s, self.n
-        wb = w_base(s, n, bundle.twist, bundle.eta)
-        af = w_fiber(s, n, s.square(self.alpha), c2u_fiber)
-        flags = w_verdict(af, wb.is_zero(), lambda: s.cone_position(wb).effective)
+    def _invariants(self, bundle, spectra) -> None:
+        n, den, a_sq = self.n, self.den, self.a_sq
+        spectrum = spectra[n, bundle.eta, bundle.lam]
+        d2, k = den * den, n * (n + 1) // 2
+        af = ratio(spectrum.af0 * d2 + k * a_sq, d2)
+        flags = w_verdict(af, spectrum.wB_zero, lambda: spectrum.wB_effective)
         readings = {}
-        if bundle.eta == s.c1.scale(12):
-            rep = spectral_af(s, bundle, AnomalyOutcome(wb, af, *flags))
+        if spectrum.displayed0 is not None:
+            p, q = spectrum.displayed0.numerator, spectrum.displayed0.denominator
+            displayed = ratio(p * d2 + k * a_sq * q, q * d2)
             readings = {
-                "af_displayed": jsonio.frac_to_str(rep.af_displayed),
-                "af_direct": jsonio.frac_to_str(rep.af_direct),
-                "display_agrees": rep.agree,
+                "af_displayed": jsonio.frac_to_str(displayed),
+                "af_direct": jsonio.frac_to_str(af),
+                "display_agrees": af == displayed,
             }
-        self.anomaly = self._anomaly_verdict(jsonio.divisor_to_json(wb), af, *flags, **readings)
-        ns = spectral_nonsplit(s, n, n + 1, bundle.eta, self.alpha)
+        self.anomaly = self._anomaly_verdict(spectrum.wB_json, af, *flags, **readings)
+        # 3/2 resid^2 - (n+1) alpha.resid over 2 den resid_den^2
+        p, _ = self._alpha_dot(spectrum.resid_dual, spectrum.resid_den)
+        rd = spectrum.resid_den
+        value = ratio(spectrum.resid_sq3 * den - 2 * (n + 1) * p * rd, 2 * den * rd * rd)
         self.nonsplit = {
-            "passed": ns.passed,
+            "passed": value > 0,
             "clause": "spectral chi>0",
-            "value": jsonio.frac_to_str(ns.value),
+            "value": jsonio.frac_to_str(value),
         }
 
     def _anomaly(self, c2E, pol) -> dict:
@@ -240,13 +343,14 @@ class _SpectralBlock(_Block):
         return self.nonsplit
 
     def _stability(self, c2E, pol) -> dict:
-        ver = spectral_stability(self.n, self.s.intersect(self.alpha, pol.H), pol.min_degree)
+        ver = spectral_stability(self.n, ratio(*self._alpha_dot(pol.H_dual, pol.H_den)), pol.min_degree)
+        min_degree, witness = pol.min_degree_json
         return {
             "passed": ver.passed,
             "alpha_H": jsonio.frac_to_str(ver.a_h),
             "n_alpha_H": jsonio.frac_to_str(ver.n_a_h),
-            "min_degree": jsonio.frac_to_str(ver.min_degree),
-            "witness": jsonio.divisor_to_json(ver.witness),
+            "min_degree": min_degree,
+            "witness": witness,
             # no degree query is bounded any more; the key stays until the
             # output format next changes (ROADMAP items 7 and 9)
             "bound_limited": False,
@@ -412,8 +516,8 @@ def _frac_list(value, name: str) -> tuple:
     return tuple(jsonio.frac_field(v, name) for v in _list(value, name))
 
 
-def _padded_class(coeffs, rank) -> DivisorClass:
-    coeffs = tuple(coeffs)
+@lru_cache(maxsize=4096)  # the classes of a box repeat across its blocks
+def _padded_class(coeffs: tuple, rank: int) -> DivisorClass:
     return DivisorClass(coeffs + (0,) * (rank - len(coeffs)))
 
 
@@ -469,11 +573,12 @@ def _model(config: SearchConfig, s: BaseSurface, point: tuple):
     else:
         *coords, lam = coords
         alpha, eta = coords[: len(config.alpha_box)], coords[len(config.alpha_box):]
-    alpha = _padded_class(alpha, s.rank)
+    alpha = _padded_class(tuple(alpha), s.rank)
     head = {"base": s.kind, "n": n, "alpha": [str(c) for c in alpha.coeffs]}
     if config.mode == "pullback":
         return PullbackBundle(n=n, c2E=c2E, twist=DivisorX(x, alpha)), head, {"x": x}
-    eta = _padded_class(eta, s.rank) if eta else s.c1.scale(12)
+    # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
+    eta = _padded_class(tuple(eta) or tuple(12 * c for c in s.c1_ints), s.rank)
     tail = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
     return SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha)), head, tail
 
@@ -506,21 +611,27 @@ def _emit(record: ModelRecord, require: str | None) -> bool:
     return record.verdicts.get("anomaly", {}).get("passed") is True
 
 
-def _records(config: SearchConfig, start: int, stop: int | None):
+def _records(config: SearchConfig, start: int, stop: int | None, axes: list | None = None):
     """Yield the ModelRecord of box points start..stop-1 (None: to the end).
 
     A block is rebuilt whenever a point's block prefix, the axes before c2E
     (pullback) or before the polarization (spectral), changes; so a chunk
-    that starts inside a block builds that block itself.
+    that starts inside a block builds that block itself.  `axes` are those
+    of `_axes`, built here if not given; with them go the per-config tables
+    (the windows of each polarization, the spectral data), so a serial scan
+    builds each table once and each pool chunk builds its own.
     """
     s = make_base(config.base)
     inner = 2 if config.mode == "pullback" else 1
+    spectra = _Spectra(s)
     key = None
-    for point in islice(product(*_axes(config, s)), start, stop):
+    if axes is None:
+        axes = _axes(config, s)
+    for point in islice(product(*axes), start, stop):
         if point[:-inner] != key:
             key = point[:-inner]
             bundle, head, tail = _model(config, s, point)
-            block = _BLOCKS[type(bundle)](s, bundle, config.require)
+            block = _BLOCKS[type(bundle)](s, bundle, config.require, spectra)
         pol, pol_json = point[-1]
         params = {**head, **pol_json, **tail}
         c2E = None
@@ -529,11 +640,11 @@ def _records(config: SearchConfig, start: int, stop: int | None):
         yield block.record(c2E, pol, True, params)
 
 
-def _evaluate_range(config: SearchConfig, start: int, stop: int):
+def _evaluate_range(config: SearchConfig, start: int, stop: int, axes: list | None = None):
     """JSONL lines to emit and the summary of one chunk of the box."""
     lines = []
     summary = SearchSummary()
-    for record in _records(config, start, stop):
+    for record in _records(config, start, stop, axes):
         summary.scanned += 1
         if record.overall:
             summary.passed += 1
@@ -561,22 +672,25 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
     whole box.  Output is byte-identical for any `jobs` value: chunks are
     merged in enumeration order before writing.
     """
-    total = math.prod(map(len, _axes(config, make_base(config.base))))
+    axes = _axes(config, make_base(config.base))
+    total = math.prod(map(len, axes))
     step = max(1, total if jobs <= 1 else -(-total // (jobs * 4)))
     starts = range(0, total, step)
     stops = [min(lo + step, total) for lo in starts]
     summary = SearchSummary()
     emitted = 0
     with ExitStack() as stack:
-        evaluate = map
         if len(starts) > 1:
             # imported here, so that a serial scan never loads the pool; with
-            # fork, the pool starts all of its workers up front
+            # fork, the pool starts all of its workers up front.  Each chunk
+            # builds its own axes from the config.
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(starts)))
-            evaluate = stack.enter_context(pool).map
-        for lines, part in evaluate(_evaluate_range, repeat(config), starts, stops):
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(starts))))
+            parts = pool.map(_evaluate_range, repeat(config), starts, stops)
+        else:
+            parts = map(_evaluate_range, repeat(config), starts, stops, repeat(axes))
+        for lines, part in parts:
             summary.merge(part)
             if config.limit is not None:
                 lines = lines[: max(0, config.limit - emitted)]

@@ -85,6 +85,7 @@ class DivisorClass:
 # positive-component selector for the Enriques effective cone; the two
 # components of {C^2 >= 0} are symmetric and this choice is a convention.
 ENRIQUES_H0 = DivisorClass((1, 1) + (0,) * 8)
+_ENRIQUES_H0_INTS = tuple(int(v) for v in ENRIQUES_H0.coeffs)
 
 
 @dataclass(frozen=True)
@@ -112,29 +113,31 @@ class BaseSurface:
     c1: DivisorClass
     c2: int
     cone_generators: tuple
-    # c1^2, fixed when the base is built; the nonzero (j, Gram[i][j]) of each
-    # row i, which `intersect` walks; (G, Gram.G, G^2) in ints per cone
-    # generator, and Gram.c1: the integer side of every F0/dP generator
-    # query (generators and c1 are integral)
+    # c1^2 and the coefficients of c1 as ints, fixed when the base is built;
+    # the nonzero (j, Gram[i][j]) of each row i, which `intersect` walks;
+    # (G, Gram.G, G^2) in ints per cone generator, and Gram.c1: the integer
+    # side of every F0/dP generator query (generators and c1 are integral)
     c1_sq: int = field(init=False, repr=False, compare=False)
+    c1_ints: tuple = field(init=False, repr=False, compare=False)
     _gram_rows: tuple = field(init=False, repr=False, compare=False)
     _generators: tuple = field(init=False, repr=False, compare=False)
     _c1_dual: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def dual(v):
-            return tuple(_dot(row, v) for row in self.gram)
+            return tuple(dot(row, v) for row in self.gram)
 
         gens = []
         for g in self.cone_generators:
             coeffs = tuple(int(v) for v in g.coeffs)
-            gens.append((coeffs, dual(coeffs), _dot(coeffs, dual(coeffs))))
+            gens.append((coeffs, dual(coeffs), dot(coeffs, dual(coeffs))))
         c1 = tuple(int(v) for v in self.c1.coeffs)
         rows = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
         object.__setattr__(self, "_gram_rows", rows)
         object.__setattr__(self, "_generators", tuple(gens))
         object.__setattr__(self, "_c1_dual", dual(c1))
-        object.__setattr__(self, "c1_sq", _dot(c1, self._c1_dual))
+        object.__setattr__(self, "c1_ints", c1)
+        object.__setattr__(self, "c1_sq", dot(c1, self._c1_dual))
 
     @property
     def is_enriques(self) -> bool:
@@ -153,12 +156,22 @@ class BaseSurface:
     def square(self, a: DivisorClass) -> Fraction:
         return self.intersect(a, a)
 
+    def integer_parts(self, c: DivisorClass) -> tuple:
+        """(nums, dual, den): c = nums/den over its least common denominator,
+        and dual = Gram.nums, all ints.  So c.d = (dual . d_nums) / (den * d_den)
+        for any d = d_nums/d_den; the torsion bit pairs to zero."""
+        if c.rank != self.rank:
+            raise ValueError("rank mismatch")
+        nums, den = _over_common_denominator(c)
+        dual = tuple(sum(g * nums[j] for j, g in row) for row in self._gram_rows)
+        return nums, dual, den
+
     def _gamma11_only(self, c: DivisorClass) -> bool:
         return all(v == 0 for v in c.coeffs[2:])
 
     def _generator_pairings(self, nums) -> list:
         """den * (D.G) for every cone generator G, given nums = den * D."""
-        return [_dot(nums, g_dual) for _, g_dual, _ in self._generators]
+        return [dot(nums, g_dual) for _, g_dual, _ in self._generators]
 
     def cone_position(self, c: DivisorClass) -> ConeVerdict:
         if c.rank != self.rank:
@@ -183,7 +196,7 @@ class BaseSurface:
         # nums + p_E E with p_E = den * (D.E): den never changes and nums stay
         # integers.  Each round lowers den * c1.D by sum -p_E > 0 (E.c1 = 1),
         # so the loop ends.
-        while _dot(nums, self._c1_dual) >= 0:
+        while dot(nums, self._c1_dual) >= 0:
             negative = [(g, sq, p) for (g, _, sq), p in zip(self._generators, pairings) if p < 0]
             if not negative:
                 return True
@@ -199,8 +212,9 @@ class BaseSurface:
             # pure torsion (or zero): c1 = f1 - f2 is not effective
             sq, effective = 0, False
         else:
-            sq = self.square(c)
-            effective = sq >= 0 and self.intersect(c, ENRIQUES_H0) > 0
+            nums, dual, den = self.integer_parts(c)
+            sq = ratio(dot(nums, dual), den * den)
+            effective = sq >= 0 and dot(dual, _ENRIQUES_H0_INTS) > 0
         if not self._gamma11_only(c):
             note = ("class lies outside Gamma^{1,1}",)
             return ConeVerdict(effective=effective, nef=None, ample=None, notes=note)
@@ -235,8 +249,17 @@ class BaseSurface:
         return MinDegree(value=Fraction(p, den), witness=witness)
 
 
-def _dot(a, b) -> int:
+def dot(a, b) -> int:
+    """The dot product of two int vectors."""
     return sum(map(operator.mul, a, b))
+
+
+def ratio(num: int, den: int):
+    """num/den: an int when den divides num, a Fraction otherwise."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _over_common_denominator(c: DivisorClass):

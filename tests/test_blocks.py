@@ -8,16 +8,21 @@ The oracles here are the ring's [W] = c2(X) - c2(V) (`c2_tangent` and
 """
 
 import io
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cybundle import jsonio
-from cybundle.bundles import PullbackBundle, SpectralBundle, bundle_chern
+from cybundle.anomaly import anomaly_class, spectral_af
+from cybundle.bundles import PullbackBundle, SpectralBundle, bundle_chern, validate_bundle
+from cybundle.nonsplit import chi_line, chi_nonsplit, chi_value, nonsplit_feasible, spectral_nonsplit
 from cybundle.ring import DivisorX, c2_tangent
 from cybundle.search import Polarization, SearchConfig, check_model, enumerate_models, run_search
 from cybundle.surfaces import DivisorClass, make_base
+from cybundle.windows import spectral_stability_check, window_delpezzo, window_enriques
 
 BASES = ("F0",) + tuple(f"dP{k}" for k in range(9)) + ("enriques",)
 
@@ -152,6 +157,119 @@ def test_half_integral_twists_match_ring(kind):
         reached += 1
         assert (anomaly["wB"], anomaly["af"]) == _ring_w(s, bundle)
     assert reached > 0
+
+
+def _oracle_verdicts(s, bundle, pol, reached):
+    """The verdicts of validity and of the stages in `reached`, from the
+    public Fraction functions one model at a time."""
+    try:
+        validate_bundle(s, bundle)
+    except ValueError as exc:
+        return {"validity": {"passed": False, "error": str(exc)}}
+    out = {"validity": {"passed": True}}
+    outcome = anomaly_class(s, bundle)
+    if "anomaly" in reached:
+        out["anomaly"] = {
+            "wB": jsonio.divisor_to_json(outcome.wB),
+            "af": jsonio.frac_to_str(outcome.af),
+            "W_zero": outcome.W_zero,
+            "W_effective": outcome.W_effective,
+        }
+        if isinstance(bundle, SpectralBundle) and bundle.eta == s.c1.scale(12):
+            rep = spectral_af(s, bundle, outcome)
+            out["anomaly"]["af_displayed"] = jsonio.frac_to_str(rep.af_displayed)
+            out["anomaly"]["af_direct"] = jsonio.frac_to_str(rep.af_direct)
+            out["anomaly"]["display_agrees"] = rep.agree
+    H = pol.H if pol.H is not None else s.c1.scale(pol.h)
+    n, alpha = bundle.n, bundle.twist.alpha
+    if isinstance(bundle, SpectralBundle):
+        if "nonsplit" in reached:
+            ns = spectral_nonsplit(s, n, n + 1, bundle.eta, alpha)
+            out["nonsplit"] = {"passed": ns.passed, "value": jsonio.frac_to_str(ns.value)}
+        if "stability" in reached:
+            ver = spectral_stability_check(s, n, alpha, H)
+            out["stability"] = {
+                "passed": ver.passed,
+                "alpha_H": jsonio.frac_to_str(ver.a_h),
+                "n_alpha_H": jsonio.frac_to_str(ver.n_a_h),
+                "min_degree": jsonio.frac_to_str(ver.min_degree),
+                "witness": jsonio.divisor_to_json(ver.witness),
+            }
+        return out
+    x = int(bundle.twist.x)
+    if "nonsplit" in reached:
+        z = 1 if s.is_enriques else pol.h
+        ns = nonsplit_feasible(s, n, x, alpha, bundle.c2E, H, z)
+        out["nonsplit"] = {"passed": ns.passed, "clause": ns.clause, "value": jsonio.frac_to_str(ns.value)}
+        if ns.clause != "(2H-zc1).alpha<=0":
+            assert ns.value == chi_nonsplit(s, n, x, alpha, bundle.c2E).chi
+    if "stability" in reached:
+        if s.is_enriques:
+            window = window_enriques(n, x, s.intersect(alpha, H), s.square(H))
+        else:
+            window = window_delpezzo(n, x, s.intersect(alpha, s.c1), s.c1_sq, pol.h)
+        out["stability"] = {**jsonio.window_to_json(window), "passed": window.nonempty}
+    return out
+
+
+def _assert_matches_oracles(s, bundle, pol, record):
+    """Every verdict of `record`, the record of (bundle, pol), key by key,
+    against the oracles; returns the stages compared past validity."""
+    reached = [k for k in record.verdicts if k != "validity"]
+    expected = _oracle_verdicts(s, bundle, pol, reached)
+    assert list(expected) == ["validity", *reached], record.params
+    for stage, verdict in expected.items():
+        got = record.verdicts[stage]
+        assert {k: got[k] for k in verdict} == verdict, (record.params, stage)
+    return reached
+
+
+@pytest.mark.parametrize("mode", ["pullback", "spectral"])
+@pytest.mark.parametrize("kind", BASES)
+def test_scan_kernels_match_fraction_oracles(kind, mode):
+    # a scan shares its tables (spectral data per (n, eta, lambda), windows
+    # per (n, x, a) and polarization) across blocks, so every x of the
+    # pullback box and every lambda of the spectral box meets the others
+    rng = random.Random(f"kernels:{kind}:{mode}")
+    if mode == "pullback":
+        config = dict(_pullback_config(kind, rng), x_values=[-2, -1, 0, 1, 2])
+    else:
+        config = _spectral_config(kind, rng)
+    s = make_base(kind)
+    reached = Counter()
+    for record in enumerate_models(SearchConfig.from_json(config)):
+        reached.update(_assert_matches_oracles(s, *_model_of(s, record.params), record))
+    assert reached["anomaly"] > 0 and reached["nonsplit"] > 0
+    if mode == "pullback" or s.kind in ("F0", "enriques"):
+        assert reached["stability"] > 0
+
+
+@pytest.mark.parametrize("kind", BASES)
+def test_half_integral_check_model_matches_fraction_oracles(kind):
+    # den = 2: the kernels' scalars leave Z (alpha.H, the spectral non-split
+    # value, the slope, window ends); chi and af of a valid model stay in Z
+    fractional = 0
+    for s, bundle, pol in _half_integral_models(kind, random.Random(f"kernels:{kind}")):
+        record = check_model(s, bundle, pol, short_circuit=False)
+        if "anomaly" in record.verdicts:
+            _assert_matches_oracles(s, bundle, pol, record)
+            fractional += "/" in json.dumps([record.verdicts["nonsplit"], record.verdicts["stability"]])
+    assert fractional > 0
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 4])
+def test_chi_line_matches_chi_value(den):
+    # alpha = nums/den for any den, so chi0 leaves Z too; c1^2 of F0, dP0..dP8
+    rng = random.Random(den)
+    for _ in range(300):
+        n, x, c1_sq = rng.randint(2, 8), rng.randint(-3, 3), rng.randint(1, 9)
+        a_sq, a_c1 = rng.randint(-60, 60), rng.randint(-20, 20)
+        chi0, slope = chi_line(n, x, a_sq, a_c1, den, c1_sq)
+        assert slope == (abs((n + 1) * x) or 1)
+        assert type(chi0) is (int if Fraction(chi0).denominator == 1 else Fraction)
+        for c2e in (0, rng.randint(-50, 150)):
+            expected = chi_value(n, x, c2e, Fraction(a_sq, den * den), Fraction(a_c1, den), c1_sq)
+            assert chi0 - slope * c2e == expected
 
 
 def _search_bytes(config, jobs):

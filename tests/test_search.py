@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from cybundle import anomaly, bundles, ring, search
+from cybundle import anomaly, bundles, ring, search, windows
 from cybundle.bundles import PullbackBundle, SpectralBundle
 from cybundle.ring import DivisorX
 from cybundle.search import (
@@ -175,7 +175,7 @@ def _count_calls(monkeypatch, counts, func):
         return func(*args, **kwargs)
 
     counts[func.__name__] = 0
-    for module in (search, anomaly, bundles, ring):
+    for module in (search, anomaly, bundles, ring, windows):
         if getattr(module, func.__name__, None) is func:
             monkeypatch.setattr(module, func.__name__, counted)
 
@@ -189,13 +189,17 @@ def _blocks(records, inner):
     return list(blocks.values())
 
 
-def _wb_queries(blocks):
+def _wb_queries(blocks, share=()):
     """The wB cone queries a scan should ask: one per block in which wB is
-    not zero and some model has af >= 0."""
+    not zero and some model has af >= 0; blocks whose params agree on the
+    keys `share` (a spectral (n, eta, lambda)) ask once between them."""
     asked = Counter()
+    seen = set()
     for block in blocks:
         anomalies = [r.verdicts["anomaly"] for r in block if "anomaly" in r.verdicts]
-        if any(Fraction(a["af"]) >= 0 for a in anomalies):
+        key = tuple(repr(block[0].params[k]) for k in share) or id(block)
+        if key not in seen and any(Fraction(a["af"]) >= 0 for a in anomalies):
+            seen.add(key)
             wb = jsonio.divisor_from_json(anomalies[0]["wB"], make_base(block[0].params["base"]))
             if not wb.is_zero():
                 asked[wb] += 1
@@ -203,14 +207,18 @@ def _wb_queries(blocks):
 
 
 def test_each_model_quantity_computed_once(monkeypatch):
-    # once per block, not per model: validity, the spectral data check and
-    # the cone query of wB; the Chern ring is not on the scan path at all
+    # once per block, not per model: validity and the pullback cone query of
+    # wB; once per spectral (n, eta, lambda): the spectral data check and the
+    # cone query of wB = 12 c1 - eta; once per (n, x, alpha.c1) and
+    # polarization: the stability window.  The Chern ring is not on the
+    # scan path at all
     counts = {}
     for func in (
         bundles.validate_bundle,
         bundles.check_spectral_data,
         bundles.chern_extension,
         ring.triple_product,
+        windows.window_delpezzo,
     ):
         _count_calls(monkeypatch, counts, func)
     queried = Counter()
@@ -243,14 +251,23 @@ def test_each_model_quantity_computed_once(monkeypatch):
     records = [list(enumerate_models(c)) for c in (pullback, spectral)]
     blocks = [_blocks(records[0], ("c2E", "h")), _blocks(records[1], ("H", "h"))]
     assert all(len(b) < len(r) for b, r in zip(blocks, records))
+    spectra = {(r.params["n"], repr(r.params["eta"]), r.params["lambda"]) for r in records[1]}
+    f0 = make_base("F0")
+    windows_solved = {
+        (p["n"], p["x"], f0.intersect(pad([int(c) for c in p["alpha"]], 2), f0.c1), p["h"])
+        for p in (r.params for r in records[0] if "stability" in r.verdicts)
+    }
+    assert len(spectra) < len(blocks[1])
+    assert 0 < len(windows_solved) < len(blocks[0])
     assert counts == {
         "validate_bundle": len(blocks[0]) + len(blocks[1]),
-        "check_spectral_data": len(blocks[1]),
+        "check_spectral_data": len(spectra),
         "chern_extension": 0,
         "triple_product": 0,
+        "window_delpezzo": len(windows_solved),
     }
-    asked = _wb_queries(blocks[0]) + _wb_queries(blocks[1])
-    assert 0 < sum(asked.values()) < len(blocks[0]) + len(blocks[1])
+    asked = _wb_queries(blocks[0]) + _wb_queries(blocks[1], ("n", "eta", "lambda"))
+    assert 0 < sum(asked.values()) < len(blocks[0]) + len(spectra)
     assert Counter({c: queried[c] for c in asked}) == asked
     calls = []
     intersect = BaseSurface.intersect
