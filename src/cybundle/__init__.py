@@ -15,17 +15,14 @@ from .windows import (
     StabilityWindow,
     delpezzo_closed_form,
     enriques_closed_form,
-    kahler_check,
     sign_necessity,
     spectral_stability_check,
     window_delpezzo,
     window_enriques,
 )
 from .nonsplit import (
-    ChiCoefficients,
     chi_coefficients,
     chi_nonsplit,
-    necessary_mu_condition,
     nonsplit_feasible,
     spectral_nonsplit,
     w0_nonsplit_delpezzo,
@@ -37,7 +34,7 @@ from .anomaly import (
     solve_c2E_zero,
     spectral_af,
 )
-from .search import ModelRecord, Polarization, SearchConfig, check_model, enumerate_models, run_search
+from .search import ModelRecord, Polarization, SearchConfig, check_model, run_search
 
 __all__ = [
     "BaseSurface",
@@ -61,15 +58,12 @@ __all__ = [
     "StabilityWindow",
     "delpezzo_closed_form",
     "enriques_closed_form",
-    "kahler_check",
     "sign_necessity",
     "spectral_stability_check",
     "window_delpezzo",
     "window_enriques",
-    "ChiCoefficients",
     "chi_coefficients",
     "chi_nonsplit",
-    "necessary_mu_condition",
     "nonsplit_feasible",
     "spectral_nonsplit",
     "w0_nonsplit_delpezzo",
@@ -82,7 +76,6 @@ __all__ = [
     "Polarization",
     "SearchConfig",
     "check_model",
-    "enumerate_models",
     "run_search",
 ]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import PullbackBundle, SpectralBundle, c2_spectral
-from .ring import DivisorX, FourClass
+from .ring import FourClass
 from .surfaces import BaseSurface, DivisorClass
 
 
@@ -30,20 +30,6 @@ class AnomalyOutcome:
     W_effective: bool
 
 
-def w_base(
-    s: BaseSurface, n: int, twist: DivisorX, eta: DivisorClass | None = None
-) -> DivisorClass:
-    """wB = 12 c1 - eta + n(n+1)/2 (2x alpha - x^2 c1); eta None for a pullback bundle."""
-    k, x = n * (n + 1) // 2, twist.x
-    wb = s.c1.scale(12 - k * x * x) + twist.alpha.scale(2 * k * x)
-    return wb if eta is None else wb - eta
-
-
-def w_fiber(s: BaseSurface, n: int, a_sq, c2u_fiber) -> Fraction:
-    """af = c2 + 11 c1^2 + n(n+1)/2 alpha^2 - f, given a_sq = alpha^2 and f = c2(U).F."""
-    return s.c2 + 11 * s.c1_sq + n * (n + 1) // 2 * a_sq - c2u_fiber
-
-
 def w_verdict(af, wb_zero: bool, wb_effective) -> tuple:
     """(W_zero, W_effective) of [W] = wB sigma + af F, wb_zero telling whether
     wB = 0.  `wb_effective()` is the cone query of wB: it is asked only when
@@ -53,12 +39,14 @@ def w_verdict(af, wb_zero: bool, wb_effective) -> tuple:
 
 def anomaly_class(s: BaseSurface, bundle) -> AnomalyOutcome:
     """[W] = c2(X) - c2(V) of a bundle that has already passed `validate_bundle`."""
+    k, x, alpha = bundle.n * (bundle.n + 1) // 2, bundle.twist.x, bundle.twist.alpha
+    wb = s.c1.scale(12 - k * x * x) + alpha.scale(2 * k * x)
     if isinstance(bundle, PullbackBundle):
-        eta, fiber = None, bundle.c2E
+        fiber = bundle.c2E
     else:
-        eta, fiber = bundle.eta, c2_spectral(s, bundle.n, bundle.eta, bundle.lam).fiber
-    wb = w_base(s, bundle.n, bundle.twist, eta)
-    af = w_fiber(s, bundle.n, s.square(bundle.twist.alpha), fiber)
+        wb = wb - bundle.eta
+        fiber = c2_spectral(s, bundle.n, bundle.eta, bundle.lam).fiber
+    af = s.c2 + 11 * s.c1_sq + k * s.square(alpha) - fiber
     return decompose_w(s, FourClass(wb, af))
 
 

@@ -64,7 +64,9 @@ def fixture_so10_f0() -> FixtureResult:
 
 
 def fixture_e6_f0() -> FixtureResult:
-    res = FixtureResult("e6-F0", "E6 model: F0, n=2, x=2, c2(E)=92; non-split checks")
+    res = FixtureResult(
+        "e6-F0", "E6 model: F0, n=2, x=2, c2(E)=92; non-split checks, stability verdict"
+    )
     f0 = make_base("F0")
     sol = solve_alpha_zero(f0, 2, 2)
     res.checks.append(Check("alpha", (0, 0), tuple(sol.alpha.coeffs), "reference"))
@@ -78,6 +80,17 @@ def fixture_e6_f0() -> FixtureResult:
     res.checks.append(
         Check("non-split (n,x)=(2,2)", True, w0_nonsplit_delpezzo(2, 2, 8).passed, "reference")
     )
+    # informational: a = alpha.c1 = 0 lies outside the x*a < 0 domain of the
+    # stability proposition, whose window systems are sufficient conditions,
+    # so an empty window means "not shown stable", not "unstable"
+    a = f0.intersect(sol.alpha, f0.c1)
+    w = window_delpezzo(2, 2, a, f0.c1_sq, 1)
+    got = (
+        f"u window ({w.lower}, {w.upper}) {'nonempty' if w.nonempty else 'empty'};"
+        f" a = alpha.c1 = {a} {'inside' if 2 * a < 0 else 'outside'} the x*a < 0 domain;"
+        f" {'shown stable' if w.nonempty else 'not shown stable'}"
+    )
+    res.checks.append(Check("stability (h=1)", None, got, "info", hard=False))
     return res
 
 

@@ -125,26 +125,6 @@ def nonsplit_verdict(x: int, slope, chi) -> NonsplitVerdict:
     return NonsplitVerdict(chi < 0, "chi_x0<0", chi)
 
 
-def necessary_mu_condition(
-    s: BaseSurface,
-    n: int,
-    m: int,
-    x: int,
-    alpha: DivisorClass,
-    h: DivisorClass,
-    z,
-) -> bool:
-    """Necessary slope condition for x > 0:
-    (y-1)(2H - z c1).c1 - m (2H - z c1).alpha > 0, with y = m*x."""
-    if x <= 0:
-        raise ValueError("condition applies to x > 0")
-    z = Fraction(z)
-    y = m * x
-    term_c1 = 2 * s.intersect(h, s.c1) - z * s.c1_sq
-    term_alpha = 2 * s.intersect(h, alpha) - z * s.intersect(s.c1, alpha)
-    return (y - 1) * term_c1 - m * term_alpha > 0
-
-
 @dataclass(frozen=True)
 class SpectralNonsplit:
     value: Fraction

@@ -611,22 +611,21 @@ def _emit(record: ModelRecord, require: str | None) -> bool:
     return record.verdicts.get("anomaly", {}).get("passed") is True
 
 
-def _records(config: SearchConfig, start: int, stop: int | None, axes: list | None = None):
-    """Yield the ModelRecord of box points start..stop-1 (None: to the end).
+def _records(config: SearchConfig, axes: list, start: int, stop: int):
+    """Yield the ModelRecord of points start..stop-1 of the box of `axes`
+    (those of `_axes`).
 
     A block is rebuilt whenever a point's block prefix, the axes before c2E
     (pullback) or before the polarization (spectral), changes; so a chunk
-    that starts inside a block builds that block itself.  `axes` are those
-    of `_axes`, built here if not given; with them go the per-config tables
-    (the windows of each polarization, the spectral data), so a serial scan
-    builds each table once and each pool chunk builds its own.
+    that starts inside a block builds that block itself.  The polarization
+    terms of the axes hold the stability windows, which a serial scan
+    solves once and each pool chunk in its own copy; the spectral data are
+    built once per call.
     """
     s = make_base(config.base)
     inner = 2 if config.mode == "pullback" else 1
     spectra = _Spectra(s)
     key = None
-    if axes is None:
-        axes = _axes(config, s)
     for point in islice(product(*axes), start, stop):
         if point[:-inner] != key:
             key = point[:-inner]
@@ -640,11 +639,11 @@ def _records(config: SearchConfig, start: int, stop: int | None, axes: list | No
         yield block.record(c2E, pol, True, params)
 
 
-def _evaluate_range(config: SearchConfig, start: int, stop: int, axes: list | None = None):
+def _evaluate_range(config: SearchConfig, axes: list, start: int, stop: int):
     """JSONL lines to emit and the summary of one chunk of the box."""
     lines = []
     summary = SearchSummary()
-    for record in _records(config, start, stop, axes):
+    for record in _records(config, axes, start, stop):
         summary.scanned += 1
         if record.overall:
             summary.passed += 1
@@ -653,16 +652,6 @@ def _evaluate_range(config: SearchConfig, start: int, stop: int, axes: list | No
         if _emit(record, config.require):
             lines.append(record.to_json_line())
     return lines, summary
-
-
-def enumerate_models(config: SearchConfig):
-    """Yield a ModelRecord per lattice point of the box, in lex order.
-
-    With a requirement set, only records meeting it are yielded.
-    """
-    for record in _records(config, 0, None):
-        if _emit(record, config.require):
-            yield record
 
 
 def run_search(config: SearchConfig, jobs: int = 1, out=None):
@@ -679,17 +668,18 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
     stops = [min(lo + step, total) for lo in starts]
     summary = SearchSummary()
     emitted = 0
+    chunks = repeat(config), repeat(axes), starts, stops
     with ExitStack() as stack:
         if len(starts) > 1:
             # imported here, so that a serial scan never loads the pool; with
             # fork, the pool starts all of its workers up front.  Each chunk
-            # builds its own axes from the config.
+            # gets the axes pickled.
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(starts))))
-            parts = pool.map(_evaluate_range, repeat(config), starts, stops)
+            parts = pool.map(_evaluate_range, *chunks)
         else:
-            parts = map(_evaluate_range, repeat(config), starts, stops, repeat(axes))
+            parts = map(_evaluate_range, *chunks)
         for lines, part in parts:
             summary.merge(part)
             if config.limit is not None:

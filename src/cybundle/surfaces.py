@@ -74,9 +74,6 @@ class DivisorClass:
         t = (self.torsion * s.numerator) % 2 if self.torsion else 0
         return DivisorClass(tuple(s * a if a else a for a in self.coeffs), t)
 
-    def __rmul__(self, s):
-        return self.scale(s)
-
     @staticmethod
     def zero(rank: int) -> "DivisorClass":
         return DivisorClass((0,) * rank)
@@ -372,36 +369,3 @@ def make_base(kind: str) -> BaseSurface:
             cone_generators=(),
         )
     raise ValueError(f"unsupported surface {kind!r}")
-
-
-def signature(gram):
-    """Exact (p, n) signature of a symmetric rational matrix."""
-    n = len(gram)
-    m = [[Fraction(v) for v in row] for row in gram]
-    pos = neg = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
-            if swap is not None:
-                for row in m:
-                    row[k], row[swap] = row[swap], row[k]
-                m[k], m[swap] = m[swap], m[k]
-            else:
-                j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                if j is None:
-                    continue
-                for row in m:
-                    row[k] += row[j]
-                m[k] = [a + b for a, b in zip(m[k], m[j])]
-        piv = m[k][k]
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / piv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-                for row in m:
-                    row[i] = row[i] - f * row[k]
-    return pos, neg

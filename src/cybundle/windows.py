@@ -1,4 +1,4 @@
-"""Kaehler-cone checks and exact stability windows.
+"""Exact stability windows.
 
 The windows are solved from the raw inequality systems appearing in the
 stability proofs (worst-case subsheaf slopes baked in); the closed forms
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import DivisorX
 from .surfaces import BaseSurface, DivisorClass, MinDegree
 
 
@@ -24,25 +23,19 @@ class StabilityWindow:
     binding: tuple
     z_interval_approx: tuple | None = None
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
-
 
 def _solve_strict_linear(inequalities, domain):
     """Intersect strict linear inequalities coef*t + const {<,>} 0 in one variable.
 
     `inequalities` is a list of (name, coef, const, sense) with sense in
     {"lt", "gt"}; `domain` is a list of (name, bound, side) with side "gt"
-    (t > bound) or "lt" (t < bound); bound may be None for an open side.
+    (t > bound) or "lt" (t < bound).
     Returns (lower, upper, binding, nonempty).
     """
     lower = []  # (value, name): t > value
     upper = []  # (value, name): t < value
     infeasible = []
     for name, bound, side in domain:
-        if bound is None:
-            continue
         (lower if side == "gt" else upper).append((Fraction(bound), name))
     for name, coef, const, sense in inequalities:
         coef, const = Fraction(coef), Fraction(const)
@@ -80,21 +73,6 @@ def _z_approx(nonempty, lo, hi, to_z):
         return (to_z(lo), to_z(hi))
     except OverflowError:
         return None
-
-
-def kahler_check(s: BaseSurface, j: DivisorX) -> bool | None:
-    """J = z*sigma + pi^*H in the Kaehler cone of X: z > 0 and H - z*c1 ample.
-
-    Returns None if ampleness is undecidable (an Enriques H outside Gamma^{1,1}).
-    """
-    z, h = j.x, j.alpha
-    if z <= 0:
-        return False
-    if s.is_enriques:
-        # c1 is torsion, so H - z*c1 is ample iff H is
-        return s.cone_position(h).ample
-    shifted = h - s.c1.scale(z)
-    return s.cone_position(shifted).ample
 
 
 def sign_necessity(x: int, a_h) -> bool:

@@ -20,7 +20,7 @@ from cybundle.anomaly import anomaly_class, spectral_af
 from cybundle.bundles import PullbackBundle, SpectralBundle, bundle_chern, validate_bundle
 from cybundle.nonsplit import chi_line, chi_nonsplit, chi_value, nonsplit_feasible, spectral_nonsplit
 from cybundle.ring import DivisorX, c2_tangent
-from cybundle.search import Polarization, SearchConfig, check_model, enumerate_models, run_search
+from cybundle.search import ModelRecord, Polarization, SearchConfig, check_model, run_search
 from cybundle.surfaces import DivisorClass, make_base
 from cybundle.windows import spectral_stability_check, window_delpezzo, window_enriques
 
@@ -98,6 +98,18 @@ def _model_of(s, params):
     return bundle, Polarization(h=Fraction(params["h"]))
 
 
+def _search_bytes(config, jobs):
+    out = io.StringIO()
+    run_search(config, jobs=jobs, out=out)
+    return out.getvalue()
+
+
+def _scan_records(config):
+    """The records `run_search` writes, read back from its JSONL."""
+    lines = _search_bytes(config, 1).splitlines()
+    return [ModelRecord(**json.loads(line)) for line in lines if not line.startswith("#")]
+
+
 @pytest.mark.parametrize("mode", ["pullback", "spectral"])
 @pytest.mark.parametrize("kind", BASES)
 def test_scan_records_match_ring_and_check_model(kind, mode):
@@ -105,7 +117,7 @@ def test_scan_records_match_ring_and_check_model(kind, mode):
     make_config = _pullback_config if mode == "pullback" else _spectral_config
     config = SearchConfig.from_json(make_config(kind, rng))
     s = make_base(kind)
-    records = list(enumerate_models(config))
+    records = _scan_records(config)
     reached = 0
     for record in records:
         bundle, pol = _model_of(s, record.params)
@@ -237,7 +249,7 @@ def test_scan_kernels_match_fraction_oracles(kind, mode):
         config = _spectral_config(kind, rng)
     s = make_base(kind)
     reached = Counter()
-    for record in enumerate_models(SearchConfig.from_json(config)):
+    for record in _scan_records(SearchConfig.from_json(config)):
         reached.update(_assert_matches_oracles(s, *_model_of(s, record.params), record))
     assert reached["anomaly"] > 0 and reached["nonsplit"] > 0
     if mode == "pullback" or s.kind in ("F0", "enriques"):
@@ -270,12 +282,6 @@ def test_chi_line_matches_chi_value(den):
         for c2e in (0, rng.randint(-50, 150)):
             expected = chi_value(n, x, c2e, Fraction(a_sq, den * den), Fraction(a_c1, den), c1_sq)
             assert chi0 - slope * c2e == expected
-
-
-def _search_bytes(config, jobs):
-    out = io.StringIO()
-    run_search(config, jobs=jobs, out=out)
-    return out.getvalue()
 
 
 def test_jobs_give_equal_bytes_when_chunks_cut_blocks():

@@ -67,6 +67,11 @@ def test_verify_paper_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all hard checks passed" in proc.stdout
     assert "af readings reported" in proc.stdout  # informational fixture present
+    # the E6 model's window is empty, and a = 0 is outside the proposition's domain
+    assert (
+        "(info) stability (h=1): u window (1, 1) empty; a = alpha.c1 = 0"
+        " outside the x*a < 0 domain; not shown stable" in proc.stdout
+    )
     assert "Fraction(" not in proc.stdout  # rationals print as exact p/q
     assert "alpha: computed (-1, -1)  ok" in proc.stdout
 

@@ -3,12 +3,9 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from cybundle.nonsplit import (
     chi_coefficients,
     chi_nonsplit,
-    necessary_mu_condition,
     nonsplit_feasible,
     spectral_nonsplit,
     w0_nonsplit_delpezzo,
@@ -200,31 +197,6 @@ def test_nonsplit_x_zero_matches_chi():
         c2e = rng.randint(-5, 20)
         v = nonsplit_feasible(enr, n, 0, alpha, c2e, h, 1)
         assert v.passed == (chi_nonsplit(enr, n, 0, alpha, c2e).chi < 0)
-
-
-# ---------------------------------------------------------------------------
-# slope-based necessary condition
-
-
-def test_necessary_mu_enriques():
-    enr = make_base("enriques")
-    h = pad((5, 6), 10)
-    alpha = pad((-1, 1), 10)  # alpha.H = -1
-    # reduces to -2 m alpha.H = 6 > 0
-    assert necessary_mu_condition(enr, 2, 3, 1, alpha, h, 1) is True
-    zero = DivisorClass.zero(10)
-    assert necessary_mu_condition(enr, 2, 3, 1, zero, h, 1) is False
-
-
-def test_necessary_mu_f0():
-    f0 = make_base("F0")
-    assert necessary_mu_condition(f0, 2, 3, 1, -f0.c1, f0.c1.scale(2), 1) is True
-
-
-def test_necessary_mu_rejects_nonpositive_x():
-    f0 = make_base("F0")
-    with pytest.raises(ValueError):
-        necessary_mu_condition(f0, 2, 3, 0, f0.c1, f0.c1, 1)
 
 
 # ---------------------------------------------------------------------------

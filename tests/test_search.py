@@ -16,10 +16,10 @@ from cybundle import anomaly, bundles, ring, search, windows
 from cybundle.bundles import PullbackBundle, SpectralBundle
 from cybundle.ring import DivisorX
 from cybundle.search import (
+    ModelRecord,
     Polarization,
     SearchConfig,
     check_model,
-    enumerate_models,
     run_search,
 )
 from cybundle.surfaces import BaseSurface, DivisorClass, make_base
@@ -28,6 +28,12 @@ from cybundle import jsonio
 
 def pad(coeffs, rank):
     return DivisorClass(tuple(coeffs) + (0,) * (rank - len(coeffs)))
+
+
+def scan_records(config):
+    """The records `run_search` writes, read back from its JSONL."""
+    lines = search_bytes(config, 1).splitlines()
+    return [ModelRecord(**json.loads(line)) for line in lines if not line.startswith("#")]
 
 
 SO10_CONFIG = SearchConfig(
@@ -103,7 +109,7 @@ def test_check_model_error_verdict_stops_without_short_circuit():
 
 
 def test_record_invariant_overall_implies_all_stages():
-    for rec in enumerate_models(SO10_CONFIG):
+    for rec in scan_records(SO10_CONFIG):
         if rec.overall:
             assert all(v.get("passed", True) for v in rec.verdicts.values())
             assert rec.failed_stage is None
@@ -114,7 +120,7 @@ def test_record_invariant_overall_implies_all_stages():
 
 
 def test_singleton_so10_box():
-    records = list(enumerate_models(SO10_CONFIG))
+    records = scan_records(SO10_CONFIG)
     assert len(records) == 1
     assert records[0].overall
     assert records[0].verdicts["anomaly"]["W_zero"]
@@ -131,7 +137,7 @@ def test_enriques_x_nonzero_w_zero_scan_never_passes():
         H_values=((2, 3),),
         require="W_zero",
     )
-    records = list(enumerate_models(config))
+    records = scan_records(config)
     # the only [W]=0 hits have alpha = 0 (no non-split extension exists for
     # them), and every one fails a later stage: no x != 0 model survives
     assert all(not r.overall for r in records)
@@ -152,7 +158,7 @@ def test_empty_box_is_empty_stream():
         c2E_range=(0, 10),
         h_values=(1,),
     )
-    assert list(enumerate_models(config)) == []
+    assert scan_records(config) == []
     out = io.StringIO()
     summary = run_search(config, out=out)
     assert summary["scanned"] == 0 and summary["emitted"] == 0
@@ -248,7 +254,7 @@ def test_each_model_quantity_computed_once(monkeypatch):
         H_values=((3, 34),),
         h_values=(Fraction(1),),
     )
-    records = [list(enumerate_models(c)) for c in (pullback, spectral)]
+    records = [scan_records(c) for c in (pullback, spectral)]
     blocks = [_blocks(records[0], ("c2E", "h")), _blocks(records[1], ("H", "h"))]
     assert all(len(b) < len(r) for b, r in zip(blocks, records))
     spectra = {(r.params["n"], repr(r.params["eta"]), r.params["lambda"]) for r in records[1]}
@@ -285,14 +291,14 @@ def test_lexicographic_order():
         c2E_range=(90, 92),
         h_values=(1,),
     )
-    params = [r.params for r in enumerate_models(config)]
+    params = [r.params for r in scan_records(config)]
     keys = [(p["n"], p["x"], p["alpha"], p["c2E"]) for p in params]
     assert keys == sorted(keys)
     assert len(keys) == 2 * 2 * 4 * 3
 
 
 def _ordered_params(config):
-    return [list(r.params.items()) for r in enumerate_models(config)]
+    return [list(r.params.items()) for r in scan_records(config)]
 
 
 def test_pullback_enumeration_order_matches_nested_loops():
@@ -370,11 +376,10 @@ def test_serial_parallel_equivalence():
     assert serial == search_bytes(config, 1)  # rerun determinism
 
 
-@pytest.mark.parametrize(
-    "jobs, n_range, workers", [(2, (2, 4), [2]), (4, (2, 4), [3]), (2, (3, 3), [])]
-)
-def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, jobs, n_range, workers):
-    # a 3-model (or 1-model) box; the recording pool maps in this process
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool by one that maps in this process; the list
+    returned holds the worker count of each pool started."""
     started = []
 
     class RecordingPool:
@@ -390,11 +395,32 @@ def test_pool_has_at_most_one_worker_per_chunk(monkeypatch, jobs, n_range, worke
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+@pytest.mark.parametrize(
+    "jobs, n_range, workers", [(2, (2, 4), [2]), (4, (2, 4), [3]), (2, (3, 3), [])]
+)
+def test_pool_has_at_most_one_worker_per_chunk(recording_pool, jobs, n_range, workers):
+    # a 3-model (or 1-model) box
     config = dataclasses.replace(SO10_CONFIG, n_range=n_range, require=None)
     serial = search_bytes(config, 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert search_bytes(config, jobs) == serial
-    assert started == workers
+    assert recording_pool == workers
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_axes_built_once_per_scan(monkeypatch, recording_pool, jobs):
+    # a 15-model box, 8 chunks at --jobs 2 and 3: every chunk, serial or
+    # pooled, reads the axes that run_search built
+    calls = []
+    axes = search._axes
+    monkeypatch.setattr(search, "_axes", lambda *args: calls.append(args) or axes(*args))
+    config = dataclasses.replace(SO10_CONFIG, n_range=(2, 4), c2E_range=(100, 104), require=None)
+    assert search_bytes(config, jobs).count("\n") == 15 + 1
+    assert len(calls) == 1
+    assert recording_pool == ([] if jobs == 1 else [jobs])
 
 
 def test_import_loads_no_process_pool():
@@ -411,26 +437,6 @@ def test_import_loads_no_process_pool():
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("require", [None, "W_zero"])
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_enumerate_models_matches_run_search_lines(require, jobs):
-    config = SearchConfig(
-        base="F0",
-        mode="pullback",
-        n_range=(2, 3),
-        x_values=(1, 2),
-        alpha_box=((-2, 0), (-2, 0)),
-        c2E_range=(92, 104),
-        h_values=(1,),
-        require=require,
-    )
-    records = [r.to_json_line() for r in enumerate_models(config)]
-    lines = search_bytes(config, jobs).splitlines()
-    assert lines[-1].startswith("# ")
-    assert records == lines[:-1]
-    assert records  # both requirements emit something on this box
 
 
 def test_replay_soundness():

@@ -1,4 +1,4 @@
-"""The library imports the standard library only."""
+"""The library imports the standard library only, and uses every name it imports."""
 
 import ast
 import pathlib
@@ -21,3 +21,22 @@ def _absolute_imports(path):
 def test_library_imports_only_the_standard_library(path):
     outside = {name for name in _absolute_imports(path) if name.split(".")[0] not in sys.stdlib_module_names}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+# __init__ imports to re-export
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(_imported_names(tree)) - used)
+    assert not unused, f"{path.name} imports {unused} and never uses them"

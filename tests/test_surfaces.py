@@ -14,7 +14,6 @@ from cybundle.surfaces import (
     MinDegree,
     make_base,
     minus_one_classes,
-    signature,
 )
 
 
@@ -78,6 +77,39 @@ def test_c1_sq_is_stored_int(kind):
 def test_unsupported_surface(kind):
     with pytest.raises(ValueError, match="unsupported surface"):
         make_base(kind)
+
+
+def signature(gram):
+    """Exact (p, n) signature of a symmetric rational matrix."""
+    n = len(gram)
+    m = [[Fraction(v) for v in row] for row in gram]
+    pos = neg = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if swap is not None:
+                for row in m:
+                    row[k], row[swap] = row[swap], row[k]
+                m[k], m[swap] = m[swap], m[k]
+            else:
+                j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if j is None:
+                    continue
+                for row in m:
+                    row[k] += row[j]
+                m[k] = [a + b for a, b in zip(m[k], m[j])]
+        piv = m[k][k]
+        if piv > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] / piv
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+                for row in m:
+                    row[i] = row[i] - f * row[k]
+    return pos, neg
 
 
 @pytest.mark.parametrize("kind", ["F0", "dP0", "dP3", "dP8", "enriques"])
