@@ -87,7 +87,7 @@ def _parse_model(obj):
                 raise ValueError(f"spectral bundle missing field '{key}'")
         bundle = SpectralBundle(
             n=n,
-            eta=jsonio.divisor_from_json(spec["eta"], surface),
+            eta=jsonio.divisor_from_json(spec["eta"], surface, "eta"),
             lam=jsonio.frac_field(spec["lambda"], "lambda"),
             twist=twist,
         )
@@ -97,7 +97,7 @@ def _parse_model(obj):
     if not isinstance(pol_obj, dict):
         raise ValueError(f"field 'polarization' must be an object, got {pol_obj!r}")
     pol = Polarization(
-        H=jsonio.divisor_from_json(pol_obj["H"], surface) if "H" in pol_obj else None,
+        H=jsonio.divisor_from_json(pol_obj["H"], surface, "H") if "H" in pol_obj else None,
         h=jsonio.frac_field(pol_obj["h"], "h") if "h" in pol_obj else None,
     )
     # the rules of a search config, so that the two commands agree

@@ -64,35 +64,35 @@ def frac_field(value, name: str) -> Fraction:
 
 
 def divisor_to_json(d: DivisorClass) -> dict:
-    return coeffs_to_json(d.coeffs, d.torsion)
+    return {"coeffs": [frac_to_str(c) for c in d.coeffs], "torsion": d.torsion}
 
 
-def coeffs_to_json(coeffs, torsion: int) -> dict:
-    """The JSON of the class with these (int or Fraction) coefficients."""
-    return {"coeffs": [frac_to_str(c) for c in coeffs], "torsion": torsion}
-
-
-def divisor_from_json(obj, surface: BaseSurface) -> DivisorClass:
-    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
-        raise ValueError("divisor class must be an object with a 'coeffs' list")
-    torsion = obj.get("torsion", 0)
-    # refuses bool and float too: int() would read true as 1 and 1.5 as 1
-    if type(torsion) is not int or torsion not in (0, 1):
-        raise ValueError(f"field 'torsion' must be 0 or 1, got {torsion!r}")
-    if torsion and not surface.is_enriques:
-        raise ValueError(f"field 'torsion' must be 0: base {surface.kind} has no 2-torsion")
-    d = DivisorClass(tuple(frac_field(c, "coeffs") for c in obj["coeffs"]), torsion)
-    if d.rank != surface.rank:
-        raise ValueError(
-            f"field 'coeffs' has {d.rank} entries but base {surface.kind} has rank {surface.rank}"
-        )
+def divisor_from_json(obj, surface: BaseSurface, name: str | None = None) -> DivisorClass:
+    """The class `obj` on `surface`; an error names its field `name`, if given."""
+    try:
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+            raise ValueError("divisor class must be an object with a 'coeffs' list")
+        torsion = obj.get("torsion", 0)
+        # refuses bool and float too: int() would read true as 1 and 1.5 as 1
+        if type(torsion) is not int or torsion not in (0, 1):
+            raise ValueError(f"field 'torsion' must be 0 or 1, got {torsion!r}")
+        if torsion and not surface.is_enriques:
+            raise ValueError(f"field 'torsion' must be 0: base {surface.kind} has no 2-torsion")
+        d = DivisorClass(tuple(frac_field(c, "coeffs") for c in obj["coeffs"]), torsion)
+        if d.rank != surface.rank:
+            raise ValueError(
+                f"field 'coeffs' has {d.rank} entries but base {surface.kind} has rank {surface.rank}"
+            )
+    except ValueError as exc:
+        raise ValueError(f"field '{name}': {exc}" if name else str(exc)) from None
     return d
 
 
 def divisor_x_from_json(obj, surface: BaseSurface) -> DivisorX:
+    """The twist `obj`; an error in its class names the field 'alpha'."""
     if not isinstance(obj, dict) or "x" not in obj or "alpha" not in obj:
         raise ValueError("twist must be an object with 'x' and 'alpha' fields")
-    return DivisorX(frac_field(obj["x"], "x"), divisor_from_json(obj["alpha"], surface))
+    return DivisorX(frac_field(obj["x"], "x"), divisor_from_json(obj["alpha"], surface, "alpha"))
 
 
 def window_to_json(w: StabilityWindow) -> dict:

@@ -11,7 +11,7 @@ import math
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice, product, repeat
 
 from . import jsonio
@@ -38,29 +38,57 @@ class Polarization:
     h: Fraction | None = None  # H = h * c1 on a base with -K ample
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelRecord:
-    """One model's params and stage verdicts.  Records of one block share the
-    dicts and lists of what the block computed once; treat them as read-only."""
+    """One model's record: its JSONL line, which holds the params and the
+    stage verdicts, and what a scan counts of it.  `anomaly_passed` tells
+    whether the anomaly stage ran and passed.  `to_json`, `params` and
+    `verdicts` parse the line."""
 
-    params: dict
-    verdicts: dict
+    line: str
     overall: bool
     failed_stage: str | None
+    anomaly_passed: bool
+
+    params = property(lambda self: self.to_json()["params"])
+    verdicts = property(lambda self: self.to_json()["verdicts"])
 
     def to_json(self) -> dict:
-        return {
-            "params": self.params,
-            "verdicts": self.verdicts,
-            "overall": self.overall,
-            "failed_stage": self.failed_stage,
-        }
+        return json.loads(self.line)
 
     def to_json_line(self) -> str:
-        return _ENCODER.encode(self.to_json())
+        return self.line
 
 
+# A record is rendered where its verdicts are computed, as text fragments
+# that the blocks join: digits, booleans and fixed names are written by
+# hand, anything else (an error message, a window's floats) by the encoder.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=False)
+_JSON = {True: "true", False: "false", None: "null"}
+_VALID = (True, '"validity":{"passed":true}')
+# what follows the verdicts of a record, by its failed stage
+_TAILS = {
+    failed: f'}},"overall":{_JSON[failed is None]},"failed_stage":{_ENCODER.encode(failed)}}}'
+    for failed in (None, *STAGES)
+}
+
+
+def _invalid(error: str) -> tuple:
+    """(passed, text) of a validity verdict that fails with `error`."""
+    return False, '"validity":' + _ENCODER.encode({"passed": False, "error": error})
+
+
+def _class_text(coeffs, torsion: int) -> str:
+    """The JSON text of the class with these coefficients (`jsonio.divisor_to_json`)."""
+    strings = ",".join(f'"{jsonio.frac_to_str(c)}"' for c in coeffs)
+    return f'{{"coeffs":[{strings}],"torsion":{torsion}}}'
+
+
+def _alpha_parts(s: BaseSurface, alpha: DivisorClass) -> tuple:
+    """(nums, dual, den, a_sq): alpha = nums/den with its integer parts
+    (`BaseSurface.integer_parts`) and a_sq = den^2 alpha^2."""
+    nums, dual, den = s.integer_parts(alpha)
+    return nums, dual, den, dot(nums, dual)
 
 
 def check_model(
@@ -81,9 +109,12 @@ def check_model(
     no query enumerates any more, and the benchmark (bench/child.py) still
     passes it.
     """
-    block = _BLOCKS[type(bundle)](s, bundle, require, _Spectra(s))
+    alpha = bundle.twist.alpha
+    # a class of the wrong rank fails validity, and the block reads no parts
+    parts = _alpha_parts(s, alpha) if alpha.rank == s.rank else None
+    block = _BLOCKS[type(bundle)](s, bundle, require, _Spectra(s), parts)
     c2E = bundle.c2E if isinstance(bundle, PullbackBundle) else None
-    return block.record(c2E, _PolTerms(s, block.mode, pol), short_circuit, params or {})
+    return block.record(c2E, _PolTerms(s, block.mode, pol), short_circuit, _ENCODER.encode(params or {}))
 
 
 class _PolTerms:
@@ -92,17 +123,17 @@ class _PolTerms:
     parts, H^2, the z of the non-split slope (h on F0/dPk, 1 on Enriques)
     and, on first use, the minimum degree.  `windows` holds the stability
     verdicts solved so far, by (n, x, a) with a = alpha.c1 on F0/dPk and
-    alpha.H on Enriques, the only inputs of the window besides H.  `error`
-    holds the polarization rule the model breaks."""
+    alpha.H on Enriques, the only inputs of the window besides H.
+    `validity` is the validity verdict of the polarization rule."""
 
     def __init__(self, s: BaseSurface, mode: str, pol: Polarization):
         self.s = s
         try:
             _refuse_wrong_kind(s, mode, pol)
         except ValueError as exc:
-            self.error = str(exc)
+            self.validity = _invalid(str(exc))
             return
-        self.error = None
+        self.validity = _VALID
         self.h = None if pol.h is None else Fraction(pol.h)
         self.H = pol.H if pol.H is not None else s.c1.scale(self.h)
         _, self.H_dual, self.H_den = s.integer_parts(self.H)
@@ -115,10 +146,13 @@ class _PolTerms:
         return self.s.min_positive_degree(self.H)
 
     @cached_property
-    def min_degree_json(self) -> tuple:
-        """(min_degree, witness) of the spectral stability verdict."""
+    def min_degree_text(self) -> str:
+        """The end of the spectral stability verdict: min_degree on."""
         md = self.min_degree
-        return jsonio.frac_to_str(md.value), jsonio.divisor_to_json(md.witness)
+        witness = _class_text(md.witness.coeffs, md.witness.torsion)
+        # no degree query is bounded any more; the key stays until the
+        # output format next changes (ROADMAP items 7 and 9)
+        return f'"min_degree":"{jsonio.frac_to_str(md.value)}","witness":{witness},"bound_limited":false}}'
 
 
 class _Spectrum:
@@ -126,10 +160,10 @@ class _Spectrum:
     per config (or per `check_model`).  `error` is the message of
     `check_spectral_data`, or None; then `fiber` is FMW's fiber term, and
     there are wB = 12 c1 - eta (the twist pi^*alpha has x = 0, so wB does
-    not depend on alpha) with its JSON and, on first use, its cone verdict;
-    af0, the part of af without n(n+1)/2 alpha^2; `displayed0`, that part of
-    af_displayed when eta = 12 c1 (else None); and resid = eta - n c1 as
-    integer parts with 3 den^2 resid^2."""
+    not depend on alpha) with its JSON text and, on first use, its cone
+    verdict; af0, the part of af without n(n+1)/2 alpha^2; `displayed0`,
+    that part of af_displayed when eta = 12 c1 (else None); and resid = eta
+    - n c1 as integer parts with 3 den^2 resid^2."""
 
     def __init__(self, s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction):
         try:
@@ -142,7 +176,7 @@ class _Spectrum:
         self.af0 = s.c2 + 11 * s.c1_sq - self.fiber.numerator  # the fiber term is integral
         twelve_c1 = s.c1.scale(12)
         self.wB = twelve_c1 - eta
-        self.wB_json = jsonio.divisor_to_json(self.wB)
+        self.wB_text = _class_text(self.wB.coeffs, self.wB.torsion)
         self.wB_zero = self.wB.is_zero()
         self.displayed0 = None
         if eta == twelve_c1:
@@ -179,69 +213,69 @@ class _Block:
     """The invariants of one run of the box in which only the fastest axes
     vary: c2E and then the polarization for pullback models, a block per
     (n, x, alpha); the polarization alone for spectral models, a block per
-    (n, alpha, eta, lambda).  Built from any model of the run; nothing it
-    holds outlives it.  Stages (`stages`, in STAGES order) map (block, c2E,
-    polarization terms) to a verdict dict, whose key order is part of the
-    JSONL output.  Only validity reads the input for errors; the other
-    stages compute from data it has passed.  alpha is held as integer
-    parts: nums/den, with a_sq = den^2 alpha^2.
+    (n, alpha, eta, lambda).  Built from any model of the run and the
+    `_alpha_parts` of its alpha; nothing it holds outlives it.  Stages
+    (`stages`, in STAGES order) map (block, c2E, polarization terms) to
+    (passed, text), the text being the verdict's "key":{...} in the JSONL
+    line.  Only validity reads the input for errors; the other stages
+    compute from data it has passed.  alpha is held as integer parts:
+    nums/den, with a_sq = den^2 alpha^2.
     """
 
     mode: str
     stages: tuple
 
-    def __init__(self, s: BaseSurface, bundle, require: str | None, spectra: _Spectra):
-        self.s, self.n, self.alpha, self.require = s, bundle.n, bundle.twist.alpha, require
+    def __init__(self, s: BaseSurface, bundle, require: str | None, spectra: _Spectra, parts):
+        self.s, self.n, self.require = s, bundle.n, require
         try:
             validate_bundle(s, bundle, spectra.check)
         except ValueError as exc:
-            self.error = str(exc)
+            self.validity = _invalid(str(exc))
         else:
-            self.error = None
-            self.nums, self.dual, self.den = s.integer_parts(self.alpha)
-            self.a_sq = dot(self.nums, self.dual)
+            self.validity = _VALID
+            self.nums, self.dual, self.den, self.a_sq = parts
             self._invariants(bundle, spectra)
 
-    def record(self, c2E, pol: _PolTerms, short_circuit: bool, params: dict) -> ModelRecord:
-        verdicts: dict = {}
-        failed: str | None = None
+    def record(self, c2E, pol: _PolTerms, short_circuit: bool, params: str) -> ModelRecord:
+        """The record of the model (c2E, pol) of this block, given the JSON
+        text of its params."""
+        texts, failed = [], None
         for name, stage in zip(STAGES, self.stages):
-            verdict = verdicts[name] = stage(self, c2E, pol)
-            if not verdict["passed"]:
-                if failed is None:
-                    failed = name
-                if short_circuit or "error" in verdict:
+            passed, text = stage(self, c2E, pol)
+            texts.append(text)
+            if not passed:
+                failed = failed or name
+                # only validity fails with an error, which stops the run
+                if short_circuit or name == "validity":
                     break
-        return ModelRecord(params, verdicts, failed is None, failed)
+        line = '{"params":' + params + ',"verdicts":{' + ",".join(texts) + _TAILS[failed]
+        # the anomaly stage ran after validity passed, and passed unless it failed first
+        return ModelRecord(line, failed is None, failed, len(texts) > 1 and failed != "anomaly")
 
     def _alpha_dot(self, dual, den: int) -> tuple:
         """(P, q) with alpha.c = P/q, for c of integer parts (_, dual, den)."""
         return dot(self.nums, dual), self.den * den
 
-    def _validity(self, c2E, pol) -> dict:
-        error = self.error or pol.error
-        return {"passed": False, "error": error} if error else {"passed": True}
+    def _validity(self, c2E, pol) -> tuple:
+        return pol.validity if self.validity[0] else self.validity
 
-    def _anomaly_verdict(self, wb_json, af, w_zero, w_effective, **readings) -> dict:
-        """The anomaly verdict; `readings` go before "passed"."""
-        passed = {"W_zero": w_zero, "W_effective": w_effective}
-        return {
-            "wB": wb_json,
-            "af": jsonio.frac_to_str(af),
-            "W_zero": w_zero,
-            "W_effective": w_effective,
-            **readings,
-            "passed": passed.get(self.require, True),
-        }
+    def _anomaly_verdict(self, wb_text: str, af, w_zero, w_effective, readings: str = "") -> tuple:
+        """(passed, text) of the anomaly verdict; `readings`, the text of the
+        two af readings, go before "passed"."""
+        passed = {"W_zero": w_zero, "W_effective": w_effective}.get(self.require, True)
+        return passed, (
+            f'"anomaly":{{"wB":{wb_text},"af":"{jsonio.frac_to_str(af)}","W_zero":{_JSON[w_zero]},'
+            f'"W_effective":{_JSON[w_effective]}{readings},"passed":{_JSON[passed]}}}'
+        )
 
 
 class _PullbackBlock(_Block):
     """Per block: validity, af0 and chi0 (af = af0 - c2E, chi = chi0 -
-    chi_slope c2E), alpha.c1, wB as numerators over den with its JSON and,
-    when a model with af >= 0 first asks, its cone query.  Per (block,
+    chi_slope c2E), alpha.c1, wB as numerators over den with its JSON text
+    and, when a model with af >= 0 first asks, its cone query.  Per (block,
     polarization), on first use: the non-split slope.  Per model: af, chi
-    and the lookup of the stability window, solved once per (n, x, a) and
-    polarization."""
+    and the lookup of the stability verdict, solved and rendered once per
+    (n, x, a) and polarization."""
 
     mode = "pullback"
 
@@ -257,7 +291,7 @@ class _PullbackBlock(_Block):
         c, t = 12 - k * x * x, 2 * k * x
         self.wB_nums = [c * den * ci + t * ai for ci, ai in zip(s.c1_ints, self.nums)]
         self.wB_torsion = c * s.c1.torsion % 2  # t is even: t alpha has no torsion
-        self.wB_json = jsonio.coeffs_to_json([ratio(w, den) for w in self.wB_nums], self.wB_torsion)
+        self.wB_text = _class_text([ratio(w, den) for w in self.wB_nums], self.wB_torsion)
         self.wB_zero = not self.wB_torsion and not any(self.wB_nums)
         self._effective = None
         self._slopes: dict = {}
@@ -268,12 +302,11 @@ class _PullbackBlock(_Block):
             self._effective = self.s.cone_position(wb).effective
         return self._effective
 
-    def _anomaly(self, c2E, pol) -> dict:
+    def _anomaly(self, c2E, pol) -> tuple:
         af = self.af0 - c2E
-        flags = w_verdict(af, self.wB_zero, self._wb_effective)
-        return self._anomaly_verdict(self.wB_json, af, *flags)
+        return self._anomaly_verdict(self.wB_text, af, *w_verdict(af, self.wB_zero, self._wb_effective))
 
-    def _nonsplit(self, c2E, pol) -> dict:
+    def _nonsplit(self, c2E, pol) -> tuple:
         slope = None
         if self.x > 0:
             slope = self._slopes.get(pol)
@@ -284,9 +317,10 @@ class _PullbackBlock(_Block):
                 num = 2 * p * z.denominator - z.numerator * self.a_c1_num * pol.H_den
                 slope = self._slopes[pol] = ratio(num, q * z.denominator)
         ns = nonsplit_verdict(self.x, slope, self.chi0 - self.chi_slope * c2E)
-        return {"passed": ns.passed, "clause": ns.clause, "value": jsonio.frac_to_str(ns.value)}
+        value = jsonio.frac_to_str(ns.value)
+        return ns.passed, f'"nonsplit":{{"passed":{_JSON[ns.passed]},"clause":"{ns.clause}","value":"{value}"}}'
 
-    def _stability(self, c2E, pol) -> dict:
+    def _stability(self, c2E, pol) -> tuple:
         s, n, x = self.s, self.n, self.x
         a = ratio(*self._alpha_dot(pol.H_dual, pol.H_den)) if s.is_enriques else self.a_c1
         verdict = pol.windows.get((n, x, a))
@@ -295,7 +329,8 @@ class _PullbackBlock(_Block):
                 window = window_enriques(n, x, a, pol.hsq)
             else:
                 window = window_delpezzo(n, x, a, s.c1_sq, pol.h)
-            verdict = pol.windows[n, x, a] = {**jsonio.window_to_json(window), "passed": window.nonempty}
+            text = _ENCODER.encode({**jsonio.window_to_json(window), "passed": window.nonempty})
+            verdict = pol.windows[n, x, a] = window.nonempty, '"stability":' + text
         return verdict
 
     stages = (_Block._validity, _anomaly, _nonsplit, _stability)
@@ -316,45 +351,37 @@ class _SpectralBlock(_Block):
         d2, k = den * den, n * (n + 1) // 2
         af = ratio(spectrum.af0 * d2 + k * a_sq, d2)
         flags = w_verdict(af, spectrum.wB_zero, lambda: spectrum.wB_effective)
-        readings = {}
+        readings = ""
         if spectrum.displayed0 is not None:
             p, q = spectrum.displayed0.numerator, spectrum.displayed0.denominator
             displayed = ratio(p * d2 + k * a_sq * q, q * d2)
-            readings = {
-                "af_displayed": jsonio.frac_to_str(displayed),
-                "af_direct": jsonio.frac_to_str(af),
-                "display_agrees": af == displayed,
-            }
-        self.anomaly = self._anomaly_verdict(spectrum.wB_json, af, *flags, **readings)
+            readings = (
+                f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
+                f',"display_agrees":{_JSON[af == displayed]}'
+            )
+        self.anomaly = self._anomaly_verdict(spectrum.wB_text, af, *flags, readings)
         # 3/2 resid^2 - (n+1) alpha.resid over 2 den resid_den^2
         p, _ = self._alpha_dot(spectrum.resid_dual, spectrum.resid_den)
         rd = spectrum.resid_den
         value = ratio(spectrum.resid_sq3 * den - 2 * (n + 1) * p * rd, 2 * den * rd * rd)
-        self.nonsplit = {
-            "passed": value > 0,
-            "clause": "spectral chi>0",
-            "value": jsonio.frac_to_str(value),
-        }
+        self.nonsplit = value > 0, (
+            f'"nonsplit":{{"passed":{_JSON[value > 0]},"clause":"spectral chi>0",'
+            f'"value":"{jsonio.frac_to_str(value)}"}}'
+        )
 
-    def _anomaly(self, c2E, pol) -> dict:
+    def _anomaly(self, c2E, pol) -> tuple:
         return self.anomaly
 
-    def _nonsplit(self, c2E, pol) -> dict:
+    def _nonsplit(self, c2E, pol) -> tuple:
         return self.nonsplit
 
-    def _stability(self, c2E, pol) -> dict:
+    def _stability(self, c2E, pol) -> tuple:
         ver = spectral_stability(self.n, ratio(*self._alpha_dot(pol.H_dual, pol.H_den)), pol.min_degree)
-        min_degree, witness = pol.min_degree_json
-        return {
-            "passed": ver.passed,
-            "alpha_H": jsonio.frac_to_str(ver.a_h),
-            "n_alpha_H": jsonio.frac_to_str(ver.n_a_h),
-            "min_degree": min_degree,
-            "witness": witness,
-            # no degree query is bounded any more; the key stays until the
-            # output format next changes (ROADMAP items 7 and 9)
-            "bound_limited": False,
-        }
+        a_h, n_a_h = jsonio.frac_to_str(ver.a_h), jsonio.frac_to_str(ver.n_a_h)
+        return ver.passed, (
+            f'"stability":{{"passed":{_JSON[ver.passed]},"alpha_H":"{a_h}","n_alpha_H":"{n_a_h}",'
+            + pol.min_degree_text
+        )
 
     stages = (_Block._validity, _anomaly, _nonsplit, _stability)
 
@@ -516,17 +543,12 @@ def _frac_list(value, name: str) -> tuple:
     return tuple(jsonio.frac_field(v, name) for v in _list(value, name))
 
 
-@lru_cache(maxsize=4096)  # the classes of a box repeat across its blocks
-def _padded_class(coeffs: tuple, rank: int) -> DivisorClass:
-    return DivisorClass(coeffs + (0,) * (rank - len(coeffs)))
-
-
 def _axes(config: SearchConfig, s: BaseSurface) -> list:
     """The box's axes, sized sequences in enumeration order (last fastest).
 
     Pullback: n, x, one range per alpha_box pair, c2E; spectral: n, the
     alpha_box ranges, the eta_box ranges, lambda.  Last come the
-    polarizations as (_PolTerms, params entry) pairs, H_values entries
+    polarizations as (_PolTerms, params text) pairs, H_values entries
     before h_values entries.  Refuses a class with more coordinates than the
     base rank and a polarization of the wrong kind or not ample, naming the
     config field, so that a bad config fails before any model is scanned.
@@ -549,38 +571,51 @@ def _axes(config: SearchConfig, s: BaseSurface) -> list:
         axes = [n, *alpha, *eta, config.lambda_values or (Fraction(0),)]
     pols = []
     for vec in config.H_values:
-        pol = Polarization(H=_padded_class(vec, s.rank))
+        pol = Polarization(H=DivisorClass(vec + (0,) * (s.rank - len(vec))))
         _refuse_wrong_kind(s, config.mode, pol, in_config=True)
         _refuse_unusable_H(s, config.mode, pol.H, f"config field 'H_values' entry {list(vec)}")
-        pols.append((_PolTerms(s, config.mode, pol), {"H": list(vec)}))
+        pols.append((_PolTerms(s, config.mode, pol), f'"H":[{",".join(map(str, vec))}],'))
     for h in config.h_values:
         pol = Polarization(h=Fraction(h))
         _refuse_wrong_kind(s, config.mode, pol, in_config=True)
-        pols.append((_PolTerms(s, config.mode, pol), {"h": jsonio.frac_to_str(h)}))
+        pols.append((_PolTerms(s, config.mode, pol), f'"h":"{jsonio.frac_to_str(h)}",'))
     if not pols:
         raise ValueError("config needs H_values or h_values")
     axes.append(pols)
     return axes
 
 
-def _model(config: SearchConfig, s: BaseSurface, point: tuple):
-    """(bundle, head, tail) of one point of the box of `_axes`.  The params of
-    a model are head, its polarization entry, tail and, for a pullback
-    model, c2E; head and tail are the same for the whole block."""
+def _block(config: SearchConfig, s: BaseSurface, point: tuple, spectra: _Spectra, alphas: dict, etas: dict):
+    """(block, head, tail) of a point of the box of `_axes`: a model's params
+    text is head, its polarization entry, tail and, for a pullback model,
+    c2E.  The tables of one `_records` call, keyed by box coordinates, keep
+    per alpha the class with its `_alpha_parts` and params text, and per
+    (eta, lambda) the class and tail."""
     n, *coords, _ = point
     if config.mode == "pullback":
         x, *alpha, c2E = coords
     else:
         *coords, lam = coords
         alpha, eta = coords[: len(config.alpha_box)], coords[len(config.alpha_box):]
-    alpha = _padded_class(tuple(alpha), s.rank)
-    head = {"base": s.kind, "n": n, "alpha": [str(c) for c in alpha.coeffs]}
+    alpha = tuple(alpha)
+    if alpha not in alphas:
+        padded = DivisorClass(alpha + (0,) * (s.rank - len(alpha)))
+        alphas[alpha] = padded, _alpha_parts(s, padded), "[" + ",".join(f'"{c}"' for c in padded.coeffs) + "]"
+    alpha, parts, alpha_text = alphas[alpha]
+    head = f'{{"base":"{s.kind}","n":{n},"alpha":{alpha_text},'
     if config.mode == "pullback":
-        return PullbackBundle(n=n, c2E=c2E, twist=DivisorX(x, alpha)), head, {"x": x}
-    # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
-    eta = _padded_class(tuple(eta) or tuple(12 * c for c in s.c1_ints), s.rank)
-    tail = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
-    return SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha)), head, tail
+        bundle, tail = PullbackBundle(n=n, c2E=c2E, twist=DivisorX(x, alpha)), f'"x":{x}'
+    else:
+        key = tuple(eta), lam
+        if key not in etas:
+            # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
+            eta = key[0] or tuple(12 * c for c in s.c1_ints)
+            eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
+            params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
+            etas[key] = eta, _ENCODER.encode(params)[1:]  # the end of the params object
+        eta, tail = etas[key]
+        bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha))
+    return _BLOCKS[type(bundle)](s, bundle, config.require, spectra, parts), head, tail
 
 
 @dataclass
@@ -589,26 +624,11 @@ class SearchSummary:
     passed: int = 0
     stage_failures: dict = field(default_factory=lambda: {k: 0 for k in STAGES})
 
-    def to_json(self) -> dict:
-        return {
-            "scanned": self.scanned,
-            "passed": self.passed,
-            "stage_failures": self.stage_failures,
-        }
-
     def merge(self, other: "SearchSummary") -> None:
         self.scanned += other.scanned
         self.passed += other.passed
         for key, val in other.stage_failures.items():
             self.stage_failures[key] += val
-
-
-def _emit(record: ModelRecord, require: str | None) -> bool:
-    """Records are emitted unconditionally without a requirement; with one,
-    only records meeting the anomaly requirement appear in the stream."""
-    if require is None:
-        return True
-    return record.verdicts.get("anomaly", {}).get("passed") is True
 
 
 def _records(config: SearchConfig, axes: list, start: int, stop: int):
@@ -619,24 +639,23 @@ def _records(config: SearchConfig, axes: list, start: int, stop: int):
     (pullback) or before the polarization (spectral), changes; so a chunk
     that starts inside a block builds that block itself.  The polarization
     terms of the axes hold the stability windows, which a serial scan
-    solves once and each pool chunk in its own copy; the spectral data are
-    built once per call.
+    solves once and each pool chunk in its own copy; the tables of alpha,
+    (eta, lambda) and the spectral data are built once per call.
     """
     s = make_base(config.base)
     inner = 2 if config.mode == "pullback" else 1
-    spectra = _Spectra(s)
+    tables = _Spectra(s), {}, {}
     key = None
     for point in islice(product(*axes), start, stop):
         if point[:-inner] != key:
             key = point[:-inner]
-            bundle, head, tail = _model(config, s, point)
-            block = _BLOCKS[type(bundle)](s, bundle, config.require, spectra)
-        pol, pol_json = point[-1]
-        params = {**head, **pol_json, **tail}
-        c2E = None
+            block, head, tail = _block(config, s, point, *tables)
+        pol, pol_text = point[-1]
         if inner == 2:
-            c2E = params["c2E"] = point[-2]
-        yield block.record(c2E, pol, True, params)
+            c2E = point[-2]
+            yield block.record(c2E, pol, True, f'{head}{pol_text}{tail},"c2E":{c2E}}}')
+        else:
+            yield block.record(None, pol, True, head + pol_text + tail)
 
 
 def _evaluate_range(config: SearchConfig, axes: list, start: int, stop: int):
@@ -649,8 +668,9 @@ def _evaluate_range(config: SearchConfig, axes: list, start: int, stop: int):
             summary.passed += 1
         else:
             summary.stage_failures[record.failed_stage] += 1
-        if _emit(record, config.require):
-            lines.append(record.to_json_line())
+        # with a requirement, only records meeting it at the anomaly stage
+        if config.require is None or record.anomaly_passed:
+            lines.append(record.line)
     return lines, summary
 
 
@@ -687,8 +707,7 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
             if out is not None:
                 out.writelines(line + "\n" for line in lines)
             emitted += len(lines)
-    summary_obj = summary.to_json()
-    summary_obj["emitted"] = emitted
+    summary_obj = dict(vars(summary), emitted=emitted)  # the fields in order, then emitted
     if out is not None:
         out.write("# " + json.dumps(summary_obj, separators=(",", ":")) + "\n")
     return summary_obj

@@ -20,7 +20,7 @@ from cybundle.anomaly import anomaly_class, spectral_af
 from cybundle.bundles import PullbackBundle, SpectralBundle, bundle_chern, validate_bundle
 from cybundle.nonsplit import chi_line, chi_nonsplit, chi_value, nonsplit_feasible, spectral_nonsplit
 from cybundle.ring import DivisorX, c2_tangent
-from cybundle.search import ModelRecord, Polarization, SearchConfig, check_model, run_search
+from cybundle.search import STAGES, ModelRecord, Polarization, SearchConfig, check_model, run_search
 from cybundle.surfaces import DivisorClass, make_base
 from cybundle.windows import spectral_stability_check, window_delpezzo, window_enriques
 
@@ -106,8 +106,11 @@ def _search_bytes(config, jobs):
 
 def _scan_records(config):
     """The records `run_search` writes, read back from its JSONL."""
-    lines = _search_bytes(config, 1).splitlines()
-    return [ModelRecord(**json.loads(line)) for line in lines if not line.startswith("#")]
+    lines = [line for line in _search_bytes(config, 1).splitlines() if not line.startswith("#")]
+    return [
+        ModelRecord(line, r["overall"], r["failed_stage"], r["verdicts"].get("anomaly", {}).get("passed") is True)
+        for line, r in zip(lines, map(json.loads, lines))
+    ]
 
 
 @pytest.mark.parametrize("mode", ["pullback", "spectral"])
@@ -303,3 +306,61 @@ def test_jobs_give_equal_bytes_when_chunks_cut_blocks():
     assert serial.count("\n") == 324 + 1
     assert _search_bytes(config, 2) == serial
     assert _search_bytes(config, 3) == serial
+
+
+# The JSONL line is rendered from text fragments, most of them by hand; the
+# standard encoder, run on the line's own parse, is the oracle of the bytes.
+
+
+def _assert_canonical(line):
+    """`line` is what the encoder writes of its parse, and its verdicts run
+    through a prefix of STAGES."""
+    record = json.loads(line)
+    assert line == json.dumps(record, separators=(",", ":"))
+    assert list(record["verdicts"]) == list(STAGES[: len(record["verdicts"])]), line
+    return record
+
+
+@pytest.mark.parametrize("mode", ["pullback", "spectral"])
+@pytest.mark.parametrize("kind", BASES)
+def test_scan_lines_are_what_the_encoder_writes(kind, mode):
+    # every record of the boxes of the two scan tests above
+    make_config = _pullback_config if mode == "pullback" else _spectral_config
+    configs = [make_config(kind, random.Random(f"{kind}:{mode}"))]
+    kernels = make_config(kind, random.Random(f"kernels:{kind}:{mode}"))
+    if mode == "pullback":
+        kernels["x_values"] = [-2, -1, 0, 1, 2]
+    lines = []
+    for config in configs + [kernels]:
+        lines += _search_bytes(SearchConfig.from_json(config), 1).splitlines()[:-1]
+    records = [_assert_canonical(line) for line in lines]
+    assert len({r["failed_stage"] for r in records}) > 1
+
+
+@pytest.mark.parametrize("kind", BASES)
+def test_check_model_lines_are_what_the_encoder_writes(kind):
+    seen = 0
+    for seed in (kind, f"kernels:{kind}"):
+        for s, bundle, pol in _half_integral_models(kind, random.Random(seed)):
+            record = check_model(s, bundle, pol, short_circuit=False, params={"base": kind, "seed": seed})
+            seen += "/" in json.dumps(_assert_canonical(record.to_json_line())["verdicts"])
+    assert seen > 0
+
+
+def test_error_and_float_lines_are_what_the_encoder_writes():
+    f0, enr = make_base("F0"), make_base("enriques")
+    twist = DivisorX(0, DivisorClass((1, -11)))
+    bad_parity = SpectralBundle(n=2, eta=f0.c1.scale(12), lam=1, twist=twist)
+    enriques = PullbackBundle(n=2, c2E=12, twist=DivisorX(1, DivisorClass(_pad((-1, 0), 10))))
+    so10 = PullbackBundle(n=3, c2E=104, twist=DivisorX(1, DivisorClass((-1, -1))))
+    cases = [
+        (f0, bad_parity, Polarization(H=DivisorClass((3, 34))), "spectral data invalid"),
+        (enr, enriques, Polarization(), "explicit polarization H"),
+        (f0, so10, Polarization(H=DivisorClass((1, 1))), "does not apply"),
+        # the window of the SO(10) model at h = 10^150, whose floats the encoder writes
+        (f0, so10, Polarization(h=Fraction(10**150)), "z_interval_approx"),
+    ]
+    for s, bundle, pol, expected in cases:
+        line = check_model(s, bundle, pol, short_circuit=False, params={"case": expected}).to_json_line()
+        _assert_canonical(line)
+        assert expected in line

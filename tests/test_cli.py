@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -713,3 +714,50 @@ def test_check_and_search_agree_on_polarization(tmp_path, capsys, base, mode, sh
         assert search_code == 0, search_err
     else:
         assert search_code == 2 and SEARCH_FIELD[refused] in search_err, search_err
+
+
+E6_MODEL = {
+    "base": "F0",
+    "bundle": {
+        "type": "pullback",
+        "n": 2,
+        "c2E": 92,
+        "twist": {"x": "2", "alpha": {"coeffs": ["0", "0"]}},
+    },
+    "polarization": {"h": "1"},
+    "require": "W_zero",
+}
+
+
+@pytest.mark.parametrize(
+    "model, code, digest",
+    [
+        (SO10_MODEL, 0, "e07f0a5e72abc914c5de8810dfedab13bab9f1efb790350cc38f75820e093848"),
+        (SPECTRAL_MODEL, 0, "5b7d21061aeb91644a6e9ccfeb574d0df6a209425965e624ad6a11ae50ae7dc4"),
+        (E6_MODEL, 1, "5962bb1783f4bfa42132e920e5b40b7336cc702d6950a3f314164f68a0db5eb8"),
+        (ENRIQUES_SPECTRAL_MODEL, 1, "00a4ad3b293aff006468dd548e617d415243343838cff8efeaf099d2cdfb6f35"),
+        (BAD_PARITY_MODEL, 1, "b234d1b57324ea20d8b55afe46ca4769bfc76f4429637cd95d695fdc75699306"),
+    ],
+    ids=["so10", "f0-spectral", "e6", "enriques-spectral", "validity-failure"],
+)
+def test_check_stdout_bytes_pinned(tmp_path, capsys, model, code, digest):
+    # the indented record that `check` prints, byte for byte
+    assert cli.main(["check", write(tmp_path, "model.json", model)]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "model, field",
+    [
+        (_with_spectral(eta=5), "'eta'"),
+        (_with_spectral(eta={"coeffs": ["24"]}), "'eta'"),
+        (dict(SPECTRAL_MODEL, polarization={"H": 5}), "'H'"),
+        (_with_twist(alpha=5), "'alpha'"),
+    ],
+    ids=["eta-not-a-class", "eta-short", "H-not-a-class", "alpha-not-a-class"],
+)
+def test_check_bad_class_names_it(tmp_path, capsys, model, field):
+    # the class is named before the current wording of the error
+    assert cli.main(["check", write(tmp_path, "bad.json", model)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: field {field}: "), err

@@ -102,13 +102,20 @@ def _run(command, doc):
     return code, err.getvalue()
 
 
+# the divisor class fields of a model file
+CLASS_FIELDS = ("alpha", "eta", "H")
+
+
 def _each_field(command, doc, value):
-    """Run `command` on `doc` with each field in turn replaced by `value`."""
+    """Run `command` on `doc` with each field in turn replaced by `value`.
+    An exit 2 caused by a class field, or a field inside one, names it."""
     for path in _paths(doc):
         code, err = _run(command, _replaced(doc, path, value))
         assert code in (0, 1, 2), path
         if code == 2:
             assert any(line.startswith("error:") for line in err.splitlines()), (path, err)
+            for key in CLASS_FIELDS:
+                assert key not in path or f"'{key}'" in err, (path, err)
 
 
 @FUZZ

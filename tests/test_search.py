@@ -32,8 +32,11 @@ def pad(coeffs, rank):
 
 def scan_records(config):
     """The records `run_search` writes, read back from its JSONL."""
-    lines = search_bytes(config, 1).splitlines()
-    return [ModelRecord(**json.loads(line)) for line in lines if not line.startswith("#")]
+    lines = [line for line in search_bytes(config, 1).splitlines() if not line.startswith("#")]
+    return [
+        ModelRecord(line, r["overall"], r["failed_stage"], r["verdicts"].get("anomaly", {}).get("passed") is True)
+        for line, r in zip(lines, map(json.loads, lines))
+    ]
 
 
 SO10_CONFIG = SearchConfig(
@@ -279,6 +282,35 @@ def test_each_model_quantity_computed_once(monkeypatch):
     intersect = BaseSurface.intersect
     monkeypatch.setattr(BaseSurface, "intersect", lambda *args: calls.append(1) or intersect(*args))
     assert make_base("F0").c1_sq == 8 and calls == []
+
+
+def test_each_record_rendered_from_fragments(monkeypatch):
+    # the f0 seed-0 pullback box of the benchmark: the encoder runs at most
+    # once per block, distinct window, distinct alpha and polarization, not
+    # once per model; the rest of each line is joined from block fragments
+    config = SearchConfig.from_json({
+        "base": "F0",
+        "mode": "pullback",
+        "n_range": [2, 4],
+        "x_values": [-2, -1, 1, 2],
+        "alpha_box": [[-3, 3], [-3, 3]],
+        "c2E_range": [90, 92],
+        "h_values": ["1", "2"],
+    })
+    encode = search._ENCODER.encode
+    calls = []
+    monkeypatch.setattr(search._ENCODER, "encode", lambda obj: calls.append(1) or encode(obj))
+    records = scan_records(config)
+    f0 = make_base("F0")
+    windows_solved = {
+        (p["n"], p["x"], f0.intersect(pad([int(c) for c in p["alpha"]], 2), f0.c1), p["h"])
+        for p in (r.params for r in records if "stability" in r.verdicts)
+    }
+    blocks = _blocks(records, ("c2E", "h"))
+    alphas = {tuple(r.params["alpha"]) for r in records}
+    bound = len(blocks) + len(windows_solved) + len(alphas) + len(config.h_values)
+    assert len(records) == 3528 and bound < len(records)
+    assert 0 < len(calls) <= bound
 
 
 def test_lexicographic_order():
