@@ -25,8 +25,10 @@ def frac_from_str(s) -> Fraction:
 
 # the most digits a numerator, denominator or integer of any input field may
 # have; a decimal exponent past it is refused before Fraction builds the
-# number ("1e999999999" would never finish), and products of capped inputs
-# stay below the interpreter's limit on the digits of an int it prints
+# number ("1e999999999" would never finish).  Products of capped inputs can
+# still pass the interpreter's limit on the digits of an int it prints: the
+# pullback chi (terms n^4 x^3 and n^4 alpha^2) and the spectral af (lambda^2
+# n eta^2) do (ROADMAP item 5)
 MAX_DIGITS = 1000
 _DIGITS_BOUND = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)

@@ -41,15 +41,15 @@ class Polarization:
 @dataclass(slots=True)
 class ModelRecord:
     """One model's record: its JSONL line, which holds the params and the
-    stage verdicts, and what a scan counts of it.  `anomaly_passed` tells
+    stage verdicts, and its first failed stage.  `anomaly_passed` tells
     whether the anomaly stage ran and passed.  `to_json`, `params` and
     `verdicts` parse the line."""
 
     line: str
-    overall: bool
     failed_stage: str | None
-    anomaly_passed: bool
 
+    overall = property(lambda self: self.failed_stage is None)
+    anomaly_passed = property(lambda self: self.failed_stage not in ("validity", "anomaly"))
     params = property(lambda self: self.to_json()["params"])
     verdicts = property(lambda self: self.to_json()["verdicts"])
 
@@ -112,9 +112,13 @@ def check_model(
     alpha = bundle.twist.alpha
     # a class of the wrong rank fails validity, and the block reads no parts
     parts = _alpha_parts(s, alpha) if alpha.rank == s.rank else None
-    block = _BLOCKS[type(bundle)](s, bundle, require, _Spectra(s), parts)
-    c2E = bundle.c2E if isinstance(bundle, PullbackBundle) else None
-    return block.record(c2E, _PolTerms(s, block.mode, pol), short_circuit, _ENCODER.encode(params or {}))
+    if isinstance(bundle, SpectralBundle):
+        spectrum = _Spectrum(s, bundle.n, bundle.eta, bundle.lam)
+        block, c2E = _SpectralBlock(s, bundle, require, spectrum, parts), None
+    else:
+        block, c2E = _PullbackBlock(s, bundle, require, None, parts), bundle.c2E
+    line, failed = block.record(c2E, _PolTerms(s, block.mode, pol), short_circuit, _ENCODER.encode(params or {}))
+    return ModelRecord(line, failed)
 
 
 class _PolTerms:
@@ -157,23 +161,24 @@ class _PolTerms:
 
 class _Spectrum:
     """What the spectral blocks of one (n, eta, lambda) share, worked out once
-    per config (or per `check_model`).  `error` is the message of
-    `check_spectral_data`, or None; then `fiber` is FMW's fiber term, and
-    there are wB = 12 c1 - eta (the twist pi^*alpha has x = 0, so wB does
-    not depend on alpha) with its JSON text and, on first use, its cone
-    verdict; af0, the part of af without n(n+1)/2 alpha^2; `displayed0`,
-    that part of af_displayed when eta = 12 c1 (else None); and resid = eta
-    - n c1 as integer parts with 3 den^2 resid^2."""
+    per scan (or per `check_model`).  `error` is the message of
+    `check_spectral_data`, or None; then there are wB = 12 c1 - eta (the
+    twist pi^*alpha has x = 0, so wB does not depend on alpha) with its JSON
+    text and, on first use, its cone verdict; af0, the part of af without
+    n(n+1)/2 alpha^2; `displayed0`, that part of af_displayed when eta = 12
+    c1 (else None); and resid = eta - n c1 as integer parts with 3 den^2
+    resid^2."""
 
     def __init__(self, s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction):
+        self.eta = eta
         try:
-            self.fiber = check_spectral_data(s, n, eta, lam)
+            fiber = check_spectral_data(s, n, eta, lam)
         except ValueError as exc:
             self.error = str(exc)
             return
         self.error = None
         self.s = s
-        self.af0 = s.c2 + 11 * s.c1_sq - self.fiber.numerator  # the fiber term is integral
+        self.af0 = s.c2 + 11 * s.c1_sq - fiber.numerator  # the fiber term is integral
         twelve_c1 = s.c1.scale(12)
         self.wB = twelve_c1 - eta
         self.wB_text = _class_text(self.wB.coeffs, self.wB.torsion)
@@ -187,34 +192,24 @@ class _Spectrum:
         nums, self.resid_dual, self.resid_den = s.integer_parts(eta - s.c1.scale(n))
         self.resid_sq3 = 3 * dot(nums, self.resid_dual)
 
+    def check(self, *_) -> None:
+        """The `spectral_data` hook of `validate_bundle`: raise the data's error."""
+        if self.error is not None:
+            raise ValueError(self.error)
+
     @cached_property
     def wB_effective(self) -> bool:
         return self.s.cone_position(self.wB).effective
-
-
-class _Spectra(dict):
-    """The `_Spectrum` of each (n, eta, lambda) met so far on one base."""
-
-    def __init__(self, s: BaseSurface):
-        super().__init__()
-        self.s = s
-
-    def check(self, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
-        """`check_spectral_data(s, n, eta, lam)`, run once per key."""
-        spectrum = self.get((n, eta, lam))
-        if spectrum is None:
-            spectrum = self[n, eta, lam] = _Spectrum(self.s, n, eta, lam)
-        if spectrum.error is not None:
-            raise ValueError(spectrum.error)
-        return spectrum.fiber
 
 
 class _Block:
     """The invariants of one run of the box in which only the fastest axes
     vary: c2E and then the polarization for pullback models, a block per
     (n, x, alpha); the polarization alone for spectral models, a block per
-    (n, alpha, eta, lambda).  Built from any model of the run and the
-    `_alpha_parts` of its alpha; nothing it holds outlives it.  Stages
+    (n, alpha, eta, lambda).  Built from the bundle of the run (whose c2E
+    it does not read), the `_Spectrum` of its (n, eta, lambda) for a
+    spectral run (None for pullback) and the `_alpha_parts` of its alpha;
+    nothing it holds outlives it.  Stages
     (`stages`, in STAGES order) map (block, c2E, polarization terms) to
     (passed, text), the text being the verdict's "key":{...} in the JSONL
     line.  Only validity reads the input for errors; the other stages
@@ -225,20 +220,20 @@ class _Block:
     mode: str
     stages: tuple
 
-    def __init__(self, s: BaseSurface, bundle, require: str | None, spectra: _Spectra, parts):
+    def __init__(self, s: BaseSurface, bundle, require: str | None, spectrum, parts):
         self.s, self.n, self.require = s, bundle.n, require
         try:
-            validate_bundle(s, bundle, spectra.check)
+            validate_bundle(s, bundle, spectrum and spectrum.check)
         except ValueError as exc:
             self.validity = _invalid(str(exc))
         else:
             self.validity = _VALID
             self.nums, self.dual, self.den, self.a_sq = parts
-            self._invariants(bundle, spectra)
+            self._invariants(bundle, spectrum)
 
-    def record(self, c2E, pol: _PolTerms, short_circuit: bool, params: str) -> ModelRecord:
-        """The record of the model (c2E, pol) of this block, given the JSON
-        text of its params."""
+    def record(self, c2E, pol: _PolTerms, short_circuit: bool, params: str) -> tuple:
+        """(line, failed_stage) of the model (c2E, pol) of this block, given
+        the JSON text of its params."""
         texts, failed = [], None
         for name, stage in zip(STAGES, self.stages):
             passed, text = stage(self, c2E, pol)
@@ -248,9 +243,7 @@ class _Block:
                 # only validity fails with an error, which stops the run
                 if short_circuit or name == "validity":
                     break
-        line = '{"params":' + params + ',"verdicts":{' + ",".join(texts) + _TAILS[failed]
-        # the anomaly stage ran after validity passed, and passed unless it failed first
-        return ModelRecord(line, failed is None, failed, len(texts) > 1 and failed != "anomaly")
+        return '{"params":' + params + ',"verdicts":{' + ",".join(texts) + _TAILS[failed], failed
 
     def _alpha_dot(self, dual, den: int) -> tuple:
         """(P, q) with alpha.c = P/q, for c of integer parts (_, dual, den)."""
@@ -279,7 +272,7 @@ class _PullbackBlock(_Block):
 
     mode = "pullback"
 
-    def _invariants(self, bundle, spectra) -> None:
+    def _invariants(self, bundle, spectrum) -> None:
         s, n, den = self.s, self.n, self.den
         self.x = x = int(bundle.twist.x)
         d2, k = den * den, n * (n + 1) // 2
@@ -338,16 +331,15 @@ class _PullbackBlock(_Block):
 
 class _SpectralBlock(_Block):
     """Per block: validity, whose spectral data check is read from the
-    config's `_Spectrum` of (n, eta, lambda); the anomaly verdict, with both
+    `_Spectrum` of (n, eta, lambda); the anomaly verdict, with both
     af readings for the paper's eta = 12 c1 family; and the non-split
     verdict 3/2 resid^2 - (n+1) alpha.resid > 0.  Per model, that is per
     polarization: the stability test 0 < n alpha.H < (Lambda.H)_min."""
 
     mode = "spectral"
 
-    def _invariants(self, bundle, spectra) -> None:
+    def _invariants(self, bundle, spectrum: _Spectrum) -> None:
         n, den, a_sq = self.n, self.den, self.a_sq
-        spectrum = spectra[n, bundle.eta, bundle.lam]
         d2, k = den * den, n * (n + 1) // 2
         af = ratio(spectrum.af0 * d2 + k * a_sq, d2)
         flags = w_verdict(af, spectrum.wB_zero, lambda: spectrum.wB_effective)
@@ -384,9 +376,6 @@ class _SpectralBlock(_Block):
         )
 
     stages = (_Block._validity, _anomaly, _nonsplit, _stability)
-
-
-_BLOCKS = {PullbackBundle: _PullbackBlock, SpectralBundle: _SpectralBlock}
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +574,17 @@ def _axes(config: SearchConfig, s: BaseSurface) -> list:
     return axes
 
 
-def _block(config: SearchConfig, s: BaseSurface, point: tuple, spectra: _Spectra, alphas: dict, etas: dict):
-    """(block, head, tail) of a point of the box of `_axes`: a model's params
-    text is head, its polarization entry, tail and, for a pullback model,
-    c2E.  The tables of one `_records` call, keyed by box coordinates, keep
-    per alpha the class with its `_alpha_parts` and params text, and per
-    (eta, lambda) the class and tail."""
-    n, *coords, _ = point
+def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, spectra: dict):
+    """(block, head, tail) of a block of the box of `_axes`, given as the
+    point of its axes before c2E (pullback) or the polarization (spectral):
+    a model's params text is head, its polarization entry and tail, then for
+    a pullback model its c2E and the closing brace.  The tables of one
+    `_scan` call, keyed by box coordinates, keep per alpha the class with
+    its `_alpha_parts` and params text, and per spectral (n, eta, lambda)
+    the `_Spectrum` and tail."""
+    n, *coords = point
     if config.mode == "pullback":
-        x, *alpha, c2E = coords
+        x, *alpha = coords
     else:
         *coords, lam = coords
         alpha, eta = coords[: len(config.alpha_box)], coords[len(config.alpha_box):]
@@ -604,18 +595,20 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, spectra: _Spectra
     alpha, parts, alpha_text = alphas[alpha]
     head = f'{{"base":"{s.kind}","n":{n},"alpha":{alpha_text},'
     if config.mode == "pullback":
-        bundle, tail = PullbackBundle(n=n, c2E=c2E, twist=DivisorX(x, alpha)), f'"x":{x}'
-    else:
-        key = tuple(eta), lam
-        if key not in etas:
-            # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
-            eta = key[0] or tuple(12 * c for c in s.c1_ints)
-            eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
-            params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
-            etas[key] = eta, _ENCODER.encode(params)[1:]  # the end of the params object
-        eta, tail = etas[key]
-        bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha))
-    return _BLOCKS[type(bundle)](s, bundle, config.require, spectra, parts), head, tail
+        # a block reads no c2E of its bundle
+        bundle = PullbackBundle(n=n, c2E=None, twist=DivisorX(x, alpha))
+        return _PullbackBlock(s, bundle, config.require, None, parts), head, f'"x":{x},"c2E":'
+    key = n, tuple(eta), lam
+    if key not in spectra:
+        # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
+        eta = key[1] or tuple(12 * c for c in s.c1_ints)
+        eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
+        params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
+        # the tail is the end of the params object
+        spectra[key] = _Spectrum(s, n, eta, lam), _ENCODER.encode(params)[1:]
+    spectrum, tail = spectra[key]
+    bundle = SpectralBundle(n=n, eta=spectrum.eta, lam=lam, twist=DivisorX(0, alpha))
+    return _SpectralBlock(s, bundle, config.require, spectrum, parts), head, tail
 
 
 @dataclass
@@ -631,47 +624,36 @@ class SearchSummary:
             self.stage_failures[key] += val
 
 
-def _records(config: SearchConfig, axes: list, start: int, stop: int):
-    """Yield the ModelRecord of points start..stop-1 of the box of `axes`
-    (those of `_axes`).
+def _scan(config: SearchConfig, axes: list, start: int, stop: int):
+    """JSONL lines to emit and the summary of blocks start..stop-1 of the
+    box of `axes` (those of `_axes`), in enumeration order.
 
-    A block is rebuilt whenever a point's block prefix, the axes before c2E
-    (pullback) or before the polarization (spectral), changes; so a chunk
-    that starts inside a block builds that block itself.  The polarization
-    terms of the axes hold the stability windows, which a serial scan
-    solves once and each pool chunk in its own copy; the tables of alpha,
-    (eta, lambda) and the spectral data are built once per call.
+    The blocks are the points of the axes before c2E (pullback) or before
+    the polarization (spectral), and a block's models those of the rest.
+    The polarization terms of the axes hold the stability windows, which a
+    serial scan solves once and each pool chunk in its own copy; the tables
+    of alpha and of the spectral data are built once per call.
     """
     s = make_base(config.base)
-    inner = 2 if config.mode == "pullback" else 1
-    tables = _Spectra(s), {}, {}
-    key = None
-    for point in islice(product(*axes), start, stop):
-        if point[:-inner] != key:
-            key = point[:-inner]
-            block, head, tail = _block(config, s, point, *tables)
-        pol, pol_text = point[-1]
-        if inner == 2:
-            c2E = point[-2]
-            yield block.record(c2E, pol, True, f'{head}{pol_text}{tail},"c2E":{c2E}}}')
-        else:
-            yield block.record(None, pol, True, head + pol_text + tail)
-
-
-def _evaluate_range(config: SearchConfig, axes: list, start: int, stop: int):
-    """JSONL lines to emit and the summary of one chunk of the box."""
-    lines = []
-    summary = SearchSummary()
-    for record in _records(config, axes, start, stop):
-        summary.scanned += 1
-        if record.overall:
-            summary.passed += 1
-        else:
-            summary.stage_failures[record.failed_stage] += 1
-        # with a requirement, only records meeting it at the anomaly stage
-        if config.require is None or record.anomaly_passed:
-            lines.append(record.line)
-    return lines, summary
+    *block_axes, pols = axes
+    if config.mode == "pullback":
+        *block_axes, c2Es = block_axes
+        models = [(c2E, f"{c2E}}}") for c2E in c2Es]
+    else:
+        models = [(None, "")]
+    # with a requirement, only records meeting it at the anomaly stage are emitted
+    unmet = ("validity", "anomaly") if config.require else ()
+    lines, counts, alphas, spectra = [], dict.fromkeys((None, *STAGES), 0), {}, {}
+    for point in islice(product(*block_axes), start, stop):
+        block, head, tail = _block(config, s, point, alphas, spectra)
+        for c2E, end in models:
+            for pol, pol_text in pols:
+                line, failed = block.record(c2E, pol, True, head + pol_text + tail + end)
+                counts[failed] += 1
+                if failed not in unmet:
+                    lines.append(line)
+    passed = counts.pop(None)
+    return lines, SearchSummary(passed + sum(counts.values()), passed, counts)
 
 
 def run_search(config: SearchConfig, jobs: int = 1, out=None):
@@ -682,10 +664,12 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
     merged in enumeration order before writing.
     """
     axes = _axes(config, make_base(config.base))
-    total = math.prod(map(len, axes))
-    step = max(1, total if jobs <= 1 else -(-total // (jobs * 4)))
-    starts = range(0, total, step)
-    stops = [min(lo + step, total) for lo in starts]
+    # chunks are runs of whole blocks; a box with an empty axis has none
+    inner = 2 if config.mode == "pullback" else 1
+    blocks = math.prod(map(len, axes[:-inner])) if all(axes) else 0
+    step = max(1, blocks if jobs <= 1 else -(-blocks // (jobs * 4)))
+    starts = range(0, blocks, step)
+    stops = [min(lo + step, blocks) for lo in starts]
     summary = SearchSummary()
     emitted = 0
     chunks = repeat(config), repeat(axes), starts, stops
@@ -697,9 +681,9 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(starts))))
-            parts = pool.map(_evaluate_range, *chunks)
+            parts = pool.map(_scan, *chunks)
         else:
-            parts = map(_evaluate_range, *chunks)
+            parts = map(_scan, *chunks)
         for lines, part in parts:
             summary.merge(part)
             if config.limit is not None:

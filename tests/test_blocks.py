@@ -108,7 +108,7 @@ def _scan_records(config):
     """The records `run_search` writes, read back from its JSONL."""
     lines = [line for line in _search_bytes(config, 1).splitlines() if not line.startswith("#")]
     return [
-        ModelRecord(line, r["overall"], r["failed_stage"], r["verdicts"].get("anomaly", {}).get("passed") is True)
+        ModelRecord(line, r["failed_stage"])
         for line, r in zip(lines, map(json.loads, lines))
     ]
 
@@ -288,8 +288,9 @@ def test_chi_line_matches_chi_value(den):
 
 
 def test_jobs_give_equal_bytes_when_chunks_cut_blocks():
-    # blocks of 3 c2E values x 2 polarizations; 324 models, so --jobs 2 cuts
-    # chunks of 41 models and --jobs 3 chunks of 27, neither a multiple of 6
+    # blocks of 3 c2E values x 2 polarizations; 324 models, so chunks cut
+    # by models would hold 41 at --jobs 2 and 27 at --jobs 3, neither a
+    # multiple of 6; chunks are runs of whole blocks
     config = SearchConfig.from_json({
         "base": "dP2",
         "mode": "pullback",

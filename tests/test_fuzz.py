@@ -146,3 +146,43 @@ def test_chi_past_the_digit_limit_names_a_field():
     code, err = _run("check", _replaced(model, ("bundle", "twist", "x"), 10**199))
     assert code == 2
     assert "field '" in err
+
+
+def _with(doc, fields):
+    for path, value in fields.items():
+        doc = _replaced(doc, path, value)
+    return doc
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the n^4 alpha^2 term of the pullback chi passes the interpreter's 4,300-digit"
+    " limit with every input under the cap; the message names no field (ROADMAP item 5)",
+)
+def test_pullback_chi_of_capped_inputs_names_a_field():
+    model = _with(SO10_MODEL, {
+        ("bundle", "n"): 10**999,
+        ("bundle", "twist", "x"): -1,
+        ("bundle", "twist", "alpha", "coeffs"): [str(10**999), "1"],
+        ("bundle", "c2E"): 5,
+    })
+    code, err = _run("check", model)
+    assert code == 2
+    assert "field '" in err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the lambda^2 n eta^2 term of the spectral af passes the interpreter's 4,300-digit"
+    " limit with every input under the cap; the message names no field (ROADMAP item 5)",
+)
+def test_spectral_af_of_capped_inputs_names_a_field():
+    model = _with(SPECTRAL_MODEL, {
+        ("bundle", "n"): 2 * 10**998,
+        ("bundle", "eta", "coeffs"): [str(9 * 10**998)] * 2,
+        ("bundle", "lambda"): f"{10**998 + 1}/2",
+        ("bundle", "twist", "alpha", "coeffs"): ["1", "-1"],
+    })
+    code, err = _run("check", model)
+    assert code == 2
+    assert "field '" in err

@@ -34,7 +34,7 @@ def scan_records(config):
     """The records `run_search` writes, read back from its JSONL."""
     lines = [line for line in search_bytes(config, 1).splitlines() if not line.startswith("#")]
     return [
-        ModelRecord(line, r["overall"], r["failed_stage"], r["verdicts"].get("anomaly", {}).get("passed") is True)
+        ModelRecord(line, r["failed_stage"])
         for line, r in zip(lines, map(json.loads, lines))
     ]
 
@@ -408,11 +408,18 @@ def test_serial_parallel_equivalence():
     assert serial == search_bytes(config, 1)  # rerun determinism
 
 
+class _Pools(list):
+    def __init__(self):
+        super().__init__()
+        self.chunks = []
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Replace the process pool by one that maps in this process; the list
-    returned holds the worker count of each pool started."""
-    started = []
+    returned holds the worker count of each pool started, and its `chunks`
+    the lines each chunk mapped in them emitted, in order."""
+    started = _Pools()
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -425,7 +432,9 @@ def recording_pool(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            parts = list(map(fn, *iterables))
+            started.chunks += [lines for lines, _ in parts]
+            return parts
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return started
@@ -444,8 +453,8 @@ def test_pool_has_at_most_one_worker_per_chunk(recording_pool, jobs, n_range, wo
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_axes_built_once_per_scan(monkeypatch, recording_pool, jobs):
-    # a 15-model box, 8 chunks at --jobs 2 and 3: every chunk, serial or
-    # pooled, reads the axes that run_search built
+    # a 15-model box of 3 blocks, one chunk per block at --jobs 2 and 3:
+    # every chunk, serial or pooled, reads the axes that run_search built
     calls = []
     axes = search._axes
     monkeypatch.setattr(search, "_axes", lambda *args: calls.append(args) or axes(*args))
@@ -453,6 +462,69 @@ def test_axes_built_once_per_scan(monkeypatch, recording_pool, jobs):
     assert search_bytes(config, jobs).count("\n") == 15 + 1
     assert len(calls) == 1
     assert recording_pool == ([] if jobs == 1 else [jobs])
+
+
+DP2_PULLBACK = {
+    "base": "dP2",
+    "mode": "pullback",
+    "n_range": [2, 3],
+    "x_values": [-1, 1, 2],
+    "alpha_box": [[-2, 0], [-1, 1]],
+    "c2E_range": [80, 82],
+    "h_values": ["1", "3/2"],
+}
+
+# n = 2 and 3 share each (eta, lambda); lambda = 1/2 is parity-invalid
+# for n = 3 and 1 for n = 2
+F0_SPECTRAL = {
+    "base": "F0",
+    "mode": "spectral",
+    "n_range": [2, 3],
+    "alpha_box": [[0, 1], [-11, -10]],
+    "eta_box": [[24, 25], [24, 24]],
+    "lambda_values": ["1/2", "1"],
+    "H_values": [[3, 34], [1, 1]],
+    "h_values": ["1"],
+}
+
+
+@pytest.mark.parametrize("config, inner", [(DP2_PULLBACK, ("c2E", "h")), (F0_SPECTRAL, ("H", "h"))])
+def test_chunks_hold_whole_blocks(recording_pool, config, inner):
+    # 54 blocks of 6 models and 32 blocks of 3; cut by models, --jobs 2
+    # would split the pullback blocks and --jobs 3 both
+    config = SearchConfig.from_json(config)
+    serial = search_bytes(config, 1)
+    for jobs in (2, 3):
+        recording_pool.chunks.clear()
+        assert search_bytes(config, jobs) == serial
+        # the block keys of each chunk: params without the `inner` keys
+        chunks = [
+            {repr([(k, v) for k, v in json.loads(line)["params"].items() if k not in inner]) for line in lines}
+            for lines in recording_pool.chunks
+        ]
+        assert 1 < len(chunks) <= 4 * jobs
+        assert sum(map(len, chunks)) == len(set().union(*chunks))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # 3 blocks of 10 models, fewer than 4 * jobs
+        dataclasses.replace(SO10_CONFIG, n_range=(2, 4), c2E_range=(100, 104), h_values=(1, 2), require=None),
+        SearchConfig.from_json(F0_SPECTRAL),
+    ],
+)
+def test_jobs_give_equal_bytes_by_blocks(recording_pool, config):
+    serial = search_bytes(config, 1)
+    assert serial.count("\n") > 1
+    assert search_bytes(config, 2) == search_bytes(config, 3) == serial
+
+
+def test_empty_axis_starts_no_pool(recording_pool):
+    config = dataclasses.replace(SO10_CONFIG, c2E_range=(5, 3), require=None)
+    summary = run_search(config, jobs=2)
+    assert summary["scanned"] == 0 and summary["emitted"] == 0
+    assert recording_pool == []
 
 
 def test_import_loads_no_process_pool():
