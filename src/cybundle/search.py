@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, product, repeat
@@ -41,15 +41,13 @@ class Polarization:
 @dataclass(slots=True)
 class ModelRecord:
     """One model's record: its JSONL line, which holds the params and the
-    stage verdicts, and its first failed stage.  `anomaly_passed` tells
-    whether the anomaly stage ran and passed.  `to_json`, `params` and
+    stage verdicts, and its first failed stage.  `to_json`, `params` and
     `verdicts` parse the line."""
 
     line: str
     failed_stage: str | None
 
     overall = property(lambda self: self.failed_stage is None)
-    anomaly_passed = property(lambda self: self.failed_stage not in ("validity", "anomaly"))
     params = property(lambda self: self.to_json()["params"])
     verdicts = property(lambda self: self.to_json()["verdicts"])
 
@@ -532,15 +530,17 @@ def _frac_list(value, name: str) -> tuple:
     return tuple(jsonio.frac_field(v, name) for v in _list(value, name))
 
 
-def _axes(config: SearchConfig, s: BaseSurface) -> list:
-    """The box's axes, sized sequences in enumeration order (last fastest).
+def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
+    """(block_axes, c2Es, pols): the box's axes, sized sequences in
+    enumeration order (last fastest), the blocks' apart from their models'.
 
-    Pullback: n, x, one range per alpha_box pair, c2E; spectral: n, the
-    alpha_box ranges, the eta_box ranges, lambda.  Last come the
-    polarizations as (_PolTerms, params text) pairs, H_values entries
-    before h_values entries.  Refuses a class with more coordinates than the
-    base rank and a polarization of the wrong kind or not ample, naming the
-    config field, so that a bad config fails before any model is scanned.
+    Block axes, pullback: n, x, one range per alpha_box pair; spectral: n,
+    the alpha_box ranges, the eta_box ranges, lambda.  A block's models are
+    c2Es (the c2E range; (None,) for spectral) times the polarizations,
+    (_PolTerms, params text) pairs with H_values entries before h_values
+    entries.  Refuses a class with more coordinates than the base rank and a
+    polarization of the wrong kind or not ample, naming the config field, so
+    that a bad config fails before any model is scanned.
     """
     classes = [("alpha_box", config.alpha_box), ("eta_box", config.eta_box or ())]
     for name, coords in classes + [("H_values", vec) for vec in config.H_values]:
@@ -554,10 +554,11 @@ def _axes(config: SearchConfig, s: BaseSurface) -> list:
     if config.mode == "pullback":
         if config.c2E_range is None:
             raise ValueError("pullback searches need c2E_range")
-        axes = [n, config.x_values, *alpha, range(config.c2E_range[0], config.c2E_range[1] + 1)]
+        block_axes = [n, config.x_values, *alpha]
+        c2Es = range(config.c2E_range[0], config.c2E_range[1] + 1)
     else:
         eta = [range(lo, hi + 1) for lo, hi in config.eta_box or ()]
-        axes = [n, *alpha, *eta, config.lambda_values or (Fraction(0),)]
+        block_axes, c2Es = [n, *alpha, *eta, config.lambda_values or (Fraction(0),)], (None,)
     pols = []
     for vec in config.H_values:
         pol = Polarization(H=DivisorClass(vec + (0,) * (s.rank - len(vec))))
@@ -570,18 +571,16 @@ def _axes(config: SearchConfig, s: BaseSurface) -> list:
         pols.append((_PolTerms(s, config.mode, pol), f'"h":"{jsonio.frac_to_str(h)}",'))
     if not pols:
         raise ValueError("config needs H_values or h_values")
-    axes.append(pols)
-    return axes
+    return block_axes, c2Es, pols
 
 
 def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, spectra: dict):
-    """(block, head, tail) of a block of the box of `_axes`, given as the
-    point of its axes before c2E (pullback) or the polarization (spectral):
-    a model's params text is head, its polarization entry and tail, then for
-    a pullback model its c2E and the closing brace.  The tables of one
-    `_scan` call, keyed by box coordinates, keep per alpha the class with
-    its `_alpha_parts` and params text, and per spectral (n, eta, lambda)
-    the `_Spectrum` and tail."""
+    """(block, head, tail) of a block of the box of `_axes`, given as a
+    point of its block axes: a model's params text is head, its polarization
+    entry and tail, then for a pullback model its c2E and the closing brace.
+    The tables of one `_scan` call, keyed by box coordinates, keep per alpha
+    the class with its `_alpha_parts` and params text, and per spectral
+    (n, eta, lambda) the `_Spectrum` and tail."""
     n, *coords = point
     if config.mode == "pullback":
         x, *alpha = coords
@@ -611,36 +610,20 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, spe
     return _SpectralBlock(s, bundle, config.require, spectrum, parts), head, tail
 
 
-@dataclass
-class SearchSummary:
-    scanned: int = 0
-    passed: int = 0
-    stage_failures: dict = field(default_factory=lambda: {k: 0 for k in STAGES})
+def _scan(config: SearchConfig, axes: tuple, start: int, stop: int):
+    """(lines, counts) of blocks start..stop-1 of the box of `axes` (those
+    of `_axes`), in enumeration order: the JSONL lines to emit, and the
+    number of models by failed stage (None for those that pass).
 
-    def merge(self, other: "SearchSummary") -> None:
-        self.scanned += other.scanned
-        self.passed += other.passed
-        for key, val in other.stage_failures.items():
-            self.stage_failures[key] += val
-
-
-def _scan(config: SearchConfig, axes: list, start: int, stop: int):
-    """JSONL lines to emit and the summary of blocks start..stop-1 of the
-    box of `axes` (those of `_axes`), in enumeration order.
-
-    The blocks are the points of the axes before c2E (pullback) or before
-    the polarization (spectral), and a block's models those of the rest.
-    The polarization terms of the axes hold the stability windows, which a
-    serial scan solves once and each pool chunk in its own copy; the tables
-    of alpha and of the spectral data are built once per call.
+    The blocks are the points of the block axes, and a block's models those
+    of c2Es times the polarizations.  The polarization terms hold the
+    stability windows, which a serial scan solves once and each pool chunk
+    in its own copy; the tables of alpha and of the spectral data are built
+    once per call.
     """
     s = make_base(config.base)
-    *block_axes, pols = axes
-    if config.mode == "pullback":
-        *block_axes, c2Es = block_axes
-        models = [(c2E, f"{c2E}}}") for c2E in c2Es]
-    else:
-        models = [(None, "")]
+    block_axes, c2Es, pols = axes
+    models = [(c2E, "" if c2E is None else f"{c2E}}}") for c2E in c2Es]
     # with a requirement, only records meeting it at the anomaly stage are emitted
     unmet = ("validity", "anomaly") if config.require else ()
     lines, counts, alphas, spectra = [], dict.fromkeys((None, *STAGES), 0), {}, {}
@@ -652,8 +635,7 @@ def _scan(config: SearchConfig, axes: list, start: int, stop: int):
                 counts[failed] += 1
                 if failed not in unmet:
                     lines.append(line)
-    passed = counts.pop(None)
-    return lines, SearchSummary(passed + sum(counts.values()), passed, counts)
+    return lines, counts
 
 
 def run_search(config: SearchConfig, jobs: int = 1, out=None):
@@ -664,14 +646,13 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
     merged in enumeration order before writing.
     """
     axes = _axes(config, make_base(config.base))
+    block_axes, c2Es, _ = axes
     # chunks are runs of whole blocks; a box with an empty axis has none
-    inner = 2 if config.mode == "pullback" else 1
-    blocks = math.prod(map(len, axes[:-inner])) if all(axes) else 0
+    blocks = math.prod(map(len, block_axes)) if c2Es else 0
     step = max(1, blocks if jobs <= 1 else -(-blocks // (jobs * 4)))
     starts = range(0, blocks, step)
     stops = [min(lo + step, blocks) for lo in starts]
-    summary = SearchSummary()
-    emitted = 0
+    counts, emitted = dict.fromkeys((None, *STAGES), 0), 0
     chunks = repeat(config), repeat(axes), starts, stops
     with ExitStack() as stack:
         if len(starts) > 1:
@@ -684,14 +665,20 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
             parts = pool.map(_scan, *chunks)
         else:
             parts = map(_scan, *chunks)
-        for lines, part in parts:
-            summary.merge(part)
+        for lines, tally in parts:
+            for failed, count in tally.items():
+                counts[failed] += count
             if config.limit is not None:
                 lines = lines[: max(0, config.limit - emitted)]
             if out is not None:
                 out.writelines(line + "\n" for line in lines)
             emitted += len(lines)
-    summary_obj = dict(vars(summary), emitted=emitted)  # the fields in order, then emitted
+    summary = {
+        "scanned": sum(counts.values()),
+        "passed": counts[None],
+        "stage_failures": {stage: counts[stage] for stage in STAGES},
+        "emitted": emitted,
+    }
     if out is not None:
-        out.write("# " + json.dumps(summary_obj, separators=(",", ":")) + "\n")
-    return summary_obj
+        out.write("# " + json.dumps(summary, separators=(",", ":")) + "\n")
+    return summary

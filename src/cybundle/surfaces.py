@@ -227,11 +227,9 @@ class BaseSurface:
         if verdict.ample is not True:
             raise ValueError("polarization not ample")
         if self.is_enriques:
-            if not self._gamma11_only(h):
-                raise ValueError("Enriques polarization must lie in the Gamma^{1,1} sublattice")
-            # H = (x, y) is ample, so x, y > 0 and (a, b).H = a*y + b*x over
-            # a, b >= 0 is smallest at (0, 1) (degree x) or (1, 0) (degree y);
-            # a tie goes to (0, 1), the first in lexicographic order
+            # an ample H is (x, y) in Gamma^{1,1} with x, y > 0, and (a, b).H =
+            # a*y + b*x over a, b >= 0 is smallest at (0, 1) (degree x) or at
+            # (1, 0) (degree y); a tie goes to (0, 1), first in lexicographic order
             x, y = h.coeffs[0], h.coeffs[1]
             witness = (0, 1) if x <= y else (1, 0)
             return MinDegree(

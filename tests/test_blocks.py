@@ -287,28 +287,6 @@ def test_chi_line_matches_chi_value(den):
             assert chi0 - slope * c2e == expected
 
 
-def test_jobs_give_equal_bytes_when_chunks_cut_blocks():
-    # blocks of 3 c2E values x 2 polarizations; 324 models, so chunks cut
-    # by models would hold 41 at --jobs 2 and 27 at --jobs 3, neither a
-    # multiple of 6; chunks are runs of whole blocks
-    config = SearchConfig.from_json({
-        "base": "dP2",
-        "mode": "pullback",
-        "n_range": [2, 3],
-        "x_values": [-1, 1, 2],
-        "alpha_box": [[-2, 0], [-1, 1]],
-        "c2E_range": [80, 82],
-        "h_values": ["1", "3/2"],
-    })
-    block = 3 * 2
-    for jobs in (2, 3):
-        assert -(-324 // (jobs * 4)) % block != 0
-    serial = _search_bytes(config, 1)
-    assert serial.count("\n") == 324 + 1
-    assert _search_bytes(config, 2) == serial
-    assert _search_bytes(config, 3) == serial
-
-
 # The JSONL line is rendered from text fragments, most of them by hand; the
 # standard encoder, run on the line's own parse, is the oracle of the bytes.
 

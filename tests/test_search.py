@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -392,22 +393,6 @@ def search_bytes(config, jobs):
     return out.getvalue()
 
 
-def test_serial_parallel_equivalence():
-    config = SearchConfig(
-        base="F0",
-        mode="pullback",
-        n_range=(2, 3),
-        x_values=(1, 2),
-        alpha_box=((-2, 0), (-2, 0)),
-        c2E_range=(100, 106),
-        h_values=(1,),
-    )
-    serial = search_bytes(config, 1)
-    parallel = search_bytes(config, 4)
-    assert serial == parallel
-    assert serial == search_bytes(config, 1)  # rerun determinism
-
-
 class _Pools(list):
     def __init__(self):
         super().__init__()
@@ -488,6 +473,31 @@ F0_SPECTRAL = {
 }
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(
+            base="F0",
+            mode="pullback",
+            n_range=(2, 3),
+            x_values=(1, 2),
+            alpha_box=((-2, 0), (-2, 0)),
+            c2E_range=(100, 106),
+            h_values=(1,),
+        ),
+        # 54 blocks of 6 models: chunks cut by models would split blocks
+        SearchConfig.from_json(DP2_PULLBACK),
+    ],
+    ids=["F0", "dP2"],
+)
+def test_serial_parallel_equivalence(config):
+    # the real process pool
+    serial = search_bytes(config, 1)
+    for jobs in (2, 3, 4):
+        assert search_bytes(config, jobs) == serial
+    assert serial == search_bytes(config, 1)  # rerun determinism
+
+
 @pytest.mark.parametrize("config, inner", [(DP2_PULLBACK, ("c2E", "h")), (F0_SPECTRAL, ("H", "h"))])
 def test_chunks_hold_whole_blocks(recording_pool, config, inner):
     # 54 blocks of 6 models and 32 blocks of 3; cut by models, --jobs 2
@@ -518,6 +528,76 @@ def test_jobs_give_equal_bytes_by_blocks(recording_pool, config):
     serial = search_bytes(config, 1)
     assert serial.count("\n") > 1
     assert search_bytes(config, 2) == search_bytes(config, 3) == serial
+
+
+def _volume(config):
+    """The number of models of a config's box, from its fields."""
+    sides = [config.n_range[1] - config.n_range[0] + 1]
+    sides += [hi - lo + 1 for lo, hi in config.alpha_box + (config.eta_box or ())]
+    if config.mode == "pullback":
+        sides += [len(config.x_values), config.c2E_range[1] - config.c2E_range[0] + 1]
+    else:
+        sides.append(len(config.lambda_values) or 1)
+    return math.prod(sides) * (len(config.H_values) + len(config.h_values))
+
+
+def _stage_under(record, require):
+    """The failed stage, under `require`, of the model of a record scanned
+    without a requirement: one that passed validity fails the anomaly stage
+    exactly when its anomaly verdict lacks the required flag."""
+    failed = record["failed_stage"]
+    if require and failed != "validity" and not record["verdicts"]["anomaly"][require]:
+        return "anomaly"
+    return failed
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig.from_json(DP2_PULLBACK),
+        SearchConfig.from_json(F0_SPECTRAL),
+        SearchConfig.from_json({
+            "base": "enriques",
+            "mode": "pullback",
+            "n_range": [2, 3],
+            "x_values": [-1, 0, 1],
+            "alpha_box": [[-1, 1], [-1, 1]],
+            "c2E_range": [10, 14],
+            "H_values": [[2, 3]],
+        }),
+        dataclasses.replace(
+            SO10_CONFIG,
+            n_range=(2, 3),
+            x_values=(-1, 1, 2),
+            alpha_box=((-2, 0), (-2, 0)),
+            c2E_range=(98, 104),
+            h_values=(1, 2),
+            require=None,
+        ),
+    ],
+    ids=["dP2-pullback", "F0-spectral", "enriques-pullback", "F0-pullback"],
+)
+def test_summary_tallies_the_box(recording_pool, config):
+    # the summary counts each model of the box once, by its failed stage,
+    # for any --jobs; the oracle is the require-free scan's records
+    lines = search_bytes(config, 1).splitlines()[:-1]
+    records = list(map(json.loads, lines))
+    assert len(records) == _volume(config)
+    for require in (None, "W_zero", "W_effective"):
+        stages = [_stage_under(r, require) for r in records]
+        tally = Counter(stages)
+        unmet = ("validity", "anomaly") if require else ()
+        emitted = [line for line, failed in zip(lines, stages) if failed not in unmet]
+        for jobs in (1, 2, 3):
+            out = io.StringIO()
+            summary = run_search(dataclasses.replace(config, require=require), jobs=jobs, out=out)
+            assert out.getvalue().splitlines()[:-1] == emitted
+            assert summary == {
+                "scanned": _volume(config),
+                "passed": tally[None],
+                "stage_failures": {stage: tally[stage] for stage in search.STAGES},
+                "emitted": len(emitted),
+            }
 
 
 def test_empty_axis_starts_no_pool(recording_pool):
