@@ -42,9 +42,9 @@ def validate_bundle(s: BaseSurface, bundle, spectral_data=None) -> None:
     """Raise ValueError if the bundle data violates its invariants.
 
     `spectral_data(n, eta, lam)`, if given, stands in for
-    `check_spectral_data(s, n, eta, lam)` and raises as it does: a scan
-    passes one that raises the outcome kept in its table, so that only the
-    checks on n and the twist run per block.
+    `check_spectral_data(s, n, eta, lam)` and raises as it does: the search
+    pipeline passes one that raises the outcome it has already computed for
+    (n, eta, lam), so that the check runs once per spectral data.
     """
     if bundle.n < 2:
         raise ValueError("bundle rank n must be >= 2")

@@ -127,7 +127,13 @@ def cmd_search(args) -> int:
             config.limit = _nonnegative_int(args.limit, "limit")
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
+        if args.out is None:
+            out = sys.stdout
+        else:
+            try:
+                out = open(args.out, "w", encoding="utf-8")
+            except OSError as exc:
+                raise ValueError(f"cannot write --out {args.out}: {exc}") from None
         try:
             summary = run_search(config, jobs=args.jobs, out=out)
         finally:

@@ -82,6 +82,19 @@ def _class_text(coeffs, torsion: int) -> str:
     return f'{{"coeffs":[{strings}],"torsion":{torsion}}}'
 
 
+def _validity(s: BaseSurface, bundle, spectral_data=None) -> tuple:
+    """(passed, text) of the validity verdict of `validate_bundle`."""
+    try:
+        validate_bundle(s, bundle, spectral_data)
+    except ValueError as exc:
+        return _invalid(str(exc))
+    return _VALID
+
+
+def _zero_twist(s: BaseSurface) -> DivisorX:
+    return DivisorX(0, DivisorClass.zero(s.rank))
+
+
 def _alpha_parts(s: BaseSurface, alpha: DivisorClass) -> tuple:
     """(nums, dual, den, a_sq): alpha = nums/den with its integer parts
     (`BaseSurface.integer_parts`) and a_sq = den^2 alpha^2."""
@@ -100,10 +113,11 @@ def check_model(
 ) -> ModelRecord:
     """Run the full verification pipeline on one model.
 
-    The model is evaluated as a block of one, on the path every scan takes.
-    The first failed stage is `failed_stage`.  A failure stops the run
-    under `short_circuit`; a verdict carrying an "error", which only the
-    validity stage gives, always stops it.  `bound` is accepted and unread:
+    The model is evaluated as a block of one, on the path every scan takes,
+    with the validity verdict of its own bundle.  The first failed stage is
+    `failed_stage`.  A failure stops the run under `short_circuit`; a
+    verdict carrying an "error", which only the validity stage gives,
+    always stops it.  `bound` is accepted and unread:
     no query enumerates any more, and the benchmark (bench/child.py) still
     passes it.
     """
@@ -112,9 +126,11 @@ def check_model(
     parts = _alpha_parts(s, alpha) if alpha.rank == s.rank else None
     if isinstance(bundle, SpectralBundle):
         spectrum = _Spectrum(s, bundle.n, bundle.eta, bundle.lam)
-        block, c2E = _SpectralBlock(s, bundle, require, spectrum, parts), None
+        validity = _validity(s, bundle, spectrum.check)
+        block, c2E = _SpectralBlock(s, require, bundle.n, validity, parts, spectrum), None
     else:
-        block, c2E = _PullbackBlock(s, bundle, require, None, parts), bundle.c2E
+        validity = _validity(s, bundle)
+        block, c2E = _PullbackBlock(s, require, bundle.n, validity, parts, bundle.twist.x), bundle.c2E
     line, failed = block.record(c2E, _PolTerms(s, block.mode, pol), short_circuit, _ENCODER.encode(params or {}))
     return ModelRecord(line, failed)
 
@@ -162,7 +178,7 @@ class _Spectrum:
     per scan (or per `check_model`).  `error` is the message of
     `check_spectral_data`, or None; then there are wB = 12 c1 - eta (the
     twist pi^*alpha has x = 0, so wB does not depend on alpha) with its JSON
-    text and, on first use, its cone verdict; af0, the part of af without
+    text and, on first use, its effectivity; af0, the part of af without
     n(n+1)/2 alpha^2; `displayed0`, that part of af_displayed when eta = 12
     c1 (else None); and resid = eta - n c1 as integer parts with 3 den^2
     resid^2."""
@@ -183,8 +199,8 @@ class _Spectrum:
         self.wB_zero = self.wB.is_zero()
         self.displayed0 = None
         if eta == twelve_c1:
-            # the reading of the twist alpha = 0; wB = 0, so no cone query
-            zero = SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, DivisorClass.zero(s.rank)))
+            # the reading of the twist alpha = 0; wB = 0, so no effectivity query
+            zero = SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s))
             outcome = AnomalyOutcome(self.wB, self.af0, *w_verdict(self.af0, True, None))
             self.displayed0 = spectral_af(s, zero, outcome).af_displayed
         nums, self.resid_dual, self.resid_den = s.integer_parts(eta - s.c1.scale(n))
@@ -197,17 +213,18 @@ class _Spectrum:
 
     @cached_property
     def wB_effective(self) -> bool:
-        return self.s.cone_position(self.wB).effective
+        return self.s.effective(self.s.integer_parts(self.wB)[0])
 
 
 class _Block:
     """The invariants of one run of the box in which only the fastest axes
     vary: c2E and then the polarization for pullback models, a block per
     (n, x, alpha); the polarization alone for spectral models, a block per
-    (n, alpha, eta, lambda).  Built from the bundle of the run (whose c2E
-    it does not read), the `_Spectrum` of its (n, eta, lambda) for a
-    spectral run (None for pullback) and the `_alpha_parts` of its alpha;
-    nothing it holds outlives it.  Stages
+    (n, alpha, eta, lambda).  Built from its n, the validity verdict of its
+    bundle (`_validity`), the `_alpha_parts` of its alpha and `data`: the
+    twist's x for a pullback run, the `_Spectrum` of its (n, eta, lambda)
+    for a spectral one.  A block of an invalid bundle works out nothing
+    else, and nothing a block holds outlives it.  Stages
     (`stages`, in STAGES order) map (block, c2E, polarization terms) to
     (passed, text), the text being the verdict's "key":{...} in the JSONL
     line.  Only validity reads the input for errors; the other stages
@@ -218,16 +235,11 @@ class _Block:
     mode: str
     stages: tuple
 
-    def __init__(self, s: BaseSurface, bundle, require: str | None, spectrum, parts):
-        self.s, self.n, self.require = s, bundle.n, require
-        try:
-            validate_bundle(s, bundle, spectrum and spectrum.check)
-        except ValueError as exc:
-            self.validity = _invalid(str(exc))
-        else:
-            self.validity = _VALID
+    def __init__(self, s: BaseSurface, require: str | None, n: int, validity: tuple, parts, data):
+        self.s, self.require, self.n, self.validity = s, require, n, validity
+        if validity[0]:
             self.nums, self.dual, self.den, self.a_sq = parts
-            self._invariants(bundle, spectrum)
+            self._invariants(data)
 
     def record(self, c2E, pol: _PolTerms, short_circuit: bool, params: str) -> tuple:
         """(line, failed_stage) of the model (c2E, pol) of this block, given
@@ -261,18 +273,18 @@ class _Block:
 
 
 class _PullbackBlock(_Block):
-    """Per block: validity, af0 and chi0 (af = af0 - c2E, chi = chi0 -
+    """Per block: af0 and chi0 (af = af0 - c2E, chi = chi0 -
     chi_slope c2E), alpha.c1, wB as numerators over den with its JSON text
-    and, when a model with af >= 0 first asks, its cone query.  Per (block,
+    and, when a model with af >= 0 first asks, its effectivity.  Per (block,
     polarization), on first use: the non-split slope.  Per model: af, chi
     and the lookup of the stability verdict, solved and rendered once per
     (n, x, a) and polarization."""
 
     mode = "pullback"
 
-    def _invariants(self, bundle, spectrum) -> None:
+    def _invariants(self, x) -> None:
         s, n, den = self.s, self.n, self.den
-        self.x = x = int(bundle.twist.x)
+        self.x = x = int(x)
         d2, k = den * den, n * (n + 1) // 2
         self.a_c1_num = dot(self.dual, s.c1_ints)
         self.a_c1 = ratio(self.a_c1_num, den)
@@ -289,8 +301,7 @@ class _PullbackBlock(_Block):
 
     def _wb_effective(self) -> bool:
         if self._effective is None:
-            wb = DivisorClass(tuple(Fraction(w, self.den) for w in self.wB_nums), self.wB_torsion)
-            self._effective = self.s.cone_position(wb).effective
+            self._effective = self.s.effective(self.wB_nums)
         return self._effective
 
     def _anomaly(self, c2E, pol) -> tuple:
@@ -328,15 +339,14 @@ class _PullbackBlock(_Block):
 
 
 class _SpectralBlock(_Block):
-    """Per block: validity, whose spectral data check is read from the
-    `_Spectrum` of (n, eta, lambda); the anomaly verdict, with both
+    """Per block: the anomaly verdict, with both
     af readings for the paper's eta = 12 c1 family; and the non-split
     verdict 3/2 resid^2 - (n+1) alpha.resid > 0.  Per model, that is per
     polarization: the stability test 0 < n alpha.H < (Lambda.H)_min."""
 
     mode = "spectral"
 
-    def _invariants(self, bundle, spectrum: _Spectrum) -> None:
+    def _invariants(self, spectrum: _Spectrum) -> None:
         n, den, a_sq = self.n, self.den, self.a_sq
         d2, k = den * den, n * (n + 1) // 2
         af = ratio(spectrum.af0 * d2 + k * a_sq, d2)
@@ -574,13 +584,19 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
     return block_axes, c2Es, pols
 
 
-def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, spectra: dict):
+def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, shared: dict):
     """(block, head, tail) of a block of the box of `_axes`, given as a
     point of its block axes: a model's params text is head, its polarization
     entry and tail, then for a pullback model its c2E and the closing brace.
     The tables of one `_scan` call, keyed by box coordinates, keep per alpha
-    the class with its `_alpha_parts` and params text, and per spectral
-    (n, eta, lambda) the `_Spectrum` and tail."""
+    its `_alpha_parts` and params text, and in `shared` per n (pullback) the
+    validity verdict, or per (n, eta, lambda) (spectral) the `_Spectrum`,
+    the validity verdict and the tail.
+
+    A verdict is that of the bundle of the entry with the zero twist: every
+    twist of the box is integral (x an int, or 0 for spectral; alpha of
+    integers padded to the rank), so every twist check of `validate_bundle`
+    passes, and a block's validity is that of its n or (n, eta, lambda)."""
     n, *coords = point
     if config.mode == "pullback":
         x, *alpha = coords
@@ -588,26 +604,31 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, spe
         *coords, lam = coords
         alpha, eta = coords[: len(config.alpha_box)], coords[len(config.alpha_box):]
     alpha = tuple(alpha)
-    if alpha not in alphas:
+    entry = alphas.get(alpha)
+    if entry is None:
         padded = DivisorClass(alpha + (0,) * (s.rank - len(alpha)))
-        alphas[alpha] = padded, _alpha_parts(s, padded), "[" + ",".join(f'"{c}"' for c in padded.coeffs) + "]"
-    alpha, parts, alpha_text = alphas[alpha]
+        text = "[" + ",".join(f'"{c}"' for c in padded.coeffs) + "]"
+        entry = alphas[alpha] = _alpha_parts(s, padded), text
+    parts, alpha_text = entry
     head = f'{{"base":"{s.kind}","n":{n},"alpha":{alpha_text},'
     if config.mode == "pullback":
-        # a block reads no c2E of its bundle
-        bundle = PullbackBundle(n=n, c2E=None, twist=DivisorX(x, alpha))
-        return _PullbackBlock(s, bundle, config.require, None, parts), head, f'"x":{x},"c2E":'
+        validity = shared.get(n)
+        if validity is None:
+            validity = shared[n] = _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))
+        return _PullbackBlock(s, config.require, n, validity, parts, x), head, f'"x":{x},"c2E":'
     key = n, tuple(eta), lam
-    if key not in spectra:
+    entry = shared.get(key)
+    if entry is None:
         # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
         eta = key[1] or tuple(12 * c for c in s.c1_ints)
         eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
+        spectrum = _Spectrum(s, n, eta, lam)
+        zero = SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s))
         params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
         # the tail is the end of the params object
-        spectra[key] = _Spectrum(s, n, eta, lam), _ENCODER.encode(params)[1:]
-    spectrum, tail = spectra[key]
-    bundle = SpectralBundle(n=n, eta=spectrum.eta, lam=lam, twist=DivisorX(0, alpha))
-    return _SpectralBlock(s, bundle, config.require, spectrum, parts), head, tail
+        entry = shared[key] = spectrum, _validity(s, zero, spectrum.check), _ENCODER.encode(params)[1:]
+    spectrum, validity, tail = entry
+    return _SpectralBlock(s, config.require, n, validity, parts, spectrum), head, tail
 
 
 def _scan(config: SearchConfig, axes: tuple, start: int, stop: int):
@@ -618,17 +639,16 @@ def _scan(config: SearchConfig, axes: tuple, start: int, stop: int):
     The blocks are the points of the block axes, and a block's models those
     of c2Es times the polarizations.  The polarization terms hold the
     stability windows, which a serial scan solves once and each pool chunk
-    in its own copy; the tables of alpha and of the spectral data are built
-    once per call.
+    in its own copy; the tables of `_block` are built once per call.
     """
     s = make_base(config.base)
     block_axes, c2Es, pols = axes
     models = [(c2E, "" if c2E is None else f"{c2E}}}") for c2E in c2Es]
     # with a requirement, only records meeting it at the anomaly stage are emitted
     unmet = ("validity", "anomaly") if config.require else ()
-    lines, counts, alphas, spectra = [], dict.fromkeys((None, *STAGES), 0), {}, {}
+    lines, counts, alphas, shared = [], dict.fromkeys((None, *STAGES), 0), {}, {}
     for point in islice(product(*block_axes), start, stop):
-        block, head, tail = _block(config, s, point, alphas, spectra)
+        block, head, tail = _block(config, s, point, alphas, shared)
         for c2E, end in models:
             for pol, pol_text in pols:
                 line, failed = block.record(c2E, pol, True, head + pol_text + tail + end)

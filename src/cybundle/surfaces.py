@@ -179,7 +179,20 @@ class BaseSurface:
         pairings = self._generator_pairings(nums)
         nef = all(p >= 0 for p in pairings)
         ample = all(p > 0 for p in pairings) and self.square(c) > 0
-        return ConeVerdict(effective=self._reduces_to_nef(nums, pairings), nef=nef, ample=ample)
+        return ConeVerdict(effective=self.effective(nums), nef=nef, ample=ample)
+
+    def effective(self, nums) -> bool:
+        """Whether the class nums/den is effective, for any den > 0: the
+        effectivity rule of `cone_position`, on the integer numerators of the
+        free part.  The torsion bit never changes the verdict."""
+        if not self.is_enriques:
+            return self._reduces_to_nef(nums, self._generator_pairings(nums))
+        # C^2 >= 0 and C.(1,1) > 0, scaled by den^2 and den.  A zero free
+        # part (pure torsion, or zero) pairs to 0 with (1,1): c1 = f1 - f2 is
+        # not effective.  A nonzero one with C.(1,1) = 0 has C^2 < 0, Gamma^{1,1}
+        # being hyperbolic and E8(-1) negative definite.
+        dual = [sum(g * nums[j] for j, g in row) for row in self._gram_rows]
+        return dot(nums, dual) >= 0 and dot(dual, _ENRIQUES_H0_INTS) > 0
 
     def _reduces_to_nef(self, nums, pairings) -> bool:
         # Zariski's fixed-component reduction on nums = den * D.  Distinct
@@ -205,18 +218,14 @@ class BaseSurface:
         return False
 
     def _cone_position_enriques(self, c: DivisorClass) -> ConeVerdict:
-        if c.free_is_zero():
-            # pure torsion (or zero): c1 = f1 - f2 is not effective
-            sq, effective = 0, False
-        else:
-            nums, dual, den = self.integer_parts(c)
-            sq = ratio(dot(nums, dual), den * den)
-            effective = sq >= 0 and dot(dual, _ENRIQUES_H0_INTS) > 0
+        nums, dual, den = self.integer_parts(c)
+        effective = self.effective(nums)
         if not self._gamma11_only(c):
             note = ("class lies outside Gamma^{1,1}",)
             return ConeVerdict(effective=effective, nef=None, ample=None, notes=note)
         x, y = c.coeffs[0], c.coeffs[1]
         nef = x >= 0 and y >= 0
+        sq = ratio(dot(nums, dual), den * den)
         # nef with C^2 = 2xy >= 6 forces x, y > 0, so C pairs positively with
         # every nonzero effective Gamma^{1,1} class (a, b), a, b >= 0
         ample = nef and sq >= 6

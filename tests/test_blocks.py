@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from cybundle import jsonio
+from cybundle import jsonio, search
 from cybundle.anomaly import anomaly_class, spectral_af
 from cybundle.bundles import PullbackBundle, SpectralBundle, bundle_chern, validate_bundle
 from cybundle.nonsplit import chi_line, chi_nonsplit, chi_value, nonsplit_feasible, spectral_nonsplit
@@ -134,6 +134,91 @@ def test_scan_records_match_ring_and_check_model(kind, mode):
     # more than one way
     assert 0 < reached
     assert len({r.failed_stage for r in records}) > 1
+
+
+# a scan reads validity from a table per n (pullback) or per (n, eta, lambda)
+# (spectral); these boxes fail it in each way such an entry can: n < 2, the
+# spectral parity rule, a non-effective eta - n c1 and a non-integral c2(V_n)
+TABLE_BOXES = {
+    "F0-pullback-n-0-3": (
+        {
+            "base": "F0",
+            "mode": "pullback",
+            "n_range": [0, 3],
+            "x_values": [-1, 1, 2],
+            "alpha_box": [[-1, 0], [-2, -1]],
+            "c2E_range": [98, 100],
+            "h_values": ["1", "2"],
+        },
+        {"bundle rank n must be >= 2", None},
+    ),
+    # for n = 2, eta = (3, *) leaves eta - 2 c1 = (-1, *), not effective on F0
+    "F0-spectral-invalid": (
+        {
+            "base": "F0",
+            "mode": "spectral",
+            "n_range": [2, 3],
+            "alpha_box": [[-1, 0], [-12, -11]],
+            "eta_box": [[3, 4], [23, 24]],
+            "lambda_values": ["1/2", "1", "3/2"],
+            "H_values": [[3, 34]],
+            "h_values": ["1"],
+        },
+        {"spectral data invalid", "spectral data invalid: eta - n*c1 not effective", None},
+    ),
+    "dP0-non-integral-c2": (
+        {
+            "base": "dP0",
+            "mode": "spectral",
+            "n_range": [3, 3],
+            "alpha_box": [[0, 1]],
+            "eta_box": [[15, 15]],
+            "lambda_values": ["1"],
+            "H_values": [[1]],
+        },
+        {"spectral data invalid: non-integral Chern class"},
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("box", TABLE_BOXES.values(), ids=TABLE_BOXES.keys())
+def test_validity_tables_match_check_model(box, jobs):
+    obj, errors = box
+    config = SearchConfig.from_json(obj)
+    s = make_base(config.base)
+    lines = [line for line in _search_bytes(config, jobs).splitlines() if not line.startswith("#")]
+    for line in lines:
+        params = json.loads(line)["params"]
+        bundle, pol = _model_of(s, params)
+        assert check_model(s, bundle, pol, params=params).to_json_line() == line
+    assert {json.loads(line)["verdicts"]["validity"].get("error") for line in lines} == errors
+
+
+@pytest.mark.parametrize("box", TABLE_BOXES.values(), ids=TABLE_BOXES.keys())
+def test_scan_builds_no_bundle_per_block(monkeypatch, box):
+    # one zero-twist bundle per table entry, whose validity every block of
+    # the entry reads; the spectral boxes have no eta = 12 c1, whose
+    # `_Spectrum` builds one more for the displayed af reading
+    obj, _ = box
+    config = SearchConfig.from_json(obj)
+    built = Counter()
+
+    def counted(cls):
+        return lambda *args, **kwargs: built.update([cls.__name__]) or cls(*args, **kwargs)
+
+    for cls in (PullbackBundle, SpectralBundle, DivisorX):
+        monkeypatch.setattr(search, cls.__name__, counted(cls))
+    lines = _search_bytes(config, 1).splitlines()
+    params = [json.loads(line)["params"] for line in lines if not line.startswith("#")]
+    if config.mode == "pullback":
+        entries, bundle = {p["n"] for p in params}, "PullbackBundle"
+        blocks = {(p["n"], p["x"], *p["alpha"]) for p in params}
+    else:
+        entries, bundle = {(p["n"], *p["eta"], p["lambda"]) for p in params}, "SpectralBundle"
+        blocks = {(p["n"], *p["eta"], p["lambda"], *p["alpha"]) for p in params}
+    assert len(entries) < len(blocks)
+    assert built == {bundle: len(entries), "DivisorX": len(entries)}
 
 
 def _half_integral_models(kind, rng):

@@ -278,6 +278,16 @@ def test_search_jobs_deterministic(tmp_path):
         assert f1.read() == f3.read()
 
 
+@pytest.mark.parametrize("target", ["missing/out.jsonl", "."], ids=["missing-directory", "directory"])
+def test_search_out_that_cannot_be_opened_exits_2(tmp_path, target):
+    cfg = write(tmp_path, "box.json", E6_CONFIG)
+    out = str(tmp_path / target)
+    proc = run_cli("search", cfg, "--out", out)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write --out {out}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_search_limit(tmp_path):
     config = {
         "base": "F0",

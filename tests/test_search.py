@@ -200,7 +200,7 @@ def _blocks(records, inner):
 
 
 def _wb_queries(blocks, share=()):
-    """The wB cone queries a scan should ask: one per block in which wB is
+    """The wB effectivity queries a scan should ask: one per block in which wB is
     not zero and some model has af >= 0; blocks whose params agree on the
     keys `share` (a spectral (n, eta, lambda)) ask once between them."""
     asked = Counter()
@@ -217,11 +217,11 @@ def _wb_queries(blocks, share=()):
 
 
 def test_each_model_quantity_computed_once(monkeypatch):
-    # once per block, not per model: validity and the pullback cone query of
-    # wB; once per spectral (n, eta, lambda): the spectral data check and the
-    # cone query of wB = 12 c1 - eta; once per (n, x, alpha.c1) and
-    # polarization: the stability window.  The Chern ring is not on the
-    # scan path at all
+    # once per pullback n: validity; once per block, not per model: the
+    # pullback effectivity query of wB; once per spectral (n, eta, lambda):
+    # validity, the spectral data check and the effectivity query of
+    # wB = 12 c1 - eta; once per (n, x, alpha.c1) and polarization: the
+    # stability window.  The Chern ring is not on the scan path at all
     counts = {}
     for func in (
         bundles.validate_bundle,
@@ -231,12 +231,16 @@ def test_each_model_quantity_computed_once(monkeypatch):
         windows.window_delpezzo,
     ):
         _count_calls(monkeypatch, counts, func)
+    # every alpha and eta of these boxes is integral, so the kernel's
+    # numerators are the coefficients of the class it is asked about
     queried = Counter()
-    cone_position = BaseSurface.cone_position
+    effective = BaseSurface.effective
     monkeypatch.setattr(
-        BaseSurface, "cone_position", lambda s, c: queried.update([c]) or cone_position(s, c)
+        BaseSurface,
+        "effective",
+        lambda s, nums: queried.update([DivisorClass(tuple(nums))]) or effective(s, nums),
     )
-    # alpha = 0 blocks have af < 0 for every c2E and ask no cone query
+    # alpha = 0 blocks have af < 0 for every c2E and ask no effectivity query
     pullback = dataclasses.replace(
         SO10_CONFIG,
         n_range=(2, 3),
@@ -270,7 +274,7 @@ def test_each_model_quantity_computed_once(monkeypatch):
     assert len(spectra) < len(blocks[1])
     assert 0 < len(windows_solved) < len(blocks[0])
     assert counts == {
-        "validate_bundle": len(blocks[0]) + len(blocks[1]),
+        "validate_bundle": len({r.params["n"] for r in records[0]}) + len(spectra),
         "check_spectral_data": len(spectra),
         "chern_extension": 0,
         "triple_product": 0,

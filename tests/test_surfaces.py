@@ -628,6 +628,51 @@ def test_enriques_closed_forms_match_enumeration():
     assert kinds == {"value", "polarization not ample"}
 
 
+def _kernel_cases(s, rng, count):
+    """(nums, den, torsion) of the classes nums/den (+ torsion c1) the
+    effectivity kernel is checked on: seeded random integer nums, on F0/dPk
+    also positive combinations of generators moved by one step, on Enriques
+    also classes with E8 parts, each over den 1, 2, 3 and 6; then the zero
+    class and, on Enriques, pure 2-torsion and torsion-carrying classes."""
+    drawn = []
+    for i in range(count):
+        if s.is_enriques:
+            e8 = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(8)] if i % 2 else [0] * 8
+            drawn.append([rng.randint(-6, 6), rng.randint(-6, 6), *e8])
+        elif i % 2:
+            drawn.append([rng.randint(-6, 6) for _ in range(s.rank)])
+        else:
+            nums = [0] * s.rank
+            for _ in range(rng.randint(1, 4)):
+                k, g = rng.randint(1, 4), rng.choice(s.cone_generators)
+                nums = [v + k * int(c) for v, c in zip(nums, g.coeffs)]
+            nums[rng.randrange(s.rank)] += rng.choice((-1, 1))
+            drawn.append(nums)
+    cases = [(nums, den, 0) for nums in drawn for den in (1, 2, 3, 6)]
+    cases.append(([0] * s.rank, 1, 0))
+    if s.is_enriques:
+        cases += [([0] * s.rank, 1, 1)] + [(nums, 1, 1) for nums in drawn[:6]]
+    return cases
+
+
+@pytest.mark.parametrize("kind", DEL_PEZZO_AND_F0 + ["enriques"])
+def test_effective_kernel_matches_cone_position_and_fraction_oracle(kind):
+    s = make_base(kind)
+    # the Fraction reduction takes about 0.1 s a class on dP8
+    count = {"dP7": 8, "dP8": 4}.get(kind, 30)
+    seen = set()
+    for nums, den, torsion in _kernel_cases(s, random.Random("kernel-" + kind), count):
+        c = DivisorClass(tuple(Fraction(v, den) for v in nums), torsion)
+        if s.is_enriques:
+            want = _oracle_cone(s, c).effective
+        else:
+            want = _fraction_reduces_to_nef(s, c, [s.intersect(c, g) for g in s.cone_generators])
+        got = s.effective(nums)
+        assert type(got) is bool and got == s.cone_position(c).effective == want, (nums, den, torsion)
+        seen.add(got)
+    assert seen == {True, False}
+
+
 def test_enriques_min_degree_tie_takes_first_witness():
     enr = make_base("enriques")
     for x in (Fraction(5, 2), 3, 7):
