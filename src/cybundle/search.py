@@ -95,13 +95,6 @@ def _zero_twist(s: BaseSurface) -> DivisorX:
     return DivisorX(0, DivisorClass.zero(s.rank))
 
 
-def _alpha_parts(s: BaseSurface, alpha: DivisorClass) -> tuple:
-    """(nums, dual, den, a_sq): alpha = nums/den with its integer parts
-    (`BaseSurface.integer_parts`) and a_sq = den^2 alpha^2."""
-    nums, dual, den = s.integer_parts(alpha)
-    return nums, dual, den, dot(nums, dual)
-
-
 def check_model(
     s: BaseSurface,
     bundle,
@@ -113,31 +106,36 @@ def check_model(
 ) -> ModelRecord:
     """Run the full verification pipeline on one model.
 
-    The model is evaluated as a block of one, on the path every scan takes,
-    with the validity verdict of its own bundle.  The first failed stage is
-    `failed_stage`.  A failure stops the run under `short_circuit`; a
-    verdict carrying an "error", which only the validity stage gives,
-    always stops it.  `bound` is accepted and unread:
-    no query enumerates any more, and the benchmark (bench/child.py) still
-    passes it.
+    The model is evaluated as a block of one by `_Block.scan`, the path of
+    every scan, with the validity verdict of its own bundle and
+    polarization.  The first failed stage is `failed_stage`.  A failure
+    stops the run under `short_circuit`; a verdict carrying an "error",
+    which only the validity stage gives, always stops it.  `bound` is
+    accepted and unread: no query enumerates any more, and the benchmark
+    (bench/child.py) still passes it.
     """
-    alpha = bundle.twist.alpha
-    # a class of the wrong rank fails validity, and the block reads no parts
-    parts = _alpha_parts(s, alpha) if alpha.rank == s.rank else None
+    alpha, parts = bundle.twist.alpha, None
+    if alpha.rank == s.rank:  # else validity fails, and the block reads no parts
+        nums, dual, den = s.integer_parts(alpha)
+        parts = nums, dual, den, dot(nums, dual)
     if isinstance(bundle, SpectralBundle):
-        spectrum = _Spectrum(s, bundle.n, bundle.eta, bundle.lam)
-        validity = _validity(s, bundle, spectrum.check)
-        block, c2E = _SpectralBlock(s, require, bundle.n, validity, parts, spectrum), None
+        data = _Spectrum(s, bundle.n, bundle.eta, bundle.lam)
+        block, mode, c2E, validity = _SpectralBlock, "spectral", None, _validity(s, bundle, data.check)
     else:
-        validity = _validity(s, bundle)
-        block, c2E = _PullbackBlock(s, require, bundle.n, validity, parts, bundle.twist.x), bundle.c2E
-    line, failed = block.record(c2E, _PolTerms(s, block.mode, pol), short_circuit, _ENCODER.encode(params or {}))
-    return ModelRecord(line, failed)
+        data = bundle.twist.x
+        block, mode, c2E, validity = _PullbackBlock, "pullback", bundle.c2E, _validity(s, bundle)
+    terms = _PolTerms(s, mode, pol)
+    # a valid bundle fails validity with a polarization of the wrong kind
+    block = block(s, require, bundle.n, terms.validity if validity[0] else validity, parts, data)
+    lines, counts = [], dict.fromkeys((None, *STAGES), 0)
+    block.scan([(c2E, "")], [(terms, "")], _ENCODER.encode(params or {}), "", short_circuit, False, lines, counts)
+    (failed,) = (stage for stage, count in counts.items() if count)
+    return ModelRecord(lines[0], failed)
 
 
 class _PolTerms:
     """What the stages read of one polarization, worked out once per config
-    (or per `check_model`): the class H (h c1 for a ray h) with its integer
+    (or per `check_model`): the class H (h c1 for a ray h) as integer
     parts, H^2, the z of the non-split slope (h on F0/dPk, 1 on Enriques)
     and, on first use, the minimum degree.  `windows` holds the stability
     verdicts solved so far, by (n, x, a) with a = alpha.c1 on F0/dPk and
@@ -145,7 +143,7 @@ class _PolTerms:
     `validity` is the validity verdict of the polarization rule."""
 
     def __init__(self, s: BaseSurface, mode: str, pol: Polarization):
-        self.s = s
+        self.s, self.pol = s, pol
         try:
             _refuse_wrong_kind(s, mode, pol)
         except ValueError as exc:
@@ -153,15 +151,18 @@ class _PolTerms:
             return
         self.validity = _VALID
         self.h = None if pol.h is None else Fraction(pol.h)
-        self.H = pol.H if pol.H is not None else s.c1.scale(self.h)
-        _, self.H_dual, self.H_den = s.integer_parts(self.H)
+        if pol.H is None:  # H = h c1, as numerators over the denominator of h
+            nums = [self.h.numerator * c for c in s.c1_ints]
+            self.H_dual, self.H_den = s.dual(nums), self.h.denominator
+        else:
+            nums, self.H_dual, self.H_den = s.integer_parts(pol.H)
         self.z = Fraction(1) if s.is_enriques else self.h
-        self.hsq = s.square(self.H)
+        self.hsq = ratio(dot(nums, self.H_dual), self.H_den * self.H_den)
         self.windows: dict = {}
 
     @cached_property
     def min_degree(self):
-        return self.s.min_positive_degree(self.H)
+        return self.s.min_positive_degree(self.pol.H or self.s.c1.scale(self.h))
 
     @cached_property
     def min_degree_text(self) -> str:
@@ -184,7 +185,6 @@ class _Spectrum:
     resid^2."""
 
     def __init__(self, s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction):
-        self.eta = eta
         try:
             fiber = check_spectral_data(s, n, eta, lam)
         except ValueError as exc:
@@ -221,19 +221,13 @@ class _Block:
     vary: c2E and then the polarization for pullback models, a block per
     (n, x, alpha); the polarization alone for spectral models, a block per
     (n, alpha, eta, lambda).  Built from its n, the validity verdict of its
-    bundle (`_validity`), the `_alpha_parts` of its alpha and `data`: the
-    twist's x for a pullback run, the `_Spectrum` of its (n, eta, lambda)
-    for a spectral one.  A block of an invalid bundle works out nothing
-    else, and nothing a block holds outlives it.  Stages
-    (`stages`, in STAGES order) map (block, c2E, polarization terms) to
-    (passed, text), the text being the verdict's "key":{...} in the JSONL
-    line.  Only validity reads the input for errors; the other stages
-    compute from data it has passed.  alpha is held as integer parts:
-    nums/den, with a_sq = den^2 alpha^2.
-    """
-
-    mode: str
-    stages: tuple
+    bundle (`_validity`), alpha as integer `parts` (nums, dual, den, a_sq =
+    den^2 alpha^2) and `data`: the twist's x for a pullback run, the
+    `_Spectrum` of its (n, eta, lambda) for a spectral one.  An invalid
+    block works out nothing else.  A subclass gives `scan` the c2E meeting
+    the requirement (`_run`), what only lines read (`_line_terms`) and the
+    verdicts as (passed, "key":{...} text): `_anomaly` per c2E, `_nonsplit`
+    per (c2E, polarization) and `_stability` per polarization."""
 
     def __init__(self, s: BaseSurface, require: str | None, n: int, validity: tuple, parts, data):
         self.s, self.require, self.n, self.validity = s, require, n, validity
@@ -241,88 +235,133 @@ class _Block:
             self.nums, self.dual, self.den, self.a_sq = parts
             self._invariants(data)
 
-    def record(self, c2E, pol: _PolTerms, short_circuit: bool, params: str) -> tuple:
-        """(line, failed_stage) of the model (c2E, pol) of this block, given
-        the JSON text of its params."""
-        texts, failed = [], None
-        for name, stage in zip(STAGES, self.stages):
-            passed, text = stage(self, c2E, pol)
-            texts.append(text)
-            if not passed:
-                failed = failed or name
-                # only validity fails with an error, which stops the run
-                if short_circuit or name == "validity":
-                    break
-        return '{"params":' + params + ',"verdicts":{' + ",".join(texts) + _TAILS[failed], failed
+    def scan(self, models, pols, head: str, tail: str, short_circuit: bool, drop: bool, lines, counts) -> None:
+        """Append the JSONL lines of the block's models (c2E, pol), pol
+        fastest, to `lines` and count them by failed stage (None if passed)
+        in `counts`.  `models`: (c2E, end) over consecutive c2E ((None, "")
+        if spectral); `pols`: (_PolTerms, text); params text: head + text +
+        tail + end.  A failure stops a model under `short_circuit`, a
+        validity failure always.  Under `drop`, models failing validity or
+        the requirement get no line and are counted per block or per c2E."""
+        size = len(models) * len(pols)
+        if not self.validity[0]:
+            counts["validity"] += size
+            if not drop:
+                rest = ',"verdicts":{' + self.validity[1] + _TAILS["validity"]
+                lines += ['{"params":' + head + text + tail + end + rest for _, end in models for _, text in pols]
+            return
+        if drop:
+            start, stop = self._run(models[0][0], len(models))
+            models = models[start:stop]
+            counts["anomaly"] += size - len(models) * len(pols)
+            if not models:
+                return
+        self._line_terms(models[0][0], models[-1][0], pols)
+        prefixes = [(pol, '{"params":' + head + text + tail) for pol, text in pols]
+        stability = {}
+        for c2E, end in models:
+            passed, anomaly = self._anomaly(c2E)
+            end += ',"verdicts":{' + _VALID[1] + "," + anomaly
+            unmet = None if passed else "anomaly"
+            for pol, prefix in prefixes:
+                texts, failed = [prefix + end], unmet
+                if failed is None or not short_circuit:
+                    passed, text = self._nonsplit(c2E, pol)
+                    texts.append(text)
+                    failed = failed or (None if passed else "nonsplit")
+                    if failed is None or not short_circuit:
+                        verdict = stability.get(pol)
+                        if verdict is None:
+                            verdict = stability[pol] = self._stability(pol)
+                        texts.append(verdict[1])
+                        failed = failed or (None if verdict[0] else "stability")
+                counts[failed] += 1
+                lines.append(",".join(texts) + _TAILS[failed])
 
-    def _alpha_dot(self, dual, den: int) -> tuple:
-        """(P, q) with alpha.c = P/q, for c of integer parts (_, dual, den)."""
-        return dot(self.nums, dual), self.den * den
+    def _meets(self, w_zero: bool, w_effective: bool) -> bool:
+        return {"W_zero": w_zero, "W_effective": w_effective}.get(self.require, True)
 
-    def _validity(self, c2E, pol) -> tuple:
-        return pol.validity if self.validity[0] else self.validity
-
-    def _anomaly_verdict(self, wb_text: str, af, w_zero, w_effective, readings: str = "") -> tuple:
+    def _anomaly_verdict(self, wb_text: str, af, w_zero: bool, w_effective: bool, readings: str = "") -> tuple:
         """(passed, text) of the anomaly verdict; `readings`, the text of the
         two af readings, go before "passed"."""
-        passed = {"W_zero": w_zero, "W_effective": w_effective}.get(self.require, True)
+        passed = self._meets(w_zero, w_effective)
         return passed, (
             f'"anomaly":{{"wB":{wb_text},"af":"{jsonio.frac_to_str(af)}","W_zero":{_JSON[w_zero]},'
             f'"W_effective":{_JSON[w_effective]}{readings},"passed":{_JSON[passed]}}}'
         )
 
+    def _alpha_dot(self, dual, den: int) -> tuple:
+        """(P, q) with alpha.c = P/q, for c of integer parts (_, dual, den)."""
+        return dot(self.nums, dual), self.den * den
+
 
 class _PullbackBlock(_Block):
-    """Per block: af0 and chi0 (af = af0 - c2E, chi = chi0 -
-    chi_slope c2E), alpha.c1, wB as numerators over den with its JSON text
-    and, when a model with af >= 0 first asks, its effectivity.  Per (block,
-    polarization), on first use: the non-split slope.  Per model: af, chi
-    and the lookup of the stability verdict, solved and rendered once per
-    (n, x, a) and polarization."""
-
-    mode = "pullback"
+    """Per block: af0 (af = af0 - c2E) and wB over den; for lines, the terms
+    of `_line_terms`; if some af >= 0 asks, whether wB is effective.  Per
+    c2E: the anomaly and chi verdicts.  Per polarization: the slope verdict
+    and the stability verdict, solved once per (n, x, a) and polarization."""
 
     def _invariants(self, x) -> None:
         s, n, den = self.s, self.n, self.den
         self.x = x = int(x)
         d2, k = den * den, n * (n + 1) // 2
-        self.a_c1_num = dot(self.dual, s.c1_ints)
-        self.a_c1 = ratio(self.a_c1_num, den)
         self.af0 = ratio((s.c2 + 11 * s.c1_sq) * d2 + k * self.a_sq, d2)
-        self.chi0, self.chi_slope = chi_line(n, x, self.a_sq, self.a_c1_num, den, s.c1_sq)
         # wB = (12 - k x^2) c1 + 2 k x alpha, over den
         c, t = 12 - k * x * x, 2 * k * x
         self.wB_nums = [c * den * ci + t * ai for ci, ai in zip(s.c1_ints, self.nums)]
         self.wB_torsion = c * s.c1.torsion % 2  # t is even: t alpha has no torsion
-        self.wB_text = _class_text([ratio(w, den) for w in self.wB_nums], self.wB_torsion)
         self.wB_zero = not self.wB_torsion and not any(self.wB_nums)
-        self._effective = None
-        self._slopes: dict = {}
 
-    def _wb_effective(self) -> bool:
-        if self._effective is None:
-            self._effective = self.s.effective(self.wB_nums)
-        return self._effective
+    def _run(self, lo: int, count: int) -> tuple:
+        """(start, stop): the models of c2E lo + start .. lo + stop - 1 meet
+        the requirement.  af = af0 - c2E, so W_zero keeps c2E = af0 if wB =
+        0, and W_effective c2E <= floor(af0) if wB is zero or effective."""
+        if self.require == "W_zero":
+            i = self.af0 - lo
+            return (i, i + 1) if self.wB_zero and type(i) is int and 0 <= i < count else (0, 0)
+        stop = min(count, max(0, math.floor(self.af0) - lo + 1))
+        return 0, stop if stop and (self.wB_zero or self.wB_effective) else 0
 
-    def _anomaly(self, c2E, pol) -> tuple:
+    def _line_terms(self, lo: int, hi: int, pols) -> None:
+        """alpha.c1, chi0, chi_slope, the text of wB and for x > 0 each
+        polarization's slope; chi is linear in c2E, so its values at lo and
+        hi bound all others."""
+        s, den = self.s, self.den
+        self.a_c1_num = dot(self.dual, s.c1_ints)
+        self.a_c1 = ratio(self.a_c1_num, den)
+        self.chi0, self.chi_slope = chi0, slope = chi_line(self.n, self.x, self.a_sq, self.a_c1_num, den, s.c1_sq)
+        jsonio.refuse_unprintable("chi", "'n', 'x', 'alpha' or 'c2E'", chi0 - slope * lo, chi0 - slope * hi)
+        self.wB_text = _class_text([ratio(w, den) for w in self.wB_nums], self.wB_torsion)
+        self._slopes, self._verdicts = {}, {}
+        for pol, _ in pols if self.x > 0 else ():
+            # (2H - z c1).alpha over den * H_den * z_den
+            (p, q), z = self._alpha_dot(pol.H_dual, pol.H_den), pol.z
+            num = 2 * p * z.denominator - z.numerator * self.a_c1_num * pol.H_den
+            self._slopes[pol] = ratio(num, q * z.denominator)
+
+    @cached_property
+    def wB_effective(self) -> bool:
+        return self.s.effective(self.wB_nums)
+
+    def _anomaly(self, c2E) -> tuple:
         af = self.af0 - c2E
-        return self._anomaly_verdict(self.wB_text, af, *w_verdict(af, self.wB_zero, self._wb_effective))
+        return self._anomaly_verdict(self.wB_text, af, *w_verdict(af, self.wB_zero, lambda: self.wB_effective))
 
     def _nonsplit(self, c2E, pol) -> tuple:
-        slope = None
-        if self.x > 0:
-            slope = self._slopes.get(pol)
-            if slope is None:
-                # (2H - z c1).alpha over den * H_den * z_den
-                p, q = self._alpha_dot(pol.H_dual, pol.H_den)
-                z = pol.z
-                num = 2 * p * z.denominator - z.numerator * self.a_c1_num * pol.H_den
-                slope = self._slopes[pol] = ratio(num, q * z.denominator)
-        ns = nonsplit_verdict(self.x, slope, self.chi0 - self.chi_slope * c2E)
-        value = jsonio.frac_to_str(ns.value)
-        return ns.passed, f'"nonsplit":{{"passed":{_JSON[ns.passed]},"clause":"{ns.clause}","value":"{value}"}}'
+        """The verdict of chi at c2E and, for x > 0, the slope of pol: one
+        slope > 0 fails whatever chi is, so it is kept by pol, others by c2E."""
+        slope = self._slopes.get(pol)
+        key = pol if slope is not None and slope > 0 else c2E
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            ns = nonsplit_verdict(self.x, slope, self.chi0 - self.chi_slope * c2E)
+            value = jsonio.frac_to_str(ns.value)
+            verdict = self._verdicts[key] = ns.passed, (
+                f'"nonsplit":{{"passed":{_JSON[ns.passed]},"clause":"{ns.clause}","value":"{value}"}}'
+            )
+        return verdict
 
-    def _stability(self, c2E, pol) -> tuple:
+    def _stability(self, pol) -> tuple:
         s, n, x = self.s, self.n, self.x
         a = ratio(*self._alpha_dot(pol.H_dual, pol.H_den)) if s.is_enriques else self.a_c1
         verdict = pol.windows.get((n, x, a))
@@ -335,31 +374,34 @@ class _PullbackBlock(_Block):
             verdict = pol.windows[n, x, a] = window.nonempty, '"stability":' + text
         return verdict
 
-    stages = (_Block._validity, _anomaly, _nonsplit, _stability)
-
 
 class _SpectralBlock(_Block):
-    """Per block: the anomaly verdict, with both
-    af readings for the paper's eta = 12 c1 family; and the non-split
-    verdict 3/2 resid^2 - (n+1) alpha.resid > 0.  Per model, that is per
-    polarization: the stability test 0 < n alpha.H < (Lambda.H)_min."""
-
-    mode = "spectral"
+    """Per block: af with its W_zero and W_effective flags; for lines, the
+    anomaly verdict, with both af readings for the paper's eta = 12 c1
+    family, and the non-split verdict 3/2 resid^2 - (n+1) alpha.resid > 0.
+    Per polarization: the stability test 0 < n alpha.H < (Lambda.H)_min."""
 
     def _invariants(self, spectrum: _Spectrum) -> None:
-        n, den, a_sq = self.n, self.den, self.a_sq
-        d2, k = den * den, n * (n + 1) // 2
-        af = ratio(spectrum.af0 * d2 + k * a_sq, d2)
-        flags = w_verdict(af, spectrum.wB_zero, lambda: spectrum.wB_effective)
+        n, den = self.n, self.den
+        self.spectrum, self.d2, self.k = spectrum, den * den, n * (n + 1) // 2
+        self.af = ratio(spectrum.af0 * self.d2 + self.k * self.a_sq, self.d2)
+        self.flags = w_verdict(self.af, spectrum.wB_zero, lambda: spectrum.wB_effective)
+
+    def _run(self, lo, count: int) -> tuple:
+        return 0, count if self._meets(*self.flags) else 0
+
+    def _line_terms(self, lo, hi, pols) -> None:
+        n, den, d2, k, af, spectrum = self.n, self.den, self.d2, self.k, self.af, self.spectrum
+        jsonio.refuse_unprintable("af", "'n', 'eta', 'lambda' or 'alpha'", af)
         readings = ""
         if spectrum.displayed0 is not None:
             p, q = spectrum.displayed0.numerator, spectrum.displayed0.denominator
-            displayed = ratio(p * d2 + k * a_sq * q, q * d2)
+            displayed = ratio(p * d2 + k * self.a_sq * q, q * d2)
             readings = (
                 f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
                 f',"display_agrees":{_JSON[af == displayed]}'
             )
-        self.anomaly = self._anomaly_verdict(spectrum.wB_text, af, *flags, readings)
+        self.anomaly = self._anomaly_verdict(spectrum.wB_text, af, *self.flags, readings)
         # 3/2 resid^2 - (n+1) alpha.resid over 2 den resid_den^2
         p, _ = self._alpha_dot(spectrum.resid_dual, spectrum.resid_den)
         rd = spectrum.resid_den
@@ -369,21 +411,19 @@ class _SpectralBlock(_Block):
             f'"value":"{jsonio.frac_to_str(value)}"}}'
         )
 
-    def _anomaly(self, c2E, pol) -> tuple:
+    def _anomaly(self, c2E) -> tuple:
         return self.anomaly
 
     def _nonsplit(self, c2E, pol) -> tuple:
         return self.nonsplit
 
-    def _stability(self, c2E, pol) -> tuple:
+    def _stability(self, pol) -> tuple:
         ver = spectral_stability(self.n, ratio(*self._alpha_dot(pol.H_dual, pol.H_den)), pol.min_degree)
         a_h, n_a_h = jsonio.frac_to_str(ver.a_h), jsonio.frac_to_str(ver.n_a_h)
         return ver.passed, (
             f'"stability":{{"passed":{_JSON[ver.passed]},"alpha_H":"{a_h}","n_alpha_H":"{n_a_h}",'
             + pol.min_degree_text
         )
-
-    stages = (_Block._validity, _anomaly, _nonsplit, _stability)
 
 
 # ---------------------------------------------------------------------------
@@ -585,18 +625,15 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
 
 
 def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, shared: dict):
-    """(block, head, tail) of a block of the box of `_axes`, given as a
-    point of its block axes: a model's params text is head, its polarization
-    entry and tail, then for a pullback model its c2E and the closing brace.
-    The tables of one `_scan` call, keyed by box coordinates, keep per alpha
-    its `_alpha_parts` and params text, and in `shared` per n (pullback) the
-    validity verdict, or per (n, eta, lambda) (spectral) the `_Spectrum`,
-    the validity verdict and the tail.
-
-    A verdict is that of the bundle of the entry with the zero twist: every
-    twist of the box is integral (x an int, or 0 for spectral; alpha of
-    integers padded to the rank), so every twist check of `validate_bundle`
-    passes, and a block's validity is that of its n or (n, eta, lambda)."""
+    """(block, head, tail) of the block at `point` of the block axes of
+    `_axes`: a model's params text is head, its polarization entry and tail,
+    then for a pullback model its c2E and the closing brace.  The tables of
+    one `_scan`, keyed by box coordinates, keep per alpha its parts (from
+    its int coordinates: den = 1) and text, and in `shared` per n (pullback)
+    the validity verdict, or per (n, eta, lambda) (spectral) the
+    `_Spectrum`, the validity verdict and the tail.  A verdict is that of
+    the entry's bundle with the zero twist: every twist of the box is
+    integral, so every twist check of `validate_bundle` passes."""
     n, *coords = point
     if config.mode == "pullback":
         x, *alpha = coords
@@ -606,9 +643,10 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, sha
     alpha = tuple(alpha)
     entry = alphas.get(alpha)
     if entry is None:
-        padded = DivisorClass(alpha + (0,) * (s.rank - len(alpha)))
-        text = "[" + ",".join(f'"{c}"' for c in padded.coeffs) + "]"
-        entry = alphas[alpha] = _alpha_parts(s, padded), text
+        nums = alpha + (0,) * (s.rank - len(alpha))
+        dual = s.dual(nums)
+        text = "[" + ",".join(f'"{c}"' for c in nums) + "]"
+        entry = alphas[alpha] = (nums, dual, 1, dot(nums, dual)), text
     parts, alpha_text = entry
     head = f'{{"base":"{s.kind}","n":{n},"alpha":{alpha_text},'
     if config.mode == "pullback":
@@ -634,27 +672,16 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, sha
 def _scan(config: SearchConfig, axes: tuple, start: int, stop: int):
     """(lines, counts) of blocks start..stop-1 of the box of `axes` (those
     of `_axes`), in enumeration order: the JSONL lines to emit, and the
-    number of models by failed stage (None for those that pass).
-
-    The blocks are the points of the block axes, and a block's models those
-    of c2Es times the polarizations.  The polarization terms hold the
-    stability windows, which a serial scan solves once and each pool chunk
-    in its own copy; the tables of `_block` are built once per call.
-    """
+    number of models by failed stage (None for those that pass).  The
+    polarization terms hold the stability windows, which a serial scan
+    solves once and each pool chunk in its own copy."""
     s = make_base(config.base)
     block_axes, c2Es, pols = axes
     models = [(c2E, "" if c2E is None else f"{c2E}}}") for c2E in c2Es]
-    # with a requirement, only records meeting it at the anomaly stage are emitted
-    unmet = ("validity", "anomaly") if config.require else ()
     lines, counts, alphas, shared = [], dict.fromkeys((None, *STAGES), 0), {}, {}
     for point in islice(product(*block_axes), start, stop):
         block, head, tail = _block(config, s, point, alphas, shared)
-        for c2E, end in models:
-            for pol, pol_text in pols:
-                line, failed = block.record(c2E, pol, True, head + pol_text + tail + end)
-                counts[failed] += 1
-                if failed not in unmet:
-                    lines.append(line)
+        block.scan(models, pols, head, tail, True, config.require is not None, lines, counts)
     return lines, counts
 
 

@@ -160,8 +160,11 @@ class BaseSurface:
         if c.rank != self.rank:
             raise ValueError("rank mismatch")
         nums, den = _over_common_denominator(c)
-        dual = tuple(sum(g * nums[j] for j, g in row) for row in self._gram_rows)
-        return nums, dual, den
+        return nums, self.dual(nums), den
+
+    def dual(self, nums) -> tuple:
+        """Gram.nums, for a vector of ints: nums.d = dual(nums) . d."""
+        return tuple(sum(g * nums[j] for j, g in row) for row in self._gram_rows)
 
     def _gamma11_only(self, c: DivisorClass) -> bool:
         return all(v == 0 for v in c.coeffs[2:])
@@ -191,7 +194,7 @@ class BaseSurface:
         # part (pure torsion, or zero) pairs to 0 with (1,1): c1 = f1 - f2 is
         # not effective.  A nonzero one with C.(1,1) = 0 has C^2 < 0, Gamma^{1,1}
         # being hyperbolic and E8(-1) negative definite.
-        dual = [sum(g * nums[j] for j, g in row) for row in self._gram_rows]
+        dual = self.dual(nums)
         return dot(nums, dual) >= 0 and dot(dual, _ENRIQUES_H0_INTS) > 0
 
     def _reduces_to_nef(self, nums, pairings) -> bool:

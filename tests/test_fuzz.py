@@ -136,11 +136,6 @@ def test_search_config_small_json_in_each_field(value):
     _each_field("search", E6_CONFIG, value)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="chi of the non-split stage grows like n^4 x^3 and passes the interpreter's"
-    " 4,300-digit limit; the message names no field (ROADMAP item 5)",
-)
 def test_chi_past_the_digit_limit_names_a_field():
     model = _replaced(SO10_MODEL, ("bundle", "n"), 10**999)
     code, err = _run("check", _replaced(model, ("bundle", "twist", "x"), 10**199))
@@ -154,11 +149,6 @@ def _with(doc, fields):
     return doc
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the n^4 alpha^2 term of the pullback chi passes the interpreter's 4,300-digit"
-    " limit with every input under the cap; the message names no field (ROADMAP item 5)",
-)
 def test_pullback_chi_of_capped_inputs_names_a_field():
     model = _with(SO10_MODEL, {
         ("bundle", "n"): 10**999,
@@ -171,11 +161,6 @@ def test_pullback_chi_of_capped_inputs_names_a_field():
     assert "field '" in err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the lambda^2 n eta^2 term of the spectral af passes the interpreter's 4,300-digit"
-    " limit with every input under the cap; the message names no field (ROADMAP item 5)",
-)
 def test_spectral_af_of_capped_inputs_names_a_field():
     model = _with(SPECTRAL_MODEL, {
         ("bundle", "n"): 2 * 10**998,

@@ -1,7 +1,9 @@
 """Byte-identity guard for `run_search` and `check_model`.
 
 The sha256 digests below were recorded before the scan was rebuilt around
-per-type stage tables.  Any change to the bytes of a record (key order,
+per-type stage tables, and those of the boxes f0-so10-w-zero and
+dp5-w-effective-straddle before required scans stopped rendering the
+records they drop.  Any change to the bytes of a record (key order,
 verdict fields, the emission rule, the summary line) changes a digest.
 Every box uses ample polarizations only, so each one is a valid config.
 """
@@ -66,6 +68,30 @@ BOXES = {
         "c2E_range": [12, 12],
         "H_values": [[2, 3], [2, 2]],
     },
+    # encloses the SO(10) model (n 3, x 1, alpha (-1,-1), c2E 104) and the
+    # wB = 0, af = 0 model n 2, x 2, alpha 0, c2E 92
+    "f0-so10-w-zero": {
+        "base": "F0",
+        "mode": "pullback",
+        "n_range": [2, 3],
+        "x_values": [-1, 1, 2],
+        "alpha_box": [[-1, 0], [-1, 0]],
+        "c2E_range": [90, 106],
+        "h_values": ["1", "2"],
+        "require": "W_zero",
+    },
+    # the c2E range holds af0 of most blocks: runs of 1 to 15 c2E values
+    # meet the requirement, and 16 of the 48 blocks keep none
+    "dp5-w-effective-straddle": {
+        "base": "dP5",
+        "mode": "pullback",
+        "n_range": [2, 3],
+        "x_values": [-1, 1],
+        "alpha_box": [[-2, 1], [-1, 1]],
+        "c2E_range": [46, 60],
+        "h_values": ["1", "2"],
+        "require": "W_effective",
+    },
     "enriques-spectral": {
         "base": "enriques",
         "mode": "spectral",
@@ -78,20 +104,24 @@ BOXES = {
 }
 
 SEARCH_SHA256 = {
+    "dp5-w-effective-straddle": "a8675db9ebe538c14acf43d275a304eee26752ac9eb2879da2e0bf718c470987",
     "dp6-w-effective": "c63ba9dde16b23be305a4e679703d9124850b8e816d4c2de968c749cb099ef3d",
     "enriques-pullback": "f97ba1e80e2f5083c175299b2df4953564210651b7a9c49b86cec885dd3ff72c",
     "enriques-spectral": "a5d83990495e7c72a7ab6b53fa6e0bb603bebf28a30f22f6f7f865ead851b987",
     "f0-pullback": "2b82964abd35eb55bb357a98e6f55ee5bd021b71c7e563d9f8663526c00f0c6c",
     "f0-pullback-w-zero": "c06b8064254c859106b099d7a628b4f5d4fc55b26a1f2a2376b186acd1d49e20",
+    "f0-so10-w-zero": "8cd5aeb58920ab5206d6b6692d89ed6d091c3568f6038235a7c00c0fe20b23b7",
     "f0-spectral": "1b25e496664fafec82491db183ef69ee253b60db2fdaf40eec7a0ef780c98680",
 }
 
 CHECK_SHA256 = {
+    "dp5-w-effective-straddle": "639c2a14e4cb66ad8ef71ea79933ee21c9b021aa303c809b9c0c1f6e706a2972",
     "dp6-w-effective": "f6851be63138d30b89af53fce8f6d678c8dba5d7bf25f9b8c4b8e7cb447dd230",
     "enriques-pullback": "6e95bcf8612aa7c3b097f50aee354f7452f9f7f4a291d65715245c5e6c7a5ab6",
     "enriques-spectral": "4d5cb1cafab9567f446c0f46c7554f8d7fdcec73433ff321a524c315e77de1e8",
     "f0-pullback": "9387ea68a7a6b05947221bdd3d52a1ae0960bad6b5668ca5734455ecbe7da8e6",
     "f0-pullback-w-zero": "83b7e971fff6ae617d7b18eaf3d37aebf5dfd592f4f81a50c7cda03f5e1b1e5f",
+    "f0-so10-w-zero": "94cbb1a13da59021f76d0b3f2774cf68f5d3b4d73b3006f00114f1a4637ebf75",
     "f0-spectral": "a23b0cb51484face03b73ec340d1bb7df6a48273773815a600ed0335fd78a1ee",
 }
 

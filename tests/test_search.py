@@ -3,9 +3,11 @@
 import concurrent.futures
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -287,6 +289,22 @@ def test_each_model_quantity_computed_once(monkeypatch):
     intersect = BaseSurface.intersect
     monkeypatch.setattr(BaseSurface, "intersect", lambda *args: calls.append(1) or intersect(*args))
     assert make_base("F0").c1_sq == 8 and calls == []
+    # the set-up is in integers too: H^2, the parts of alpha and the
+    # validity of the zero twist, in a scan and in check_model alike
+    for base, pols in (("dP8", {"h_values": ["1", "3/2"]}), ("enriques", {"H_values": [[2, 3]]})):
+        config = SearchConfig.from_json({
+            "base": base,
+            "mode": "pullback",
+            "n_range": [2, 3],
+            "x_values": [-1, 1],
+            "alpha_box": [[-1, 1], [-1, 1], [0, 1]],
+            "c2E_range": [10, 12],
+            **pols,
+        })
+        assert run_search(config)["scanned"] == 2 * 2 * 18 * 3 * len(config.h_values or config.H_values)
+        bundle, pol, params = next(_box_models(config))
+        assert check_model(make_base(base), bundle, pol, short_circuit=False, params=params).verdicts
+    assert calls == []
 
 
 def test_each_record_rendered_from_fragments(monkeypatch):
@@ -609,6 +627,134 @@ def test_empty_axis_starts_no_pool(recording_pool):
     summary = run_search(config, jobs=2)
     assert summary["scanned"] == 0 and summary["emitted"] == 0
     assert recording_pool == []
+
+
+# ---------------------------------------------------------------------------
+# required scans: each block's c2E axis split at af0
+
+
+# per base: the polarizations, and af0 = c2 + 11 c1^2 of the blocks with
+# alpha = 0, where n = 2, x = 2 gives wB = 0 on every base
+_REQUIRED_BASES = {
+    "F0": ({"h_values": ["1", "2"]}, 92),
+    "dP5": ({"h_values": ["1", "3/2"]}, 52),
+    "enriques": ({"H_values": [[2, 3], [3, 4]]}, 12),
+}
+# the c2E range around that af0: at its first, last or an interior c2E, or
+# one below or one above the range
+_AF0_PLACEMENTS = {"first": (0, 3), "last": (-3, 0), "interior": (-2, 2), "below": (1, 4), "above": (-4, -1)}
+
+
+def _required_box(base, placement, seed):
+    """A seeded pullback box on `base` that holds the wB = 0 block n = 2,
+    x = 2, alpha = 0, with its af0 placed on the c2E range as `placement`."""
+    rng = random.Random(seed)
+    pols, af0 = _REQUIRED_BASES[base]
+    lo, hi = _AF0_PLACEMENTS[placement]
+    return {
+        "base": base,
+        "mode": "pullback",
+        "n_range": [2, rng.choice([2, 3])],
+        "x_values": sorted(rng.sample([-2, -1, 1], 2)) + [2],
+        "alpha_box": [[-rng.randint(1, 2), rng.randint(0, 1)], [-1, rng.randint(0, 2)]],
+        "c2E_range": [af0 + lo, af0 + hi],
+        **pols,
+    }
+
+
+def _box_models(config):
+    """(bundle, polarization, params) of each model of a pullback box, in
+    enumeration order, with the params of its search record."""
+    s = make_base(config.base)
+    pols = [({"H": list(v)}, Polarization(H=pad(v, s.rank))) for v in config.H_values]
+    pols += [({"h": jsonio.frac_to_str(h)}, Polarization(h=h)) for h in config.h_values]
+    ns, c2Es = (range(lo, hi + 1) for lo, hi in (config.n_range, config.c2E_range))
+    alphas = [range(lo, hi + 1) for lo, hi in config.alpha_box]
+    for n, x, *alpha in itertools.product(ns, config.x_values, *alphas):
+        twist = DivisorX(x, pad(alpha, s.rank))
+        for c2E, (pol_params, pol) in itertools.product(c2Es, pols):
+            alpha_text = [str(c) for c in pad(alpha, s.rank).coeffs]
+            params = {"base": s.kind, "n": n, "alpha": alpha_text, **pol_params, "x": x, "c2E": c2E}
+            yield PullbackBundle(n=n, c2E=c2E, twist=twist), pol, params
+
+
+@pytest.mark.parametrize("placement", sorted(_AF0_PLACEMENTS))
+@pytest.mark.parametrize("base, seed", [("F0", 1), ("dP5", 2), ("enriques", 3)])
+def test_required_scan_matches_check_model(recording_pool, base, seed, placement):
+    # the oracle: every model of the box through check_model, the record
+    # kept when it meets the requirement, and the tally of all of them
+    config = SearchConfig.from_json(_required_box(base, placement, seed))
+    s = make_base(config.base)
+    kinds = set()
+    for require in ("W_zero", "W_effective"):
+        kept, blocks, tally = [], [], Counter()
+        for bundle, pol, params in _box_models(config):
+            record = check_model(s, bundle, pol, require=require, params=params)
+            tally[record.failed_stage] += 1
+            anomaly = record.verdicts.get("anomaly")
+            if anomaly is not None and Fraction(anomaly["af"]) >= 0:
+                wb = jsonio.divisor_from_json(anomaly["wB"], s)
+                kinds.add("zero" if wb.is_zero() else anomaly["W_effective"])
+            if record.failed_stage not in ("validity", "anomaly"):
+                kept.append(record.line)
+                blocks.append((params["n"], params["x"], tuple(params["alpha"])))
+        # a limit between two lines of one block's run: the second
+        # polarization of a c2E, or the next c2E
+        cut = next((i for i in range(1, len(kept)) if blocks[i - 1] == blocks[i]), None)
+        assert (cut is None) == (not kept)
+        for jobs in (1, 2, 3):
+            for limit in (None, cut) if kept else (None,):
+                out, required = io.StringIO(), dataclasses.replace(config, require=require, limit=limit)
+                summary = run_search(required, jobs=jobs, out=out)
+                emitted = kept[:limit]
+                assert out.getvalue().splitlines()[:-1] == emitted
+                assert summary == {
+                    "scanned": sum(tally.values()),
+                    "passed": tally[None],
+                    "stage_failures": {stage: tally[stage] for stage in search.STAGES},
+                    "emitted": len(emitted),
+                }
+    # the wB = 0 block has af >= 0 at some c2E unless its af0 is below the range
+    assert kinds == ({True, False} if placement == "below" else {"zero", True, False})
+
+
+def test_required_scan_renders_only_what_it_emits(monkeypatch):
+    # 130,896 models in 1,296 blocks, of which 8 meet W_zero, the two that
+    # pass all stages among them (n 3, x 1, alpha (-1,-1), c2E 104 and n 2,
+    # x 1, alpha (-3,-3), c2E 146): a block renders the anomaly and
+    # non-split verdicts of the c2E it keeps, and a dropped model nothing
+    config = SearchConfig.from_json({
+        "base": "F0",
+        "mode": "pullback",
+        "n_range": [2, 5],
+        "x_values": [-2, -1, 1, 2],
+        "alpha_box": [[-4, 4], [-4, 4]],
+        "c2E_range": [60, 160],
+        "h_values": ["1"],
+        "require": "W_zero",
+    })
+    counts = Counter()
+
+    def count(owner, name):
+        func = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: counts.update([name]) or func(*args))
+
+    count(search, "nonsplit_verdict")
+    count(search._Block, "_anomaly_verdict")
+    summary = run_search(config)
+    blocks = 4 * 4 * 9 * 9
+    assert summary["scanned"] == _volume(config) == blocks * 101
+    assert summary["emitted"] == 8 and summary["passed"] == 2
+    assert 0 < counts["nonsplit_verdict"] <= summary["emitted"] + blocks
+    assert 0 < counts["_anomaly_verdict"] <= summary["emitted"] + blocks
+
+
+def test_derived_number_past_the_digit_limit_names_its_fields():
+    # chi grows like n^4 x^3 and passes the interpreter's limit on the
+    # digits of a printed int; the scan refuses it before printing
+    config = dataclasses.replace(SO10_CONFIG, n_range=(10**999, 10**999), x_values=(10**199,), require=None)
+    with pytest.raises(ValueError, match="derived value chi .* field 'n', 'x', 'alpha' or 'c2E'"):
+        run_search(config)
 
 
 def test_import_loads_no_process_pool():
