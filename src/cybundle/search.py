@@ -135,15 +135,15 @@ def check_model(
 
 class _PolTerms:
     """What the stages read of one polarization, worked out once per config
-    (or per `check_model`): the class H (h c1 for a ray h) as integer
-    parts, H^2, the z of the non-split slope (h on F0/dPk, 1 on Enriques)
-    and, on first use, the minimum degree.  `windows` holds the stability
+    (or per `check_model`): the class H (h c1 for a ray h) with its
+    integer parts, H^2, the z of the non-split slope (h on F0/dPk, 1 on
+    Enriques) and, on first use, the minimum degree.  `windows` holds the stability
     verdicts solved so far, by (n, x, a) with a = alpha.c1 on F0/dPk and
     alpha.H on Enriques, the only inputs of the window besides H.
     `validity` is the validity verdict of the polarization rule."""
 
     def __init__(self, s: BaseSurface, mode: str, pol: Polarization):
-        self.s, self.pol = s, pol
+        self.s = s
         try:
             _refuse_wrong_kind(s, mode, pol)
         except ValueError as exc:
@@ -151,18 +151,15 @@ class _PolTerms:
             return
         self.validity = _VALID
         self.h = None if pol.h is None else Fraction(pol.h)
-        if pol.H is None:  # H = h c1, as numerators over the denominator of h
-            nums = [self.h.numerator * c for c in s.c1_ints]
-            self.H_dual, self.H_den = s.dual(nums), self.h.denominator
-        else:
-            nums, self.H_dual, self.H_den = s.integer_parts(pol.H)
+        self.H = pol.H if pol.H is not None else s.c1.scale(self.h)
+        nums, self.H_dual, self.H_den = s.integer_parts(self.H)
         self.z = Fraction(1) if s.is_enriques else self.h
         self.hsq = ratio(dot(nums, self.H_dual), self.H_den * self.H_den)
         self.windows: dict = {}
 
     @cached_property
     def min_degree(self):
-        return self.s.min_positive_degree(self.pol.H or self.s.c1.scale(self.h))
+        return self.s.min_positive_degree(self.H)
 
     @cached_property
     def min_degree_text(self) -> str:
@@ -323,14 +320,13 @@ class _PullbackBlock(_Block):
         return 0, stop if stop and (self.wB_zero or self.wB_effective) else 0
 
     def _line_terms(self, lo: int, hi: int, pols) -> None:
-        """alpha.c1, chi0, chi_slope, the text of wB and for x > 0 each
-        polarization's slope; chi is linear in c2E, so its values at lo and
-        hi bound all others."""
+        """alpha.c1, chi0, chi_slope, the c2E ends lo and hi, the text of wB
+        and for x > 0 each polarization's slope."""
         s, den = self.s, self.den
         self.a_c1_num = dot(self.dual, s.c1_ints)
         self.a_c1 = ratio(self.a_c1_num, den)
-        self.chi0, self.chi_slope = chi0, slope = chi_line(self.n, self.x, self.a_sq, self.a_c1_num, den, s.c1_sq)
-        jsonio.refuse_unprintable("chi", "'n', 'x', 'alpha' or 'c2E'", chi0 - slope * lo, chi0 - slope * hi)
+        self.chi0, self.chi_slope = chi_line(self.n, self.x, self.a_sq, self.a_c1_num, den, s.c1_sq)
+        self._chi_ends = lo, hi
         self.wB_text = _class_text([ratio(w, den) for w in self.wB_nums], self.wB_torsion)
         self._slopes, self._verdicts = {}, {}
         for pol, _ in pols if self.x > 0 else ():
@@ -349,11 +345,17 @@ class _PullbackBlock(_Block):
 
     def _nonsplit(self, c2E, pol) -> tuple:
         """The verdict of chi at c2E and, for x > 0, the slope of pol: one
-        slope > 0 fails whatever chi is, so it is kept by pol, others by c2E."""
+        slope > 0 fails whatever chi is, so it is kept by pol, others by c2E.
+        The first verdict that prints chi refuses it if unprintable: chi is
+        linear in c2E, so its values at the ends bound all others."""
         slope = self._slopes.get(pol)
         key = pol if slope is not None and slope > 0 else c2E
         verdict = self._verdicts.get(key)
         if verdict is None:
+            if key is not pol and self._chi_ends:
+                ends, self._chi_ends = self._chi_ends, None
+                chis = (self.chi0 - self.chi_slope * e for e in ends)
+                jsonio.refuse_unprintable("chi", "'n', 'x', 'alpha' or 'c2E'", *chis)
             ns = nonsplit_verdict(self.x, slope, self.chi0 - self.chi_slope * c2E)
             value = jsonio.frac_to_str(ns.value)
             verdict = self._verdicts[key] = ns.passed, (

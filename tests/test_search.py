@@ -757,6 +757,26 @@ def test_derived_number_past_the_digit_limit_names_its_fields():
         run_search(config)
 
 
+def test_unprintable_chi_is_refused_only_where_a_line_prints_it():
+    # the chi of these models is past the limit too, but no line prints it
+    n, x, f0 = 10**999, 10**199, make_base("F0")
+    big = dataclasses.replace(SO10_CONFIG, n_range=(n, n), x_values=(x,), c2E_range=(100, 104))
+    # alpha = (1,1): the slope (2H - c1).alpha = 4 > 0 fails non-split, and the verdict prints it
+    positive = DivisorX(x, DivisorClass((1, 1)))
+    rec = check_model(f0, PullbackBundle(n=n, c2E=104, twist=positive), Polarization(h=1), short_circuit=False)
+    assert rec.failed_stage == "nonsplit"
+    assert rec.verdicts["nonsplit"] == {"passed": False, "clause": "(2H-zc1).alpha<=0", "value": "4"}
+    out = io.StringIO()
+    summary = run_search(dataclasses.replace(big, alpha_box=((1, 1), (1, 1)), require=None), out=out)
+    assert summary["emitted"] == 5 and '"value":"4"' in out.getvalue()
+    # alpha = (-1,-1) fails W_zero; short-circuited, no non-split verdict is rendered
+    rec = check_model(f0, PullbackBundle(n=n, c2E=104, twist=DivisorX(x, DivisorClass((-1, -1)))),
+                      Polarization(h=1), require="W_zero")
+    assert rec.failed_stage == "anomaly" and "nonsplit" not in rec.verdicts
+    summary = run_search(big)
+    assert summary["scanned"] == 5 and summary["emitted"] == 0
+
+
 def test_import_loads_no_process_pool():
     # the pool is imported where a parallel scan starts it
     code = (
