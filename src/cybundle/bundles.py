@@ -38,13 +38,12 @@ class ExtensionChern:
     integral: bool
 
 
-def validate_bundle(s: BaseSurface, bundle, spectral_data=None) -> None:
+def validate_bundle(s: BaseSurface, bundle) -> Fraction | None:
     """Raise ValueError if the bundle data violates its invariants.
 
-    `spectral_data(n, eta, lam)`, if given, stands in for
-    `check_spectral_data(s, n, eta, lam)` and raises as it does: the search
-    pipeline passes one that raises the outcome it has already computed for
-    (n, eta, lam), so that the check runs once per spectral data.
+    Returns what the checks computed on the way: for a spectral bundle the
+    fiber term of c2(V_n) that `check_spectral_data` returned, for a
+    pullback bundle None.
     """
     if bundle.n < 2:
         raise ValueError("bundle rank n must be >= 2")
@@ -60,18 +59,17 @@ def validate_bundle(s: BaseSurface, bundle, spectral_data=None) -> None:
     if isinstance(bundle, PullbackBundle):
         if d.x.denominator != 1:
             raise ValueError("pullback twist must have integer sigma-coefficient")
+        fiber = None
     else:
         if d.x != 0:
             raise ValueError("spectral extensions use twists D = pi^*alpha (x = 0)")
-        if spectral_data is None:
-            check_spectral_data(s, bundle.n, bundle.eta, bundle.lam)
-        else:
-            spectral_data(bundle.n, bundle.eta, bundle.lam)
+        fiber = check_spectral_data(s, bundle.n, bundle.eta, bundle.lam)
     # with 2D integral and x in Z, n(n+1)/2 alpha^2 is the one term of
     # c2(V) = c2(U) - n(n+1)/2 D^2 that can leave Z, so n(n+1) alpha^2 must
     # be even; c3(V) is then integral too
     if half_integral and bundle.n * (bundle.n + 1) * s.square(d.alpha) % 2 != 0:
         raise ValueError("twist invalid: non-integral Chern class")
+    return fiber
 
 
 def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
@@ -141,7 +139,7 @@ def c2_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fou
 
 def c3_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
     """c3 of a spectral cover bundle V_n by FMW's formula c3 = 2 lambda eta.(eta - n c1)."""
-    return _spectral_c3(lam, _eta_pairing(s, n, eta))
+    return 2 * Fraction(lam) * _eta_pairing(s, n, eta)
 
 
 def _eta_pairing(s: BaseSurface, n: int, eta: DivisorClass) -> Fraction:
@@ -158,11 +156,6 @@ def _spectral_fiber(s: BaseSurface, n: int, lam: Fraction, pairing: Fraction) ->
     )
 
 
-def _spectral_c3(lam: Fraction, pairing: Fraction) -> Fraction:
-    """c3(V_n) = 2 lambda eta.(eta - n c1), given pairing = eta.(eta - n c1)."""
-    return 2 * Fraction(lam) * pairing
-
-
 def bundle_chern(s: BaseSurface, bundle) -> ExtensionChern:
     """c2/c3 of the full rank-(n+1) extension V defined by the bundle spec."""
     n = bundle.n
@@ -170,9 +163,8 @@ def bundle_chern(s: BaseSurface, bundle) -> ExtensionChern:
         # pi^*E has no c3: E lives on the surface
         c2u, c3u = FourClass.fiber_class(s.rank, bundle.c2E), Fraction(0)
     elif isinstance(bundle, SpectralBundle):
-        pairing = _eta_pairing(s, n, bundle.eta)
-        c2u = FourClass(bundle.eta, _spectral_fiber(s, n, bundle.lam, pairing))
-        c3u = _spectral_c3(bundle.lam, pairing)
+        c2u = c2_spectral(s, n, bundle.eta, bundle.lam)
+        c3u = c3_spectral(s, n, bundle.eta, bundle.lam)
     else:
         raise TypeError(f"unknown bundle spec {type(bundle)!r}")
     zero = FourClass.zero(s.rank)

@@ -72,7 +72,7 @@ def _parse_model(obj):
     surface = _surface(obj["base"])
     spec = obj["bundle"]
     if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("bundle must be an object with a 'type' field")
+        raise ValueError("field 'bundle' must be an object with a 'type' field")
     if "n" not in spec:
         raise ValueError("bundle missing field 'n'")
     n = _int(spec["n"], "n")
@@ -92,7 +92,7 @@ def _parse_model(obj):
             twist=twist,
         )
     else:
-        raise ValueError(f"unknown bundle type '{spec['type']}'")
+        raise ValueError(f"field 'type' must be 'pullback' or 'spectral', got {spec['type']!r}")
     pol_obj = obj.get("polarization", {})
     if not isinstance(pol_obj, dict):
         raise ValueError(f"field 'polarization' must be an object, got {pol_obj!r}")

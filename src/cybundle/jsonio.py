@@ -111,7 +111,7 @@ def divisor_from_json(obj, surface: BaseSurface, name: str | None = None) -> Div
 def divisor_x_from_json(obj, surface: BaseSurface) -> DivisorX:
     """The twist `obj`; an error in its class names the field 'alpha'."""
     if not isinstance(obj, dict) or "x" not in obj or "alpha" not in obj:
-        raise ValueError("twist must be an object with 'x' and 'alpha' fields")
+        raise ValueError("field 'twist' must be an object with 'x' and 'alpha' fields")
     return DivisorX(frac_field(obj["x"], "x"), divisor_from_json(obj["alpha"], surface, "alpha"))
 
 

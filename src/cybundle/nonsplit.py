@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surfaces import BaseSurface, DivisorClass, ratio
+from .surfaces import BaseSurface, DivisorClass, dot, ratio
 
 
 @dataclass(frozen=True)
@@ -42,40 +42,28 @@ def chi_nonsplit(
     """chi of the sheaf controlling non-splitness, dispatched on sign(x).
 
     m = n+1 is the extension rank; x > 0 gives chi(B, E_1), x < 0 gives
-    chi(B, E_2), x = 0 gives chi(B, E tensor O(-m alpha)).
+    chi(B, E_2), x = 0 gives chi(B, E tensor O(-m alpha)); the formula is
+    that of `chi_line`, over the integer parts of alpha.
     """
-    chi = chi_value(n, x, c2e, s.square(alpha), s.intersect(alpha, s.c1), s.c1_sq)
+    nums, dual, den = s.integer_parts(alpha)
+    chi0, slope = chi_line(n, x, dot(nums, dual), dot(dual, s.c1_ints), den, s.c1_sq)
+    chi = Fraction(chi0 - slope * c2e)
     case = "xpos" if x > 0 else "xneg" if x < 0 else "xzero"
     return ChiResult(case=case, chi=chi, integral=chi.denominator == 1)
 
 
-def chi_value(n: int, x: int, c2e: int, a_sq, a_c1, c1_sq) -> Fraction:
-    """The chi of `chi_nonsplit` from the scalars a_sq = alpha^2,
-    a_c1 = alpha.c1 and c1_sq = c1^2."""
-    m = n + 1
-    if x == 0:
-        return n - c2e + Fraction(n * m, 2) * (m * a_sq - a_c1)
-    # y(n - c2e + n m^2/2 alpha^2) + A3 n/2 c1^2 - A4 n m alpha.c1 with the
-    # chi_coefficients(y) A3 = (y-1)y(y+1)/3, an integer, and A4 = (y^2-2)/2
-    y = m * x
-    body = (
-        y * (n - c2e)
-        + Fraction(y * n * m * m, 2) * a_sq
-        + Fraction((y - 1) * y * (y + 1) // 3 * n * c1_sq, 2)
-        - Fraction((y * y - 2) * n * m, 2) * a_c1
-    )
-    return body if x > 0 else -body
-
-
 def chi_line(n: int, x: int, a_sq: int, a_c1: int, den: int, c1_sq: int) -> tuple:
-    """(chi0, slope) with chi_value(n, x, c2e, ...) = chi0 - slope * c2e, in
-    ints, for alpha = nums/den given a_sq = den^2 alpha^2 and a_c1 = den
-    alpha.c1.  slope = |(n+1) x|, or 1 for x = 0; chi0 is an int when
-    integral and a Fraction otherwise."""
+    """(chi0, slope) with chi = chi0 - slope * c2e, in ints, for alpha =
+    nums/den given a_sq = den^2 alpha^2 and a_c1 = den alpha.c1.  With m =
+    n+1 and y = m x, chi is n - c2e + n m/2 (m alpha^2 - alpha.c1) for x = 0
+    and +-(y (n - c2e + n m^2/2 alpha^2) + A3 n/2 c1^2 - A4 n m alpha.c1),
+    the sign that of x, otherwise, with the `chi_coefficients(y)` A3 =
+    (y-1)y(y+1)/3, an integer, and A4 = (y^2-2)/2.  slope = |y|, or 1 for
+    x = 0; chi0 is an int when integral and a Fraction otherwise."""
     m, d2 = n + 1, den * den
     if x == 0:
         return ratio(2 * d2 * n + n * m * (m * a_sq - den * a_c1), 2 * d2), 1
-    # 2 den^2 times the c2e-free part of chi_value's body
+    # 2 den^2 times the c2e-free part of chi
     y = m * x
     body = (
         2 * d2 * y * n
@@ -107,15 +95,13 @@ def nonsplit_feasible(
     x > 0: (2H - z c1).alpha <= 0 and chi(B,E_1) > 0;
     x < 0: chi(B,E_2) < 0;  x = 0: chi(B, E(-m alpha)) < 0.
     """
-    a_c1 = s.intersect(alpha, s.c1)
-    slope = 2 * s.intersect(h, alpha) - Fraction(z) * a_c1 if x > 0 else None
-    chi = chi_value(n, x, c2e, s.square(alpha), a_c1, s.c1_sq)
-    return nonsplit_verdict(x, slope, chi)
+    slope = 2 * s.intersect(h, alpha) - Fraction(z) * s.intersect(alpha, s.c1) if x > 0 else None
+    return nonsplit_verdict(x, slope, chi_nonsplit(s, n, x, alpha, c2e).chi)
 
 
 def nonsplit_verdict(x: int, slope, chi) -> NonsplitVerdict:
     """The verdict of `nonsplit_feasible` from slope = (2H - z c1).alpha,
-    given for x > 0 only, and chi = chi_value(...)."""
+    given for x > 0 only, and chi (`chi_line`)."""
     if x > 0:
         if slope > 0:
             return NonsplitVerdict(False, "(2H-zc1).alpha<=0", slope)

@@ -16,7 +16,7 @@ from itertools import islice, product, repeat
 
 from . import jsonio
 from .anomaly import AnomalyOutcome, spectral_af, w_verdict
-from .bundles import PullbackBundle, SpectralBundle, check_spectral_data, validate_bundle
+from .bundles import PullbackBundle, SpectralBundle, validate_bundle
 from .nonsplit import chi_line, nonsplit_verdict
 from .ring import DivisorX
 from .surfaces import BaseSurface, DivisorClass, dot, make_base, ratio
@@ -26,10 +26,12 @@ STAGES = ("validity", "anomaly", "nonsplit", "stability")
 
 # The stages run on exact scalars: ints where integral and Fractions
 # otherwise, worked out over the least common denominator of the classes
-# they pair (`BaseSurface.integer_parts`).  The public Fraction functions
-# that take one model at a time (`anomaly_class`, `chi_nonsplit`,
-# `nonsplit_feasible`, `spectral_nonsplit`, `spectral_stability_check`)
-# compute the same verdicts and are the tests' oracles for these kernels.
+# they pair (`BaseSurface.integer_parts`); the spectral af starts from the
+# fiber term that `validate_bundle` returns.  The public Fraction functions
+# that take one model at a time (`anomaly_class`, `nonsplit_feasible`'s
+# slope, `spectral_nonsplit`, `spectral_stability_check`) are the tests'
+# oracles for these kernels; chi has one formula, `chi_line`, which
+# `chi_nonsplit` reads too, and Riemann-Roch in the tests is its oracle.
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,13 @@ def _class_text(coeffs, torsion: int) -> str:
     return f'{{"coeffs":[{strings}],"torsion":{torsion}}}'
 
 
-def _validity(s: BaseSurface, bundle, spectral_data=None) -> tuple:
-    """(passed, text) of the validity verdict of `validate_bundle`."""
+def _validity(s: BaseSurface, bundle) -> tuple:
+    """((passed, text), fiber): the validity verdict of `validate_bundle`
+    and, for valid spectral data, the fiber term it returned (else None)."""
     try:
-        validate_bundle(s, bundle, spectral_data)
+        return _VALID, validate_bundle(s, bundle)
     except ValueError as exc:
-        return _invalid(str(exc))
-    return _VALID
+        return _invalid(str(exc)), None
 
 
 def _zero_twist(s: BaseSurface) -> DivisorX:
@@ -118,15 +120,22 @@ def check_model(
     if alpha.rank == s.rank:  # else validity fails, and the block reads no parts
         nums, dual, den = s.integer_parts(alpha)
         parts = nums, dual, den, dot(nums, dual)
+    validity, fiber = _validity(s, bundle)
     if isinstance(bundle, SpectralBundle):
-        data = _Spectrum(s, bundle.n, bundle.eta, bundle.lam)
-        block, mode, c2E, validity = _SpectralBlock, "spectral", None, _validity(s, bundle, data.check)
+        data = _Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber) if validity[0] else None
+        block, mode, c2E = _SpectralBlock, "spectral", None
     else:
-        data = bundle.twist.x
-        block, mode, c2E, validity = _PullbackBlock, "pullback", bundle.c2E, _validity(s, bundle)
-    terms = _PolTerms(s, mode, pol)
-    # a valid bundle fails validity with a polarization of the wrong kind
-    block = block(s, require, bundle.n, terms.validity if validity[0] else validity, parts, data)
+        block, mode, c2E, data = _PullbackBlock, "pullback", bundle.c2E, bundle.twist.x
+    try:
+        _refuse_wrong_kind(s, mode, pol)
+    except ValueError as exc:
+        # a valid bundle fails validity with a polarization of the wrong kind
+        terms = None
+        if validity[0]:
+            validity = _invalid(str(exc))
+    else:
+        terms = _PolTerms(s, pol)
+    block = block(s, require, bundle.n, validity, parts, data)
     lines, counts = [], dict.fromkeys((None, *STAGES), 0)
     block.scan([(c2E, "")], [(terms, "")], _ENCODER.encode(params or {}), "", short_circuit, False, lines, counts)
     (failed,) = (stage for stage, count in counts.items() if count)
@@ -139,17 +148,11 @@ class _PolTerms:
     integer parts, H^2, the z of the non-split slope (h on F0/dPk, 1 on
     Enriques) and, on first use, the minimum degree.  `windows` holds the stability
     verdicts solved so far, by (n, x, a) with a = alpha.c1 on F0/dPk and
-    alpha.H on Enriques, the only inputs of the window besides H.
-    `validity` is the validity verdict of the polarization rule."""
+    alpha.H on Enriques, the only inputs of the window besides H.  The
+    polarization has passed `_refuse_wrong_kind`."""
 
-    def __init__(self, s: BaseSurface, mode: str, pol: Polarization):
+    def __init__(self, s: BaseSurface, pol: Polarization):
         self.s = s
-        try:
-            _refuse_wrong_kind(s, mode, pol)
-        except ValueError as exc:
-            self.validity = _invalid(str(exc))
-            return
-        self.validity = _VALID
         self.h = None if pol.h is None else Fraction(pol.h)
         self.H = pol.H if pol.H is not None else s.c1.scale(self.h)
         nums, self.H_dual, self.H_den = s.integer_parts(self.H)
@@ -172,41 +175,31 @@ class _PolTerms:
 
 
 class _Spectrum:
-    """What the spectral blocks of one (n, eta, lambda) share, worked out once
-    per scan (or per `check_model`).  `error` is the message of
-    `check_spectral_data`, or None; then there are wB = 12 c1 - eta (the
-    twist pi^*alpha has x = 0, so wB does not depend on alpha) with its JSON
-    text and, on first use, its effectivity; af0, the part of af without
-    n(n+1)/2 alpha^2; `displayed0`, that part of af_displayed when eta = 12
-    c1 (else None); and resid = eta - n c1 as integer parts with 3 den^2
-    resid^2."""
+    """What the spectral blocks of one valid (n, eta, lambda) share, worked
+    out once per scan (or per `check_model`) from the fiber term of c2(V_n)
+    that `validate_bundle` returned: wB = 12 c1 - eta (the twist pi^*alpha
+    has x = 0, so wB does not depend on alpha) with its JSON text and, on
+    first use, its effectivity; af0, the part of af without n(n+1)/2
+    alpha^2; `af_offset` = af_displayed - af, which does not depend on
+    alpha either, when eta = 12 c1 (else None); and resid = eta - n c1 as
+    integer parts with 3 den^2 resid^2."""
 
-    def __init__(self, s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction):
-        try:
-            fiber = check_spectral_data(s, n, eta, lam)
-        except ValueError as exc:
-            self.error = str(exc)
-            return
-        self.error = None
+    def __init__(self, s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction, fiber: Fraction):
         self.s = s
         self.af0 = s.c2 + 11 * s.c1_sq - fiber.numerator  # the fiber term is integral
         twelve_c1 = s.c1.scale(12)
         self.wB = twelve_c1 - eta
         self.wB_text = _class_text(self.wB.coeffs, self.wB.torsion)
         self.wB_zero = self.wB.is_zero()
-        self.displayed0 = None
+        self.af_offset = None
         if eta == twelve_c1:
-            # the reading of the twist alpha = 0; wB = 0, so no effectivity query
+            # the readings of the twist alpha = 0; wB = 0, so no effectivity query
             zero = SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s))
-            outcome = AnomalyOutcome(self.wB, self.af0, *w_verdict(self.af0, True, None))
-            self.displayed0 = spectral_af(s, zero, outcome).af_displayed
+            report = spectral_af(s, zero, AnomalyOutcome(self.wB, self.af0, *w_verdict(self.af0, True, None)))
+            offset = report.af_displayed - report.af_direct
+            self.af_offset = ratio(offset.numerator, offset.denominator)
         nums, self.resid_dual, self.resid_den = s.integer_parts(eta - s.c1.scale(n))
         self.resid_sq3 = 3 * dot(nums, self.resid_dual)
-
-    def check(self, *_) -> None:
-        """The `spectral_data` hook of `validate_bundle`: raise the data's error."""
-        if self.error is not None:
-            raise ValueError(self.error)
 
     @cached_property
     def wB_effective(self) -> bool:
@@ -384,21 +377,20 @@ class _SpectralBlock(_Block):
     Per polarization: the stability test 0 < n alpha.H < (Lambda.H)_min."""
 
     def _invariants(self, spectrum: _Spectrum) -> None:
-        n, den = self.n, self.den
-        self.spectrum, self.d2, self.k = spectrum, den * den, n * (n + 1) // 2
-        self.af = ratio(spectrum.af0 * self.d2 + self.k * self.a_sq, self.d2)
+        d2, k = self.den * self.den, self.n * (self.n + 1) // 2
+        self.spectrum = spectrum
+        self.af = ratio(spectrum.af0 * d2 + k * self.a_sq, d2)
         self.flags = w_verdict(self.af, spectrum.wB_zero, lambda: spectrum.wB_effective)
 
     def _run(self, lo, count: int) -> tuple:
         return 0, count if self._meets(*self.flags) else 0
 
     def _line_terms(self, lo, hi, pols) -> None:
-        n, den, d2, k, af, spectrum = self.n, self.den, self.d2, self.k, self.af, self.spectrum
+        n, den, af, spectrum = self.n, self.den, self.af, self.spectrum
         jsonio.refuse_unprintable("af", "'n', 'eta', 'lambda' or 'alpha'", af)
         readings = ""
-        if spectrum.displayed0 is not None:
-            p, q = spectrum.displayed0.numerator, spectrum.displayed0.denominator
-            displayed = ratio(p * d2 + k * self.a_sq * q, q * d2)
+        if spectrum.af_offset is not None:
+            displayed = af + spectrum.af_offset
             readings = (
                 f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
                 f',"display_agrees":{_JSON[af == displayed]}'
@@ -459,7 +451,7 @@ class SearchConfig:
                 raise ValueError(f"config missing required field '{key}'")
         mode = obj["mode"]
         if mode not in ("pullback", "spectral"):
-            raise ValueError("mode must be 'pullback' or 'spectral'")
+            raise ValueError(f"field 'mode' must be 'pullback' or 'spectral', got {mode!r}")
         if "x_values" in obj:
             x_values = _int_list(obj["x_values"], "x_values")
         elif "x_range" in obj:
@@ -605,7 +597,7 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
     n = range(config.n_range[0], config.n_range[1] + 1)
     if config.mode == "pullback":
         if config.c2E_range is None:
-            raise ValueError("pullback searches need c2E_range")
+            raise ValueError("config missing field 'c2E_range', which pullback searches need")
         block_axes = [n, config.x_values, *alpha]
         c2Es = range(config.c2E_range[0], config.c2E_range[1] + 1)
     else:
@@ -616,13 +608,13 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
         pol = Polarization(H=DivisorClass(vec + (0,) * (s.rank - len(vec))))
         _refuse_wrong_kind(s, config.mode, pol, in_config=True)
         _refuse_unusable_H(s, config.mode, pol.H, f"config field 'H_values' entry {list(vec)}")
-        pols.append((_PolTerms(s, config.mode, pol), f'"H":[{",".join(map(str, vec))}],'))
+        pols.append((_PolTerms(s, pol), f'"H":[{",".join(map(str, vec))}],'))
     for h in config.h_values:
         pol = Polarization(h=Fraction(h))
         _refuse_wrong_kind(s, config.mode, pol, in_config=True)
-        pols.append((_PolTerms(s, config.mode, pol), f'"h":"{jsonio.frac_to_str(h)}",'))
+        pols.append((_PolTerms(s, pol), f'"h":"{jsonio.frac_to_str(h)}",'))
     if not pols:
-        raise ValueError("config needs H_values or h_values")
+        raise ValueError("config field 'H_values' or 'h_values' must list a polarization")
     return block_axes, c2Es, pols
 
 
@@ -632,9 +624,9 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, sha
     then for a pullback model its c2E and the closing brace.  The tables of
     one `_scan`, keyed by box coordinates, keep per alpha its parts (from
     its int coordinates: den = 1) and text, and in `shared` per n (pullback)
-    the validity verdict, or per (n, eta, lambda) (spectral) the
-    `_Spectrum`, the validity verdict and the tail.  A verdict is that of
-    the entry's bundle with the zero twist: every twist of the box is
+    the validity verdict, or per (n, eta, lambda) (spectral) the validity
+    verdict, the `_Spectrum` of valid data and the tail.  A verdict is that
+    of the entry's bundle with the zero twist: every twist of the box is
     integral, so every twist check of `validate_bundle` passes."""
     n, *coords = point
     if config.mode == "pullback":
@@ -654,7 +646,7 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, sha
     if config.mode == "pullback":
         validity = shared.get(n)
         if validity is None:
-            validity = shared[n] = _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))
+            validity = shared[n] = _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))[0]
         return _PullbackBlock(s, config.require, n, validity, parts, x), head, f'"x":{x},"c2E":'
     key = n, tuple(eta), lam
     entry = shared.get(key)
@@ -662,11 +654,11 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, sha
         # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
         eta = key[1] or tuple(12 * c for c in s.c1_ints)
         eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
-        spectrum = _Spectrum(s, n, eta, lam)
-        zero = SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s))
+        validity, fiber = _validity(s, SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s)))
+        spectrum = _Spectrum(s, n, eta, lam, fiber) if validity[0] else None
         params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
         # the tail is the end of the params object
-        entry = shared[key] = spectrum, _validity(s, zero, spectrum.check), _ENCODER.encode(params)[1:]
+        entry = shared[key] = spectrum, validity, _ENCODER.encode(params)[1:]
     spectrum, validity, tail = entry
     return _SpectralBlock(s, config.require, n, validity, parts, spectrum), head, tail
 

@@ -111,7 +111,7 @@ class BaseSurface:
     c2: int
     cone_generators: tuple
     # c1^2 and the coefficients of c1 as ints, fixed when the base is built;
-    # the nonzero (j, Gram[i][j]) of each row i, which `intersect` walks;
+    # the nonzero (j, Gram[i][j]) of each row i, which `dual` walks;
     # (G, Gram.G, G^2) in ints per cone generator, and Gram.c1: the integer
     # side of every F0/dP generator query (generators and c1 are integral)
     c1_sq: int = field(init=False, repr=False, compare=False)
@@ -121,18 +121,16 @@ class BaseSurface:
     _c1_dual: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        def dual(v):
-            return tuple(dot(row, v) for row in self.gram)
-
+        rows = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
+        object.__setattr__(self, "_gram_rows", rows)
         gens = []
         for g in self.cone_generators:
             coeffs = tuple(int(v) for v in g.coeffs)
-            gens.append((coeffs, dual(coeffs), dot(coeffs, dual(coeffs))))
+            g_dual = self.dual(coeffs)
+            gens.append((coeffs, g_dual, dot(coeffs, g_dual)))
         c1 = tuple(int(v) for v in self.c1.coeffs)
-        rows = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
-        object.__setattr__(self, "_gram_rows", rows)
         object.__setattr__(self, "_generators", tuple(gens))
-        object.__setattr__(self, "_c1_dual", dual(c1))
+        object.__setattr__(self, "_c1_dual", self.dual(c1))
         object.__setattr__(self, "c1_ints", c1)
         object.__setattr__(self, "c1_sq", dot(c1, self._c1_dual))
 
@@ -143,12 +141,9 @@ class BaseSurface:
     def intersect(self, a: DivisorClass, b: DivisorClass) -> Fraction:
         if a.rank != self.rank or b.rank != self.rank:
             raise ValueError("rank mismatch")
-        bs = b.coeffs
-        total = Fraction(0)
-        for ai, row in zip(a.coeffs, self._gram_rows):
-            if ai:
-                total += ai * sum(g * bs[j] for j, g in row if bs[j])
-        return total
+        nums_a, den_a = _over_common_denominator(a)
+        nums_b, den_b = _over_common_denominator(b)
+        return Fraction(dot(nums_a, self.dual(nums_b)), den_a * den_b)
 
     def square(self, a: DivisorClass) -> Fraction:
         return self.intersect(a, a)

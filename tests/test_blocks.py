@@ -18,7 +18,7 @@ import pytest
 from cybundle import jsonio, search
 from cybundle.anomaly import anomaly_class, spectral_af
 from cybundle.bundles import PullbackBundle, SpectralBundle, bundle_chern, validate_bundle
-from cybundle.nonsplit import chi_line, chi_nonsplit, chi_value, nonsplit_feasible, spectral_nonsplit
+from cybundle.nonsplit import chi_line, chi_nonsplit, nonsplit_feasible, spectral_nonsplit
 from cybundle.ring import DivisorX, c2_tangent
 from cybundle.search import STAGES, ModelRecord, Polarization, SearchConfig, check_model, run_search
 from cybundle.surfaces import DivisorClass, make_base
@@ -357,8 +357,30 @@ def test_half_integral_check_model_matches_fraction_oracles(kind):
     assert fractional > 0
 
 
+def _riemann_roch_chi(n, x, c2e, a_sq, a_c1, c1_sq):
+    """chi by Riemann-Roch on the base, from the scalars a_sq = alpha^2,
+    a_c1 = alpha.c1 and c1_sq = c1^2, as in tests/test_nonsplit.py: chi =
+    ch2 + ch1.c1/2 + rank (c1^2 + c2)/12, where Noether's c1^2 + c2 = 12.
+
+    x = 0: E tensor O(-m alpha), ch = (n, -n m alpha, -c2e + n m^2/2 alpha^2).
+    x > 0: E_1 = R tensor E tensor O(-m alpha) with ch(R) = (y, A1 c1, A2
+    c1^2/2), y = m x.  x < 0: E_2's chi is the negation of that expression
+    at y = m x (`test_chi_antisymmetry`)."""
+    m = n + 1
+    if x == 0:
+        return -c2e + Fraction(n * m * m, 2) * a_sq - Fraction(n * m, 2) * a_c1 + n
+    y = m * x
+    A1 = Fraction(-1) + Fraction(y * (y - 1), 2)
+    A2 = Fraction(1) + Fraction(y * (y - 1) * (2 * y - 1), 6)
+    rank = y * n
+    ch1_c1 = n * A1 * c1_sq - y * n * m * a_c1
+    ch2 = n * A2 * c1_sq / 2 - y * c2e - A1 * n * m * a_c1 + Fraction(y * n * m * m, 2) * a_sq
+    chi = ch2 + ch1_c1 / 2 + rank
+    return chi if x > 0 else -chi
+
+
 @pytest.mark.parametrize("den", [1, 2, 3, 4])
-def test_chi_line_matches_chi_value(den):
+def test_chi_line_matches_riemann_roch(den):
     # alpha = nums/den for any den, so chi0 leaves Z too; c1^2 of F0, dP0..dP8
     rng = random.Random(den)
     for _ in range(300):
@@ -368,7 +390,7 @@ def test_chi_line_matches_chi_value(den):
         assert slope == (abs((n + 1) * x) or 1)
         assert type(chi0) is (int if Fraction(chi0).denominator == 1 else Fraction)
         for c2e in (0, rng.randint(-50, 150)):
-            expected = chi_value(n, x, c2e, Fraction(a_sq, den * den), Fraction(a_c1, den), c1_sq)
+            expected = _riemann_roch_chi(n, x, c2e, Fraction(a_sq, den * den), Fraction(a_c1, den), c1_sq)
             assert chi0 - slope * c2e == expected
 
 

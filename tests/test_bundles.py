@@ -235,6 +235,22 @@ def test_half_integral_twist_validity_matches_chern_integrality(kind):
     assert counts[True] >= 20 and counts[False] >= 20, counts
 
 
+@pytest.mark.parametrize("kind", ["F0", "dP1", "dP5", "dP8", "enriques"])
+def test_validate_bundle_returns_the_fiber_it_checked(kind):
+    # the scan builds its spectral table entry from what validate_bundle
+    # returns: the fiber term of c2(V_n) for spectral data, None for pullback
+    s = make_base(kind)
+    zero = DivisorX(0, DivisorClass.zero(s.rank))
+    checked = 0
+    for n in (2, 3, 4, 5):
+        for eta, lam in _spectral_data(s, n):
+            bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=zero)
+            assert validate_bundle(s, bundle) == c2_spectral(s, n, eta, lam).fiber
+            checked += 1
+        assert validate_bundle(s, PullbackBundle(n=n, c2E=7, twist=zero)) is None
+    assert checked
+
+
 def test_validate_spectral_requires_x_zero():
     f0 = make_base("F0")
     b = SpectralBundle(

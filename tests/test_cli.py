@@ -37,6 +37,9 @@ BAD_PARITY_MODEL = {
     "polarization": {"H": {"coeffs": ["3", "34"]}},
 }
 
+# a field value that drops the field from a config
+MISSING = object()
+
 E6_CONFIG = {
     "base": "F0",
     "mode": "pullback",
@@ -327,10 +330,14 @@ def test_search_invalid_config(tmp_path):
         ("base", "dP9"),
         ("base", "dPx"),
         ("base", None),
+        ("mode", "both"),
+        ("c2E_range", MISSING),
+        ("h_values", []),
     ],
 )
 def test_search_bad_field_is_named(tmp_path, field, value):
-    proc = run_cli("search", write(tmp_path, "bad.json", dict(E6_CONFIG, **{field: value})))
+    config = {k: v for k, v in dict(E6_CONFIG, **{field: value}).items() if v is not MISSING}
+    proc = run_cli("search", write(tmp_path, "bad.json", config))
     assert proc.returncode == 2
     assert f"'{field}'" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
@@ -495,6 +502,9 @@ def _with_spectral(**fields):
         (dict(SO10_MODEL, base="dPx"), "'base'"),
         (dict(ENRIQUES_SPECTRAL_MODEL, polarization={"h": "1"}), "'h'"),
         (dict(ENRIQUES_SPECTRAL_MODEL, polarization={"H": {"coeffs": ["5", "6", "1"] + ["0"] * 7}}), "'H'"),
+        (dict(SO10_MODEL, bundle=dict(SO10_MODEL["bundle"], type="extension")), "'type'"),
+        (dict(SO10_MODEL, bundle=["pullback"]), "'bundle'"),
+        (dict(SO10_MODEL, bundle=dict(SO10_MODEL["bundle"], twist=None)), "'twist'"),
     ],
 )
 def test_check_bad_model_field_is_named(tmp_path, model, field):
@@ -669,7 +679,7 @@ AGREEMENT_REFUSED = {
 }
 
 # how a search config names the field a `check` model file names
-SEARCH_FIELD = {"h": "'h_values'", "H": "'H_values'", "polarization": "H_values or h_values"}
+SEARCH_FIELD = {"h": "'h_values'", "H": "'H_values'", "polarization": "'H_values' or 'h_values'"}
 
 
 def _singleton_config(model):

@@ -40,3 +40,37 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def _private_definitions(tree):
+    """The module-level private names a module defines: functions, classes
+    and assignment targets named _x (not __x__)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from (name for name in targets if name.startswith("_") and not name.endswith("__"))
+
+
+def _read_names(tree):
+    """The names a module reads: loaded names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_name_is_read():
+    trees = [ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in sorted(SRC.glob("*.py"))]
+    defined = {name for tree in trees for name in _private_definitions(tree)}
+    read = {name for tree in trees for name in _read_names(tree)}
+    assert defined, "no private name found"
+    assert not defined - read, f"defined and never read: {sorted(defined - read)}"
