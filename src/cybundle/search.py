@@ -144,25 +144,32 @@ def check_model(
 
 class _PolTerms:
     """What the stages read of one polarization, worked out once per config
-    (or per `check_model`): the class H (h c1 for a ray h) with its
-    integer parts, H^2, the z of the non-split slope (h on F0/dPk, 1 on
-    Enriques) and, on first use, the minimum degree.  `windows` holds the stability
+    (or per `check_model`): the class H (None for a ray h, whose H = h c1
+    is built only for the minimum degree), the integer parts of H, H^2 for
+    an explicit H, the z of the non-split slope (h on F0/dPk, 1 on Enriques)
+    and, on first use, the minimum degree.  `windows` holds the stability
     verdicts solved so far, by (n, x, a) with a = alpha.c1 on F0/dPk and
     alpha.H on Enriques, the only inputs of the window besides H.  The
     polarization has passed `_refuse_wrong_kind`."""
 
     def __init__(self, s: BaseSurface, pol: Polarization):
-        self.s = s
+        self.s, self.H = s, pol.H
         self.h = None if pol.h is None else Fraction(pol.h)
-        self.H = pol.H if pol.H is not None else s.c1.scale(self.h)
-        nums, self.H_dual, self.H_den = s.integer_parts(self.H)
+        if pol.H is not None:
+            nums, self.H_dual, self.H_den = s.integer_parts(pol.H)
+            self.hsq = ratio(dot(nums, self.H_dual), self.H_den * self.H_den)
+        else:
+            # H = h c1 = (p/q) c1 over its least denominator q/k, k = gcd(q, c1)
+            p, q = self.h.numerator, self.h.denominator
+            k = math.gcd(q, *s.c1_ints)
+            self.H_den = q // k
+            self.H_dual = s.dual([p * (c // k) for c in s.c1_ints])
         self.z = Fraction(1) if s.is_enriques else self.h
-        self.hsq = ratio(dot(nums, self.H_dual), self.H_den * self.H_den)
         self.windows: dict = {}
 
     @cached_property
     def min_degree(self):
-        return self.s.min_positive_degree(self.H)
+        return self.s.min_positive_degree(self.H if self.H is not None else self.s.c1.scale(self.h))
 
     @cached_property
     def min_degree_text(self) -> str:
@@ -648,7 +655,8 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, sha
         if validity is None:
             validity = shared[n] = _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))[0]
         return _PullbackBlock(s, config.require, n, validity, parts, x), head, f'"x":{x},"c2E":'
-    key = n, tuple(eta), lam
+    # lambda by its numerator and denominator: a Fraction hashes slowly
+    key = n, tuple(eta), lam.numerator, lam.denominator
     entry = shared.get(key)
     if entry is None:
         # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)

@@ -3,6 +3,15 @@
 The windows are solved from the raw inequality systems appearing in the
 stability proofs (worst-case subsheaf slopes baked in); the closed forms
 are provided separately as cross-check oracles.
+
+Homogeneity: each raw system is homogeneous of degree one jointly in its
+variable and the square of the polarization, in (u, h^2) on F0/dPk and in
+(z, H^2) on Enriques.  In t = u/h^2 (t = z/|H^2|) a row, cleared of the
+denominators of a and c1^2, is a pair of ints that depends on (n, x, a, c1^2)
+and the sign of H^2 alone.  So the windows are solved in t, in integers, and
+scaled back for the report: for h' = c h with c > 0 rational the u-window
+keeps `nonempty` and `binding` and its ends scale by c^2, and for H^2' =
+c H^2 the z-window's ends scale by c.
 """
 
 from __future__ import annotations
@@ -24,55 +33,63 @@ class StabilityWindow:
     z_interval_approx: tuple | None = None
 
 
-def _solve_strict_linear(inequalities, domain):
-    """Intersect strict linear inequalities coef*t + const {<,>} 0 in one variable.
+def _solve_strict_linear(rows, domain):
+    """Intersect strict linear inequalities in one variable t, in integers.
 
-    `inequalities` is a list of (name, coef, const, sense) with sense in
-    {"lt", "gt"}; `domain` is a list of (name, bound, side) with side "gt"
-    (t > bound) or "lt" (t < bound).
-    Returns (lower, upper, binding, nonempty).
+    `rows` is a list of (name, coef, const, sense) with int coef and const:
+    coef*t + const < 0 (sense "lt") or > 0 ("gt"); `domain` is a list of
+    (name, num, den, side) with den > 0: t > num/den (side "gt") or
+    t < num/den ("lt").  A bound is a pair (num, den) with den > 0, and
+    bounds are compared by cross-multiplying.  Returns (lower, upper,
+    binding, nonempty) with the two ends as such pairs (None if unbounded);
+    a zero-coefficient row that fails makes the window empty, with no ends,
+    and binding names every such row.
     """
-    lower = []  # (value, name): t > value
-    upper = []  # (value, name): t < value
+    lower = []  # (num, den, name): t > num/den
+    upper = []  # (num, den, name): t < num/den
     infeasible = []
-    for name, bound, side in domain:
-        (lower if side == "gt" else upper).append((Fraction(bound), name))
-    for name, coef, const, sense in inequalities:
-        coef, const = Fraction(coef), Fraction(const)
-        if coef == 0:
-            ok = const < 0 if sense == "lt" else const > 0
-            if not ok:
-                infeasible.append(name)
-            continue
-        bound = -const / coef
-        # coef*t + const < 0  <=>  t < bound (coef > 0) or t > bound (coef < 0)
-        points_up = (coef > 0) == (sense == "lt")
-        (upper if points_up else lower).append((bound, name))
+    for name, num, den, side in domain:
+        (lower if side == "gt" else upper).append((num, den, name))
+    for name, coef, const, sense in rows:
+        # coef*t + const < 0  <=>  t < -const/coef (coef > 0) or t > -const/coef (coef < 0)
+        if coef > 0:
+            (upper if sense == "lt" else lower).append((-const, coef, name))
+        elif coef < 0:
+            (lower if sense == "lt" else upper).append((const, -coef, name))
+        elif not (const < 0 if sense == "lt" else const > 0):
+            infeasible.append(name)
     if infeasible:
         return None, None, tuple(infeasible), False
-    lo = max(lower, key=lambda t: t[0]) if lower else (None, None)
-    hi = min(upper, key=lambda t: t[0]) if upper else (None, None)
-    nonempty = lo[0] is None or hi[0] is None or lo[0] < hi[0]
-    binding = []
-    if nonempty:
-        for value, name in lower:
-            if value == lo[0] and name not in binding:
-                binding.append(name)
-        for value, name in upper:
-            if value == hi[0] and name not in binding:
-                binding.append(name)
-    return lo[0], hi[0], tuple(binding), nonempty
+    lo = hi = None
+    for num, den, _ in lower:
+        if lo is None or num * lo[1] > lo[0] * den:
+            lo = num, den
+    for num, den, _ in upper:
+        if hi is None or num * hi[1] < hi[0] * den:
+            hi = num, den
+    nonempty = lo is None or hi is None or lo[0] * hi[1] < hi[0] * lo[1]
+    if not nonempty:
+        return lo, hi, (), False
+    binding = [name for num, den, name in lower if num * lo[1] == lo[0] * den]
+    binding += [name for num, den, name in upper if num * hi[1] == hi[0] * den]
+    return lo, hi, tuple(binding), True
 
 
 def _z_approx(nonempty, lo, hi, to_z):
-    """(to_z(lo), to_z(hi)) in floats, for display only; None for an empty
-    or unbounded window, and for one whose floats would overflow."""
+    """(to_z(lo), to_z(hi)) in floats from the exact ends lo and hi, pairs
+    (num, den) in t, for display only; None for an empty or unbounded
+    window, and for one whose floats would overflow."""
     if not nonempty or lo is None or hi is None:
         return None
     try:
         return (to_z(lo), to_z(hi))
     except OverflowError:
         return None
+
+
+def _scaled(end, num: int, den: int):
+    """The end (a pair in t, or None) of a window, times num/den, as a Fraction."""
+    return None if end is None else Fraction(end[0] * num, end[1] * den)
 
 
 def sign_necessity(x: int, a_h) -> bool:
@@ -89,14 +106,18 @@ def window_enriques(n: int, x: int, a, hsq) -> StabilityWindow:
     a, hsq = Fraction(a), Fraction(hsq)
     if x == 0 and a >= 1:
         return StabilityWindow("z", None, None, False, ("na>=1 obstruction",))
-    ineqs = [
-        ("subsheaf-F", 2 * n * a - 2, n * x * hsq, "lt"),
-        ("subsheaf-G", 2 * n * a, n * x * hsq - hsq, "lt"),
-        ("DJ2>0", 2 * a, x * hsq, "gt"),
+    # rows in t = z/|H^2| (t = z if H^2 = 0), times the denominator of a
+    p, q, hn, hd = a.numerator, a.denominator, hsq.numerator, hsq.denominator
+    sign = (hn > 0) - (hn < 0)
+    rows = [
+        ("subsheaf-F", 2 * n * p - 2 * q, n * x * sign * q, "lt"),
+        ("subsheaf-G", 2 * n * p, (n * x - 1) * sign * q, "lt"),
+        ("DJ2>0", 2 * p, x * sign * q, "gt"),
     ]
-    lo, hi, binding, nonempty = _solve_strict_linear(ineqs, [("z>0", 0, "gt")])
-    approx = _z_approx(nonempty, lo, hi, float)
-    return StabilityWindow("z", lo, hi, nonempty, binding, approx)
+    lo, hi, binding, nonempty = _solve_strict_linear(rows, [("z>0", 0, 1, "gt")])
+    size = abs(hn) or 1
+    approx = _z_approx(nonempty, lo, hi, lambda t: t[0] * size / (t[1] * hd))
+    return StabilityWindow("z", _scaled(lo, size, hd), _scaled(hi, size, hd), nonempty, binding, approx)
 
 
 def enriques_closed_form(n: int, x: int, a, hsq):
@@ -123,20 +144,24 @@ def window_delpezzo(n: int, x: int, a, c1sq, h) -> StabilityWindow:
     xh^2c1^2 + (a-xc1^2)u > 0, with u in (0, h^2).
     """
     a, c1sq, h = Fraction(a), Fraction(c1sq), Fraction(h)
-    hsq = h * h
     if x == 0:
         return StabilityWindow(
             "u", None, None, False, ("(na-1)(h^2-zeta^2)<0 impossible",)
         )
-    ineqs = [
-        ("subsheaf-F", n * a - 1 - n * x * c1sq, n * x * hsq * c1sq, "lt"),
-        ("subsheaf-G", n * a + c1sq - n * x * c1sq, (n * x - 1) * hsq * c1sq, "lt"),
-        ("DJ2>0", a - x * c1sq, x * hsq * c1sq, "gt"),
+    # rows in t = u/h^2 (t = u if h = 0), times the denominators of a and c1^2
+    hn, hd, nx = h.numerator, h.denominator, n * x
+    p, c = a.numerator * c1sq.denominator, c1sq.numerator * a.denominator
+    q, sign = a.denominator * c1sq.denominator, 1 if hn else 0
+    rows = [
+        ("subsheaf-F", n * p - q - nx * c, nx * c * sign, "lt"),
+        ("subsheaf-G", n * p + c - nx * c, (nx - 1) * c * sign, "lt"),
+        ("DJ2>0", p - x * c, x * c * sign, "gt"),
     ]
-    domain = [("u>0", 0, "gt"), ("u<h^2", hsq, "lt")]
-    lo, hi, binding, nonempty = _solve_strict_linear(ineqs, domain)
-    approx = _z_approx(nonempty, lo, hi, lambda u: float(h) - math.sqrt(float(hsq - u)))
-    return StabilityWindow("u", lo, hi, nonempty, binding, approx)
+    lo, hi, binding, nonempty = _solve_strict_linear(rows, [("u>0", 0, 1, "gt"), ("u<h^2", sign, 1, "lt")])
+    size, hd2 = hn * hn or 1, hd * hd
+    # z = h - sqrt(h^2 - u), with h^2 - u = h^2 (1 - t)
+    approx = _z_approx(nonempty, lo, hi, lambda t: hn / hd - math.sqrt(hn * hn * (t[1] - t[0]) / (hd2 * t[1])))
+    return StabilityWindow("u", _scaled(lo, size, hd2), _scaled(hi, size, hd2), nonempty, binding, approx)
 
 
 def delpezzo_closed_form(n: int, x: int, a, c1sq, h):

@@ -1,12 +1,15 @@
 """Tests for the exact stability windows."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cybundle.surfaces import DivisorClass, make_base
 from cybundle.windows import (
+    StabilityWindow,
     delpezzo_closed_form,
     enriques_closed_form,
     sign_necessity,
@@ -42,6 +45,97 @@ def delpezzo_raw_ok(n, x, a, c1sq, h, u):
         and (n * x - 1) * hsq * c1sq + (n * a + c1sq - n * x * c1sq) * u < 0
         and x * hsq * c1sq + (a - x * c1sq) * u > 0
     )
+
+
+# the Fraction solver of the raw systems in u and z, the oracle of the
+# integer kernel that solves them in t = u/h^2 and t = z/|H^2|
+
+
+def fraction_solve_strict_linear(inequalities, domain):
+    """Intersect strict linear inequalities coef*t + const {<,>} 0 in one variable.
+
+    `inequalities` is a list of (name, coef, const, sense) with sense in
+    {"lt", "gt"}; `domain` is a list of (name, bound, side) with side "gt"
+    (t > bound) or "lt" (t < bound).
+    Returns (lower, upper, binding, nonempty).
+    """
+    lower = []  # (value, name): t > value
+    upper = []  # (value, name): t < value
+    infeasible = []
+    for name, bound, side in domain:
+        (lower if side == "gt" else upper).append((Fraction(bound), name))
+    for name, coef, const, sense in inequalities:
+        coef, const = Fraction(coef), Fraction(const)
+        if coef == 0:
+            ok = const < 0 if sense == "lt" else const > 0
+            if not ok:
+                infeasible.append(name)
+            continue
+        bound = -const / coef
+        # coef*t + const < 0  <=>  t < bound (coef > 0) or t > bound (coef < 0)
+        points_up = (coef > 0) == (sense == "lt")
+        (upper if points_up else lower).append((bound, name))
+    if infeasible:
+        return None, None, tuple(infeasible), False
+    lo = max(lower, key=lambda t: t[0]) if lower else (None, None)
+    hi = min(upper, key=lambda t: t[0]) if upper else (None, None)
+    nonempty = lo[0] is None or hi[0] is None or lo[0] < hi[0]
+    binding = []
+    if nonempty:
+        for value, name in lower:
+            if value == lo[0] and name not in binding:
+                binding.append(name)
+        for value, name in upper:
+            if value == hi[0] and name not in binding:
+                binding.append(name)
+    return lo[0], hi[0], tuple(binding), nonempty
+
+
+def fraction_z_approx(nonempty, lo, hi, to_z):
+    if not nonempty or lo is None or hi is None:
+        return None
+    try:
+        return (to_z(lo), to_z(hi))
+    except OverflowError:
+        return None
+
+
+def fraction_window_enriques(n, x, a, hsq):
+    a, hsq = Fraction(a), Fraction(hsq)
+    if x == 0 and a >= 1:
+        return StabilityWindow("z", None, None, False, ("na>=1 obstruction",))
+    ineqs = [
+        ("subsheaf-F", 2 * n * a - 2, n * x * hsq, "lt"),
+        ("subsheaf-G", 2 * n * a, n * x * hsq - hsq, "lt"),
+        ("DJ2>0", 2 * a, x * hsq, "gt"),
+    ]
+    lo, hi, binding, nonempty = fraction_solve_strict_linear(ineqs, [("z>0", 0, "gt")])
+    approx = fraction_z_approx(nonempty, lo, hi, float)
+    return StabilityWindow("z", lo, hi, nonempty, binding, approx)
+
+
+def fraction_window_delpezzo(n, x, a, c1sq, h):
+    a, c1sq, h = Fraction(a), Fraction(c1sq), Fraction(h)
+    hsq = h * h
+    if x == 0:
+        return StabilityWindow("u", None, None, False, ("(na-1)(h^2-zeta^2)<0 impossible",))
+    ineqs = [
+        ("subsheaf-F", n * a - 1 - n * x * c1sq, n * x * hsq * c1sq, "lt"),
+        ("subsheaf-G", n * a + c1sq - n * x * c1sq, (n * x - 1) * hsq * c1sq, "lt"),
+        ("DJ2>0", a - x * c1sq, x * hsq * c1sq, "gt"),
+    ]
+    domain = [("u>0", 0, "gt"), ("u<h^2", hsq, "lt")]
+    lo, hi, binding, nonempty = fraction_solve_strict_linear(ineqs, domain)
+    approx = fraction_z_approx(nonempty, lo, hi, lambda u: float(h) - math.sqrt(float(hsq - u)))
+    return StabilityWindow("u", lo, hi, nonempty, binding, approx)
+
+
+def assert_same_window(got, want):
+    """Equal fields, Fraction ends, and floats equal bit for bit."""
+    assert got == want
+    assert all(type(v) is Fraction for v in (got.lower, got.upper) if v is not None)
+    if want.z_interval_approx is not None:
+        assert [v.hex() for v in got.z_interval_approx] == [v.hex() for v in want.z_interval_approx]
 
 
 def test_sign_necessity():
@@ -204,6 +298,115 @@ def test_window_delpezzo_contained_in_domain():
         w = window_delpezzo(n, x, a, 8, h)
         if w.nonempty:
             assert 0 <= w.lower < w.upper <= h * h
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction solver
+
+BIG = 10**999  # 10 * BIG has 1000 digits
+
+WINDOWS = {
+    "delpezzo": (window_delpezzo, fraction_window_delpezzo),
+    "enriques": (window_enriques, fraction_window_enriques),
+}
+
+FORCED = [
+    # ties: two rows bound the window at one end, the upper or the lower
+    ("tie-delpezzo", "delpezzo", (1, -3, 4, 8, 1)),
+    ("tie-delpezzo-h3/2", "delpezzo", (1, -3, 4, 1, Fraction(3, 2))),
+    ("tie-enriques", "enriques", (1, -3, 4, 2)),
+    ("lower-tie-delpezzo", "delpezzo", (1, 2, -1, 8, 1)),
+    ("lower-tie-enriques", "enriques", (1, 2, -1, 2)),
+    ("tie-enriques-x=0", "enriques", (1, 0, Fraction(1, 2), 2)),
+    # zero-coefficient rows that fail (a = x c1^2; a = 0): no ends, the rows named
+    ("zero-row-delpezzo", "delpezzo", (1, -3, -3, 1, 1)),
+    ("zero-row-enriques", "enriques", (1, -3, 0, 2)),
+    ("zero-rows-enriques-H2=0", "enriques", (2, 1, 0, 0)),
+    # ends that meet: empty with lower == upper
+    ("meet-delpezzo", "delpezzo", (1, -3, 0, 8, 1)),
+    ("meet-enriques-x=0", "enriques", (2, 0, -1, 4)),
+    # H^2 <= 0, h = 0 and h < 0, which no scan asks for
+    ("enriques-H2<0", "enriques", (3, 1, 1, -2)),
+    ("enriques-H2=-4/3", "enriques", (2, -1, 2, Fraction(-4, 3))),
+    ("delpezzo-h=0", "delpezzo", (2, 1, -2, 8, 0)),
+    ("delpezzo-h<0", "delpezzo", (2, 1, -2, 8, Fraction(-1, 2))),
+    # 1000-digit a and h: floats that overflow, and floats of 1000-digit
+    # ends whose ratio is small
+    ("overflow-delpezzo-h", "delpezzo", (3, 1, -4, 8, 10 * BIG)),
+    ("overflow-delpezzo-a-h", "delpezzo", (3, 1, -(10 * BIG + 1), 8, Fraction(10 * BIG, 7))),
+    ("huge-a-delpezzo", "delpezzo", (3, -1, Fraction(10 * BIG + 1, 3), 8, Fraction(1, 5))),
+    ("overflow-enriques-H2", "enriques", (2, 1, -2, 20 * BIG)),
+    ("huge-a-enriques", "enriques", (2, 1, -(10 * BIG), 20 * BIG)),
+]
+
+
+def _random_windows(rng, count):
+    """(kind, args) draws: n 1-6, x -4..4, a and h rational with
+    denominators 1-6, c1^2 1-9 and even H^2 2-20."""
+    for _ in range(count):
+        n, x = rng.randint(1, 6), rng.randint(-4, 4)
+        a = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        yield "delpezzo", (n, x, a, rng.randint(1, 9), Fraction(rng.randint(1, 18), rng.randint(1, 6)))
+        yield "enriques", (n, x, a, rng.randrange(2, 21, 2))
+
+
+def _shape(w):
+    """The kinds of window the solver can give."""
+    if w.lower is None and w.upper is None:
+        # a zero-coefficient row that fails, or the x = 0 obstruction
+        return "infeasible" if w.binding[0] in ("subsheaf-F", "subsheaf-G", "DJ2>0") else "obstruction"
+    if w.lower == w.upper:
+        return "meet"
+    if not w.nonempty:
+        return "empty"
+    if len(w.binding) > 2:
+        return "tie"
+    return "overflow" if w.z_interval_approx is None else "window"
+
+
+@pytest.mark.parametrize("kind, args", [case[1:] for case in FORCED], ids=[case[0] for case in FORCED])
+def test_integer_kernel_forced_cases(kind, args):
+    fast, oracle = WINDOWS[kind]
+    assert_same_window(fast(*args), oracle(*args))
+
+
+def test_forced_cases_cover_every_shape():
+    shapes = {_shape(WINDOWS[kind][1](*args)) for _, kind, args in FORCED}
+    assert shapes == {"infeasible", "meet", "empty", "tie", "overflow", "window"}
+
+
+def test_integer_kernel_matches_fraction_solver():
+    shapes = Counter()
+    for kind, args in _random_windows(random.Random("windows-kernel"), 3000):
+        fast, oracle = WINDOWS[kind]
+        want = oracle(*args)
+        assert_same_window(fast(*args), want)
+        shapes[kind, _shape(want)] += 1
+    for kind in WINDOWS:
+        assert {shape for k, shape in shapes if k == kind} == {
+            "obstruction", "infeasible", "meet", "empty", "tie", "window"
+        }
+
+
+def test_windows_scale_with_the_polarization():
+    # the homogeneity lemma of `cybundle.windows`: h -> c h scales the
+    # u-window's ends by c^2, H^2 -> c H^2 the z-window's by c
+    rng = random.Random("windows-homogeneity")
+    nonempty = 0
+    for _ in range(500):
+        n, x = rng.randint(1, 6), rng.randint(-4, 4)
+        a = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        c = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        h, c1sq, hsq = Fraction(rng.randint(1, 18), rng.randint(1, 6)), rng.randint(1, 9), rng.randrange(2, 21, 2)
+        for w, scaled, factor in (
+            (window_delpezzo(n, x, a, c1sq, h), window_delpezzo(n, x, a, c1sq, c * h), c * c),
+            (window_enriques(n, x, a, hsq), window_enriques(n, x, a, c * hsq), c),
+        ):
+            assert (scaled.nonempty, scaled.binding) == (w.nonempty, w.binding)
+            for end, scaled_end in ((w.lower, scaled.lower), (w.upper, scaled.upper)):
+                assert scaled_end == (None if end is None else end * factor)
+            nonempty += w.nonempty
+    assert nonempty > 100
 
 
 # ---------------------------------------------------------------------------
