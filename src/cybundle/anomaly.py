@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bundles import PullbackBundle, SpectralBundle, c2_spectral
 from .ring import FourClass
-from .surfaces import BaseSurface, DivisorClass
+from .surfaces import BaseSurface, DivisorClass, dot
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,19 @@ def spectral_af(s: BaseSurface, bundle: SpectralBundle, outcome: AnomalyOutcome)
     which assumes eta = 12 c1; the two are reported together with an
     agreement flag and no claim about which normalization was intended.
     """
-    if bundle.eta != s.c1.scale(12):
+    eta = bundle.eta
+    if eta.torsion or eta.coeffs != tuple(12 * c for c in s.c1_ints):
         raise ValueError("display assumes eta=12c1")
-    n, lam = bundle.n, bundle.lam
-    displayed = (
-        s.c2
-        + s.c1_sq
-        * (
-            11
-            + Fraction(n**3 - n, 24)
-            - Fraction(1, 2) * (lam * lam - Fraction(1, 4)) * (12 - n) * n
-        )
-        + Fraction(n * (n + 1), 2) * s.square(bundle.twist.alpha)
+    # with lambda = p/q and alpha^2 = a_sq/den^2, af_displayed =
+    # c2 + c1^2 (11 + (n^3-n)/24 - 1/2 (lambda^2 - 1/4)(12-n) n) + n(n+1)/2 alpha^2
+    # over 24 q^2 den^2
+    n, p, q = bundle.n, bundle.lam.numerator, bundle.lam.denominator
+    nums, dual, den = s.integer_parts(bundle.twist.alpha)
+    q2, d2 = q * q, den * den
+    c1_term = (264 + n**3 - n) * q2 - 3 * (4 * p * p - q2) * (12 - n) * n
+    displayed = Fraction(
+        (24 * s.c2 * q2 + s.c1_sq * c1_term) * d2 + 12 * n * (n + 1) * q2 * dot(nums, dual),
+        24 * q2 * d2,
     )
     return SpectralAfReport(
         af_direct=outcome.af,

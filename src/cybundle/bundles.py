@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import DivisorX, FourClass, divisor_square, pair_four_two, triple_product
-from .surfaces import BaseSurface, DivisorClass
+from .surfaces import BaseSurface, DivisorClass, dot
 
 
 @dataclass(frozen=True)
@@ -75,21 +75,22 @@ def validate_bundle(s: BaseSurface, bundle) -> Fraction | None:
 def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
     """Parity, irreducibility and integrality constraints on spectral data
     (n, eta, lambda); the last asks for an integral c2(V_n).  Returns the F
-    coefficient of c2(V_n), the fiber term of FMW's formula."""
+    coefficient of c2(V_n), the fiber term of FMW's formula.  Works on the
+    integer parts (nums, dual, den) of eta: eta - n c1 = resid/den."""
     lam = Fraction(lam)
-    if n % 2 == 0:
-        if (lam - Fraction(1, 2)).denominator != 1:
-            raise ValueError("spectral data invalid")
-    else:
-        if lam.denominator != 1:
-            raise ValueError("spectral data invalid")
-        diff = eta - s.c1
-        if diff.torsion or not diff.is_integral() or any(c.numerator % 2 for c in diff.coeffs):
-            raise ValueError("spectral data invalid")
-    resid = eta - s.c1.scale(n)
-    if not s.cone_position(resid).effective:
+    # lambda is in Z + 1/2 for n even and in Z for n odd
+    if lam.denominator != (1 if n % 2 else 2):
+        raise ValueError("spectral data invalid")
+    nums, dual, den = s.integer_parts(eta)
+    # n odd: eta - c1 must be integral, torsion-free and even
+    if n % 2 and (
+        den != 1 or eta.torsion != s.c1.torsion or any((a - c) % 2 for a, c in zip(nums, s.c1_ints))
+    ):
+        raise ValueError("spectral data invalid")
+    resid = _resid(s, n, nums, den)
+    if not s.effective(resid):
         raise ValueError("spectral data invalid: eta - n*c1 not effective")
-    fiber = _spectral_fiber(s, n, lam, s.intersect(eta, resid))
+    fiber = _spectral_fiber(s, n, lam, dot(dual, resid), den * den)
     if fiber.denominator != 1:
         raise ValueError("spectral data invalid: non-integral Chern class")
     return fiber
@@ -134,26 +135,32 @@ def c2_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fou
     """c2 of a spectral cover bundle V_n whose data (eta, lambda) has already
     passed `check_spectral_data`, by FMW's formula
     c2 = eta sigma + (-(n^3-n)/24 c1^2 + 1/2 (lambda^2 - 1/4) n eta.(eta - n c1)) F."""
-    return FourClass(eta, _spectral_fiber(s, n, lam, _eta_pairing(s, n, eta)))
+    return FourClass(eta, _spectral_fiber(s, n, Fraction(lam), *_eta_pairing(s, n, eta)))
 
 
 def c3_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
     """c3 of a spectral cover bundle V_n by FMW's formula c3 = 2 lambda eta.(eta - n c1)."""
-    return 2 * Fraction(lam) * _eta_pairing(s, n, eta)
+    return 2 * Fraction(lam) * Fraction(*_eta_pairing(s, n, eta))
 
 
-def _eta_pairing(s: BaseSurface, n: int, eta: DivisorClass) -> Fraction:
-    """eta.(eta - n c1), the pairing shared by c2(V_n) and c3(V_n)."""
-    return s.intersect(eta, eta - s.c1.scale(n))
+def _resid(s: BaseSurface, n: int, nums, den: int) -> list:
+    """den * (eta - n c1), given nums = den * eta (c1 is integral)."""
+    return [a - n * den * c for a, c in zip(nums, s.c1_ints)]
 
 
-def _spectral_fiber(s: BaseSurface, n: int, lam: Fraction, pairing: Fraction) -> Fraction:
-    """The F coefficient of c2(V_n) in FMW's formula, given pairing = eta.(eta - n c1)."""
-    lam = Fraction(lam)
-    return (
-        -Fraction(n**3 - n, 24) * s.c1_sq
-        + Fraction(1, 2) * (lam * lam - Fraction(1, 4)) * n * pairing
-    )
+def _eta_pairing(s: BaseSurface, n: int, eta: DivisorClass) -> tuple:
+    """(P, D) with eta.(eta - n c1) = P/D, the pairing shared by c2(V_n) and c3(V_n)."""
+    nums, dual, den = s.integer_parts(eta)
+    return dot(dual, _resid(s, n, nums, den)), den * den
+
+
+def _spectral_fiber(s: BaseSurface, n: int, lam: Fraction, pairing: int, den: int) -> Fraction:
+    """The F coefficient of c2(V_n) in FMW's formula, given the Fraction lam
+    = p/q and eta.(eta - n c1) = pairing/den: one Fraction,
+    (-(n^3-n) q^2 c1^2 den + 3 (4p^2 - q^2) n pairing) / (24 q^2 den)."""
+    p, q = lam.numerator, lam.denominator
+    q2 = q * q
+    return Fraction(-(n**3 - n) * q2 * s.c1_sq * den + 3 * (4 * p * p - q2) * n * pairing, 24 * q2 * den)
 
 
 def bundle_chern(s: BaseSurface, bundle) -> ExtensionChern:

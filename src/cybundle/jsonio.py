@@ -15,7 +15,8 @@ from .windows import StabilityWindow
 def frac_to_str(f) -> str:
     if type(f) is int:
         return str(f)
-    f = Fraction(f)
+    if type(f) is not Fraction:
+        f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 

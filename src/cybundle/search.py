@@ -16,7 +16,7 @@ from itertools import islice, product, repeat
 
 from . import jsonio
 from .anomaly import AnomalyOutcome, spectral_af, w_verdict
-from .bundles import PullbackBundle, SpectralBundle, validate_bundle
+from .bundles import PullbackBundle, SpectralBundle, _resid, validate_bundle
 from .nonsplit import chi_line, nonsplit_verdict
 from .ring import DivisorX
 from .surfaces import BaseSurface, DivisorClass, dot, make_base, ratio
@@ -184,33 +184,38 @@ class _PolTerms:
 class _Spectrum:
     """What the spectral blocks of one valid (n, eta, lambda) share, worked
     out once per scan (or per `check_model`) from the fiber term of c2(V_n)
-    that `validate_bundle` returned: wB = 12 c1 - eta (the twist pi^*alpha
-    has x = 0, so wB does not depend on alpha) with its JSON text and, on
-    first use, its effectivity; af0, the part of af without n(n+1)/2
-    alpha^2; `af_offset` = af_displayed - af, which does not depend on
-    alpha either, when eta = 12 c1 (else None); and resid = eta - n c1 as
-    integer parts with 3 den^2 resid^2."""
+    that `validate_bundle` returned and the integer parts of eta, over its
+    den: wB = 12 c1 - eta (the twist pi^*alpha has x = 0, so wB does not
+    depend on alpha) as numerators with its JSON text and, on first use,
+    its effectivity; af0, the part of af without n(n+1)/2 alpha^2;
+    `af_offset` = af_displayed - af, which does not depend on alpha either,
+    when eta = 12 c1 (else None); and resid = eta - n c1 as integer parts
+    with 3 den^2 resid^2."""
 
     def __init__(self, s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction, fiber: Fraction):
         self.s = s
         self.af0 = s.c2 + 11 * s.c1_sq - fiber.numerator  # the fiber term is integral
-        twelve_c1 = s.c1.scale(12)
-        self.wB = twelve_c1 - eta
-        self.wB_text = _class_text(self.wB.coeffs, self.wB.torsion)
-        self.wB_zero = self.wB.is_zero()
+        nums, _, den = s.integer_parts(eta)
+        # wB = 12 c1 - eta over den; 12 c1 carries no torsion
+        self.wB_nums = [12 * den * c - a for c, a in zip(s.c1_ints, nums)]
+        self.wB_text = _class_text([ratio(w, den) for w in self.wB_nums], eta.torsion)
+        self.wB_zero = not eta.torsion and not any(self.wB_nums)
         self.af_offset = None
-        if eta == twelve_c1:
-            # the readings of the twist alpha = 0; wB = 0, so no effectivity query
-            zero = SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s))
-            report = spectral_af(s, zero, AnomalyOutcome(self.wB, self.af0, *w_verdict(self.af0, True, None)))
+        if self.wB_zero:
+            # eta = 12 c1: the readings of the twist alpha = 0, whose zero
+            # class is wB; no effectivity query
+            zero = _zero_twist(s)
+            bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=zero)
+            report = spectral_af(s, bundle, AnomalyOutcome(zero.alpha, self.af0, *w_verdict(self.af0, True, None)))
             offset = report.af_displayed - report.af_direct
             self.af_offset = ratio(offset.numerator, offset.denominator)
-        nums, self.resid_dual, self.resid_den = s.integer_parts(eta - s.c1.scale(n))
-        self.resid_sq3 = 3 * dot(nums, self.resid_dual)
+        resid = _resid(s, n, nums, den)
+        self.resid_dual, self.resid_den = s.dual(resid), den
+        self.resid_sq3 = 3 * dot(resid, self.resid_dual)
 
     @cached_property
     def wB_effective(self) -> bool:
-        return self.s.effective(self.s.integer_parts(self.wB)[0])
+        return self.s.effective(self.wB_nums)
 
 
 class _Block:

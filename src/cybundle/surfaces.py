@@ -230,10 +230,9 @@ class BaseSurface:
         return ConeVerdict(effective=effective, nef=nef, ample=ample)
 
     def min_positive_degree(self, h: DivisorClass) -> MinDegree:
-        verdict = self.cone_position(h)
-        if verdict.ample is not True:
-            raise ValueError("polarization not ample")
         if self.is_enriques:
+            if self.cone_position(h).ample is not True:
+                raise ValueError("polarization not ample")
             # an ample H is (x, y) in Gamma^{1,1} with x, y > 0, and (a, b).H =
             # a*y + b*x over a, b >= 0 is smallest at (0, 1) (degree x) or at
             # (1, 0) (degree y); a tie goes to (0, 1), first in lexicographic order
@@ -242,11 +241,13 @@ class BaseSurface:
             return MinDegree(
                 value=min(x, y), witness=DivisorClass(witness + (0,) * (self.rank - 2))
             )
-        nums, den = _over_common_denominator(h)
-        # (degree, coeffs) order; all generator degrees are positive (H
-        # ample), so the single-generator minimum is the exact minimum over
-        # the effective monoid
+        nums, dual, den = self.integer_parts(h)
+        # ample as `cone_position` decides it: every generator degree and
+        # H^2 positive.  In (degree, coeffs) order the single-generator
+        # minimum is then the exact minimum over the effective monoid
         pairings = self._generator_pairings(nums)
+        if not all(p > 0 for p in pairings) or dot(nums, dual) <= 0:
+            raise ValueError("polarization not ample")
         p, _, witness = min(zip(pairings, self._generators, self.cone_generators))
         return MinDegree(value=Fraction(p, den), witness=witness)
 

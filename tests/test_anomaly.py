@@ -1,5 +1,6 @@
 """Tests for the anomaly class [W] = c2(X) - c2(V) and the [W]=0 solvers."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from cybundle.anomaly import (
     decompose_w,
     solve_alpha_zero,
     solve_c2E_zero,
+    SpectralAfReport,
     spectral_af,
 )
 from cybundle.bundles import PullbackBundle, SpectralBundle, bundle_chern
@@ -157,3 +159,72 @@ def test_spectral_af_reports_both_values():
     assert rep.af_direct == -1892
     assert rep.af_displayed == -132
     assert rep.agree is False
+
+
+def _fraction_spectral_af(s, bundle, outcome):
+    """The Fraction body of `spectral_af`: eta = 12 c1 as a class equality,
+    af_displayed in Fraction arithmetic."""
+    if bundle.eta != s.c1.scale(12):
+        raise ValueError("display assumes eta=12c1")
+    n, lam = bundle.n, bundle.lam
+    displayed = (
+        s.c2
+        + s.c1_sq
+        * (
+            11
+            + Fraction(n**3 - n, 24)
+            - Fraction(1, 2) * (lam * lam - Fraction(1, 4)) * (12 - n) * n
+        )
+        + Fraction(n * (n + 1), 2) * s.square(bundle.twist.alpha)
+    )
+    return SpectralAfReport(
+        af_direct=outcome.af,
+        af_displayed=displayed,
+        agree=outcome.af == displayed,
+        wB=outcome.wB,
+    )
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exact type and message are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", ["F0", "dP0", "dP3", "dP8", "enriques"])
+def test_spectral_af_matches_fraction_path(kind):
+    # differential: the integer spectral_af against the Fraction body it
+    # replaced, over random n, lambda and alpha (rational too), on eta = 12 c1;
+    # an eta other than 12 c1 and a twist of the wrong rank are refused alike
+    s = make_base(kind)
+    rng = random.Random(f"spectral af {kind}")
+    twelve_c1 = tuple(12 * c for c in s.c1_ints)
+    other_etas = [pad(twelve_c1[:-1], s.rank), pad(twelve_c1, s.rank + 1)]
+    if s.is_enriques:
+        other_etas.append(DivisorClass(twelve_c1, 1))
+    agrees, errors = set(), set()
+    for i in range(400):
+        n = rng.randint(2, 6)
+        lam = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        den = rng.choice((1, 2, 3, 6))
+        alpha = DivisorClass(
+            tuple(Fraction(rng.randint(-12, 12), den) for _ in range(s.rank)),
+            rng.randint(0, 1) if s.is_enriques else 0,
+        )
+        bundle = SpectralBundle(n=n, eta=DivisorClass(twelve_c1), lam=lam, twist=DivisorX(0, alpha))
+        outcome = anomaly_class(s, bundle)
+        if i % 8 == 0:
+            bundle = dataclasses.replace(bundle, eta=rng.choice(other_etas))
+        elif i % 8 == 1:
+            bundle = dataclasses.replace(bundle, twist=DivisorX(0, pad(alpha.coeffs, s.rank + 1)))
+        got = _raised(spectral_af, s, bundle, outcome)
+        assert got == _raised(_fraction_spectral_af, s, bundle, outcome), (n, lam, alpha, bundle.eta)
+        if isinstance(got, SpectralAfReport):
+            assert type(got.af_displayed) is Fraction
+            agrees.add(got.agree)
+        else:
+            errors.add(got)
+    assert errors == {(ValueError, "display assumes eta=12c1"), (ValueError, "rank mismatch")}
+    # on Enriques c1^2 = 0 and the fiber term vanishes: the readings agree
+    assert agrees == {True} if s.c1_sq == 0 else False in agrees

@@ -1,6 +1,7 @@
 """Tests for extension and spectral-cover Chern classes."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -279,3 +280,112 @@ def test_bundle_chern_spectral_c3_includes_fmw_term():
     )
     assert c3_spectral(f0, 2, b.eta, b.lam) == 2880
     assert bundle_chern(f0, b).c3 == 2400
+
+
+# ---------------------------------------------------------------------------
+# the integer spectral path against the Fraction path it replaced
+
+BASES = ["F0"] + [f"dP{k}" for k in range(9)] + ["enriques"]
+
+
+def _fraction_check_spectral_data(s, n, eta, lam):
+    """The Fraction body of `check_spectral_data`: class arithmetic, a full
+    cone query and `intersect`."""
+    lam = Fraction(lam)
+    if n % 2 == 0:
+        if (lam - Fraction(1, 2)).denominator != 1:
+            raise ValueError("spectral data invalid")
+    else:
+        if lam.denominator != 1:
+            raise ValueError("spectral data invalid")
+        diff = eta - s.c1
+        if diff.torsion or not diff.is_integral() or any(c.numerator % 2 for c in diff.coeffs):
+            raise ValueError("spectral data invalid")
+    resid = eta - s.c1.scale(n)
+    if not s.cone_position(resid).effective:
+        raise ValueError("spectral data invalid: eta - n*c1 not effective")
+    fiber = _fraction_spectral_fiber(s, n, lam, s.intersect(eta, resid))
+    if fiber.denominator != 1:
+        raise ValueError("spectral data invalid: non-integral Chern class")
+    return fiber
+
+
+def _fraction_spectral_fiber(s, n, lam, pairing):
+    """The Fraction body of `_spectral_fiber`, given pairing = eta.(eta - n c1)."""
+    lam = Fraction(lam)
+    return (
+        -Fraction(n**3 - n, 24) * s.c1_sq
+        + Fraction(1, 2) * (lam * lam - Fraction(1, 4)) * n * pairing
+    )
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exact type and message are compared
+        return type(exc), str(exc)
+
+
+def _spectral_draw(s, rng):
+    """(n, eta, lambda), most of them past the parity rule: eta near k c1 with
+    k around n, integral or over a den of 2 or 3 (for odd n, half the time
+    c1 plus an even class); on Enriques (c1 pure torsion) in Gamma^{1,1},
+    at times with an E8 part, and with either torsion bit; now and then of
+    the wrong rank.  lambda has a denominator of 1, 2 or 3."""
+    n = rng.randint(2, 6)
+    if rng.random() < 0.6:
+        lam = Fraction(rng.randint(-7, 7)) + Fraction(1 - n % 2, 2)
+    else:
+        lam = Fraction(rng.randint(-7, 7), rng.randint(1, 3))
+    odd_rule = n % 2 == 1 and rng.random() < 0.5
+    den = 1 if odd_rule else rng.choice((1, 2, 3))
+    k = n + rng.randint(-1, 6)
+    torsion = rng.randint(0, 1) if s.is_enriques else 0
+    if s.is_enriques:
+        free = [rng.randint(-1, 8 * den) for _ in range(2)]
+        free += [rng.randint(-1, 1) if rng.random() < 0.2 else 0 for _ in range(8)]
+    else:
+        free = [k * c * den + rng.randint(-2 * den, 4 * den) for c in s.c1_ints]
+    if odd_rule:
+        free = [c + 2 * (f // 2) for c, f in zip(s.c1_ints, free)]
+    coeffs = [Fraction(f, den) for f in free]
+    if rng.random() < 0.03:
+        coeffs.append(Fraction(1))
+    return n, DivisorClass(tuple(coeffs), torsion), lam
+
+
+@pytest.mark.parametrize("kind", BASES)
+def test_spectral_data_matches_fraction_path(kind):
+    # differential: the integer check_spectral_data, and c2/c3 of valid data,
+    # against the Fraction bodies they replaced, fiber or exception alike
+    s = make_base(kind)
+    rng = random.Random(f"spectral data {kind}")
+    seen = Counter()
+    for _ in range(1500):
+        n, eta, lam = _spectral_draw(s, rng)
+        got = _raised(check_spectral_data, s, n, eta, lam)
+        want = _raised(_fraction_check_spectral_data, s, n, eta, lam)
+        assert got == want and type(got) is type(want), (n, eta, lam)
+        seen[want[1] if isinstance(want, tuple) else "valid"] += 1
+        if isinstance(want, Fraction):
+            pairing = s.intersect(eta, eta - s.c1.scale(n))
+            assert c2_spectral(s, n, eta, lam) == FourClass(eta, _fraction_spectral_fiber(s, n, lam, pairing))
+            assert c3_spectral(s, n, eta, lam) == 2 * lam * pairing
+            if eta.is_integral():
+                seen["valid, integral eta"] += 1
+            else:
+                seen["valid, rational eta"] += 1
+    assert {
+        "valid",
+        "valid, integral eta",
+        "spectral data invalid",
+        "spectral data invalid: eta - n*c1 not effective",
+        "rank mismatch",
+    } <= set(seen), seen
+    # odd lattices reject non-integral fibers.  A rational eta over 2 or 3
+    # passes only with c1^2 even: then even n and lambda = 1/2 leave the
+    # fiber -(n^3-n)/24 c1^2, which is integral for n = 4 (or for
+    # c1^2 = 0 mod 4); with c1^2 odd it is never integral
+    if kind.startswith("dP"):
+        assert "spectral data invalid: non-integral Chern class" in seen, seen
+    assert ("valid, rational eta" in seen) == (s.c1_sq % 2 == 0), seen

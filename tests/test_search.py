@@ -179,17 +179,18 @@ def test_limit_zero_still_scans():
     assert lines == ["# " + json.dumps(summary, separators=(",", ":"))]
 
 
-def _count_calls(monkeypatch, counts, func):
-    """Count calls of `func` through every module-level name bound to it."""
+def _count_calls(monkeypatch, counts, func, owners=(search, anomaly, bundles, ring, windows)):
+    """Count calls of `func` through every name bound to it in `owners`:
+    the modules that import it, or the class of a method."""
 
     def counted(*args, **kwargs):
         counts[func.__name__] += 1
         return func(*args, **kwargs)
 
     counts[func.__name__] = 0
-    for module in (search, anomaly, bundles, ring, windows):
-        if getattr(module, func.__name__, None) is func:
-            monkeypatch.setattr(module, func.__name__, counted)
+    for owner in owners:
+        if getattr(owner, func.__name__, None) is func:
+            monkeypatch.setattr(owner, func.__name__, counted)
 
 
 def _blocks(records, inner):
@@ -307,6 +308,33 @@ def test_each_model_quantity_computed_once(monkeypatch):
     assert calls == []
 
 
+def test_spectral_check_does_no_class_arithmetic(monkeypatch):
+    # a valid F0/dPk spectral model is checked on integer parts: its spectral
+    # data, af readings, wB, resid and minimum degree ask for no Fraction
+    # class arithmetic, no intersect and no full cone query
+    counts = {}
+    for func, owner in (
+        (BaseSurface.intersect, BaseSurface),
+        (BaseSurface.cone_position, BaseSurface),
+        (DivisorClass.scale, DivisorClass),
+        (DivisorClass.__sub__, DivisorClass),
+    ):
+        _count_calls(monkeypatch, counts, func, (owner,))
+    cases = [
+        # the paper's eta = 12 c1 (wB = 0, both af readings), then wB != 0
+        ("F0", 2, (24, 24), Fraction(3, 2), (1, -11), (5, 40)),
+        ("F0", 2, (24, 25), Fraction(1, 2), (1, -10), (3, 34)),
+        ("dP3", 3, (45, -15, -15, -15), Fraction(1), (1, 0, 0, -1), (3, -1, -1, -1)),
+        ("dP8", 3, (33,) + (-11,) * 8, Fraction(-1), (0,) * 9, (6,) + (-2,) * 8),
+    ]
+    for kind, n, eta, lam, alpha, H in cases:
+        s = make_base(kind)
+        bundle = SpectralBundle(n=n, eta=DivisorClass(eta), lam=lam, twist=DivisorX(0, DivisorClass(alpha)))
+        record = check_model(s, bundle, Polarization(H=DivisorClass(H)), short_circuit=False)
+        assert record.verdicts["validity"]["passed"] and "stability" in record.verdicts
+    assert counts == {"intersect": 0, "cone_position": 0, "scale": 0, "__sub__": 0}
+
+
 def test_each_record_rendered_from_fragments(monkeypatch):
     # the f0 seed-0 pullback box of the benchmark: the encoder runs at most
     # once per block, distinct window, distinct alpha and polarization, not
@@ -334,6 +362,25 @@ def test_each_record_rendered_from_fragments(monkeypatch):
     bound = len(blocks) + len(windows_solved) + len(alphas) + len(config.h_values)
     assert len(records) == 3528 and bound < len(records)
     assert 0 < len(calls) <= bound
+
+
+def _rebuilt_frac_to_str(f) -> str:
+    """`jsonio.frac_to_str` as it was, every non-int rebuilt through Fraction(f)."""
+    if type(f) is int:
+        return str(f)
+    f = Fraction(f)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def test_frac_to_str_fast_path_prints_as_before():
+    # a Fraction is printed as it is; anything else still goes through Fraction(f)
+    big = 10**999 + 7
+    values = [0, 1, -1, 12, -10**999, big, True, False]
+    values += [Fraction(p, q) for p in (0, 1, -1, 6, -6, 10, big, -big) for q in (1, 2, 4, 3, 10**999)]
+    values += ["6/4", "-10/4", " 8/2 ", "0.5", 0.25, -2.0]
+    for v in values:
+        assert jsonio.frac_to_str(v) == _rebuilt_frac_to_str(v), v
+    assert jsonio.frac_to_str(Fraction(-6, 4)) == "-3/2" and jsonio.frac_to_str(Fraction(big, -1)) == str(-big)
 
 
 def test_lexicographic_order():

@@ -492,6 +492,44 @@ def test_min_degree_tie_takes_smallest_coefficients():
     assert make_base("dP1").min_positive_degree(DivisorClass((2, -1))).witness == DivisorClass((0, 1))
 
 
+def _cone_min_degree(s, h):
+    """The body `min_positive_degree` had on F0/dPk: ampleness from a full
+    `cone_position`, then the least generator pairing over den."""
+    verdict = s.cone_position(h)
+    if verdict.ample is not True:
+        raise ValueError("polarization not ample")
+    den = math.lcm(*(c.denominator for c in h.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in h.coeffs]
+    pairings = [sum(a * g for a, g in zip(nums, g_dual)) for _, g_dual, _ in s._generators]
+    p, _, witness = min(zip(pairings, s._generators, s.cone_generators))
+    return MinDegree(value=Fraction(p, den), witness=witness)
+
+
+@pytest.mark.parametrize("kind", DEL_PEZZO_AND_F0)
+def test_min_degree_ample_test_matches_cone_position(kind):
+    # differential: the ample test from the generator pairings and H^2
+    # raises exactly when cone_position(h).ample is not True, and the value
+    # and witness are those of the cone_position body, on rational classes
+    # near the rays of c1 and of the generators, and of the wrong rank
+    s = make_base(kind)
+    rng = random.Random(f"min degree {kind}")
+    gens = s.cone_generators
+    outcomes = set()
+    for i in range(300):
+        den = rng.choice((1, 2, 3, 6))
+        step = DivisorClass(tuple(Fraction(rng.randint(-3, 3), den) for _ in range(s.rank)))
+        center = s.c1 if i % 2 else rng.choice(gens)
+        h = center.scale(Fraction(rng.randint(1, 12), rng.choice((1, 2, 3)))) + step
+        if i % 50 == 0:
+            h = pad(h.coeffs, s.rank + 1)
+        got = _outcome(s.min_positive_degree, h)
+        assert got == _outcome(_cone_min_degree, s, h), h
+        if h.rank == s.rank:
+            assert isinstance(got, MinDegree) == (s.cone_position(h).ample is True)
+        outcomes.add(got if isinstance(got, tuple) else "ample")
+    assert outcomes == {"ample", ("ValueError", "polarization not ample"), ("ValueError", "rank mismatch")}
+
+
 # ---------------------------------------------------------------------------
 # (-1)-classes
 
