@@ -19,7 +19,7 @@ from .anomaly import AnomalyOutcome, spectral_af, w_verdict
 from .bundles import PullbackBundle, SpectralBundle, _resid, validate_bundle
 from .nonsplit import chi_line, nonsplit_verdict
 from .ring import DivisorX
-from .surfaces import BaseSurface, DivisorClass, dot, make_base, ratio
+from .surfaces import BaseSurface, DivisorClass, MinDegree, dot, make_base, ratio
 from .windows import spectral_stability, window_delpezzo, window_enriques
 
 STAGES = ("validity", "anomaly", "nonsplit", "stability")
@@ -66,6 +66,8 @@ class ModelRecord:
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=False)
 _JSON = {True: "true", False: "false", None: "null"}
 _VALID = (True, '"validity":{"passed":true}')
+# what follows the params of a valid model up to its anomaly verdict
+_OPEN = ',"verdicts":{' + _VALID[1] + ","
 # what follows the verdicts of a record, by its failed stage
 _TAILS = {
     failed: f'}},"overall":{_JSON[failed is None]},"failed_stage":{_ENCODER.encode(failed)}}}'
@@ -80,8 +82,33 @@ def _invalid(error: str) -> tuple:
 
 def _class_text(coeffs, torsion: int) -> str:
     """The JSON text of the class with these coefficients (`jsonio.divisor_to_json`)."""
-    strings = ",".join(f'"{jsonio.frac_to_str(c)}"' for c in coeffs)
-    return f'{{"coeffs":[{strings}],"torsion":{torsion}}}'
+    strings = '","'.join(map(jsonio.frac_to_str, coeffs))
+    return f'{{"coeffs":["{strings}"],"torsion":{torsion}}}'
+
+
+def _nonsplit_text(passed: bool, clause: str, value) -> tuple:
+    """(passed, text) of a non-split verdict."""
+    return passed, (
+        f'"nonsplit":{{"passed":{_JSON[passed]},"clause":"{clause}","value":"{jsonio.frac_to_str(value)}"}}'
+    )
+
+
+def _window_text(w) -> str:
+    """The JSON text of the stability verdict of window `w`, what the
+    encoder writes of {**jsonio.window_to_json(w), "passed": w.nonempty}:
+    the encoder writes only the z_interval_approx floats; the variable and
+    the binding rows are fixed names."""
+    lo, hi = ("null" if end is None else f'"{jsonio.frac_to_str(end)}"' for end in (w.lower, w.upper))
+    binding = '"' + '","'.join(w.binding) + '"' if w.binding else ""
+    approx = ""
+    if w.z_interval_approx is not None:
+        lo_z, hi_z = w.z_interval_approx
+        approx = ',"z_interval_approx":' + _ENCODER.encode((round(lo_z, 12), round(hi_z, 12)))
+    nonempty = _JSON[w.nonempty]
+    return (
+        f'{{"variable":"{w.variable}","lower":{lo},"upper":{hi},"nonempty":{nonempty},'
+        f'"binding":[{binding}]{approx},"passed":{nonempty}}}'
+    )
 
 
 def _validity(s: BaseSurface, bundle) -> tuple:
@@ -116,10 +143,9 @@ def check_model(
     accepted and unread: no query enumerates any more, and the benchmark
     (bench/child.py) still passes it.
     """
-    alpha, parts = bundle.twist.alpha, None
-    if alpha.rank == s.rank:  # else validity fails, and the block reads no parts
-        nums, dual, den = s.integer_parts(alpha)
-        parts = nums, dual, den, dot(nums, dual)
+    alpha = bundle.twist.alpha
+    # alpha of the wrong rank fails validity, and the block reads no alpha
+    alpha = _Alpha(*s.integer_parts(alpha)) if alpha.rank == s.rank else None
     validity, fiber = _validity(s, bundle)
     if isinstance(bundle, SpectralBundle):
         data = _Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber) if validity[0] else None
@@ -135,22 +161,23 @@ def check_model(
             validity = _invalid(str(exc))
     else:
         terms = _PolTerms(s, pol)
-    block = block(s, require, bundle.n, validity, parts, data)
+    block = block(s, require, bundle.n, validity, alpha, data)
     lines, counts = [], dict.fromkeys((None, *STAGES), 0)
-    block.scan([(c2E, "")], [(terms, "")], _ENCODER.encode(params or {}), "", short_circuit, False, lines, counts)
+    head = '{"params":' + _ENCODER.encode(params or {})
+    block.scan([(c2E, "")], [(terms, "")], head, "", short_circuit, False, lines, counts)
     (failed,) = (stage for stage, count in counts.items() if count)
     return ModelRecord(lines[0], failed)
 
 
 class _PolTerms:
     """What the stages read of one polarization, worked out once per config
-    (or per `check_model`): the class H (None for a ray h, whose H = h c1
-    is built only for the minimum degree), the integer parts of H, H^2 for
-    an explicit H, the z of the non-split slope (h on F0/dPk, 1 on Enriques)
-    and, on first use, the minimum degree.  `windows` holds the stability
-    verdicts solved so far, by (n, x, a) with a = alpha.c1 on F0/dPk and
-    alpha.H on Enriques, the only inputs of the window besides H.  The
-    polarization has passed `_refuse_wrong_kind`."""
+    (or per `check_model`): the class H (None for a ray h), the integer
+    parts of H, H^2 for an explicit H, the z of the non-split slope (h on
+    F0/dPk, 1 on Enriques) and, on first use, the minimum degree.
+    `stability` holds the stability verdicts worked out so far: a pullback
+    window by (n, x, a) with a = alpha.c1 on F0/dPk and alpha.H on Enriques,
+    the only inputs of the window besides H, and a spectral verdict by
+    (n, alpha.H).  The polarization has passed `_refuse_wrong_kind`."""
 
     def __init__(self, s: BaseSurface, pol: Polarization):
         self.s, self.H = s, pol.H
@@ -165,11 +192,16 @@ class _PolTerms:
             self.H_den = q // k
             self.H_dual = s.dual([p * (c // k) for c in s.c1_ints])
         self.z = Fraction(1) if s.is_enriques else self.h
-        self.windows: dict = {}
+        self.stability: dict = {}
 
     @cached_property
-    def min_degree(self):
-        return self.s.min_positive_degree(self.H if self.H is not None else self.s.c1.scale(self.h))
+    def min_degree(self) -> MinDegree:
+        if self.H is not None:
+            return self.s.min_positive_degree(self.H)
+        # H = h c1 with h > 0 scales every generator degree by h: the minimum
+        # is h times that of c1, with the same witness and tie-break
+        md = self.s.min_positive_degree(self.s.c1)
+        return MinDegree(self.h * md.value, md.witness)
 
     @cached_property
     def min_degree_text(self) -> str:
@@ -218,39 +250,58 @@ class _Spectrum:
         return self.s.effective(self.wB_nums)
 
 
+class _Alpha:
+    """What the blocks of one twist class alpha share, kept in the `alphas`
+    table of one `_scan` (or built by `check_model`): alpha = nums/den over
+    its least common denominator, dual = Gram.nums, a_sq = den^2 alpha^2,
+    its params text and, worked out at line time on first use, a_c1 =
+    den alpha.c1 and `slopes`: per polarization, the non-split verdict of
+    an x > 0 model whose slope (2H - z c1).alpha fails, or None where the
+    slope does not fail."""
+
+    __slots__ = ("nums", "dual", "den", "a_sq", "text", "a_c1", "slopes")
+
+    def __init__(self, nums, dual, den: int, text: str = ""):
+        self.nums, self.dual, self.den, self.text = nums, dual, den, text
+        self.a_sq = dot(nums, dual)
+        self.a_c1, self.slopes = None, {}
+
+
 class _Block:
     """The invariants of one run of the box in which only the fastest axes
     vary: c2E and then the polarization for pullback models, a block per
     (n, x, alpha); the polarization alone for spectral models, a block per
     (n, alpha, eta, lambda).  Built from its n, the validity verdict of its
-    bundle (`_validity`), alpha as integer `parts` (nums, dual, den, a_sq =
-    den^2 alpha^2) and `data`: the twist's x for a pullback run, the
-    `_Spectrum` of its (n, eta, lambda) for a spectral one.  An invalid
-    block works out nothing else.  A subclass gives `scan` the c2E meeting
-    the requirement (`_run`), what only lines read (`_line_terms`) and the
-    verdicts as (passed, "key":{...} text): `_anomaly` per c2E, `_nonsplit`
-    per (c2E, polarization) and `_stability` per polarization."""
+    bundle (`_validity`), its `_Alpha` and `data`: the twist's x for a
+    pullback run, the `_Spectrum` of its (n, eta, lambda) for a spectral
+    one.  An invalid block works out nothing else.  A subclass gives `scan`
+    the c2E meeting the requirement (`_run`), what only lines read
+    (`_line_terms`) and the verdicts as (passed, "key":{...} text):
+    `_anomaly` per c2E; `_slope` per polarization, the non-split verdict
+    of a slope that fails (else None); `_chi` per c2E, the non-split
+    verdict every other polarization shares; `_stability` per polarization."""
 
-    def __init__(self, s: BaseSurface, require: str | None, n: int, validity: tuple, parts, data):
+    def __init__(self, s: BaseSurface, require: str | None, n: int, validity: tuple, alpha: _Alpha, data):
         self.s, self.require, self.n, self.validity = s, require, n, validity
         if validity[0]:
-            self.nums, self.dual, self.den, self.a_sq = parts
+            self.alpha = alpha
             self._invariants(data)
 
     def scan(self, models, pols, head: str, tail: str, short_circuit: bool, drop: bool, lines, counts) -> None:
         """Append the JSONL lines of the block's models (c2E, pol), pol
         fastest, to `lines` and count them by failed stage (None if passed)
         in `counts`.  `models`: (c2E, end) over consecutive c2E ((None, "")
-        if spectral); `pols`: (_PolTerms, text); params text: head + text +
-        tail + end.  A failure stops a model under `short_circuit`, a
-        validity failure always.  Under `drop`, models failing validity or
-        the requirement get no line and are counted per block or per c2E."""
+        if spectral); `pols`: (_PolTerms, text); a line opens with head +
+        text + tail + end, head starting '{"params":'.  A failure stops a
+        model under `short_circuit`, a validity failure always.  Under
+        `drop`, models failing validity or the requirement get no line and
+        are counted per block or per c2E."""
         size = len(models) * len(pols)
         if not self.validity[0]:
             counts["validity"] += size
             if not drop:
                 rest = ',"verdicts":{' + self.validity[1] + _TAILS["validity"]
-                lines += ['{"params":' + head + text + tail + end + rest for _, end in models for _, text in pols]
+                lines += [head + text + tail + end + rest for _, end in models for _, text in pols]
             return
         if drop:
             start, stop = self._run(models[0][0], len(models))
@@ -258,30 +309,36 @@ class _Block:
             counts["anomaly"] += size - len(models) * len(pols)
             if not models:
                 return
-        self._line_terms(models[0][0], models[-1][0], pols)
-        prefixes = [(pol, '{"params":' + head + text + tail) for pol, text in pols]
-        stability = {}
+        self._line_terms(models[0][0], models[-1][0])
+        # per polarization: its params prefix, the verdict of its slope if
+        # that fails (else None: its models read the chi verdict of their
+        # c2E) and, once asked, its stability verdict
+        terms = [[head + text + tail, self._slope(pol), None, pol] for pol, text in pols]
         for c2E, end in models:
             passed, anomaly = self._anomaly(c2E)
-            end += ',"verdicts":{' + _VALID[1] + "," + anomaly
-            unmet = None if passed else "anomaly"
-            for pol, prefix in prefixes:
-                texts, failed = [prefix + end], unmet
+            end = f"{end}{_OPEN}{anomaly}"
+            if not passed and short_circuit:
+                counts["anomaly"] += len(terms)
+                lines += [term[0] + end + _TAILS["anomaly"] for term in terms]
+                continue
+            unmet, chi = None if passed else "anomaly", None
+            for term in terms:
+                prefix, nonsplit, stability, pol = term
+                if nonsplit is None:
+                    nonsplit = chi = chi or self._chi(c2E)
+                failed = unmet or (None if nonsplit[0] else "nonsplit")
                 if failed is None or not short_circuit:
-                    passed, text = self._nonsplit(c2E, pol)
-                    texts.append(text)
-                    failed = failed or (None if passed else "nonsplit")
-                    if failed is None or not short_circuit:
-                        verdict = stability.get(pol)
-                        if verdict is None:
-                            verdict = stability[pol] = self._stability(pol)
-                        texts.append(verdict[1])
-                        failed = failed or (None if verdict[0] else "stability")
+                    if stability is None:
+                        stability = term[2] = self._stability(pol)
+                    failed = failed or (None if stability[0] else "stability")
+                    lines.append(f"{prefix}{end},{nonsplit[1]},{stability[1]}{_TAILS[failed]}")
+                else:
+                    lines.append(f"{prefix}{end},{nonsplit[1]}{_TAILS[failed]}")
                 counts[failed] += 1
-                lines.append(",".join(texts) + _TAILS[failed])
 
     def _meets(self, w_zero: bool, w_effective: bool) -> bool:
-        return {"W_zero": w_zero, "W_effective": w_effective}.get(self.require, True)
+        require = self.require
+        return require is None or (w_zero if require == "W_zero" else w_effective)
 
     def _anomaly_verdict(self, wb_text: str, af, w_zero: bool, w_effective: bool, readings: str = "") -> tuple:
         """(passed, text) of the anomaly verdict; `readings`, the text of the
@@ -292,27 +349,35 @@ class _Block:
             f'"W_effective":{_JSON[w_effective]}{readings},"passed":{_JSON[passed]}}}'
         )
 
-    def _alpha_dot(self, dual, den: int) -> tuple:
-        """(P, q) with alpha.c = P/q, for c of integer parts (_, dual, den)."""
-        return dot(self.nums, dual), self.den * den
+    def _alpha_H(self, pol: _PolTerms):
+        """alpha.H."""
+        return ratio(dot(self.alpha.nums, pol.H_dual), self.alpha.den * pol.H_den)
 
 
 class _PullbackBlock(_Block):
     """Per block: af0 (af = af0 - c2E) and wB over den; for lines, the terms
     of `_line_terms`; if some af >= 0 asks, whether wB is effective.  Per
-    c2E: the anomaly and chi verdicts.  Per polarization: the slope verdict
-    and the stability verdict, solved once per (n, x, a) and polarization."""
+    c2E: the anomaly verdict and the chi verdict.  Per (alpha,
+    polarization), for x > 0: the slope verdict.  Per polarization: the
+    stability verdict, solved once per (n, x, a) and polarization."""
 
     def _invariants(self, x) -> None:
-        s, n, den = self.s, self.n, self.den
+        s, n, alpha = self.s, self.n, self.alpha
         self.x = x = int(x)
+        den = alpha.den
         d2, k = den * den, n * (n + 1) // 2
-        self.af0 = ratio((s.c2 + 11 * s.c1_sq) * d2 + k * self.a_sq, d2)
+        self.af0 = ratio((s.c2 + 11 * s.c1_sq) * d2 + k * alpha.a_sq, d2)
         # wB = (12 - k x^2) c1 + 2 k x alpha, over den
         c, t = 12 - k * x * x, 2 * k * x
-        self.wB_nums = [c * den * ci + t * ai for ci, ai in zip(s.c1_ints, self.nums)]
+        self.wB_nums = [c * den * ci + t * ai for ci, ai in zip(s.c1_ints, alpha.nums)]
         self.wB_torsion = c * s.c1.torsion % 2  # t is even: t alpha has no torsion
         self.wB_zero = not self.wB_torsion and not any(self.wB_nums)
+        self.wB_effective = None  # asked on first use
+
+    def _effective(self) -> bool:
+        if self.wB_effective is None:
+            self.wB_effective = self.s.effective(self.wB_nums)
+        return self.wB_effective
 
     def _run(self, lo: int, count: int) -> tuple:
         """(start, stop): the models of c2E lo + start .. lo + stop - 1 meet
@@ -322,63 +387,67 @@ class _PullbackBlock(_Block):
             i = self.af0 - lo
             return (i, i + 1) if self.wB_zero and type(i) is int and 0 <= i < count else (0, 0)
         stop = min(count, max(0, math.floor(self.af0) - lo + 1))
-        return 0, stop if stop and (self.wB_zero or self.wB_effective) else 0
+        return 0, stop if stop and (self.wB_zero or self._effective()) else 0
 
-    def _line_terms(self, lo: int, hi: int, pols) -> None:
-        """alpha.c1, chi0, chi_slope, the c2E ends lo and hi, the text of wB
-        and for x > 0 each polarization's slope."""
-        s, den = self.s, self.den
-        self.a_c1_num = dot(self.dual, s.c1_ints)
-        self.a_c1 = ratio(self.a_c1_num, den)
-        self.chi0, self.chi_slope = chi_line(self.n, self.x, self.a_sq, self.a_c1_num, den, s.c1_sq)
+    def _a_c1(self) -> int:
+        alpha = self.alpha
+        if alpha.a_c1 is None:
+            alpha.a_c1 = dot(alpha.dual, self.s.c1_ints)
+        return alpha.a_c1
+
+    def _line_terms(self, lo: int, hi: int) -> None:
+        """chi0, chi_slope, the c2E ends lo and hi and the text of wB."""
+        s, den = self.s, self.alpha.den
+        self.chi0, self.chi_slope = chi_line(self.n, self.x, self.alpha.a_sq, self._a_c1(), den, s.c1_sq)
         self._chi_ends = lo, hi
         self.wB_text = _class_text([ratio(w, den) for w in self.wB_nums], self.wB_torsion)
-        self._slopes, self._verdicts = {}, {}
-        for pol, _ in pols if self.x > 0 else ():
-            # (2H - z c1).alpha over den * H_den * z_den
-            (p, q), z = self._alpha_dot(pol.H_dual, pol.H_den), pol.z
-            num = 2 * p * z.denominator - z.numerator * self.a_c1_num * pol.H_den
-            self._slopes[pol] = ratio(num, q * z.denominator)
-
-    @cached_property
-    def wB_effective(self) -> bool:
-        return self.s.effective(self.wB_nums)
 
     def _anomaly(self, c2E) -> tuple:
         af = self.af0 - c2E
-        return self._anomaly_verdict(self.wB_text, af, *w_verdict(af, self.wB_zero, lambda: self.wB_effective))
+        return self._anomaly_verdict(self.wB_text, af, *w_verdict(af, self.wB_zero, self._effective))
 
-    def _nonsplit(self, c2E, pol) -> tuple:
-        """The verdict of chi at c2E and, for x > 0, the slope of pol: one
-        slope > 0 fails whatever chi is, so it is kept by pol, others by c2E.
-        The first verdict that prints chi refuses it if unprintable: chi is
-        linear in c2E, so its values at the ends bound all others."""
-        slope = self._slopes.get(pol)
-        key = pol if slope is not None and slope > 0 else c2E
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            if key is not pol and self._chi_ends:
-                ends, self._chi_ends = self._chi_ends, None
-                chis = (self.chi0 - self.chi_slope * e for e in ends)
-                jsonio.refuse_unprintable("chi", "'n', 'x', 'alpha' or 'c2E'", *chis)
-            ns = nonsplit_verdict(self.x, slope, self.chi0 - self.chi_slope * c2E)
-            value = jsonio.frac_to_str(ns.value)
-            verdict = self._verdicts[key] = ns.passed, (
-                f'"nonsplit":{{"passed":{_JSON[ns.passed]},"clause":"{ns.clause}","value":"{value}"}}'
-            )
+    def _slope(self, pol):
+        """For x > 0, the verdict of pol's slope (2H - z c1).alpha if it is
+        > 0, which fails the model whatever chi is; None otherwise."""
+        if self.x <= 0:
+            return None
+        slopes = self.alpha.slopes
+        if pol in slopes:
+            return slopes[pol]
+        # over den * H_den * z_den
+        alpha, z = self.alpha, pol.z
+        num = 2 * dot(alpha.nums, pol.H_dual) * z.denominator - z.numerator * self._a_c1() * pol.H_den
+        slope = ratio(num, alpha.den * pol.H_den * z.denominator)
+        verdict = None
+        if slope > 0:
+            ns = nonsplit_verdict(self.x, slope, None)
+            verdict = _nonsplit_text(ns.passed, ns.clause, ns.value)
+        slopes[pol] = verdict
         return verdict
 
+    def _chi(self, c2E) -> tuple:
+        """The verdict of chi at c2E, which every slope that does not fail
+        leaves to chi (0 stands for such a slope).  The first refuses chi if
+        unprintable: chi is linear in c2E, so its values at the ends bound
+        all others."""
+        chi0, step = self.chi0, self.chi_slope
+        if self._chi_ends:
+            (lo, hi), self._chi_ends = self._chi_ends, None
+            jsonio.refuse_unprintable("chi", "'n', 'x', 'alpha' or 'c2E'", chi0 - step * lo, chi0 - step * hi)
+        ns = nonsplit_verdict(self.x, 0 if self.x > 0 else None, chi0 - step * c2E)
+        return _nonsplit_text(ns.passed, ns.clause, ns.value)
+
     def _stability(self, pol) -> tuple:
-        s, n, x = self.s, self.n, self.x
-        a = ratio(*self._alpha_dot(pol.H_dual, pol.H_den)) if s.is_enriques else self.a_c1
-        verdict = pol.windows.get((n, x, a))
+        n, x = self.n, self.x
+        # an Enriques pullback model takes H, one on F0/dPk a ray h
+        a = self._alpha_H(pol) if pol.h is None else ratio(self._a_c1(), self.alpha.den)
+        verdict = pol.stability.get((n, x, a))
         if verdict is None:
-            if s.is_enriques:
+            if pol.h is None:
                 window = window_enriques(n, x, a, pol.hsq)
             else:
-                window = window_delpezzo(n, x, a, s.c1_sq, pol.h)
-            text = _ENCODER.encode({**jsonio.window_to_json(window), "passed": window.nonempty})
-            verdict = pol.windows[n, x, a] = window.nonempty, '"stability":' + text
+                window = window_delpezzo(n, x, a, self.s.c1_sq, pol.h)
+            verdict = pol.stability[n, x, a] = window.nonempty, '"stability":' + _window_text(window)
         return verdict
 
 
@@ -386,19 +455,21 @@ class _SpectralBlock(_Block):
     """Per block: af with its W_zero and W_effective flags; for lines, the
     anomaly verdict, with both af readings for the paper's eta = 12 c1
     family, and the non-split verdict 3/2 resid^2 - (n+1) alpha.resid > 0.
-    Per polarization: the stability test 0 < n alpha.H < (Lambda.H)_min."""
+    Per polarization: the stability test 0 < n alpha.H < (Lambda.H)_min,
+    worked out once per (n, alpha.H) and polarization."""
 
     def _invariants(self, spectrum: _Spectrum) -> None:
-        d2, k = self.den * self.den, self.n * (self.n + 1) // 2
+        den = self.alpha.den
+        d2, k = den * den, self.n * (self.n + 1) // 2
         self.spectrum = spectrum
-        self.af = ratio(spectrum.af0 * d2 + k * self.a_sq, d2)
+        self.af = ratio(spectrum.af0 * d2 + k * self.alpha.a_sq, d2)
         self.flags = w_verdict(self.af, spectrum.wB_zero, lambda: spectrum.wB_effective)
 
     def _run(self, lo, count: int) -> tuple:
         return 0, count if self._meets(*self.flags) else 0
 
-    def _line_terms(self, lo, hi, pols) -> None:
-        n, den, af, spectrum = self.n, self.den, self.af, self.spectrum
+    def _line_terms(self, lo, hi) -> None:
+        n, den, af, spectrum = self.n, self.alpha.den, self.af, self.spectrum
         jsonio.refuse_unprintable("af", "'n', 'eta', 'lambda' or 'alpha'", af)
         readings = ""
         if spectrum.af_offset is not None:
@@ -409,27 +480,29 @@ class _SpectralBlock(_Block):
             )
         self.anomaly = self._anomaly_verdict(spectrum.wB_text, af, *self.flags, readings)
         # 3/2 resid^2 - (n+1) alpha.resid over 2 den resid_den^2
-        p, _ = self._alpha_dot(spectrum.resid_dual, spectrum.resid_den)
-        rd = spectrum.resid_den
+        p, rd = dot(self.alpha.nums, spectrum.resid_dual), spectrum.resid_den
         value = ratio(spectrum.resid_sq3 * den - 2 * (n + 1) * p * rd, 2 * den * rd * rd)
-        self.nonsplit = value > 0, (
-            f'"nonsplit":{{"passed":{_JSON[value > 0]},"clause":"spectral chi>0",'
-            f'"value":"{jsonio.frac_to_str(value)}"}}'
-        )
+        self.nonsplit = _nonsplit_text(value > 0, "spectral chi>0", value)
 
     def _anomaly(self, c2E) -> tuple:
         return self.anomaly
 
-    def _nonsplit(self, c2E, pol) -> tuple:
+    def _slope(self, pol) -> None:
+        return None
+
+    def _chi(self, c2E) -> tuple:
         return self.nonsplit
 
     def _stability(self, pol) -> tuple:
-        ver = spectral_stability(self.n, ratio(*self._alpha_dot(pol.H_dual, pol.H_den)), pol.min_degree)
-        a_h, n_a_h = jsonio.frac_to_str(ver.a_h), jsonio.frac_to_str(ver.n_a_h)
-        return ver.passed, (
-            f'"stability":{{"passed":{_JSON[ver.passed]},"alpha_H":"{a_h}","n_alpha_H":"{n_a_h}",'
-            + pol.min_degree_text
-        )
+        a_h = self._alpha_H(pol)
+        verdict = pol.stability.get((self.n, a_h))
+        if verdict is None:
+            ver = spectral_stability(self.n, a_h, pol.min_degree)
+            verdict = pol.stability[self.n, a_h] = ver.passed, (
+                f'"stability":{{"passed":{_JSON[ver.passed]},"alpha_H":"{jsonio.frac_to_str(ver.a_h)}",'
+                f'"n_alpha_H":"{jsonio.frac_to_str(ver.n_a_h)}",' + pol.min_degree_text
+            )
+        return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -632,36 +705,34 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
 
 def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, shared: dict):
     """(block, head, tail) of the block at `point` of the block axes of
-    `_axes`: a model's params text is head, its polarization entry and tail,
-    then for a pullback model its c2E and the closing brace.  The tables of
-    one `_scan`, keyed by box coordinates, keep per alpha its parts (from
-    its int coordinates: den = 1) and text, and in `shared` per n (pullback)
-    the validity verdict, or per (n, eta, lambda) (spectral) the validity
-    verdict, the `_Spectrum` of valid data and the tail.  A verdict is that
+    `_axes`: a model's line opens with head ('{"params":' and the params
+    text up to alpha), its polarization entry and tail, then for a pullback
+    model its c2E and the closing brace.  The tables of one `_scan`, keyed
+    by box coordinates, keep per alpha its `_Alpha` (from its int
+    coordinates: den = 1), and in `shared` per n (pullback) the validity
+    verdict, or per (n, eta, lambda) (spectral) the validity verdict, the
+    `_Spectrum` of valid data and the tail.  A verdict is that
     of the entry's bundle with the zero twist: every twist of the box is
     integral, so every twist check of `validate_bundle` passes."""
-    n, *coords = point
-    if config.mode == "pullback":
-        x, *alpha = coords
+    n, pullback = point[0], config.mode == "pullback"
+    if pullback:
+        x, coords = point[1], point[2:]
     else:
-        *coords, lam = coords
-        alpha, eta = coords[: len(config.alpha_box)], coords[len(config.alpha_box):]
-    alpha = tuple(alpha)
-    entry = alphas.get(alpha)
-    if entry is None:
-        nums = alpha + (0,) * (s.rank - len(alpha))
-        dual = s.dual(nums)
+        k = len(config.alpha_box)
+        coords, eta, lam = point[1 : k + 1], point[k + 1 : -1], point[-1]
+    alpha = alphas.get(coords)
+    if alpha is None:
+        nums = coords + (0,) * (s.rank - len(coords))
         text = "[" + ",".join(f'"{c}"' for c in nums) + "]"
-        entry = alphas[alpha] = (nums, dual, 1, dot(nums, dual)), text
-    parts, alpha_text = entry
-    head = f'{{"base":"{s.kind}","n":{n},"alpha":{alpha_text},'
-    if config.mode == "pullback":
+        alpha = alphas[coords] = _Alpha(nums, s.dual(nums), 1, text)
+    head = f'{{"params":{{"base":"{s.kind}","n":{n},"alpha":{alpha.text},'
+    if pullback:
         validity = shared.get(n)
         if validity is None:
             validity = shared[n] = _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))[0]
-        return _PullbackBlock(s, config.require, n, validity, parts, x), head, f'"x":{x},"c2E":'
+        return _PullbackBlock(s, config.require, n, validity, alpha, x), head, f'"x":{x},"c2E":'
     # lambda by its numerator and denominator: a Fraction hashes slowly
-    key = n, tuple(eta), lam.numerator, lam.denominator
+    key = n, eta, lam.numerator, lam.denominator
     entry = shared.get(key)
     if entry is None:
         # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
@@ -673,15 +744,15 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, sha
         # the tail is the end of the params object
         entry = shared[key] = spectrum, validity, _ENCODER.encode(params)[1:]
     spectrum, validity, tail = entry
-    return _SpectralBlock(s, config.require, n, validity, parts, spectrum), head, tail
+    return _SpectralBlock(s, config.require, n, validity, alpha, spectrum), head, tail
 
 
 def _scan(config: SearchConfig, axes: tuple, start: int, stop: int):
     """(lines, counts) of blocks start..stop-1 of the box of `axes` (those
     of `_axes`), in enumeration order: the JSONL lines to emit, and the
     number of models by failed stage (None for those that pass).  The
-    polarization terms hold the stability windows, which a serial scan
-    solves once and each pool chunk in its own copy."""
+    polarization terms hold the stability verdicts, which a serial scan
+    works out once and each pool chunk in its own copy."""
     s = make_base(config.base)
     block_axes, c2Es, pols = axes
     models = [(c2E, "" if c2E is None else f"{c2E}}}") for c2E in c2Es]
@@ -690,6 +761,9 @@ def _scan(config: SearchConfig, axes: tuple, start: int, stop: int):
         block, head, tail = _block(config, s, point, alphas, shared)
         block.scan(models, pols, head, tail, True, config.require is not None, lines, counts)
     return lines, counts
+
+
+_WRITE_BATCH = 256  # lines per write of `run_search`
 
 
 def run_search(config: SearchConfig, jobs: int = 1, out=None):
@@ -725,7 +799,10 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
             if config.limit is not None:
                 lines = lines[: max(0, config.limit - emitted)]
             if out is not None:
-                out.writelines(line + "\n" for line in lines)
+                # joined in batches: few writes, and a bounded extra copy
+                for i in range(0, len(lines), _WRITE_BATCH):
+                    out.write("\n".join(lines[i : i + _WRITE_BATCH]))
+                    out.write("\n")
             emitted += len(lines)
     summary = {
         "scanned": sum(counts.values()),

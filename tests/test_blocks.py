@@ -7,6 +7,7 @@ The oracles here are the ring's [W] = c2(X) - c2(V) (`c2_tangent` and
 `bundle_chern`), and `check_model`, which evaluates a block of one model.
 """
 
+import dataclasses
 import io
 import json
 import random
@@ -450,3 +451,60 @@ def test_error_and_float_lines_are_what_the_encoder_writes():
         line = check_model(s, bundle, pol, short_circuit=False, params={"case": expected}).to_json_line()
         _assert_canonical(line)
         assert expected in line
+
+
+# Boxes whose blocks read every fragment a scan shares: per polarization
+# the params prefix and a failing slope's verdict, per c2E the text through
+# the anomaly verdict and the chi verdict, per (alpha, polarization) the
+# slope.  On Enriques the slope is 2 H.alpha, and H = (2, 3) and (3, 2)
+# give it opposite signs at alpha = (1, -1) and (-1, 1): within one block
+# one polarization's slope fails and the other's leaves the model to chi.
+# On F0/dPk z = h gives every ray the sign of alpha.c1.  In each box af
+# crosses 0 and chi changes sign inside some block's c2E run, and the wB = 0
+# block n = 2, x = 2, alpha = 0 has c2E = af0 in its run (W_zero).
+SHARED_BOXES = {
+    "enriques": {"alpha_box": [[-1, 1], [-1, 1]], "c2E_range": [0, 12], "H_values": [[2, 3], [3, 2]]},
+    "F0": {"alpha_box": [[-2, 1], [-2, 1]], "c2E_range": [88, 96], "h_values": ["1/3", "3/2"]},
+    "dP3": {"alpha_box": [[-1, 1], [-1, 1], [0, 1]], "c2E_range": [68, 76], "h_values": ["1/3", "3/2"]},
+}
+
+
+@pytest.mark.parametrize("base", SHARED_BOXES)
+def test_shared_fragments_match_fraction_oracles(base):
+    box = {"base": base, "mode": "pullback", "n_range": [2, 3], "x_values": [-1, 1, 2], **SHARED_BOXES[base]}
+    config = SearchConfig.from_json(box)
+
+    s = make_base(config.base)
+    records = _scan_records(config)
+    verdicts = [record.verdicts for record in records]
+    runs, mixed = {}, 0
+    for record, v in zip(records, verdicts):
+        p = record.params
+        runs.setdefault((p["n"], p["x"], *p["alpha"]), []).append(v)
+    for run in runs.values():
+        by_c2E = [run[i : i + 2] for i in range(0, len(run), 2)]
+        mixed += any(len({v["nonsplit"]["clause"] for v in pair}) == 2 for pair in by_c2E)
+    chi_clauses = ("chi_E1>0", "chi_E2<0")
+    af_signs = [{Fraction(v["anomaly"]["af"]) >= 0 for v in run} for run in runs.values()]
+    chi_signs = [
+        {Fraction(v["nonsplit"]["value"]) > 0 for v in run if v["nonsplit"]["clause"] in chi_clauses}
+        for run in runs.values()
+    ]
+    assert {True, False} in af_signs and {True, False} in chi_signs
+    assert (mixed > 0) == s.is_enriques
+    # every model: check_model's record of every stage against the oracles,
+    # and the scan's record, which stops at its failed stage, against that
+    for record, v in zip(records, verdicts):
+        bundle, pol = _model_of(s, record.params)
+        full = check_model(s, bundle, pol, short_circuit=False, params=record.params)
+        assert _assert_matches_oracles(s, bundle, pol, full) == ["anomaly", "nonsplit", "stability"]
+        assert {stage: full.verdicts[stage] for stage in v} == v
+    # a requirement keeps the lines of the models that meet it, the same
+    # bytes at every --jobs
+    for require in (None, "W_zero", "W_effective"):
+        out = _search_bytes(dataclasses.replace(config, require=require), 1)
+        assert _search_bytes(dataclasses.replace(config, require=require), 2) == out
+        assert _search_bytes(dataclasses.replace(config, require=require), 3) == out
+        kept = [r.line for r, v in zip(records, verdicts) if require is None or v["anomaly"][require]]
+        assert out.splitlines()[:-1] == kept and kept
+        assert len(kept) < len(records) or require is None

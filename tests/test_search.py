@@ -326,11 +326,15 @@ def test_spectral_check_does_no_class_arithmetic(monkeypatch):
         ("F0", 2, (24, 25), Fraction(1, 2), (1, -10), (3, 34)),
         ("dP3", 3, (45, -15, -15, -15), Fraction(1), (1, 0, 0, -1), (3, -1, -1, -1)),
         ("dP8", 3, (33,) + (-11,) * 8, Fraction(-1), (0,) * 9, (6,) + (-2,) * 8),
+        # rays H = h c1, whose minimum degree is h times that of c1
+        ("F0", 2, (24, 24), Fraction(3, 2), (1, -11), Fraction(7, 5)),
+        ("dP3", 3, (45, -15, -15, -15), Fraction(1), (1, 0, 0, -1), Fraction(1, 3)),
     ]
     for kind, n, eta, lam, alpha, H in cases:
         s = make_base(kind)
         bundle = SpectralBundle(n=n, eta=DivisorClass(eta), lam=lam, twist=DivisorX(0, DivisorClass(alpha)))
-        record = check_model(s, bundle, Polarization(H=DivisorClass(H)), short_circuit=False)
+        pol = Polarization(h=H) if isinstance(H, Fraction) else Polarization(H=DivisorClass(H))
+        record = check_model(s, bundle, pol, short_circuit=False)
         assert record.verdicts["validity"]["passed"] and "stability" in record.verdicts
     assert counts == {"intersect": 0, "cone_position": 0, "scale": 0, "__sub__": 0}
 
@@ -362,6 +366,43 @@ def test_each_record_rendered_from_fragments(monkeypatch):
     bound = len(blocks) + len(windows_solved) + len(alphas) + len(config.h_values)
     assert len(records) == 3528 and bound < len(records)
     assert 0 < len(calls) <= bound
+
+
+def test_block_terms_computed_on_their_axes(monkeypatch):
+    # the f0 seed-0 pullback box of the benchmark: non-split verdicts once
+    # per (block, c2E) whose lines print chi and once per (alpha,
+    # polarization) whose slope fails, not once per block and polarization;
+    # at most one wB effectivity query per block, required scan or not
+    box = {
+        "base": "F0",
+        "mode": "pullback",
+        "n_range": [2, 4],
+        "x_values": [-2, -1, 1, 2],
+        "alpha_box": [[-3, 3], [-3, 3]],
+        "c2E_range": [90, 92],
+        "h_values": ["1", "2"],
+    }
+    counts = {}
+    _count_calls(monkeypatch, counts, search.nonsplit_verdict, (search,))
+    _count_calls(monkeypatch, counts, BaseSurface.effective, (BaseSurface,))
+    records = scan_records(SearchConfig.from_json(box))
+    blocks = _blocks(records, ("c2E", "h"))
+    chi_runs, slopes, pairs = set(), set(), set()
+    for r in records:
+        p, clause = r.params, r.verdicts["nonsplit"]["clause"]
+        alpha = tuple(p["alpha"])
+        if clause == "(2H-zc1).alpha<=0":
+            slopes.add((alpha, p["h"]))
+        else:
+            chi_runs.add((p["n"], p["x"], alpha, p["c2E"]))
+        if p["x"] > 0:
+            pairs.add((alpha, p["h"]))
+    assert 0 < len(slopes) < len(pairs)
+    assert 0 < counts["nonsplit_verdict"] <= len(chi_runs) + len(slopes) <= 3 * len(blocks) + len(pairs)
+    assert 0 < counts["effective"] <= len(blocks)
+    counts["effective"] = 0
+    assert 0 < run_search(SearchConfig.from_json({**box, "require": "W_effective"}))["emitted"]
+    assert 0 < counts["effective"] <= len(blocks)
 
 
 def _rebuilt_frac_to_str(f) -> str:

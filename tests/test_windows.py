@@ -1,5 +1,6 @@
 """Tests for the exact stability windows."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from cybundle import jsonio, search
 from cybundle.surfaces import DivisorClass, make_base
 from cybundle.windows import (
     StabilityWindow,
@@ -407,6 +409,27 @@ def test_windows_scale_with_the_polarization():
                 assert scaled_end == (None if end is None else end * factor)
             nonempty += w.nonempty
     assert nonempty > 100
+
+
+def test_window_text_is_what_the_encoder_writes():
+    # the scan writes a window's stability verdict by hand; the encoder on
+    # `jsonio.window_to_json` is the oracle, on every
+    # forced case (None ends, 1000-digit ends, an overflowed approx) and
+    # seeded draws of both systems
+    cases = [(kind, args) for _, kind, args in FORCED]
+    cases += list(_random_windows(random.Random("window-text"), 1000))
+    shapes, long_ends = Counter(), 0
+    for kind, args in cases:
+        w = WINDOWS[kind][0](*args)
+        expected = json.dumps({**jsonio.window_to_json(w), "passed": w.nonempty}, separators=(",", ":"))
+        assert search._window_text(w) == expected, (kind, args)
+        shapes[kind, _shape(w)] += 1
+        long_ends += any(len(str(abs(e.numerator))) >= 1000 for e in (w.lower, w.upper) if e)
+    for kind in WINDOWS:
+        assert {shape for k, shape in shapes if k == kind} == {
+            "obstruction", "infeasible", "meet", "empty", "tie", "overflow", "window"
+        }
+    assert long_ends > 0
 
 
 # ---------------------------------------------------------------------------
