@@ -15,6 +15,7 @@ from . import fixtures, jsonio
 from .bundles import PullbackBundle, SpectralBundle
 from .search import Polarization, SearchConfig, check_model, run_search
 from .search import _int, _nonnegative_int, _refuse_unusable_H, _refuse_wrong_kind, _require, _surface
+from .search import _POOL_MIN_MODELS
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -159,7 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
     p = sub.add_parser("search", help="scan a parameter box from a config file")
     p.add_argument("config")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help=f"worker processes for a require-free box of at least {_POOL_MIN_MODELS:,}"
+        " models; any other box runs in this process.  The output is the same for any N",
+    )
     p.add_argument("--out", default=None)
     p.add_argument("--limit", type=int, default=None)
     p.set_defaults(func=cmd_search)

@@ -12,7 +12,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 
 from . import jsonio
 from .anomaly import AnomalyOutcome, spectral_af, w_verdict
@@ -747,12 +747,13 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, sha
     return _SpectralBlock(s, config.require, n, validity, alpha, spectrum), head, tail
 
 
-def _scan(config: SearchConfig, axes: tuple, start: int, stop: int):
-    """(lines, counts) of blocks start..stop-1 of the box of `axes` (those
-    of `_axes`), in enumeration order: the JSONL lines to emit, and the
-    number of models by failed stage (None for those that pass).  The
-    polarization terms hold the stability verdicts, which a serial scan
-    works out once and each pool chunk in its own copy."""
+def _scan(config: SearchConfig, axes: tuple, start: int, stop: int, run: float = math.inf):
+    """Yield (text, lines, counts) of blocks start..stop-1 of the box of
+    `axes` (those of `_axes`) in enumeration order, per run of whole blocks
+    of at least `run` lines and for the rest: the JSONL text, its lines and
+    the models by failed stage (None: passed).  The polarization terms hold
+    the stability verdicts, which a serial scan works out once and each
+    pool chunk in its own copy."""
     s = make_base(config.base)
     block_axes, c2Es, pols = axes
     models = [(c2E, "" if c2E is None else f"{c2E}}}") for c2E in c2Es]
@@ -760,50 +761,64 @@ def _scan(config: SearchConfig, axes: tuple, start: int, stop: int):
     for point in islice(product(*block_axes), start, stop):
         block, head, tail = _block(config, s, point, alphas, shared)
         block.scan(models, pols, head, tail, True, config.require is not None, lines, counts)
-    return lines, counts
+        if len(lines) >= run:
+            yield "\n".join(lines) + "\n", len(lines), counts
+            lines, counts = [], dict.fromkeys(counts, 0)
+    yield "\n".join(lines) + "\n" if lines else "", len(lines), counts
 
 
-_WRITE_BATCH = 256  # lines per write of `run_search`
+_WRITE_RUN = 256  # lines per write of `run_search`, at least: the box's text is never held whole
+_POOL_MIN_MODELS = 60_000  # the measured crossover of `--jobs 2` (README.md)
+
+
+def _chunk(config: SearchConfig, axes: tuple, start: int, stop: int) -> list:
+    """A pool task: the runs of `_scan` over one chunk, joined in the worker."""
+    return list(_scan(config, axes, start, stop, _WRITE_RUN))
+
+
+def _pool_pays(config: SearchConfig, models: int) -> bool:
+    """Whether a pool may beat the calling process: below `_POOL_MIN_MODELS`
+    models its fixed cost (forking, pickling each chunk's text back)
+    outweighs the rendering it splits; a required box renders too few lines."""
+    return config.require is None and models >= _POOL_MIN_MODELS
 
 
 def run_search(config: SearchConfig, jobs: int = 1, out=None):
     """Scan the whole box; write JSONL records to `out`; return the summary.
 
     `config.limit` caps the records written; the summary still counts the
-    whole box.  Output is byte-identical for any `jobs` value: chunks are
-    merged in enumeration order before writing.
+    whole box.  `jobs` > 1 starts a pool only where `_pool_pays`.  Output is
+    byte-identical for any `jobs`: chunks are merged in enumeration order.
     """
     axes = _axes(config, make_base(config.base))
-    block_axes, c2Es, _ = axes
+    block_axes, c2Es, pols = axes
     # chunks are runs of whole blocks; a box with an empty axis has none
     blocks = math.prod(map(len, block_axes)) if c2Es else 0
-    step = max(1, blocks if jobs <= 1 else -(-blocks // (jobs * 4)))
-    starts = range(0, blocks, step)
-    stops = [min(lo + step, blocks) for lo in starts]
+    jobs = jobs if _pool_pays(config, blocks * len(c2Es) * len(pols)) else 1
+    step = -(-blocks // (jobs * 4))
     counts, emitted = dict.fromkeys((None, *STAGES), 0), 0
-    chunks = repeat(config), repeat(axes), starts, stops
     with ExitStack() as stack:
-        if len(starts) > 1:
+        if jobs > 1 and step < blocks:
             # imported here, so that a serial scan never loads the pool; with
             # fork, the pool starts all of its workers up front.  Each chunk
             # gets the axes pickled.
             from concurrent.futures import ProcessPoolExecutor
 
+            starts = range(0, blocks, step)
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(starts))))
-            parts = pool.map(_scan, *chunks)
+            stops = [min(lo + step, blocks) for lo in starts]
+            parts = chain.from_iterable(pool.map(_chunk, repeat(config), repeat(axes), starts, stops))
         else:
-            parts = map(_scan, *chunks)
-        for lines, tally in parts:
+            parts = _scan(config, axes, 0, blocks, _WRITE_RUN)
+        for text, lines, tally in parts:
             for failed, count in tally.items():
                 counts[failed] += count
-            if config.limit is not None:
-                lines = lines[: max(0, config.limit - emitted)]
+            if config.limit is not None and emitted + lines > config.limit:
+                lines = max(0, config.limit - emitted)
+                text = "".join(line + "\n" for line in text.split("\n")[:lines])
             if out is not None:
-                # joined in batches: few writes, and a bounded extra copy
-                for i in range(0, len(lines), _WRITE_BATCH):
-                    out.write("\n".join(lines[i : i + _WRITE_BATCH]))
-                    out.write("\n")
-            emitted += len(lines)
+                out.write(text)
+            emitted += lines
     summary = {
         "scanned": sum(counts.values()),
         "passed": counts[None],

@@ -184,7 +184,7 @@ TABLE_BOXES = {
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("box", TABLE_BOXES.values(), ids=TABLE_BOXES.keys())
-def test_validity_tables_match_check_model(box, jobs):
+def test_validity_tables_match_check_model(pool_on_small_boxes, box, jobs):
     obj, errors = box
     config = SearchConfig.from_json(obj)
     s = make_base(config.base)
@@ -470,7 +470,7 @@ SHARED_BOXES = {
 
 
 @pytest.mark.parametrize("base", SHARED_BOXES)
-def test_shared_fragments_match_fraction_oracles(base):
+def test_shared_fragments_match_fraction_oracles(pool_on_required_boxes, base):
     box = {"base": base, "mode": "pullback", "n_range": [2, 3], "x_values": [-1, 1, 2], **SHARED_BOXES[base]}
     config = SearchConfig.from_json(box)
 

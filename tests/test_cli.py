@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import concurrent.futures
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import sys
 
 import pytest
 
-from cybundle import cli
+from cybundle import cli, search
 
 CLI = [sys.executable, "-m", "cybundle.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -279,6 +281,43 @@ def test_search_jobs_deterministic(tmp_path):
     assert run_cli("search", cfg, "--jobs", "3", "--out", out3).returncode == 0
     with open(out1, "rb") as f1, open(out3, "rb") as f3:
         assert f1.read() == f3.read()
+
+
+def test_search_jobs_deterministic_through_the_pool(tmp_path, monkeypatch):
+    # the smallest require-free box of this shape that the process pool
+    # scans: 36 models per c2E, most failing the anomaly stage (af < 0)
+    c2Es = -(-search._POOL_MIN_MODELS // 36)
+    config = {
+        "base": "F0",
+        "mode": "pullback",
+        "n_range": [2, 3],
+        "x_values": [1, 2],
+        "alpha_box": [[-2, 0], [-2, 0]],
+        "c2E_range": [100, 99 + c2Es],
+        "h_values": ["1"],
+    }
+    assert 36 * c2Es >= search._POOL_MIN_MODELS > 36 * (c2Es - 1)
+    cfg = write(tmp_path, "box.json", config)
+    out1, out2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+    assert run_cli("search", cfg, "--jobs", "1", "--out", out1).returncode == 0
+    assert run_cli("search", cfg, "--jobs", "2", "--out", out2).returncode == 0
+    with open(out1, "rb") as f1, open(out2, "rb") as f2:
+        serial = f1.read()
+        assert serial == f2.read()
+    # the same box at --jobs 2 in this process starts a pool of two
+    # workers (threads here) and gives the same bytes
+    started = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    out = io.StringIO()
+    search.run_search(search.SearchConfig.from_json(config), jobs=2, out=out)
+    assert started == [2]
+    assert out.getvalue().encode() == serial
 
 
 @pytest.mark.parametrize("target", ["missing/out.jsonl", "."], ids=["missing-directory", "directory"])

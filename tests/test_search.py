@@ -12,6 +12,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -528,7 +529,7 @@ def recording_pool(monkeypatch):
 
         def map(self, fn, *iterables):
             parts = list(map(fn, *iterables))
-            started.chunks += [lines for lines, _ in parts]
+            started.chunks += [[line for text, _, _ in runs for line in text.splitlines()] for runs in parts]
             return parts
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -538,7 +539,7 @@ def recording_pool(monkeypatch):
 @pytest.mark.parametrize(
     "jobs, n_range, workers", [(2, (2, 4), [2]), (4, (2, 4), [3]), (2, (3, 3), [])]
 )
-def test_pool_has_at_most_one_worker_per_chunk(recording_pool, jobs, n_range, workers):
+def test_pool_has_at_most_one_worker_per_chunk(pool_on_small_boxes, recording_pool, jobs, n_range, workers):
     # a 3-model (or 1-model) box
     config = dataclasses.replace(SO10_CONFIG, n_range=n_range, require=None)
     serial = search_bytes(config, 1)
@@ -547,7 +548,7 @@ def test_pool_has_at_most_one_worker_per_chunk(recording_pool, jobs, n_range, wo
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_axes_built_once_per_scan(monkeypatch, recording_pool, jobs):
+def test_axes_built_once_per_scan(monkeypatch, pool_on_small_boxes, recording_pool, jobs):
     # a 15-model box of 3 blocks, one chunk per block at --jobs 2 and 3:
     # every chunk, serial or pooled, reads the axes that run_search built
     calls = []
@@ -557,6 +558,26 @@ def test_axes_built_once_per_scan(monkeypatch, recording_pool, jobs):
     assert search_bytes(config, jobs).count("\n") == 15 + 1
     assert len(calls) == 1
     assert recording_pool == ([] if jobs == 1 else [jobs])
+
+
+def test_pool_starts_from_the_threshold_and_only_without_require(monkeypatch, recording_pool):
+    # the 15-model box of 3 blocks above, against a threshold one model
+    # above its volume and one equal to it
+    config = dataclasses.replace(SO10_CONFIG, n_range=(2, 4), c2E_range=(100, 104), require=None)
+    serial = search_bytes(config, 1)
+    for threshold, workers in ((16, []), (15, [2])):
+        monkeypatch.setattr(search, "_POOL_MIN_MODELS", threshold)
+        recording_pool.clear()
+        assert search_bytes(config, 2) == serial
+        assert recording_pool == workers
+    # --jobs 1, and a required box of any size, start none
+    monkeypatch.setattr(search, "_POOL_MIN_MODELS", 1)
+    recording_pool.clear()
+    assert search_bytes(config, 1) == serial
+    for require in ("W_zero", "W_effective"):
+        required = dataclasses.replace(config, require=require)
+        assert search_bytes(required, 3) == search_bytes(required, 1)
+    assert recording_pool == []
 
 
 DP2_PULLBACK = {
@@ -600,7 +621,7 @@ F0_SPECTRAL = {
     ],
     ids=["F0", "dP2"],
 )
-def test_serial_parallel_equivalence(config):
+def test_serial_parallel_equivalence(pool_on_small_boxes, config):
     # the real process pool
     serial = search_bytes(config, 1)
     for jobs in (2, 3, 4):
@@ -609,7 +630,7 @@ def test_serial_parallel_equivalence(config):
 
 
 @pytest.mark.parametrize("config, inner", [(DP2_PULLBACK, ("c2E", "h")), (F0_SPECTRAL, ("H", "h"))])
-def test_chunks_hold_whole_blocks(recording_pool, config, inner):
+def test_chunks_hold_whole_blocks(pool_on_small_boxes, recording_pool, config, inner):
     # 54 blocks of 6 models and 32 blocks of 3; cut by models, --jobs 2
     # would split the pullback blocks and --jobs 3 both
     config = SearchConfig.from_json(config)
@@ -634,7 +655,7 @@ def test_chunks_hold_whole_blocks(recording_pool, config, inner):
         SearchConfig.from_json(F0_SPECTRAL),
     ],
 )
-def test_jobs_give_equal_bytes_by_blocks(recording_pool, config):
+def test_jobs_give_equal_bytes_by_blocks(pool_on_small_boxes, recording_pool, config):
     serial = search_bytes(config, 1)
     assert serial.count("\n") > 1
     assert search_bytes(config, 2) == search_bytes(config, 3) == serial
@@ -687,7 +708,7 @@ def _stage_under(record, require):
     ],
     ids=["dP2-pullback", "F0-spectral", "enriques-pullback", "F0-pullback"],
 )
-def test_summary_tallies_the_box(recording_pool, config):
+def test_summary_tallies_the_box(pool_on_required_boxes, recording_pool, config):
     # the summary counts each model of the box once, by its failed stage,
     # for any --jobs; the oracle is the require-free scan's records
     lines = search_bytes(config, 1).splitlines()[:-1]
@@ -710,11 +731,29 @@ def test_summary_tallies_the_box(recording_pool, config):
             }
 
 
-def test_empty_axis_starts_no_pool(recording_pool):
+def test_empty_axis_starts_no_pool(pool_on_small_boxes, recording_pool):
     config = dataclasses.replace(SO10_CONFIG, c2E_range=(5, 3), require=None)
     summary = run_search(config, jobs=2)
     assert summary["scanned"] == 0 and summary["emitted"] == 0
     assert recording_pool == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_writes_runs_of_whole_blocks(monkeypatch, pool_on_small_boxes, recording_pool, jobs):
+    # 54 blocks of 6 models: with runs of at least 10 lines, each write but
+    # the summary holds at most two whole blocks (a pool chunk of 7 blocks
+    # ends on one), so the box's text is never held whole
+    config = SearchConfig.from_json(DP2_PULLBACK)
+    serial = search_bytes(config, 1)
+    monkeypatch.setattr(search, "_WRITE_RUN", 10)
+    writes = []
+    run_search(config, jobs=jobs, out=SimpleNamespace(write=writes.append))
+    assert "".join(writes) == serial
+    lines = [text.count("\n") for text in writes[:-1] if text]
+    assert sum(lines) == 324 and {n % 6 for n in lines} == {0} and max(lines) == 12
+    if jobs == 1:
+        assert lines == [12] * 27
+    assert recording_pool == ([] if jobs == 1 else [2])
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +807,7 @@ def _box_models(config):
 
 @pytest.mark.parametrize("placement", sorted(_AF0_PLACEMENTS))
 @pytest.mark.parametrize("base, seed", [("F0", 1), ("dP5", 2), ("enriques", 3)])
-def test_required_scan_matches_check_model(recording_pool, base, seed, placement):
+def test_required_scan_matches_check_model(pool_on_required_boxes, recording_pool, base, seed, placement):
     # the oracle: every model of the box through check_model, the record
     # kept when it meets the requirement, and the tally of all of them
     config = SearchConfig.from_json(_required_box(base, placement, seed))
