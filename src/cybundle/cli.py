@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Commands: verify-paper, check <file>, search <config> [--jobs N] [--out PATH]
-[--limit K].  Exit codes: 0 success, 1 verification failure, 2 input error.
+[--limit K].  Exit codes: 0 success, 1 verification failure, 2 input error,
+141 stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import fixtures, jsonio
@@ -20,6 +23,7 @@ from .search import _POOL_MIN_MODELS
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141
 
 
 def _show(value) -> str:
@@ -128,18 +132,12 @@ def cmd_search(args) -> int:
             config.limit = _nonnegative_int(args.limit, "limit")
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.out is None:
-            out = sys.stdout
-        else:
-            try:
-                out = open(args.out, "w", encoding="utf-8")
-            except OSError as exc:
-                raise ValueError(f"cannot write --out {args.out}: {exc}") from None
         try:
+            out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc}") from None
+        with nullcontext() if args.out is None else out:
             summary = run_search(config, jobs=args.jobs, out=out)
-        finally:
-            if args.out is not None:
-                out.close()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -176,7 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # `cybundle search CONFIG | head`: the last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 from .ring import DivisorX
 from .surfaces import BaseSurface, DivisorClass
@@ -31,7 +30,8 @@ def frac_from_str(s) -> Fraction:
 # number ("1e999999999" would never finish).  Products of capped inputs can
 # still pass the interpreter's limit on the digits of an int it prints: the
 # pullback chi (terms n^4 x^3 and n^4 alpha^2) and the spectral af (lambda^2
-# n eta^2) do, and `refuse_unprintable` refuses them
+# n eta^2) do.  str() refuses such a number where a record prints it, and
+# the printer raises `unprintable` in place of that error
 MAX_DIGITS = 1000
 _DIGITS_BOUND = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.IGNORECASE)
@@ -51,20 +51,12 @@ def refuse_too_many_digits(*ints: int, name: str) -> None:
         raise ValueError(f"field '{name}' has more than {MAX_DIGITS} digits")
 
 
-@lru_cache(maxsize=None)
-def _power_of_ten(digits: int) -> int:
-    return 10**digits
-
-
-def refuse_unprintable(what: str, fields: str, *values) -> None:
-    """Refuse the derived value `what`, worked out from the input `fields`,
-    if one of `values` (ints or Fractions) has a numerator or denominator
-    with more digits than the interpreter's limit lets str() print."""
+def unprintable(what: str, fields: str) -> ValueError:
+    """The error for the derived value `what`, worked out from the input
+    `fields`, that str() refused to print: its numerator or denominator has
+    more digits than the interpreter's limit."""
     limit = sys.get_int_max_str_digits()
-    if limit:
-        bound = _power_of_ten(limit)
-        if any(abs(v.numerator) >= bound or v.denominator >= bound for v in values):
-            raise ValueError(f"derived value {what} has more than {limit} digits; lower field {fields}")
+    return ValueError(f"derived value {what} has more than {limit} digits; lower field {fields}")
 
 
 def frac_field(value, name: str) -> Fraction:

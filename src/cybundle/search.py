@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,8 +103,7 @@ def _window_text(w) -> str:
     binding = '"' + '","'.join(w.binding) + '"' if w.binding else ""
     approx = ""
     if w.z_interval_approx is not None:
-        lo_z, hi_z = w.z_interval_approx
-        approx = ',"z_interval_approx":' + _ENCODER.encode((round(lo_z, 12), round(hi_z, 12)))
+        approx = ',"z_interval_approx":' + _ENCODER.encode([round(v, 12) for v in w.z_interval_approx])
     nonempty = _JSON[w.nonempty]
     return (
         f'{{"variable":"{w.variable}","lower":{lo},"upper":{hi},"nonempty":{nonempty},'
@@ -145,7 +145,7 @@ def check_model(
     """
     alpha = bundle.twist.alpha
     # alpha of the wrong rank fails validity, and the block reads no alpha
-    alpha = _Alpha(*s.integer_parts(alpha)) if alpha.rank == s.rank else None
+    alpha = _Alpha(s, *s.integer_parts(alpha)) if alpha.rank == s.rank else None
     validity, fiber = _validity(s, bundle)
     if isinstance(bundle, SpectralBundle):
         data = _Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber) if validity[0] else None
@@ -154,13 +154,18 @@ def check_model(
         block, mode, c2E, data = _PullbackBlock, "pullback", bundle.c2E, bundle.twist.x
     try:
         _refuse_wrong_kind(s, mode, pol)
+        terms = _PolTerms(s, pol)
+        if validity[0] and mode == "spectral":
+            try:  # the stability stage reads it and needs H ample
+                terms.min_degree
+            except ValueError:  # not ample, which `_refuse_unusable_H` decides alike and raises
+                _refuse_unusable_H(s, mode, pol.H, "field 'H'")
     except ValueError as exc:
         # a valid bundle fails validity with a polarization of the wrong kind
+        # or, if spectral, with an H that is not ample
         terms = None
         if validity[0]:
             validity = _invalid(str(exc))
-    else:
-        terms = _PolTerms(s, pol)
     block = block(s, require, bundle.n, validity, alpha, data)
     lines, counts = [], dict.fromkeys((None, *STAGES), 0)
     head = '{"params":' + _ENCODER.encode(params or {})
@@ -254,17 +259,16 @@ class _Alpha:
     """What the blocks of one twist class alpha share, kept in the `alphas`
     table of one `_scan` (or built by `check_model`): alpha = nums/den over
     its least common denominator, dual = Gram.nums, a_sq = den^2 alpha^2,
-    its params text and, worked out at line time on first use, a_c1 =
-    den alpha.c1 and `slopes`: per polarization, the non-split verdict of
-    an x > 0 model whose slope (2H - z c1).alpha fails, or None where the
-    slope does not fail."""
+    a_c1 = den alpha.c1, its params text and, filled at line time,
+    `slopes`: per polarization, the non-split verdict of an x > 0 model
+    whose slope (2H - z c1).alpha fails, or None where the slope does not
+    fail."""
 
     __slots__ = ("nums", "dual", "den", "a_sq", "text", "a_c1", "slopes")
 
-    def __init__(self, nums, dual, den: int, text: str = ""):
+    def __init__(self, s: BaseSurface, nums, dual, den: int, text: str = ""):
         self.nums, self.dual, self.den, self.text = nums, dual, den, text
-        self.a_sq = dot(nums, dual)
-        self.a_c1, self.slopes = None, {}
+        self.a_sq, self.a_c1, self.slopes = dot(nums, dual), dot(dual, s.c1_ints), {}
 
 
 class _Block:
@@ -309,7 +313,7 @@ class _Block:
             counts["anomaly"] += size - len(models) * len(pols)
             if not models:
                 return
-        self._line_terms(models[0][0], models[-1][0])
+        self._line_terms()
         # per polarization: its params prefix, the verdict of its slope if
         # that fails (else None: its models read the chi verdict of their
         # c2E) and, once asked, its stability verdict
@@ -350,7 +354,6 @@ class _Block:
         )
 
     def _alpha_H(self, pol: _PolTerms):
-        """alpha.H."""
         return ratio(dot(self.alpha.nums, pol.H_dual), self.alpha.den * pol.H_den)
 
 
@@ -372,12 +375,10 @@ class _PullbackBlock(_Block):
         self.wB_nums = [c * den * ci + t * ai for ci, ai in zip(s.c1_ints, alpha.nums)]
         self.wB_torsion = c * s.c1.torsion % 2  # t is even: t alpha has no torsion
         self.wB_zero = not self.wB_torsion and not any(self.wB_nums)
-        self.wB_effective = None  # asked on first use
 
-    def _effective(self) -> bool:
-        if self.wB_effective is None:
-            self.wB_effective = self.s.effective(self.wB_nums)
-        return self.wB_effective
+    @cached_property
+    def wB_effective(self) -> bool:
+        return self.s.effective(self.wB_nums)
 
     def _run(self, lo: int, count: int) -> tuple:
         """(start, stop): the models of c2E lo + start .. lo + stop - 1 meet
@@ -387,24 +388,17 @@ class _PullbackBlock(_Block):
             i = self.af0 - lo
             return (i, i + 1) if self.wB_zero and type(i) is int and 0 <= i < count else (0, 0)
         stop = min(count, max(0, math.floor(self.af0) - lo + 1))
-        return 0, stop if stop and (self.wB_zero or self._effective()) else 0
+        return 0, stop if stop and (self.wB_zero or self.wB_effective) else 0
 
-    def _a_c1(self) -> int:
-        alpha = self.alpha
-        if alpha.a_c1 is None:
-            alpha.a_c1 = dot(alpha.dual, self.s.c1_ints)
-        return alpha.a_c1
-
-    def _line_terms(self, lo: int, hi: int) -> None:
-        """chi0, chi_slope, the c2E ends lo and hi and the text of wB."""
+    def _line_terms(self) -> None:
+        """chi0, chi_slope and the text of wB."""
         s, den = self.s, self.alpha.den
-        self.chi0, self.chi_slope = chi_line(self.n, self.x, self.alpha.a_sq, self._a_c1(), den, s.c1_sq)
-        self._chi_ends = lo, hi
+        self.chi0, self.chi_slope = chi_line(self.n, self.x, self.alpha.a_sq, self.alpha.a_c1, den, s.c1_sq)
         self.wB_text = _class_text([ratio(w, den) for w in self.wB_nums], self.wB_torsion)
 
     def _anomaly(self, c2E) -> tuple:
         af = self.af0 - c2E
-        return self._anomaly_verdict(self.wB_text, af, *w_verdict(af, self.wB_zero, self._effective))
+        return self._anomaly_verdict(self.wB_text, af, *w_verdict(af, self.wB_zero, lambda: self.wB_effective))
 
     def _slope(self, pol):
         """For x > 0, the verdict of pol's slope (2H - z c1).alpha if it is
@@ -416,7 +410,7 @@ class _PullbackBlock(_Block):
             return slopes[pol]
         # over den * H_den * z_den
         alpha, z = self.alpha, pol.z
-        num = 2 * dot(alpha.nums, pol.H_dual) * z.denominator - z.numerator * self._a_c1() * pol.H_den
+        num = 2 * dot(alpha.nums, pol.H_dual) * z.denominator - z.numerator * alpha.a_c1 * pol.H_den
         slope = ratio(num, alpha.den * pol.H_den * z.denominator)
         verdict = None
         if slope > 0:
@@ -427,20 +421,17 @@ class _PullbackBlock(_Block):
 
     def _chi(self, c2E) -> tuple:
         """The verdict of chi at c2E, which every slope that does not fail
-        leaves to chi (0 stands for such a slope).  The first refuses chi if
-        unprintable: chi is linear in c2E, so its values at the ends bound
-        all others."""
-        chi0, step = self.chi0, self.chi_slope
-        if self._chi_ends:
-            (lo, hi), self._chi_ends = self._chi_ends, None
-            jsonio.refuse_unprintable("chi", "'n', 'x', 'alpha' or 'c2E'", chi0 - step * lo, chi0 - step * hi)
-        ns = nonsplit_verdict(self.x, 0 if self.x > 0 else None, chi0 - step * c2E)
-        return _nonsplit_text(ns.passed, ns.clause, ns.value)
+        leaves to chi (0 stands for such a slope), refused if unprintable."""
+        ns = nonsplit_verdict(self.x, 0 if self.x > 0 else None, self.chi0 - self.chi_slope * c2E)
+        try:
+            return _nonsplit_text(ns.passed, ns.clause, ns.value)
+        except ValueError:
+            raise jsonio.unprintable("chi", "'n', 'x', 'alpha' or 'c2E'") from None
 
     def _stability(self, pol) -> tuple:
         n, x = self.n, self.x
         # an Enriques pullback model takes H, one on F0/dPk a ray h
-        a = self._alpha_H(pol) if pol.h is None else ratio(self._a_c1(), self.alpha.den)
+        a = self._alpha_H(pol) if pol.h is None else ratio(self.alpha.a_c1, self.alpha.den)
         verdict = pol.stability.get((n, x, a))
         if verdict is None:
             if pol.h is None:
@@ -468,17 +459,19 @@ class _SpectralBlock(_Block):
     def _run(self, lo, count: int) -> tuple:
         return 0, count if self._meets(*self.flags) else 0
 
-    def _line_terms(self, lo, hi) -> None:
+    def _line_terms(self) -> None:
         n, den, af, spectrum = self.n, self.alpha.den, self.af, self.spectrum
-        jsonio.refuse_unprintable("af", "'n', 'eta', 'lambda' or 'alpha'", af)
         readings = ""
-        if spectrum.af_offset is not None:
-            displayed = af + spectrum.af_offset
-            readings = (
-                f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
-                f',"display_agrees":{_JSON[af == displayed]}'
-            )
-        self.anomaly = self._anomaly_verdict(spectrum.wB_text, af, *self.flags, readings)
+        try:
+            if spectrum.af_offset is not None:
+                displayed = af + spectrum.af_offset
+                readings = (
+                    f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
+                    f',"display_agrees":{_JSON[af == displayed]}'
+                )
+            self.anomaly = self._anomaly_verdict(spectrum.wB_text, af, *self.flags, readings)
+        except ValueError:  # str() refused an af past the digit limit
+            raise jsonio.unprintable("af", "'n', 'eta', 'lambda' or 'alpha'") from None
         # 3/2 resid^2 - (n+1) alpha.resid over 2 den resid_den^2
         p, rd = dot(self.alpha.nums, spectrum.resid_dual), spectrum.resid_den
         value = ratio(spectrum.resid_sq3 * den - 2 * (n + 1) * p * rd, 2 * den * rd * rd)
@@ -540,13 +533,9 @@ class SearchConfig:
         if "x_values" in obj:
             x_values = _int_list(obj["x_values"], "x_values")
         elif "x_range" in obj:
-            lo, hi = _int_pair(obj["x_range"], "x_range")
-            x_values = tuple(range(lo, hi + 1))
+            x_values = tuple(_axis(_int_pair(obj["x_range"], "x_range"), "x_range"))
         else:
             x_values = (0,)
-        limit = obj.get("limit")
-        if limit is not None:
-            limit = _nonnegative_int(limit, "limit")
         _surface(obj["base"])  # an unknown base is refused before scanning
         return SearchConfig(
             base=str(obj["base"]),
@@ -561,7 +550,7 @@ class SearchConfig:
             h_values=_frac_list(obj.get("h_values", []), "h_values"),
             require=_require(obj.get("require")),
             bound=_nonnegative_int(obj["bound"], "bound") if "bound" in obj else None,
-            limit=limit,
+            limit=_nonnegative_int(obj["limit"], "limit") if obj.get("limit") is not None else None,
         )
 
 
@@ -655,21 +644,29 @@ def _int_pairs(value, name: str) -> tuple:
     return tuple(_int_pair(pair, name) for pair in _list(value, name))
 
 
+def _axis(pair: tuple, name: str) -> range:
+    if pair[1] - pair[0] >= sys.maxsize:
+        raise ValueError(f"config field '{name}' spans more than {sys.maxsize} values")
+    return range(pair[0], pair[1] + 1)
+
+
 def _frac_list(value, name: str) -> tuple:
     return tuple(jsonio.frac_field(v, name) for v in _list(value, name))
 
 
 def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
-    """(block_axes, c2Es, pols): the box's axes, sized sequences in
-    enumeration order (last fastest), the blocks' apart from their models'.
+    """(block_axes, c2Es, pols, blocks): the box's axes, sized sequences in
+    enumeration order (last fastest), the blocks' apart from their models',
+    and the number of blocks.
 
     Block axes, pullback: n, x, one range per alpha_box pair; spectral: n,
     the alpha_box ranges, the eta_box ranges, lambda.  A block's models are
     c2Es (the c2E range; (None,) for spectral) times the polarizations,
     (_PolTerms, params text) pairs with H_values entries before h_values
-    entries.  Refuses a class with more coordinates than the base rank and a
-    polarization of the wrong kind or not ample, naming the config field, so
-    that a bad config fails before any model is scanned.
+    entries.  Refuses a class with more coordinates than the base rank, a
+    polarization of the wrong kind or not ample, and an axis or a block
+    count past sys.maxsize (past len() and islice()), naming the config
+    fields, so that a bad config fails before any model is scanned.
     """
     classes = [("alpha_box", config.alpha_box), ("eta_box", config.eta_box or ())]
     for name, coords in classes + [("H_values", vec) for vec in config.H_values]:
@@ -678,16 +675,21 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
                 f"config field '{name}' has {len(coords)} entries"
                 f" but base {s.kind} has rank {s.rank}"
             )
-    alpha = [range(lo, hi + 1) for lo, hi in config.alpha_box]
-    n = range(config.n_range[0], config.n_range[1] + 1)
+    alpha = [_axis(pair, "alpha_box") for pair in config.alpha_box]
+    n = _axis(config.n_range, "n_range")
     if config.mode == "pullback":
         if config.c2E_range is None:
             raise ValueError("config missing field 'c2E_range', which pullback searches need")
         block_axes = [n, config.x_values, *alpha]
-        c2Es = range(config.c2E_range[0], config.c2E_range[1] + 1)
+        c2Es = _axis(config.c2E_range, "c2E_range")
     else:
-        eta = [range(lo, hi + 1) for lo, hi in config.eta_box or ()]
+        eta = [_axis(pair, "eta_box") for pair in config.eta_box or ()]
         block_axes, c2Es = [n, *alpha, *eta, config.lambda_values or (Fraction(0),)], (None,)
+    # chunks are runs of whole blocks; a box with an empty axis has none
+    blocks = math.prod(map(len, block_axes)) if c2Es else 0
+    if blocks > sys.maxsize:
+        fields = "'x_values'" if config.mode == "pullback" else "'eta_box', 'lambda_values'"
+        raise ValueError(f"config fields 'n_range', 'alpha_box', {fields} give more than {sys.maxsize} blocks")
     pols = []
     for vec in config.H_values:
         pol = Polarization(H=DivisorClass(vec + (0,) * (s.rank - len(vec))))
@@ -700,7 +702,7 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
         pols.append((_PolTerms(s, pol), f'"h":"{jsonio.frac_to_str(h)}",'))
     if not pols:
         raise ValueError("config field 'H_values' or 'h_values' must list a polarization")
-    return block_axes, c2Es, pols
+    return block_axes, c2Es, pols, blocks
 
 
 def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, shared: dict):
@@ -724,7 +726,7 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, sha
     if alpha is None:
         nums = coords + (0,) * (s.rank - len(coords))
         text = "[" + ",".join(f'"{c}"' for c in nums) + "]"
-        alpha = alphas[coords] = _Alpha(nums, s.dual(nums), 1, text)
+        alpha = alphas[coords] = _Alpha(s, nums, s.dual(nums), 1, text)
     head = f'{{"params":{{"base":"{s.kind}","n":{n},"alpha":{alpha.text},'
     if pullback:
         validity = shared.get(n)
@@ -755,7 +757,7 @@ def _scan(config: SearchConfig, axes: tuple, start: int, stop: int, run: float =
     the stability verdicts, which a serial scan works out once and each
     pool chunk in its own copy."""
     s = make_base(config.base)
-    block_axes, c2Es, pols = axes
+    block_axes, c2Es, pols, _ = axes
     models = [(c2E, "" if c2E is None else f"{c2E}}}") for c2E in c2Es]
     lines, counts, alphas, shared = [], dict.fromkeys((None, *STAGES), 0), {}, {}
     for point in islice(product(*block_axes), start, stop):
@@ -791,9 +793,7 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
     byte-identical for any `jobs`: chunks are merged in enumeration order.
     """
     axes = _axes(config, make_base(config.base))
-    block_axes, c2Es, pols = axes
-    # chunks are runs of whole blocks; a box with an empty axis has none
-    blocks = math.prod(map(len, block_axes)) if c2Es else 0
+    _, c2Es, pols, blocks = axes
     jobs = jobs if _pool_pays(config, blocks * len(c2Es) * len(pols)) else 1
     step = -(-blocks // (jobs * 4))
     counts, emitted = dict.fromkeys((None, *STAGES), 0), 0

@@ -820,3 +820,48 @@ def test_check_bad_class_names_it(tmp_path, capsys, model, field):
     assert cli.main(["check", write(tmp_path, "bad.json", model)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: field {field}: "), err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (dict(E6_CONFIG, c2E_range=[0, 10**20]), "error: config field 'c2E_range' spans more than"),
+        (
+            {
+                "base": "F0",
+                "mode": "spectral",
+                "n_range": [10**999, 10**999],
+                "alpha_box": [[0, 0], [0, 0]],
+                "eta_box": [[3 * 10**999, 3 * 10**999]] * 2,
+                "lambda_values": [f"{10**999 + 1}/2"],
+                "h_values": ["1"],
+            },
+            "error: derived value af has more than 4300 digits; lower field 'n', 'eta', 'lambda' or 'alpha'",
+        ),
+    ],
+    ids=["c2E-axis-past-maxsize", "af-past-the-digit-limit"],
+)
+def test_search_refuses_what_it_cannot_count_or_print(tmp_path, config, message, jobs):
+    proc = run_cli("search", write(tmp_path, "box.json", config), "--jobs", jobs)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+
+def test_search_into_a_closed_pipe_exits_quietly(tmp_path):
+    # `cybundle search CONFIG | head -c 100`: the reader leaves while the
+    # scan still writes 8,232 lines
+    box = {"n_range": [2, 3], "x_values": [-2, -1, 1, 2], "alpha_box": [[-3, 3], [-3, 3]], "c2E_range": [90, 110]}
+    config = dict(E6_CONFIG, **box, require=None)
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        CLI + ["search", write(tmp_path, "box.json", config)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_PIPE == 141 and err == ""

@@ -115,6 +115,37 @@ def test_check_model_error_verdict_stops_without_short_circuit():
     assert rec.failed_stage == "validity" and not rec.overall
 
 
+@pytest.mark.parametrize("short_circuit", [True, False])
+@pytest.mark.parametrize(
+    "kind, n, eta, lam, alpha, H, status",
+    [
+        ("F0", 2, (24, 24), Fraction(3, 2), (1, -11), (1, 0), "not"),
+        ("enriques", 2, (2, 3), Fraction(1, 2), (0, -1), (1, 0), "not"),
+        # outside Gamma^{1,1}, where ampleness is undecided
+        ("enriques", 2, (2, 3), Fraction(1, 2), (0, -1), (4, 3, 1), "not known to be"),
+    ],
+)
+def test_check_model_refuses_a_spectral_H_that_is_not_ample(kind, n, eta, lam, alpha, H, status, short_circuit):
+    # the spectral stability stage needs H ample: a valid bundle with such an
+    # H fails validity, with the message `cybundle check` prints, whichever
+    # stages would run
+    s = make_base(kind)
+    bundle = SpectralBundle(n=n, eta=pad(eta, s.rank), lam=lam, twist=DivisorX(0, pad(alpha, s.rank)))
+    rec = check_model(s, bundle, Polarization(H=pad(H, s.rank)), short_circuit=short_circuit)
+    assert rec.failed_stage == "validity" and list(rec.verdicts) == ["validity"]
+    assert rec.verdicts["validity"]["error"] == f"field 'H' is {status} ample on base {kind}"
+
+
+def test_check_model_leaves_an_enriques_pullback_H_to_its_caller():
+    # a pullback model reads H only through intersection numbers, and
+    # check_model asks no cone query of it
+    enr = make_base("enriques")
+    bundle = PullbackBundle(n=2, c2E=12, twist=DivisorX(0, pad((0, -1), 10)))
+    rec = check_model(enr, bundle, Polarization(H=pad((1, 0), 10)), short_circuit=False)
+    assert rec.verdicts["validity"] == {"passed": True}
+    assert list(rec.verdicts) == list(search.STAGES)
+
+
 def test_record_invariant_overall_implies_all_stages():
     for rec in scan_records(SO10_CONFIG):
         if rec.overall:
@@ -882,6 +913,70 @@ def test_derived_number_past_the_digit_limit_names_its_fields():
     config = dataclasses.replace(SO10_CONFIG, n_range=(10**999, 10**999), x_values=(10**199,), require=None)
     with pytest.raises(ValueError, match="derived value chi .* field 'n', 'x', 'alpha' or 'c2E'"):
         run_search(config)
+
+
+AF_PAST_THE_LIMIT = {
+    # the spectral af grows like lambda^2 n eta^2: here past 4,300 digits
+    "base": "F0",
+    "mode": "spectral",
+    "n_range": [10**999, 10**999],
+    "alpha_box": [[0, 0], [0, 0]],
+    "eta_box": [[3 * 10**999, 3 * 10**999]] * 2,
+    "lambda_values": [f"{10**999 + 1}/2", f"{10**999 + 3}/2"],
+    "h_values": ["1"],
+}
+AF_REFUSED = "derived value af has more than 4300 digits; lower field 'n', 'eta', 'lambda' or 'alpha'"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unprintable_af_names_its_fields(pool_on_small_boxes, jobs):
+    # two blocks, one per lambda: at --jobs 2 each is a chunk of the pool
+    config = SearchConfig.from_json(AF_PAST_THE_LIMIT)
+    assert search._axes(config, make_base("F0"))[3] == 2
+    with pytest.raises(ValueError) as info:
+        run_search(config, jobs=jobs, out=io.StringIO())
+    assert str(info.value) == AF_REFUSED
+    n = 10**999
+    eta, zero = DivisorClass((3 * n, 3 * n)), DivisorX(0, DivisorClass((0, 0)))
+    bundle = SpectralBundle(n=n, eta=eta, lam=Fraction(n + 1, 2), twist=zero)
+    with pytest.raises(ValueError) as info:
+        check_model(make_base("F0"), bundle, Polarization(h=Fraction(1)), short_circuit=False)
+    assert str(info.value) == AF_REFUSED
+
+
+BIG = 10**20  # past sys.maxsize, and far under the digit cap
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"c2E_range": [0, BIG]}, "config field 'c2E_range' spans more than"),
+        ({"n_range": [2, BIG]}, "config field 'n_range' spans more than"),
+        ({"alpha_box": [[0, 0], [-BIG, 0]]}, "config field 'alpha_box' spans more than"),
+        ({"x_values": None, "x_range": [0, BIG]}, "config field 'x_range' spans more than"),
+        # each axis has an index, their product does not
+        ({"alpha_box": [[0, 10**10], [0, 10**10]]}, "config fields 'n_range', 'alpha_box', 'x_values' give more than"),
+        ({"mode": "spectral", "eta_box": [[0, BIG]]}, "config field 'eta_box' spans more than"),
+        (
+            {"mode": "spectral", "eta_box": [[0, 10**10], [0, 10**10]]},
+            "config fields 'n_range', 'alpha_box', 'eta_box', 'lambda_values' give more than",
+        ),
+    ],
+)
+def test_box_axis_past_maxsize_names_its_field(pool_on_small_boxes, jobs, fields, message):
+    box = {
+        "base": "F0",
+        "mode": "pullback",
+        "n_range": [2, 2],
+        "x_values": [1],
+        "alpha_box": [[0, 0], [0, 0]],
+        "c2E_range": [100, 104],
+        "h_values": ["1"],
+        **fields,
+    }
+    with pytest.raises(ValueError, match=f"^{message} {sys.maxsize} "):
+        run_search(SearchConfig.from_json({k: v for k, v in box.items() if v is not None}), jobs=jobs)
 
 
 def test_unprintable_chi_is_refused_only_where_a_line_prints_it():
