@@ -13,7 +13,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, product, repeat
+from itertools import chain, repeat
 
 from . import jsonio
 from .anomaly import AnomalyOutcome, spectral_af, w_verdict
@@ -21,7 +21,7 @@ from .bundles import PullbackBundle, SpectralBundle, _resid, validate_bundle
 from .nonsplit import chi_line, nonsplit_verdict
 from .ring import DivisorX
 from .surfaces import BaseSurface, DivisorClass, MinDegree, dot, make_base, ratio
-from .windows import spectral_stability, window_delpezzo, window_enriques
+from .windows import solve_delpezzo, solve_enriques, spectral_stability, window_scale, z_approx
 
 STAGES = ("validity", "anomaly", "nonsplit", "stability")
 
@@ -94,20 +94,27 @@ def _nonsplit_text(passed: bool, clause: str, value) -> tuple:
     )
 
 
-def _window_text(w) -> str:
-    """The JSON text of the stability verdict of window `w`, what the
-    encoder writes of {**jsonio.window_to_json(w), "passed": w.nonempty}:
-    the encoder writes only the z_interval_approx floats; the variable and
-    the binding rows are fixed names."""
-    lo, hi = ("null" if end is None else f'"{jsonio.frac_to_str(end)}"' for end in (w.lower, w.upper))
-    binding = '"' + '","'.join(w.binding) + '"' if w.binding else ""
-    approx = ""
-    if w.z_interval_approx is not None:
-        approx = ',"z_interval_approx":' + _ENCODER.encode([round(v, 12) for v in w.z_interval_approx])
-    nonempty = _JSON[w.nonempty]
+def _quotient(p: int, q: int) -> str:
+    """The JSON string of p/q, q > 0, as `jsonio.frac_to_str` writes the Fraction."""
+    g = math.gcd(p, q)
+    return f'"{p // g}"' if g == q else f'"{p // g}/{q // g}"'
+
+
+def _window_text(solved, scale: tuple) -> str:
+    """The stability verdict of the window `solved` in t (`windows.solve_*`)
+    at `scale`, as the encoder writes {**window_to_json(w), "passed": ...} of
+    w = `windows.window_at(solved, scale)`, with no Fraction: only the
+    z_interval_approx floats go through the encoder."""
+    lo, hi, binding, nonempty = solved
+    variable, num, den, _ = scale
+    ends = ["null" if end is None else _quotient(end[0] * num, end[1] * den) for end in (lo, hi)]
+    names = '"' + '","'.join(binding) + '"' if binding else ""
+    approx = z_approx(solved, scale)
+    approx = "" if approx is None else ',"z_interval_approx":' + _ENCODER.encode([round(v, 12) for v in approx])
+    nonempty = _JSON[nonempty]
     return (
-        f'{{"variable":"{w.variable}","lower":{lo},"upper":{hi},"nonempty":{nonempty},'
-        f'"binding":[{binding}]{approx},"passed":{nonempty}}}'
+        f'{{"variable":"{variable}","lower":{ends[0]},"upper":{ends[1]},"nonempty":{nonempty},'
+        f'"binding":[{names}]{approx},"passed":{nonempty}}}'
     )
 
 
@@ -137,21 +144,19 @@ def check_model(
 
     The model is evaluated as a block of one by `_Block.scan`, the path of
     every scan, with the validity verdict of its own bundle and
-    polarization.  The first failed stage is `failed_stage`.  A failure
-    stops the run under `short_circuit`; a verdict carrying an "error",
-    which only the validity stage gives, always stops it.  `bound` is
-    accepted and unread: no query enumerates any more, and the benchmark
-    (bench/child.py) still passes it.
+    polarization; the first failed stage is `failed_stage`.  A failure stops
+    the run under `short_circuit`, a validity failure always.  `bound` is
+    accepted and unread: the benchmark (bench/child.py) still passes it.
     """
     alpha = bundle.twist.alpha
     # alpha of the wrong rank fails validity, and the block reads no alpha
     alpha = _Alpha(s, *s.integer_parts(alpha)) if alpha.rank == s.rank else None
     validity, fiber = _validity(s, bundle)
     if isinstance(bundle, SpectralBundle):
-        data = _Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber) if validity[0] else None
-        block, mode, c2E = _SpectralBlock, "spectral", None
+        spectrum = _Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber) if validity[0] else None
+        block, mode, model, data = _SpectralBlock, "spectral", (spectrum, validity), None
     else:
-        block, mode, c2E, data = _PullbackBlock, "pullback", bundle.c2E, bundle.twist.x
+        block, mode, model, data = _PullbackBlock, "pullback", bundle.c2E, bundle.twist.x
     try:
         _refuse_wrong_kind(s, mode, pol)
         terms = _PolTerms(s, pol)
@@ -169,7 +174,7 @@ def check_model(
     block = block(s, require, bundle.n, validity, alpha, data)
     lines, counts = [], dict.fromkeys((None, *STAGES), 0)
     head = '{"params":' + _ENCODER.encode(params or {})
-    block.scan([(c2E, "")], [(terms, "")], head, "", short_circuit, False, lines, counts)
+    block.scan([(model, "")], [(terms, "")], head, "", short_circuit, False, lines, counts)
     (failed,) = (stage for stage, count in counts.items() if count)
     return ModelRecord(lines[0], failed)
 
@@ -178,26 +183,28 @@ class _PolTerms:
     """What the stages read of one polarization, worked out once per config
     (or per `check_model`): the class H (None for a ray h), the integer
     parts of H, H^2 for an explicit H, the z of the non-split slope (h on
-    F0/dPk, 1 on Enriques) and, on first use, the minimum degree.
-    `stability` holds the stability verdicts worked out so far: a pullback
-    window by (n, x, a) with a = alpha.c1 on F0/dPk and alpha.H on Enriques,
-    the only inputs of the window besides H, and a spectral verdict by
-    (n, alpha.H).  The polarization has passed `_refuse_wrong_kind`."""
+    F0/dPk, 1 on Enriques), the `scale` and `sign` of its windows and, on
+    first use, the minimum degree.  `stability` holds the verdicts so far,
+    by (n, x, a) of a window (a = alpha.c1 on F0/dPk, alpha.H on Enriques)
+    and by (n, alpha.H) if spectral; `solves`, shared by the polarizations of
+    a scan, windows solved in t.  It has passed `_refuse_wrong_kind`."""
 
-    def __init__(self, s: BaseSurface, pol: Polarization):
+    def __init__(self, s: BaseSurface, pol: Polarization, solves: dict | None = None):
         self.s, self.H = s, pol.H
         self.h = None if pol.h is None else Fraction(pol.h)
         if pol.H is not None:
             nums, self.H_dual, self.H_den = s.integer_parts(pol.H)
             self.hsq = ratio(dot(nums, self.H_dual), self.H_den * self.H_den)
+            self.scale, self.sign = window_scale(hsq=self.hsq), (self.hsq > 0) - (self.hsq < 0)
         else:
             # H = h c1 = (p/q) c1 over its least denominator q/k, k = gcd(q, c1)
             p, q = self.h.numerator, self.h.denominator
             k = math.gcd(q, *s.c1_ints)
             self.H_den = q // k
             self.H_dual = s.dual([p * (c // k) for c in s.c1_ints])
+            self.scale, self.sign = window_scale(self.h), 1  # h > 0
         self.z = Fraction(1) if s.is_enriques else self.h
-        self.stability: dict = {}
+        self.stability, self.solves = {}, {} if solves is None else solves
 
     @cached_property
     def min_degree(self) -> MinDegree:
@@ -219,15 +226,13 @@ class _PolTerms:
 
 
 class _Spectrum:
-    """What the spectral blocks of one valid (n, eta, lambda) share, worked
-    out once per scan (or per `check_model`) from the fiber term of c2(V_n)
-    that `validate_bundle` returned and the integer parts of eta, over its
-    den: wB = 12 c1 - eta (the twist pi^*alpha has x = 0, so wB does not
-    depend on alpha) as numerators with its JSON text and, on first use,
-    its effectivity; af0, the part of af without n(n+1)/2 alpha^2;
-    `af_offset` = af_displayed - af, which does not depend on alpha either,
-    when eta = 12 c1 (else None); and resid = eta - n c1 as integer parts
-    with 3 den^2 resid^2."""
+    """What the spectral models of one valid (n, eta, lambda) share, worked
+    out once per scan (or `check_model`) from the fiber term of c2(V_n) that
+    `validate_bundle` returned and eta = nums/den: wB = 12 c1 - eta (x = 0,
+    so it does not depend on alpha) as numerators with its JSON text and, on
+    first use, its effectivity; af0, af without n(n+1)/2 alpha^2;
+    `af_offset` = af_displayed - af when eta = 12 c1 (else None), also free
+    of alpha; and resid = eta - n c1 as integer parts with 3 den^2 resid^2."""
 
     def __init__(self, s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction, fiber: Fraction):
         self.s = s
@@ -272,18 +277,16 @@ class _Alpha:
 
 
 class _Block:
-    """The invariants of one run of the box in which only the fastest axes
-    vary: c2E and then the polarization for pullback models, a block per
-    (n, x, alpha); the polarization alone for spectral models, a block per
-    (n, alpha, eta, lambda).  Built from its n, the validity verdict of its
-    bundle (`_validity`), its `_Alpha` and `data`: the twist's x for a
-    pullback run, the `_Spectrum` of its (n, eta, lambda) for a spectral
-    one.  An invalid block works out nothing else.  A subclass gives `scan`
-    the c2E meeting the requirement (`_run`), what only lines read
-    (`_line_terms`) and the verdicts as (passed, "key":{...} text):
-    `_anomaly` per c2E; `_slope` per polarization, the non-split verdict
-    of a slope that fails (else None); `_chi` per c2E, the non-split
-    verdict every other polarization shares; `_stability` per polarization."""
+    """The invariants of a run of the box in which only the fastest axes
+    vary: a pullback block per (n, x, alpha), a model per c2E, and a spectral
+    one per (n, alpha), a model per (eta, lambda); polarizations fastest.
+    Built from n, validity (`_validity`), `_Alpha` and `data` (a pullback
+    twist's x); an invalid block works out nothing else.  A subclass gives
+    `scan` the models meeting the requirement (`_run`), what only lines read
+    (`_line_terms`) and verdicts (passed, '"key":{...}'): `_anomaly` per
+    model, as (failed stage, text after the params); `_slope` per
+    polarization, a failing slope's non-split verdict (else None); `_chi` per
+    model, the one the other polarizations share; `_stability` per polarization."""
 
     def __init__(self, s: BaseSurface, require: str | None, n: int, validity: tuple, alpha: _Alpha, data):
         self.s, self.require, self.n, self.validity = s, require, n, validity
@@ -292,44 +295,38 @@ class _Block:
             self._invariants(data)
 
     def scan(self, models, pols, head: str, tail: str, short_circuit: bool, drop: bool, lines, counts) -> None:
-        """Append the JSONL lines of the block's models (c2E, pol), pol
-        fastest, to `lines` and count them by failed stage (None if passed)
-        in `counts`.  `models`: (c2E, end) over consecutive c2E ((None, "")
-        if spectral); `pols`: (_PolTerms, text); a line opens with head +
-        text + tail + end, head starting '{"params":'.  A failure stops a
-        model under `short_circuit`, a validity failure always.  Under
-        `drop`, models failing validity or the requirement get no line and
-        are counted per block or per c2E."""
-        size = len(models) * len(pols)
+        """Append the JSONL lines of the block's models times `pols`
+        ((_PolTerms, text), fastest) to `lines`, counted in `counts` by failed
+        stage (None if passed).  `models`: (key, end); a line opens with head
+        + text + tail + end.  A failure stops a model under `short_circuit`, a
+        validity failure always; under `drop` one failing validity or the
+        requirement gets no line."""
         if not self.validity[0]:
-            counts["validity"] += size
+            counts["validity"] += len(models) * len(pols)
             if not drop:
                 rest = ',"verdicts":{' + self.validity[1] + _TAILS["validity"]
                 lines += [head + text + tail + end + rest for _, end in models for _, text in pols]
             return
         if drop:
-            start, stop = self._run(models[0][0], len(models))
-            models = models[start:stop]
-            counts["anomaly"] += size - len(models) * len(pols)
+            models = self._run(models, counts, len(pols))
             if not models:
                 return
         self._line_terms()
-        # per polarization: its params prefix, the verdict of its slope if
-        # that fails (else None: its models read the chi verdict of their
-        # c2E) and, once asked, its stability verdict
+        # per polarization: its params prefix, the verdict of a slope that
+        # fails (else None: chi decides) and, once asked, its stability verdict
         terms = [[head + text + tail, self._slope(pol), None, pol] for pol, text in pols]
-        for c2E, end in models:
-            passed, anomaly = self._anomaly(c2E)
-            end = f"{end}{_OPEN}{anomaly}"
-            if not passed and short_circuit:
-                counts["anomaly"] += len(terms)
-                lines += [term[0] + end + _TAILS["anomaly"] for term in terms]
+        for key, end in models:
+            unmet, opening = self._anomaly(key)
+            end += opening
+            if unmet and (short_circuit or unmet == "validity"):
+                counts[unmet] += len(terms)
+                lines += [term[0] + end + _TAILS[unmet] for term in terms]
                 continue
-            unmet, chi = None if passed else "anomaly", None
+            chi = None
             for term in terms:
                 prefix, nonsplit, stability, pol = term
                 if nonsplit is None:
-                    nonsplit = chi = chi or self._chi(c2E)
+                    nonsplit = chi = chi or self._chi(key)
                 failed = unmet or (None if nonsplit[0] else "nonsplit")
                 if failed is None or not short_circuit:
                     if stability is None:
@@ -340,16 +337,22 @@ class _Block:
                     lines.append(f"{prefix}{end},{nonsplit[1]}{_TAILS[failed]}")
                 counts[failed] += 1
 
+    def _line_terms(self) -> None:
+        pass
+
+    def _slope(self, pol) -> None:
+        return None
+
     def _meets(self, w_zero: bool, w_effective: bool) -> bool:
         require = self.require
         return require is None or (w_zero if require == "W_zero" else w_effective)
 
     def _anomaly_verdict(self, wb_text: str, af, w_zero: bool, w_effective: bool, readings: str = "") -> tuple:
-        """(passed, text) of the anomaly verdict; `readings`, the text of the
-        two af readings, go before "passed"."""
+        """(None or "anomaly", text after the params) of a valid model;
+        `readings`, the text of the two af readings, go before "passed"."""
         passed = self._meets(w_zero, w_effective)
-        return passed, (
-            f'"anomaly":{{"wB":{wb_text},"af":"{jsonio.frac_to_str(af)}","W_zero":{_JSON[w_zero]},'
+        return None if passed else "anomaly", (
+            f'{_OPEN}"anomaly":{{"wB":{wb_text},"af":"{jsonio.frac_to_str(af)}","W_zero":{_JSON[w_zero]},'
             f'"W_effective":{_JSON[w_effective]}{readings},"passed":{_JSON[passed]}}}'
         )
 
@@ -362,7 +365,7 @@ class _PullbackBlock(_Block):
     of `_line_terms`; if some af >= 0 asks, whether wB is effective.  Per
     c2E: the anomaly verdict and the chi verdict.  Per (alpha,
     polarization), for x > 0: the slope verdict.  Per polarization: the
-    stability verdict, solved once per (n, x, a) and polarization."""
+    stability window, solved once per (n, x, a) for all of them."""
 
     def _invariants(self, x) -> None:
         s, n, alpha = self.s, self.n, self.alpha
@@ -380,15 +383,19 @@ class _PullbackBlock(_Block):
     def wB_effective(self) -> bool:
         return self.s.effective(self.wB_nums)
 
-    def _run(self, lo: int, count: int) -> tuple:
-        """(start, stop): the models of c2E lo + start .. lo + stop - 1 meet
-        the requirement.  af = af0 - c2E, so W_zero keeps c2E = af0 if wB =
-        0, and W_effective c2E <= floor(af0) if wB is zero or effective."""
+    def _run(self, models, counts, width: int) -> list:
+        """The models meeting the requirement, the others counted as anomaly
+        failures: af = af0 - c2E, so W_zero keeps c2E = af0 if wB = 0, and
+        W_effective c2E <= floor(af0) if wB is zero or effective."""
+        lo = models[0][0]
         if self.require == "W_zero":
             i = self.af0 - lo
-            return (i, i + 1) if self.wB_zero and type(i) is int and 0 <= i < count else (0, 0)
-        stop = min(count, max(0, math.floor(self.af0) - lo + 1))
-        return 0, stop if stop and (self.wB_zero or self.wB_effective) else 0
+            kept = models[i : i + 1] if self.wB_zero and type(i) is int and i >= 0 else []
+        else:
+            stop = max(0, math.floor(self.af0) - lo + 1)
+            kept = models[:stop] if stop and (self.wB_zero or self.wB_effective) else []
+        counts["anomaly"] += (len(models) - len(kept)) * width
+        return kept
 
     def _line_terms(self) -> None:
         """chi0, chi_slope and the text of wB."""
@@ -434,33 +441,44 @@ class _PullbackBlock(_Block):
         a = self._alpha_H(pol) if pol.h is None else ratio(self.alpha.a_c1, self.alpha.den)
         verdict = pol.stability.get((n, x, a))
         if verdict is None:
-            if pol.h is None:
-                window = window_enriques(n, x, a, pol.hsq)
-            else:
-                window = window_delpezzo(n, x, a, self.s.c1_sq, pol.h)
-            verdict = pol.stability[n, x, a] = window.nonempty, '"stability":' + _window_text(window)
+            key = n, x, a, pol.sign
+            if key not in pol.solves:
+                solved = solve_delpezzo(n, x, a, self.s.c1_sq) if pol.h else solve_enriques(n, x, a, pol.sign)
+                pol.solves[key] = solved
+            solved = pol.solves[key]
+            verdict = pol.stability[n, x, a] = solved[3], '"stability":' + _window_text(solved, pol.scale)
         return verdict
 
 
 class _SpectralBlock(_Block):
-    """Per block: af with its W_zero and W_effective flags; for lines, the
-    anomaly verdict, with both af readings for the paper's eta = 12 c1
-    family, and the non-split verdict 3/2 resid^2 - (n+1) alpha.resid > 0.
-    Per polarization: the stability test 0 < n alpha.H < (Lambda.H)_min,
-    worked out once per (n, alpha.H) and polarization."""
+    """Per block: k alpha^2 over den^2, k = n(n+1)/2.  Per model, from its
+    key (`_Spectrum` of its (n, eta, lambda), None if invalid; validity):
+    af with its flags, the anomaly verdict, with both af readings if eta =
+    12 c1, and the non-split verdict 3/2 resid^2 - (n+1) alpha.resid > 0.
+    Per polarization: 0 < n alpha.H < (Lambda.H)_min, once per (n, alpha.H)."""
 
-    def _invariants(self, spectrum: _Spectrum) -> None:
-        den = self.alpha.den
-        d2, k = den * den, self.n * (self.n + 1) // 2
-        self.spectrum = spectrum
-        self.af = ratio(spectrum.af0 * d2 + k * self.alpha.a_sq, d2)
-        self.flags = w_verdict(self.af, spectrum.wB_zero, lambda: spectrum.wB_effective)
+    def _invariants(self, _) -> None:
+        self.d2, self.k_a_sq = self.alpha.den**2, self.n * (self.n + 1) // 2 * self.alpha.a_sq
 
-    def _run(self, lo, count: int) -> tuple:
-        return 0, count if self._meets(*self.flags) else 0
+    def _flags(self, spectrum: _Spectrum) -> tuple:
+        """(af, W_zero, W_effective) of the model of `spectrum`."""
+        af = ratio(spectrum.af0 * self.d2 + self.k_a_sq, self.d2)
+        return af, *w_verdict(af, spectrum.wB_zero, lambda: spectrum.wB_effective)
 
-    def _line_terms(self) -> None:
-        n, den, af, spectrum = self.n, self.alpha.den, self.af, self.spectrum
+    def _run(self, models, counts, width: int) -> list:
+        """The models of valid data meeting the requirement, the others
+        counted as validity or anomaly failures."""
+        kept = [m for m in models if m[0][0] is not None and self._meets(*self._flags(m[0][0])[1:])]
+        invalid = sum(m[0][0] is None for m in models)
+        counts["validity"] += invalid * width
+        counts["anomaly"] += (len(models) - len(kept) - invalid) * width
+        return kept
+
+    def _anomaly(self, model) -> tuple:
+        spectrum, validity = model
+        if spectrum is None:
+            return "validity", ',"verdicts":{' + validity[1]
+        af, w_zero, w_effective = self._flags(spectrum)
         readings = ""
         try:
             if spectrum.af_offset is not None:
@@ -469,22 +487,16 @@ class _SpectralBlock(_Block):
                     f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
                     f',"display_agrees":{_JSON[af == displayed]}'
                 )
-            self.anomaly = self._anomaly_verdict(spectrum.wB_text, af, *self.flags, readings)
+            return self._anomaly_verdict(spectrum.wB_text, af, w_zero, w_effective, readings)
         except ValueError:  # str() refused an af past the digit limit
             raise jsonio.unprintable("af", "'n', 'eta', 'lambda' or 'alpha'") from None
+
+    def _chi(self, model) -> tuple:
         # 3/2 resid^2 - (n+1) alpha.resid over 2 den resid_den^2
+        spectrum, den = model[0], self.alpha.den
         p, rd = dot(self.alpha.nums, spectrum.resid_dual), spectrum.resid_den
-        value = ratio(spectrum.resid_sq3 * den - 2 * (n + 1) * p * rd, 2 * den * rd * rd)
-        self.nonsplit = _nonsplit_text(value > 0, "spectral chi>0", value)
-
-    def _anomaly(self, c2E) -> tuple:
-        return self.anomaly
-
-    def _slope(self, pol) -> None:
-        return None
-
-    def _chi(self, c2E) -> tuple:
-        return self.nonsplit
+        value = ratio(spectrum.resid_sq3 * den - 2 * (self.n + 1) * p * rd, 2 * den * rd * rd)
+        return _nonsplit_text(value > 0, "spectral chi>0", value)
 
     def _stability(self, pol) -> tuple:
         a_h = self._alpha_H(pol)
@@ -655,19 +667,13 @@ def _frac_list(value, name: str) -> tuple:
 
 
 def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
-    """(block_axes, c2Es, pols, blocks): the box's axes, sized sequences in
-    enumeration order (last fastest), the blocks' apart from their models',
-    and the number of blocks.
-
-    Block axes, pullback: n, x, one range per alpha_box pair; spectral: n,
-    the alpha_box ranges, the eta_box ranges, lambda.  A block's models are
-    c2Es (the c2E range; (None,) for spectral) times the polarizations,
-    (_PolTerms, params text) pairs with H_values entries before h_values
-    entries.  Refuses a class with more coordinates than the base rank, a
-    polarization of the wrong kind or not ample, and an axis or a block
-    count past sys.maxsize (past len() and islice()), naming the config
-    fields, so that a bad config fails before any model is scanned.
-    """
+    """(block_axes, inner, pols, blocks): the sized axes, last fastest, of
+    the blocks (n, x, alpha_box; or n, alpha_box) and of their models (c2E;
+    or eta_box, lambda), the polarizations (_PolTerms, params text), H_values
+    first and sharing one table of window solves, and the number of blocks.
+    Refuses, naming its fields, a class with more coordinates than the base
+    rank, a polarization of the wrong kind or not ample, and an axis or a
+    count of pullback blocks (spectral models) past sys.maxsize."""
     classes = [("alpha_box", config.alpha_box), ("eta_box", config.eta_box or ())]
     for name, coords in classes + [("H_values", vec) for vec in config.H_values]:
         if len(coords) > s.rank:
@@ -680,48 +686,54 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
     if config.mode == "pullback":
         if config.c2E_range is None:
             raise ValueError("config missing field 'c2E_range', which pullback searches need")
-        block_axes = [n, config.x_values, *alpha]
-        c2Es = _axis(config.c2E_range, "c2E_range")
+        block_axes, inner = [n, config.x_values, *alpha], [_axis(config.c2E_range, "c2E_range")]
     else:
         eta = [_axis(pair, "eta_box") for pair in config.eta_box or ()]
-        block_axes, c2Es = [n, *alpha, *eta, config.lambda_values or (Fraction(0),)], (None,)
+        block_axes, inner = [n, *alpha], [*eta, config.lambda_values or (Fraction(0),)]
     # chunks are runs of whole blocks; a box with an empty axis has none
-    blocks = math.prod(map(len, block_axes)) if c2Es else 0
-    if blocks > sys.maxsize:
+    per_block = math.prod(map(len, inner))
+    blocks = math.prod(map(len, block_axes)) if per_block else 0
+    if blocks * (1 if config.mode == "pullback" else per_block) > sys.maxsize:
         fields = "'x_values'" if config.mode == "pullback" else "'eta_box', 'lambda_values'"
         raise ValueError(f"config fields 'n_range', 'alpha_box', {fields} give more than {sys.maxsize} blocks")
-    pols = []
+    pols, solves = [], {}
     for vec in config.H_values:
         pol = Polarization(H=DivisorClass(vec + (0,) * (s.rank - len(vec))))
         _refuse_wrong_kind(s, config.mode, pol, in_config=True)
         _refuse_unusable_H(s, config.mode, pol.H, f"config field 'H_values' entry {list(vec)}")
-        pols.append((_PolTerms(s, pol), f'"H":[{",".join(map(str, vec))}],'))
+        pols.append((_PolTerms(s, pol, solves), f'"H":[{",".join(map(str, vec))}],'))
     for h in config.h_values:
         pol = Polarization(h=Fraction(h))
         _refuse_wrong_kind(s, config.mode, pol, in_config=True)
-        pols.append((_PolTerms(s, pol), f'"h":"{jsonio.frac_to_str(h)}",'))
+        pols.append((_PolTerms(s, pol, solves), f'"h":"{jsonio.frac_to_str(h)}",'))
     if not pols:
         raise ValueError("config field 'H_values' or 'h_values' must list a polarization")
-    return block_axes, c2Es, pols, blocks
+    return block_axes, inner, pols, blocks
 
 
-def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, shared: dict):
-    """(block, head, tail) of the block at `point` of the block axes of
-    `_axes`: a model's line opens with head ('{"params":' and the params
-    text up to alpha), its polarization entry and tail, then for a pullback
-    model its c2E and the closing brace.  The tables of one `_scan`, keyed
-    by box coordinates, keep per alpha its `_Alpha` (from its int
-    coordinates: den = 1), and in `shared` per n (pullback) the validity
-    verdict, or per (n, eta, lambda) (spectral) the validity verdict, the
-    `_Spectrum` of valid data and the tail.  A verdict is that
-    of the entry's bundle with the zero twist: every twist of the box is
-    integral, so every twist check of `validate_bundle` passes."""
+def _points(axes, start: int, stop: int):
+    """The points start..stop-1 of product(*axes), in its order, holding no
+    axis whole: each axis is a range or a short tuple, the first point is
+    found by mixed radix and the rest walk the last axis row by row."""
+    if start < stop:
+        *outer, last = axes
+        size = len(last)
+        first = start // size
+        for row, prefix in enumerate(_points(outer, first, -(-stop // size)) if outer else [()], first):
+            for value in last[max(start - row * size, 0) : min(stop - row * size, size)]:
+                yield (*prefix, value)
+
+
+def _block(config: SearchConfig, s: BaseSurface, point: tuple, inner, alphas: dict, shared: dict):
+    """(block, head, tail, models) of the block at `point`: a line opens
+    with head ('{"params":' and the params up to alpha), its polarization
+    entry, tail and its model's end.  `inner`: every pullback block's models,
+    or the spectral inner axes.  The tables of one `_scan` keep per alpha its
+    `_Alpha` (den = 1), and in `shared` per n the pullback validity verdict
+    or the spectral models, whose verdicts are those of the zero twist: every
+    twist of the box is integral, so passes `validate_bundle`."""
     n, pullback = point[0], config.mode == "pullback"
-    if pullback:
-        x, coords = point[1], point[2:]
-    else:
-        k = len(config.alpha_box)
-        coords, eta, lam = point[1 : k + 1], point[k + 1 : -1], point[-1]
+    coords = point[2:] if pullback else point[1:]
     alpha = alphas.get(coords)
     if alpha is None:
         nums = coords + (0,) * (s.rank - len(coords))
@@ -732,36 +744,35 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, alphas: dict, sha
         validity = shared.get(n)
         if validity is None:
             validity = shared[n] = _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))[0]
-        return _PullbackBlock(s, config.require, n, validity, alpha, x), head, f'"x":{x},"c2E":'
-    # lambda by its numerator and denominator: a Fraction hashes slowly
-    key = n, eta, lam.numerator, lam.denominator
-    entry = shared.get(key)
-    if entry is None:
-        # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
-        eta = key[1] or tuple(12 * c for c in s.c1_ints)
-        eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
-        validity, fiber = _validity(s, SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s)))
-        spectrum = _Spectrum(s, n, eta, lam, fiber) if validity[0] else None
-        params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
-        # the tail is the end of the params object
-        entry = shared[key] = spectrum, validity, _ENCODER.encode(params)[1:]
-    spectrum, validity, tail = entry
-    return _SpectralBlock(s, config.require, n, validity, alpha, spectrum), head, tail
+        x = point[1]
+        return _PullbackBlock(s, config.require, n, validity, alpha, x), head, f'"x":{x},"c2E":', inner
+    models = shared.get(n)
+    if models is None:
+        models = shared[n] = []
+        for *eta, lam in _points(inner, 0, math.prod(map(len, inner))):
+            # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
+            eta = tuple(eta) or tuple(12 * c for c in s.c1_ints)
+            eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
+            validity, fiber = _validity(s, SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s)))
+            spectrum = _Spectrum(s, n, eta, lam, fiber) if validity[0] else None
+            params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
+            models.append(((spectrum, validity), _ENCODER.encode(params)[1:]))
+    return _SpectralBlock(s, config.require, n, _VALID, alpha, None), head, "", models
 
 
 def _scan(config: SearchConfig, axes: tuple, start: int, stop: int, run: float = math.inf):
     """Yield (text, lines, counts) of blocks start..stop-1 of the box of
-    `axes` (those of `_axes`) in enumeration order, per run of whole blocks
-    of at least `run` lines and for the rest: the JSONL text, its lines and
-    the models by failed stage (None: passed).  The polarization terms hold
-    the stability verdicts, which a serial scan works out once and each
-    pool chunk in its own copy."""
+    `axes` in enumeration order, per run of whole blocks of at least `run`
+    lines and for the rest: the JSONL text, its lines and the models by
+    failed stage (None: passed).  A serial scan works out the polarization
+    tables (`_PolTerms`) once, a pool chunk in its own copy."""
     s = make_base(config.base)
-    block_axes, c2Es, pols, _ = axes
-    models = [(c2E, "" if c2E is None else f"{c2E}}}") for c2E in c2Es]
+    block_axes, inner, pols, _ = axes
+    if config.mode == "pullback" and start < stop:
+        inner = [(c2E, f"{c2E}}}") for c2E in inner[0]]
     lines, counts, alphas, shared = [], dict.fromkeys((None, *STAGES), 0), {}, {}
-    for point in islice(product(*block_axes), start, stop):
-        block, head, tail = _block(config, s, point, alphas, shared)
+    for point in _points(block_axes, start, stop):
+        block, head, tail, models = _block(config, s, point, inner, alphas, shared)
         block.scan(models, pols, head, tail, True, config.require is not None, lines, counts)
         if len(lines) >= run:
             yield "\n".join(lines) + "\n", len(lines), counts
@@ -793,15 +804,14 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
     byte-identical for any `jobs`: chunks are merged in enumeration order.
     """
     axes = _axes(config, make_base(config.base))
-    _, c2Es, pols, blocks = axes
-    jobs = jobs if _pool_pays(config, blocks * len(c2Es) * len(pols)) else 1
+    _, inner, pols, blocks = axes
+    jobs = jobs if _pool_pays(config, blocks * math.prod(map(len, inner)) * len(pols)) else 1
     step = -(-blocks // (jobs * 4))
     counts, emitted = dict.fromkeys((None, *STAGES), 0), 0
     with ExitStack() as stack:
         if jobs > 1 and step < blocks:
             # imported here, so that a serial scan never loads the pool; with
-            # fork, the pool starts all of its workers up front.  Each chunk
-            # gets the axes pickled.
+            # fork, it starts all of its workers up front.  Each chunk gets the axes pickled.
             from concurrent.futures import ProcessPoolExecutor
 
             starts = range(0, blocks, step)

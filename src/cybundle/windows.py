@@ -8,10 +8,10 @@ Homogeneity: each raw system is homogeneous of degree one jointly in its
 variable and the square of the polarization, in (u, h^2) on F0/dPk and in
 (z, H^2) on Enriques.  In t = u/h^2 (t = z/|H^2|) a row, cleared of the
 denominators of a and c1^2, is a pair of ints that depends on (n, x, a, c1^2)
-and the sign of H^2 alone.  So the windows are solved in t, in integers, and
-scaled back for the report: for h' = c h with c > 0 rational the u-window
-keeps `nonempty` and `binding` and its ends scale by c^2, and for H^2' =
-c H^2 the z-window's ends scale by c.
+and the sign of H^2 alone.  So a window is solved in t once, in integers
+(`solve_*`), and read at each polarization (`window_at`): for h' = c h, c >
+0 rational, the u-window keeps `nonempty` and `binding` and its ends scale
+by c^2, and for H^2' = c H^2 the z-window's ends scale by c.
 """
 
 from __future__ import annotations
@@ -75,21 +75,37 @@ def _solve_strict_linear(rows, domain):
     return lo, hi, tuple(binding), True
 
 
-def _z_approx(nonempty, lo, hi, to_z):
-    """(to_z(lo), to_z(hi)) in floats from the exact ends lo and hi, pairs
-    (num, den) in t, for display only; None for an empty or unbounded
-    window, and for one whose floats would overflow."""
+def window_scale(h=None, hsq=None) -> tuple:
+    """(variable, num, den, h) of the windows read at H = h c1, u = h^2 t (t
+    if h = 0), or at an H with H^2 = hsq, z = |H^2| t (t if H^2 = 0), h None."""
+    q = Fraction(hsq if h is None else h)
+    if h is None:
+        return "z", abs(q.numerator) or 1, q.denominator, None
+    return "u", q.numerator**2 or 1, q.denominator**2, q
+
+
+def z_approx(solved, scale: tuple):
+    """The ends of the window `solved` in t as floats z at `scale`, for
+    display only: None if empty or unbounded, or if the floats overflow."""
+    (lo, hi, _, nonempty), (_, num, den, h) = solved, scale
     if not nonempty or lo is None or hi is None:
         return None
     try:
-        return (to_z(lo), to_z(hi))
+        if h is None:
+            return lo[0] * num / (lo[1] * den), hi[0] * num / (hi[1] * den)
+        # z = h - sqrt(h^2 - u), h^2 - u = h^2 (1 - t); h != 0 in a nonempty window
+        h = h.numerator / h.denominator
+        z_lo = h - math.sqrt(num * (lo[1] - lo[0]) / (den * lo[1]))
+        return z_lo, h - math.sqrt(num * (hi[1] - hi[0]) / (den * hi[1]))
     except OverflowError:
         return None
 
 
-def _scaled(end, num: int, den: int):
-    """The end (a pair in t, or None) of a window, times num/den, as a Fraction."""
-    return None if end is None else Fraction(end[0] * num, end[1] * den)
+def window_at(solved, scale: tuple) -> StabilityWindow:
+    """The window `solved` in t, read at `scale`, with Fraction ends."""
+    (lo, hi, binding, nonempty), (variable, num, den, _) = solved, scale
+    lower, upper = (None if t is None else Fraction(t[0] * num, t[1] * den) for t in (lo, hi))
+    return StabilityWindow(variable, lower, upper, nonempty, binding, z_approx(solved, scale))
 
 
 def sign_necessity(x: int, a_h) -> bool:
@@ -97,27 +113,27 @@ def sign_necessity(x: int, a_h) -> bool:
     return x * Fraction(a_h) < 0
 
 
-def window_enriques(n: int, x: int, a, hsq) -> StabilityWindow:
-    """Stability window in z for an Enriques-base extension (a = alpha.H).
-
-    Raw system: n(xH^2 + 2za) - 2z < 0, n(xH^2 + 2za) - H^2 < 0,
-    xH^2 + 2za > 0, together with z > 0.
-    """
-    a, hsq = Fraction(a), Fraction(hsq)
+def solve_enriques(n: int, x: int, a, sign: int = 1) -> tuple:
+    """The Enriques window (a = alpha.H) in t = z/|H^2| (t = z if H^2 = 0),
+    `sign` that of H^2, as `_solve_strict_linear` gives it.  Raw system:
+    n(xH^2 + 2za) - 2z < 0, n(xH^2 + 2za) - H^2 < 0, xH^2 + 2za > 0, z > 0."""
     if x == 0 and a >= 1:
-        return StabilityWindow("z", None, None, False, ("na>=1 obstruction",))
-    # rows in t = z/|H^2| (t = z if H^2 = 0), times the denominator of a
-    p, q, hn, hd = a.numerator, a.denominator, hsq.numerator, hsq.denominator
-    sign = (hn > 0) - (hn < 0)
+        return None, None, ("na>=1 obstruction",), False
+    # rows times the denominator of a
+    p, q = a.numerator, a.denominator
     rows = [
         ("subsheaf-F", 2 * n * p - 2 * q, n * x * sign * q, "lt"),
         ("subsheaf-G", 2 * n * p, (n * x - 1) * sign * q, "lt"),
         ("DJ2>0", 2 * p, x * sign * q, "gt"),
     ]
-    lo, hi, binding, nonempty = _solve_strict_linear(rows, [("z>0", 0, 1, "gt")])
-    size = abs(hn) or 1
-    approx = _z_approx(nonempty, lo, hi, lambda t: t[0] * size / (t[1] * hd))
-    return StabilityWindow("z", _scaled(lo, size, hd), _scaled(hi, size, hd), nonempty, binding, approx)
+    return _solve_strict_linear(rows, [("z>0", 0, 1, "gt")])
+
+
+def window_enriques(n: int, x: int, a, hsq) -> StabilityWindow:
+    """Stability window in z for an Enriques-base extension (a = alpha.H):
+    the system of `solve_enriques`, read at H^2 = hsq."""
+    hsq = Fraction(hsq)
+    return window_at(solve_enriques(n, x, Fraction(a), (hsq > 0) - (hsq < 0)), window_scale(hsq=hsq))
 
 
 def enriques_closed_form(n: int, x: int, a, hsq):
@@ -136,32 +152,30 @@ def enriques_closed_form(n: int, x: int, a, hsq):
     raise ValueError("closed form requires x*a < 0")
 
 
-def window_delpezzo(n: int, x: int, a, c1sq, h) -> StabilityWindow:
-    """Stability window in u = z(2h-z) for H = h*c1 on a base with -K ample.
-
-    Here a = alpha.c1.  Raw system (in u):
+def solve_delpezzo(n: int, x: int, a, c1sq, sign: int = 1) -> tuple:
+    """The F0/dPk window (a = alpha.c1) in t = u/h^2 (t = u and sign 0 if h
+    = 0), as `_solve_strict_linear` gives it.  Raw system (in u):
     nxh^2c1^2 + (na-1-nxc1^2)u < 0, (nx-1)h^2c1^2 + (na+c1^2-nxc1^2)u < 0,
-    xh^2c1^2 + (a-xc1^2)u > 0, with u in (0, h^2).
-    """
-    a, c1sq, h = Fraction(a), Fraction(c1sq), Fraction(h)
+    xh^2c1^2 + (a-xc1^2)u > 0, with u in (0, h^2)."""
     if x == 0:
-        return StabilityWindow(
-            "u", None, None, False, ("(na-1)(h^2-zeta^2)<0 impossible",)
-        )
-    # rows in t = u/h^2 (t = u if h = 0), times the denominators of a and c1^2
-    hn, hd, nx = h.numerator, h.denominator, n * x
+        return None, None, ("(na-1)(h^2-zeta^2)<0 impossible",), False
+    # rows times the denominators of a and c1^2
+    nx = n * x
     p, c = a.numerator * c1sq.denominator, c1sq.numerator * a.denominator
-    q, sign = a.denominator * c1sq.denominator, 1 if hn else 0
+    q = a.denominator * c1sq.denominator
     rows = [
         ("subsheaf-F", n * p - q - nx * c, nx * c * sign, "lt"),
         ("subsheaf-G", n * p + c - nx * c, (nx - 1) * c * sign, "lt"),
         ("DJ2>0", p - x * c, x * c * sign, "gt"),
     ]
-    lo, hi, binding, nonempty = _solve_strict_linear(rows, [("u>0", 0, 1, "gt"), ("u<h^2", sign, 1, "lt")])
-    size, hd2 = hn * hn or 1, hd * hd
-    # z = h - sqrt(h^2 - u), with h^2 - u = h^2 (1 - t)
-    approx = _z_approx(nonempty, lo, hi, lambda t: hn / hd - math.sqrt(hn * hn * (t[1] - t[0]) / (hd2 * t[1])))
-    return StabilityWindow("u", _scaled(lo, size, hd2), _scaled(hi, size, hd2), nonempty, binding, approx)
+    return _solve_strict_linear(rows, [("u>0", 0, 1, "gt"), ("u<h^2", sign, 1, "lt")])
+
+
+def window_delpezzo(n: int, x: int, a, c1sq, h) -> StabilityWindow:
+    """Stability window in u = z(2h-z) for H = h*c1 on a base with -K ample
+    (a = alpha.c1): the system of `solve_delpezzo`, read at h."""
+    h = Fraction(h)
+    return window_at(solve_delpezzo(n, x, Fraction(a), Fraction(c1sq), 1 if h else 0), window_scale(h))
 
 
 def delpezzo_closed_form(n: int, x: int, a, c1sq, h):

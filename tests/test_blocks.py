@@ -9,6 +9,7 @@ The oracles here are the ring's [W] = c2(X) - c2(V) (`c2_tangent` and
 
 import dataclasses
 import io
+import itertools
 import json
 import random
 from collections import Counter
@@ -220,6 +221,87 @@ def test_scan_builds_no_bundle_per_block(monkeypatch, box):
         blocks = {(p["n"], *p["eta"], p["lambda"], *p["alpha"]) for p in params}
     assert len(entries) < len(blocks)
     assert built == {bundle: len(entries), "DivisorX": len(entries)}
+
+
+# a spectral block is one (n, alpha), its models the (eta, lambda) inner
+# axis: lambda = 1 fails the parity rule for n = 2 and 1/2, 3/2 for n = 3,
+# so invalid models sit between valid ones inside a block; wB = 12 c1 - eta
+# is zero for one F0 eta and for no dP3 one
+SPECTRAL_BLOCK_BOXES = {
+    "F0": {
+        "base": "F0",
+        "mode": "spectral",
+        "n_range": [2, 3],
+        "alpha_box": [[0, 1], [-12, -10]],
+        "eta_box": [[23, 24], [24, 25]],
+        "lambda_values": ["1/2", "1", "3/2"],
+        "H_values": [[3, 34]],
+        "h_values": ["1"],
+    },
+    "dP3": {
+        "base": "dP3",
+        "mode": "spectral",
+        "n_range": [2, 3],
+        "alpha_box": [[-2, 10], [-1, 0]],
+        "eta_box": [[35, 35], [-13, -13], [-13, -13], [-13, -13]],
+        "lambda_values": ["1/2", "1", "3/2"],
+        "h_values": ["1", "2"],
+    },
+}
+
+
+def _spectral_box_models(config, s):
+    """(bundle, polarization, params) of each model of a spectral box, in
+    enumeration order, from nested loops over its fields."""
+    pols = [({"H": list(v)}, Polarization(H=DivisorClass(_pad(v, s.rank)))) for v in config.H_values]
+    pols += [({"h": jsonio.frac_to_str(h)}, Polarization(h=h)) for h in config.h_values]
+    ns = range(config.n_range[0], config.n_range[1] + 1)
+    alphas = [range(lo, hi + 1) for lo, hi in config.alpha_box]
+    etas = [range(lo, hi + 1) for lo, hi in config.eta_box]
+    for n, *alpha in itertools.product(ns, *alphas):
+        alpha = DivisorClass(_pad(alpha, s.rank))
+        for *eta, lam in itertools.product(*etas, config.lambda_values):
+            eta = DivisorClass(_pad(eta, s.rank))
+            bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha))
+            for pol_params, pol in pols:
+                params = {"base": s.kind, "n": n, "alpha": [str(c) for c in alpha.coeffs], **pol_params}
+                params.update({"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)})
+                yield bundle, pol, params
+
+
+@pytest.mark.parametrize("require", [None, "W_zero", "W_effective"])
+@pytest.mark.parametrize("kind", sorted(SPECTRAL_BLOCK_BOXES))
+def test_spectral_blocks_match_check_model(pool_on_required_boxes, kind, require):
+    # the oracle: every model of the box through check_model, a block of
+    # one, its record kept unless the requirement drops it, and the tally
+    # of all of them; the scan's lines and summary at --jobs 1, 2 and 3
+    config = SearchConfig.from_json({**SPECTRAL_BLOCK_BOXES[kind], "require": require})
+    s = make_base(kind)
+    kept, tally, wb_zero, valid = [], Counter(), Counter(), {}
+    for bundle, pol, params in _spectral_box_models(config, s):
+        record = check_model(s, bundle, pol, require=require, params=params)
+        tally[record.failed_stage] += 1
+        if require is None or record.failed_stage not in ("validity", "anomaly"):
+            kept.append(record.line)
+        passed = record.failed_stage != "validity"
+        valid.setdefault((bundle.n, bundle.twist.alpha), set()).add(passed)
+        wb_zero[bundle.eta == s.c1.scale(12)] += passed
+    summary = {
+        "scanned": sum(tally.values()),
+        "passed": tally[None],
+        "stage_failures": {stage: tally[stage] for stage in STAGES},
+        "emitted": len(kept),
+    }
+    for jobs in (1, 2, 3):
+        out = io.StringIO()
+        assert run_search(config, jobs=jobs, out=out) == summary
+        assert out.getvalue().splitlines()[:-1] == kept
+    # not vacuous: blocks holding valid and invalid models, valid models
+    # with wB != 0 (and on F0 with wB = 0), and, but for W_zero, which no
+    # model meets, lines that reach a stage past the anomaly
+    assert {True, False} in valid.values()
+    assert wb_zero[False] > 0 and (wb_zero[True] > 0) == (kind == "F0")
+    assert (require == "W_zero") == (tally["nonsplit"] + tally["stability"] + tally[None] == 0)
 
 
 def _half_integral_models(kind, rng):

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -255,14 +256,16 @@ def test_each_model_quantity_computed_once(monkeypatch):
     # once per pullback n: validity; once per block, not per model: the
     # pullback effectivity query of wB; once per spectral (n, eta, lambda):
     # validity, the spectral data check and the effectivity query of
-    # wB = 12 c1 - eta; once per (n, x, alpha.c1) and polarization: the
-    # stability window.  The Chern ring is not on the scan path at all
+    # wB = 12 c1 - eta; once per (n, x, alpha.c1), for every polarization:
+    # the stability window's solve in t, and no window through the Fraction
+    # wrapper.  The Chern ring is not on the scan path at all
     counts = {}
     for func in (
         bundles.validate_bundle,
         bundles.check_spectral_data,
         bundles.chern_extension,
         ring.triple_product,
+        windows.solve_delpezzo,
         windows.window_delpezzo,
     ):
         _count_calls(monkeypatch, counts, func)
@@ -302,18 +305,21 @@ def test_each_model_quantity_computed_once(monkeypatch):
     assert all(len(b) < len(r) for b, r in zip(blocks, records))
     spectra = {(r.params["n"], repr(r.params["eta"]), r.params["lambda"]) for r in records[1]}
     f0 = make_base("F0")
-    windows_solved = {
+    windows_written = {
         (p["n"], p["x"], f0.intersect(pad([int(c) for c in p["alpha"]], 2), f0.c1), p["h"])
         for p in (r.params for r in records[0] if "stability" in r.verdicts)
     }
+    windows_solved = {w[:3] for w in windows_written}
     assert len(spectra) < len(blocks[1])
-    assert 0 < len(windows_solved) < len(blocks[0])
+    # the two rays share each solve
+    assert 0 < len(windows_solved) < len(windows_written) < len(blocks[0])
     assert counts == {
         "validate_bundle": len({r.params["n"] for r in records[0]}) + len(spectra),
         "check_spectral_data": len(spectra),
         "chern_extension": 0,
         "triple_product": 0,
-        "window_delpezzo": len(windows_solved),
+        "solve_delpezzo": len(windows_solved),
+        "window_delpezzo": 0,
     }
     asked = _wb_queries(blocks[0]) + _wb_queries(blocks[1], ("n", "eta", "lambda"))
     assert 0 < sum(asked.values()) < len(blocks[0]) + len(spectra)
@@ -769,6 +775,62 @@ def test_empty_axis_starts_no_pool(pool_on_small_boxes, recording_pool):
     assert recording_pool == []
 
 
+@pytest.mark.parametrize("mode", ["pullback", "spectral"])
+def test_empty_box_holds_no_axis_whole(mode):
+    # an empty box (no c2E; no eta) whose alpha_box axis spans 10^7 values
+    # scans nothing without building that axis, which product() would hold
+    # as 10^7 ints, hundreds of MB
+    box = {"base": "F0", "mode": mode, "n_range": [2, 2], "alpha_box": [[0, 10**7 - 1], [0, 0]], "h_values": ["1"]}
+    box.update({"x_values": [1], "c2E_range": [1, 0]} if mode == "pullback" else {"eta_box": [[1, 0]]})
+    config = SearchConfig.from_json(box)
+    tracemalloc.start()
+    try:
+        summary = run_search(config, out=io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["scanned"] == 0 and peak < 2**20
+
+
+def _seeded_box(rng, mode):
+    """A small seeded box on F0 or dP3 in `mode`, of at least two blocks."""
+    base = rng.choice(["F0", "dP3"])
+    box = {
+        "base": base,
+        "mode": mode,
+        "n_range": [2, 3],
+        "alpha_box": [[lo, lo + rng.randint(0, 3)] for lo in (rng.randint(-2, 1) for _ in range(rng.randint(1, 2)))],
+        "h_values": ["1", "2"][: rng.randint(1, 2)],
+    }
+    if mode == "pullback":
+        box.update(x_values=rng.sample([-2, -1, 1, 2], rng.randint(1, 3)), c2E_range=[100, 100 + rng.randint(0, 2)])
+    else:
+        c = 24 if base == "F0" else 36
+        box.update(eta_box=[[c - rng.randint(0, 1), c]], lambda_values=["1/2", "1", "3/2"][: rng.randint(1, 3)])
+    return SearchConfig.from_json(box)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chunk_walks_the_product_from_its_start(pool_on_small_boxes, recording_pool, seed):
+    # a chunk that starts at block k walks what product() yields from k, for
+    # every k and the chunk ends of --jobs 1, 2 and 3; the spectral inner
+    # axes walk as product() does; and the bytes do not depend on --jobs
+    rng = random.Random(f"points:{seed}")
+    for mode in ("pullback", "spectral"):
+        config = _seeded_box(rng, mode)
+        block_axes, inner, _, blocks = search._axes(config, make_base(config.base))
+        points = list(itertools.product(*block_axes))
+        assert blocks == len(points) > 1
+        for jobs in (1, 2, 3):
+            step = -(-blocks // (jobs * 4))
+            for k in range(blocks):
+                for stop in {min(k + step, blocks), blocks}:
+                    assert list(search._points(block_axes, k, stop)) == points[k:stop]
+        assert list(search._points(inner, 0, math.prod(map(len, inner)))) == list(itertools.product(*inner))
+        serial = search_bytes(config, 1)
+        assert search_bytes(config, 2) == search_bytes(config, 3) == serial
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_writes_runs_of_whole_blocks(monkeypatch, pool_on_small_boxes, recording_pool, jobs):
     # 54 blocks of 6 models: with runs of at least 10 lines, each write but
@@ -920,7 +982,7 @@ AF_PAST_THE_LIMIT = {
     "base": "F0",
     "mode": "spectral",
     "n_range": [10**999, 10**999],
-    "alpha_box": [[0, 0], [0, 0]],
+    "alpha_box": [[0, 1], [0, 0]],
     "eta_box": [[3 * 10**999, 3 * 10**999]] * 2,
     "lambda_values": [f"{10**999 + 1}/2", f"{10**999 + 3}/2"],
     "h_values": ["1"],
@@ -930,7 +992,8 @@ AF_REFUSED = "derived value af has more than 4300 digits; lower field 'n', 'eta'
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unprintable_af_names_its_fields(pool_on_small_boxes, jobs):
-    # two blocks, one per lambda: at --jobs 2 each is a chunk of the pool
+    # two blocks, one per alpha (alpha^2 = 0 for both, so af is that of
+    # alpha = 0): at --jobs 2 each is a chunk of the pool
     config = SearchConfig.from_json(AF_PAST_THE_LIMIT)
     assert search._axes(config, make_base("F0"))[3] == 2
     with pytest.raises(ValueError) as info:

@@ -15,9 +15,12 @@ from cybundle.windows import (
     delpezzo_closed_form,
     enriques_closed_form,
     sign_necessity,
+    solve_delpezzo,
+    solve_enriques,
     spectral_stability_check,
     window_delpezzo,
     window_enriques,
+    window_scale,
 )
 
 
@@ -411,25 +414,49 @@ def test_windows_scale_with_the_polarization():
     assert nonempty > 100
 
 
+RAYS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+
+
+def _solve(kind, args):
+    """The integer solve in t of the window of (kind, args), and its scale."""
+    if kind == "delpezzo":
+        n, x, a, c1sq, h = args
+        return solve_delpezzo(n, x, Fraction(a), Fraction(c1sq), 1 if h else 0), window_scale(h)
+    n, x, a, hsq = args
+    return solve_enriques(n, x, Fraction(a), (hsq > 0) - (hsq < 0)), window_scale(hsq=hsq)
+
+
 def test_window_text_is_what_the_encoder_writes():
-    # the scan writes a window's stability verdict by hand; the encoder on
-    # `jsonio.window_to_json` is the oracle, on every
+    # the scan writes a window's stability verdict by hand, from the
+    # kernel's integer solve and the polarization's scale; the encoder on
+    # `jsonio.window_to_json` of the Fraction wrapper is the oracle, on every
     # forced case (None ends, 1000-digit ends, an overflowed approx) and
-    # seeded draws of both systems
+    # seeded draws of both systems, each also read at the rays c h (c H^2
+    # on Enriques), c in RAYS, from one shared solve
     cases = [(kind, args) for _, kind, args in FORCED]
     cases += list(_random_windows(random.Random("window-text"), 1000))
-    shapes, long_ends = Counter(), 0
+    shapes, long_ends, shared = Counter(), 0, 0
     for kind, args in cases:
-        w = WINDOWS[kind][0](*args)
+        fast = WINDOWS[kind][0]
+        solved, scale = _solve(kind, args)
+        w = fast(*args)
         expected = json.dumps({**jsonio.window_to_json(w), "passed": w.nonempty}, separators=(",", ":"))
-        assert search._window_text(w) == expected, (kind, args)
+        assert search._window_text(solved, scale) == expected, (kind, args)
         shapes[kind, _shape(w)] += 1
         long_ends += any(len(str(abs(e.numerator))) >= 1000 for e in (w.lower, w.upper) if e)
+        # the rays: h > 0 and H^2 of the case's sign read one solve
+        ray_args = [(*args[:-1], c if kind == "delpezzo" else c * args[-1]) for c in RAYS]
+        solved = _solve(kind, ray_args[0])[0]
+        for ray in ray_args:
+            w = fast(*ray)
+            expected = json.dumps({**jsonio.window_to_json(w), "passed": w.nonempty}, separators=(",", ":"))
+            assert search._window_text(solved, _solve(kind, ray)[1]) == expected, (kind, ray)
+        shared += solved[3]
     for kind in WINDOWS:
         assert {shape for k, shape in shapes if k == kind} == {
             "obstruction", "infeasible", "meet", "empty", "tie", "overflow", "window"
         }
-    assert long_ends > 0
+    assert long_ends > 0 and shared > 100
 
 
 # ---------------------------------------------------------------------------
