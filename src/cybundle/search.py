@@ -13,7 +13,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 
 from . import jsonio
 from .anomaly import AnomalyOutcome, spectral_af, w_verdict
@@ -74,6 +74,12 @@ _TAILS = {
     failed: f'}},"overall":{_JSON[failed is None]},"failed_stage":{_ENCODER.encode(failed)}}}'
     for failed in (None, *STAGES)
 }
+# an anomaly verdict after its af, by (W_zero, W_effective, passed): the
+# flags, then, after the text of the spectral af readings if any, its end
+_AF_TAILS = {
+    (z, e, p): (f'","W_zero":{_JSON[z]},"W_effective":{_JSON[e]}', f',"passed":{_JSON[p]}}}')
+    for z, e, p in product((False, True), repeat=3)
+}
 
 
 def _invalid(error: str) -> tuple:
@@ -81,17 +87,26 @@ def _invalid(error: str) -> tuple:
     return False, '"validity":' + _ENCODER.encode({"passed": False, "error": error})
 
 
-def _class_text(coeffs, torsion: int) -> str:
-    """The JSON text of the class with these coefficients (`jsonio.divisor_to_json`)."""
-    strings = '","'.join(map(jsonio.frac_to_str, coeffs))
+def _class_text(nums, den: int, torsion: int) -> str:
+    """The JSON text of the class nums/den (`jsonio.divisor_to_json`): str()
+    of an int or a Fraction is what `jsonio.frac_to_str` writes."""
+    strings = '","'.join(map(str, nums if den == 1 else [ratio(c, den) for c in nums]))
     return f'{{"coeffs":["{strings}"],"torsion":{torsion}}}'
+
+
+def _af_opening(wb_text: str) -> str:
+    """The anomaly verdict of a valid model up to its af, from the text of wB."""
+    return f'{_OPEN}"anomaly":{{"wB":{wb_text},"af":"'
+
+
+def _nonsplit_opening(passed: bool, clause: str) -> str:
+    """A non-split verdict's text up to its value."""
+    return f'"nonsplit":{{"passed":{_JSON[passed]},"clause":"{clause}","value":"'
 
 
 def _nonsplit_text(passed: bool, clause: str, value) -> tuple:
     """(passed, text) of a non-split verdict."""
-    return passed, (
-        f'"nonsplit":{{"passed":{_JSON[passed]},"clause":"{clause}","value":"{jsonio.frac_to_str(value)}"}}'
-    )
+    return passed, f'{_nonsplit_opening(passed, clause)}{value}"}}'
 
 
 def _quotient(p: int, q: int) -> str:
@@ -183,11 +198,12 @@ class _PolTerms:
     """What the stages read of one polarization, worked out once per config
     (or per `check_model`): the class H (None for a ray h), the integer
     parts of H, H^2 for an explicit H, the z of the non-split slope (h on
-    F0/dPk, 1 on Enriques), the `scale` and `sign` of its windows and, on
-    first use, the minimum degree.  `stability` holds the verdicts so far,
-    by (n, x, a) of a window (a = alpha.c1 on F0/dPk, alpha.H on Enriques)
-    and by (n, alpha.H) if spectral; `solves`, shared by the polarizations of
-    a scan, windows solved in t.  It has passed `_refuse_wrong_kind`."""
+    F0/dPk, 1 on Enriques), the `sign` of its windows and, on first use,
+    their `scale()` and the minimum degree.  `stability` holds the verdicts
+    so far, by (n, x, a) of a window (a = alpha.c1 on F0/dPk, alpha.H on
+    Enriques) and by (n, alpha.H) if spectral; `solves`, shared by the
+    polarizations of a scan, windows solved in t.  It has passed
+    `_refuse_wrong_kind`."""
 
     def __init__(self, s: BaseSurface, pol: Polarization, solves: dict | None = None):
         self.s, self.H = s, pol.H
@@ -195,16 +211,22 @@ class _PolTerms:
         if pol.H is not None:
             nums, self.H_dual, self.H_den = s.integer_parts(pol.H)
             self.hsq = ratio(dot(nums, self.H_dual), self.H_den * self.H_den)
-            self.scale, self.sign = window_scale(hsq=self.hsq), (self.hsq > 0) - (self.hsq < 0)
+            self.sign = (self.hsq > 0) - (self.hsq < 0)
         else:
             # H = h c1 = (p/q) c1 over its least denominator q/k, k = gcd(q, c1)
             p, q = self.h.numerator, self.h.denominator
             k = math.gcd(q, *s.c1_ints)
             self.H_den = q // k
             self.H_dual = s.dual([p * (c // k) for c in s.c1_ints])
-            self.scale, self.sign = window_scale(self.h), 1  # h > 0
+            self.sign = 1  # h > 0
         self.z = Fraction(1) if s.is_enriques else self.h
-        self.stability, self.solves = {}, {} if solves is None else solves
+        self.stability, self.solves, self._scale = {}, {} if solves is None else solves, None
+
+    def scale(self) -> tuple:
+        """(variable, num, den, h) of its windows (`windows.window_scale`)."""
+        if self._scale is None:
+            self._scale = window_scale(self.h) if self.H is None else window_scale(hsq=self.hsq)
+        return self._scale
 
     @cached_property
     def min_degree(self) -> MinDegree:
@@ -219,7 +241,7 @@ class _PolTerms:
     def min_degree_text(self) -> str:
         """The end of the spectral stability verdict: min_degree on."""
         md = self.min_degree
-        witness = _class_text(md.witness.coeffs, md.witness.torsion)
+        witness = _class_text(md.witness.coeffs, 1, md.witness.torsion)
         # no degree query is bounded any more; the key stays until the
         # output format next changes (ROADMAP items 7 and 9)
         return f'"min_degree":"{jsonio.frac_to_str(md.value)}","witness":{witness},"bound_limited":false}}'
@@ -229,8 +251,9 @@ class _Spectrum:
     """What the spectral models of one valid (n, eta, lambda) share, worked
     out once per scan (or `check_model`) from the fiber term of c2(V_n) that
     `validate_bundle` returned and eta = nums/den: wB = 12 c1 - eta (x = 0,
-    so it does not depend on alpha) as numerators with its JSON text and, on
-    first use, its effectivity; af0, af without n(n+1)/2 alpha^2;
+    so it does not depend on alpha) as numerators, the anomaly verdict's
+    text up to its af (`af_opening`, which holds wB) and, on first use, the
+    effectivity of wB; af0, af without n(n+1)/2 alpha^2;
     `af_offset` = af_displayed - af when eta = 12 c1 (else None), also free
     of alpha; and resid = eta - n c1 as integer parts with 3 den^2 resid^2."""
 
@@ -240,9 +263,9 @@ class _Spectrum:
         nums, _, den = s.integer_parts(eta)
         # wB = 12 c1 - eta over den; 12 c1 carries no torsion
         self.wB_nums = [12 * den * c - a for c, a in zip(s.c1_ints, nums)]
-        self.wB_text = _class_text([ratio(w, den) for w in self.wB_nums], eta.torsion)
+        self.af_opening = _af_opening(_class_text(self.wB_nums, den, eta.torsion))
         self.wB_zero = not eta.torsion and not any(self.wB_nums)
-        self.af_offset = None
+        self.af_offset, self.effective = None, None
         if self.wB_zero:
             # eta = 12 c1: the readings of the twist alpha = 0, whose zero
             # class is wB; no effectivity query
@@ -255,9 +278,10 @@ class _Spectrum:
         self.resid_dual, self.resid_den = s.dual(resid), den
         self.resid_sq3 = 3 * dot(resid, self.resid_dual)
 
-    @cached_property
     def wB_effective(self) -> bool:
-        return self.s.effective(self.wB_nums)
+        if self.effective is None:
+            self.effective = self.s.effective(self.wB_nums)
+        return self.effective
 
 
 class _Alpha:
@@ -347,14 +371,14 @@ class _Block:
         require = self.require
         return require is None or (w_zero if require == "W_zero" else w_effective)
 
-    def _anomaly_verdict(self, wb_text: str, af, w_zero: bool, w_effective: bool, readings: str = "") -> tuple:
-        """(None or "anomaly", text after the params) of a valid model;
-        `readings`, the text of the two af readings, go before "passed"."""
+    def _anomaly_verdict(self, opening: str, af, w_zero: bool, w_effective: bool, readings: str = "") -> tuple:
+        """(None or "anomaly", text after the params) of a valid model, from
+        the `opening` of its wB (`_af_opening`); `readings`, the text of the
+        two af readings, go before "passed".  str() of af is what
+        `jsonio.frac_to_str` writes."""
         passed = self._meets(w_zero, w_effective)
-        return None if passed else "anomaly", (
-            f'{_OPEN}"anomaly":{{"wB":{wb_text},"af":"{jsonio.frac_to_str(af)}","W_zero":{_JSON[w_zero]},'
-            f'"W_effective":{_JSON[w_effective]}{readings},"passed":{_JSON[passed]}}}'
-        )
+        flags, end = _AF_TAILS[w_zero, w_effective, passed]
+        return None if passed else "anomaly", f"{opening}{af}{flags}{readings}{end}"
 
     def _alpha_H(self, pol: _PolTerms):
         return ratio(dot(self.alpha.nums, pol.H_dual), self.alpha.den * pol.H_den)
@@ -363,7 +387,8 @@ class _Block:
 class _PullbackBlock(_Block):
     """Per block: af0 (af = af0 - c2E) and wB over den; for lines, the terms
     of `_line_terms`; if some af >= 0 asks, whether wB is effective.  Per
-    c2E: the anomaly verdict and the chi verdict.  Per (alpha,
+    c2E: the anomaly verdict, from the block's opening and the flags' tail,
+    and the chi verdict, from the opening of the sign of chi.  Per (alpha,
     polarization), for x > 0: the slope verdict.  Per polarization: the
     stability window, solved once per (n, x, a) for all of them."""
 
@@ -378,10 +403,12 @@ class _PullbackBlock(_Block):
         self.wB_nums = [c * den * ci + t * ai for ci, ai in zip(s.c1_ints, alpha.nums)]
         self.wB_torsion = c * s.c1.torsion % 2  # t is even: t alpha has no torsion
         self.wB_zero = not self.wB_torsion and not any(self.wB_nums)
+        self.effective = None
 
-    @cached_property
     def wB_effective(self) -> bool:
-        return self.s.effective(self.wB_nums)
+        if self.effective is None:
+            self.effective = self.s.effective(self.wB_nums)
+        return self.effective
 
     def _run(self, models, counts, width: int) -> list:
         """The models meeting the requirement, the others counted as anomaly
@@ -393,19 +420,22 @@ class _PullbackBlock(_Block):
             kept = models[i : i + 1] if self.wB_zero and type(i) is int and i >= 0 else []
         else:
             stop = max(0, math.floor(self.af0) - lo + 1)
-            kept = models[:stop] if stop and (self.wB_zero or self.wB_effective) else []
+            kept = models[:stop] if stop and (self.wB_zero or self.wB_effective()) else []
         counts["anomaly"] += (len(models) - len(kept)) * width
         return kept
 
     def _line_terms(self) -> None:
-        """chi0, chi_slope and the text of wB."""
+        """chi0, chi_slope, the anomaly verdict up to its af and, filled per
+        sign of chi (-1, 0, 1), the chi verdicts' (passed, text up to chi)."""
         s, den = self.s, self.alpha.den
         self.chi0, self.chi_slope = chi_line(self.n, self.x, self.alpha.a_sq, self.alpha.a_c1, den, s.c1_sq)
-        self.wB_text = _class_text([ratio(w, den) for w in self.wB_nums], self.wB_torsion)
+        self.af_opening = _af_opening(_class_text(self.wB_nums, den, self.wB_torsion))
+        self.chi_openings = [None, None, None]
 
     def _anomaly(self, c2E) -> tuple:
         af = self.af0 - c2E
-        return self._anomaly_verdict(self.wB_text, af, *w_verdict(af, self.wB_zero, lambda: self.wB_effective))
+        w_zero, w_effective = w_verdict(af, self.wB_zero, self.wB_effective)  # unpacked: a starred call costs more
+        return self._anomaly_verdict(self.af_opening, af, w_zero, w_effective)
 
     def _slope(self, pol):
         """For x > 0, the verdict of pol's slope (2H - z c1).alpha if it is
@@ -428,10 +458,16 @@ class _PullbackBlock(_Block):
 
     def _chi(self, c2E) -> tuple:
         """The verdict of chi at c2E, which every slope that does not fail
-        leaves to chi (0 stands for such a slope), refused if unprintable."""
-        ns = nonsplit_verdict(self.x, 0 if self.x > 0 else None, self.chi0 - self.chi_slope * c2E)
+        leaves to chi (0 stands for such a slope), refused if unprintable.
+        Its passed and clause depend only on the sign of chi, given x."""
+        chi = self.chi0 - self.chi_slope * c2E
+        sign = (chi > 0) - (chi < 0)
+        opening = self.chi_openings[sign]
+        if opening is None:
+            ns = nonsplit_verdict(self.x, 0 if self.x > 0 else None, chi)
+            opening = self.chi_openings[sign] = ns.passed, _nonsplit_opening(ns.passed, ns.clause)
         try:
-            return _nonsplit_text(ns.passed, ns.clause, ns.value)
+            return opening[0], f'{opening[1]}{chi}"}}'
         except ValueError:
             raise jsonio.unprintable("chi", "'n', 'x', 'alpha' or 'c2E'") from None
 
@@ -446,7 +482,7 @@ class _PullbackBlock(_Block):
                 solved = solve_delpezzo(n, x, a, self.s.c1_sq) if pol.h else solve_enriques(n, x, a, pol.sign)
                 pol.solves[key] = solved
             solved = pol.solves[key]
-            verdict = pol.stability[n, x, a] = solved[3], '"stability":' + _window_text(solved, pol.scale)
+            verdict = pol.stability[n, x, a] = solved[3], '"stability":' + _window_text(solved, pol.scale())
         return verdict
 
 
@@ -463,7 +499,7 @@ class _SpectralBlock(_Block):
     def _flags(self, spectrum: _Spectrum) -> tuple:
         """(af, W_zero, W_effective) of the model of `spectrum`."""
         af = ratio(spectrum.af0 * self.d2 + self.k_a_sq, self.d2)
-        return af, *w_verdict(af, spectrum.wB_zero, lambda: spectrum.wB_effective)
+        return af, *w_verdict(af, spectrum.wB_zero, spectrum.wB_effective)
 
     def _run(self, models, counts, width: int) -> list:
         """The models of valid data meeting the requirement, the others
@@ -487,7 +523,7 @@ class _SpectralBlock(_Block):
                     f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
                     f',"display_agrees":{_JSON[af == displayed]}'
                 )
-            return self._anomaly_verdict(spectrum.wB_text, af, w_zero, w_effective, readings)
+            return self._anomaly_verdict(spectrum.af_opening, af, w_zero, w_effective, readings)
         except ValueError:  # str() refused an af past the digit limit
             raise jsonio.unprintable("af", "'n', 'eta', 'lambda' or 'alpha'") from None
 
@@ -713,15 +749,18 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
 
 def _points(axes, start: int, stop: int):
     """The points start..stop-1 of product(*axes), in its order, holding no
-    axis whole: each axis is a range or a short tuple, the first point is
-    found by mixed radix and the rest walk the last axis row by row."""
-    if start < stop:
-        *outer, last = axes
-        size = len(last)
-        first = start // size
-        for row, prefix in enumerate(_points(outer, first, -(-stop // size)) if outer else [()], first):
-            for value in last[max(start - row * size, 0) : min(stop - row * size, size)]:
-                yield (*prefix, value)
+    axis whole: each axis is a range or a short tuple, the last axis is
+    walked row by row and each row finds its prefix by mixed radix."""
+    *outer, last = axes
+    while start < stop:
+        row, column = divmod(start, len(last))
+        prefix = []
+        for axis in reversed(outer):
+            row, digit = divmod(row, len(axis))
+            prefix.insert(0, axis[digit])
+        for value in last[column : column + stop - start]:
+            yield (*prefix, value)
+        start += len(last) - column
 
 
 def _block(config: SearchConfig, s: BaseSurface, point: tuple, inner, alphas: dict, shared: dict):

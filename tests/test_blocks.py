@@ -590,3 +590,93 @@ def test_shared_fragments_match_fraction_oracles(pool_on_required_boxes, base):
         kept = [r.line for r, v in zip(records, verdicts) if require is None or v["anomaly"][require]]
         assert out.splitlines()[:-1] == kept and kept
         assert len(kept) < len(records) or require is None
+
+
+# per base, a pullback block (n, x, alpha) with an effective wB whose c2E
+# run crosses both roots, af = 0 and chi = 0, inside c2E_range; x <= 0, so
+# every line that passes the anomaly stage prints chi.  The box's first
+# alpha coordinate spans two values: a second block follows with its own wB
+# and chi line.
+ROOT_BLOCKS = {
+    "F0": (2, -1, (1, 2), [100, 105]),
+    "dP0": (3, -1, (-4,), [197, 204]),
+    "dP1": (2, -1, (2, 1), [98, 102]),
+    "dP2": (2, 0, (-3, 0), [108, 111]),
+    "dP3": (2, -1, (2, -1), [79, 82]),
+    "dP4": (2, 0, (4, 0), [109, 111]),
+    "dP5": (2, 0, (-3, 2), [66, 69]),
+    "dP6": (2, 0, (-2, -1), [49, 52]),
+    "dP7": (2, 0, (4, 2), [67, 69]),
+    "dP8": (2, 0, (-3, 3), [19, 23]),
+    "enriques": (2, -1, (-1, -1), [17, 21]),
+}
+
+
+def _pullback_box_models(config, s):
+    """(bundle, polarization, params) of each model of a pullback box, in
+    enumeration order, from nested loops over its fields."""
+    pols = [({"H": list(v)}, Polarization(H=DivisorClass(_pad(v, s.rank)))) for v in config.H_values]
+    pols += [({"h": jsonio.frac_to_str(h)}, Polarization(h=h)) for h in config.h_values]
+    ns, c2Es = (range(lo, hi + 1) for lo, hi in (config.n_range, config.c2E_range))
+    alphas = [range(lo, hi + 1) for lo, hi in config.alpha_box]
+    for n, x, *alpha in itertools.product(ns, config.x_values, *alphas):
+        alpha = DivisorClass(_pad(alpha, s.rank))
+        for c2E, (pol_params, pol) in itertools.product(c2Es, pols):
+            params = {"base": s.kind, "n": n, "alpha": [str(c) for c in alpha.coeffs], **pol_params}
+            params.update({"x": x, "c2E": c2E})
+            yield PullbackBundle(n=n, c2E=c2E, twist=DivisorX(x, alpha)), pol, params
+
+
+@pytest.mark.parametrize("require", [None, "W_zero", "W_effective"])
+@pytest.mark.parametrize("kind", BASES)
+def test_runs_crossing_both_roots_match_check_model(pool_on_required_boxes, kind, require):
+    # a block writes each c2E's anomaly verdict from its opening and the
+    # tail of its flags, and its chi verdict from the opening of the sign
+    # of chi: across both roots, every line is the record check_model
+    # writes for its model, a block of one, at --jobs 1 and 2, and every
+    # verdict of those records is that of the Fraction oracles
+    n, x, alpha, c2E_range = ROOT_BLOCKS[kind]
+    s = make_base(kind)
+    pols = {"H_values": [[2, 3]]} if s.is_enriques else {"h_values": ["1", "2"]}
+    box = {
+        "base": kind,
+        "mode": "pullback",
+        "n_range": [n, n],
+        "x_values": [x],
+        "alpha_box": [[alpha[0], alpha[0] + 1]] + [[a, a] for a in alpha[1:]],
+        "c2E_range": c2E_range,
+        "require": require,
+        **pols,
+    }
+    config = SearchConfig.from_json(box)
+    kept, tally, runs = [], Counter(), {}
+    for bundle, pol, params in _pullback_box_models(config, s):
+        record = check_model(s, bundle, pol, require=require, params=params)
+        tally[record.failed_stage] += 1
+        if require is None or record.failed_stage not in ("validity", "anomaly"):
+            kept.append(record.line)
+        if require is None:
+            _assert_matches_oracles(s, bundle, pol, record)
+            v = record.verdicts
+            af, chi = Fraction(v["anomaly"]["af"]), Fraction(v["nonsplit"]["value"])
+            run = runs.setdefault(tuple(params["alpha"]), {"af": set(), "chi": set(), "W_effective": set()})
+            run["af"].add((af > 0) - (af < 0))
+            run["chi"].add((chi > 0) - (chi < 0))
+            run["W_effective"].add(v["anomaly"]["W_effective"])
+    summary = {
+        "scanned": sum(tally.values()),
+        "passed": tally[None],
+        "stage_failures": {stage: tally[stage] for stage in STAGES},
+        "emitted": len(kept),
+    }
+    for jobs in (1, 2):
+        out = io.StringIO()
+        assert run_search(config, jobs=jobs, out=out) == summary
+        assert out.getvalue().splitlines()[:-1] == kept
+    if require is None:
+        # the block of ROOT_BLOCKS crosses both roots, and its W_effective
+        # flips with the sign of af
+        run = runs[tuple(str(c) for c in _pad(alpha, s.rank))]
+        assert {-1, 1} <= run["af"] and {-1, 1} <= run["chi"]
+        assert run["W_effective"] == {True, False}
+        assert len(runs) == 2

@@ -17,8 +17,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from cybundle import anomaly, bundles, ring, search, windows
+from cybundle import anomaly, bundles, cli, ring, search, windows
 from cybundle.bundles import PullbackBundle, SpectralBundle
+from cybundle.nonsplit import chi_line
 from cybundle.ring import DivisorX
 from cybundle.search import (
     ModelRecord,
@@ -1060,6 +1061,45 @@ def test_unprintable_chi_is_refused_only_where_a_line_prints_it():
     assert rec.failed_stage == "anomaly" and "nonsplit" not in rec.verdicts
     summary = run_search(big)
     assert summary["scanned"] == 5 and summary["emitted"] == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unprintable_chi_after_its_opening_is_refused(pool_on_small_boxes, tmp_path, capsys, jobs):
+    # a block keeps the chi verdict's text up to the value per sign of chi:
+    # with the digit limit lowered to its least, the negative chi of the
+    # block alpha = 0 prints at the first c2E and has one digit too many at
+    # the next, which reuses the opening; the scan refuses it there, and so
+    # does `cybundle search`, at --jobs 1 and in a pool of two blocks
+    limit, f0 = 640, make_base("F0")
+    chi0, slope = chi_line(2, -1, 0, 0, 1, f0.c1_sq)
+    assert slope == 3
+    c2E = -(-(10**limit - 3 + chi0) // 3)  # the least c2E with |chi| >= 10^limit - 3
+    chis = [chi0 - slope * c for c in (c2E, c2E + 1)]
+    box = {
+        "base": "F0",
+        "mode": "pullback",
+        "n_range": [2, 2],
+        "x_values": [-1],
+        "alpha_box": [[0, 1], [0, 0]],
+        "c2E_range": [c2E, c2E + 1],
+        "h_values": ["1"],
+    }
+    refused = f"derived value chi has more than {limit} digits; lower field 'n', 'x', 'alpha' or 'c2E'"
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert chis[0] < 0 and len(str(-chis[0])) == limit
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(chis[1])
+        with pytest.raises(ValueError) as info:
+            run_search(SearchConfig.from_json(box), jobs=jobs, out=io.StringIO())
+        assert str(info.value) == refused
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(box))
+        code = cli.main(["search", str(path), "--jobs", str(jobs), "--out", str(tmp_path / "out.jsonl")])
+        assert code == 2 and capsys.readouterr().err == f"error: {refused}\n"
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_import_loads_no_process_pool():
