@@ -18,7 +18,6 @@ from . import fixtures, jsonio
 from .bundles import PullbackBundle, SpectralBundle
 from .search import Polarization, SearchConfig, check_model, run_search
 from .search import _int, _nonnegative_int, _refuse_unusable_H, _refuse_wrong_kind, _require, _surface
-from .search import _POOL_MIN_MODELS
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -163,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help=f"worker processes for a require-free box of at least {_POOL_MIN_MODELS:,}"
-        " models; any other box runs in this process.  The output is the same for any N",
+        help="accepted for old scripts and has no effect: every box runs in this process",
     )
     p.add_argument("--out", default=None)
     p.add_argument("--limit", type=int, default=None)

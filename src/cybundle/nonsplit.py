@@ -60,18 +60,25 @@ def chi_line(n: int, x: int, a_sq: int, a_c1: int, den: int, c1_sq: int) -> tupl
     the sign that of x, otherwise, with the `chi_coefficients(y)` A3 =
     (y-1)y(y+1)/3, an integer, and A4 = (y^2-2)/2.  slope = |y|, or 1 for
     x = 0; chi0 is an int when integral and a Fraction otherwise."""
-    m, d2 = n + 1, den * den
+    terms = chi_line_terms(n, x, c1_sq)
+    return chi_line_at(terms, a_sq, a_c1, den), terms[3]
+
+
+def chi_line_terms(n: int, x: int, c1_sq: int) -> tuple:
+    """(p, q, r, slope) of `chi_line` at (n, x), free of alpha: 2 den^2
+    chi0 = den^2 p + q a_sq - r den a_c1."""
+    m = n + 1
     if x == 0:
-        return ratio(2 * d2 * n + n * m * (m * a_sq - den * a_c1), 2 * d2), 1
-    # 2 den^2 times the c2e-free part of chi
-    y = m * x
-    body = (
-        2 * d2 * y * n
-        + y * n * m * m * a_sq
-        + (y - 1) * y * (y + 1) // 3 * n * c1_sq * d2
-        - (y * y - 2) * n * m * den * a_c1
-    )
-    return ratio(body if x > 0 else -body, 2 * d2), abs(y)
+        return 2 * n, n * m * m, n * m, 1
+    y, sign = m * x, 1 if x > 0 else -1
+    p = 2 * y * n + (y - 1) * y * (y + 1) // 3 * n * c1_sq
+    return sign * p, sign * y * n * m * m, sign * (y * y - 2) * n * m, abs(y)
+
+
+def chi_line_at(terms: tuple, a_sq: int, a_c1: int, den: int):
+    """chi0 of `chi_line` from its `chi_line_terms` and the parts of alpha."""
+    d2 = den * den
+    return ratio(d2 * terms[0] + terms[1] * a_sq - terms[2] * den * a_c1, 2 * d2)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Exhaustive model scans: validity -> anomaly -> non-split -> stability.
 
 Search configs describe finite integer boxes; enumeration is lexicographic
-and the JSONL output is deterministic for any worker count.
+and the JSONL output is deterministic.
 """
 
 from __future__ import annotations
@@ -9,16 +9,15 @@ from __future__ import annotations
 import json
 import math
 import sys
-from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import product, repeat
 
 from . import jsonio
 from .anomaly import AnomalyOutcome, spectral_af, w_verdict
 from .bundles import PullbackBundle, SpectralBundle, _resid, validate_bundle
-from .nonsplit import chi_line, nonsplit_verdict
+from .nonsplit import chi_line_at, chi_line_terms, nonsplit_verdict
 from .ring import DivisorX
 from .surfaces import BaseSurface, DivisorClass, MinDegree, dot, make_base, ratio
 from .windows import solve_delpezzo, solve_enriques, spectral_stability, window_scale, z_approx
@@ -157,25 +156,23 @@ def check_model(
 ) -> ModelRecord:
     """Run the full verification pipeline on one model.
 
-    The model is evaluated as a block of one by `_Block.scan`, the path of
-    every scan, with the validity verdict of its own bundle and
-    polarization; the first failed stage is `failed_stage`.  A failure stops
-    the run under `short_circuit`, a validity failure always.  `bound` is
-    accepted and unread: the benchmark (bench/child.py) still passes it.
+    The model is evaluated as a box of one by the walk of every scan
+    (`_pullback`, or a `_SpectralBlock`), with the validity verdict of its
+    own bundle and polarization; the first failed stage is `failed_stage`.
+    A failure stops the run under `short_circuit`, a validity failure
+    always.  `bound` is accepted and unread: the benchmark (bench/child.py)
+    still passes it.
     """
     alpha = bundle.twist.alpha
-    # alpha of the wrong rank fails validity, and the block reads no alpha
-    alpha = _Alpha(s, *s.integer_parts(alpha)) if alpha.rank == s.rank else None
+    # alpha of the wrong rank fails validity, and the walk reads no alpha
+    alpha = _Alpha(s, *s.integer_parts(alpha), "") if alpha.rank == s.rank else _Alpha(s, (), (), 1, "")
     validity, fiber = _validity(s, bundle)
-    if isinstance(bundle, SpectralBundle):
-        spectrum = _Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber) if validity[0] else None
-        block, mode, model, data = _SpectralBlock, "spectral", (spectrum, validity), None
-    else:
-        block, mode, model, data = _PullbackBlock, "pullback", bundle.c2E, bundle.twist.x
+    spectral = isinstance(bundle, SpectralBundle)
+    mode = "spectral" if spectral else "pullback"
     try:
         _refuse_wrong_kind(s, mode, pol)
         terms = _PolTerms(s, pol)
-        if validity[0] and mode == "spectral":
+        if validity[0] and spectral:
             try:  # the stability stage reads it and needs H ample
                 terms.min_degree
             except ValueError:  # not ample, which `_refuse_unusable_H` decides alike and raises
@@ -186,10 +183,15 @@ def check_model(
         terms = None
         if validity[0]:
             validity = _invalid(str(exc))
-    block = block(s, require, bundle.n, validity, alpha, data)
     lines, counts = [], dict.fromkeys((None, *STAGES), 0)
-    head = '{"params":' + _ENCODER.encode(params or {})
-    block.scan([(model, "")], [(terms, "")], head, "", short_circuit, False, lines, counts)
+    head, pols = '{"params":' + _ENCODER.encode(params or {}), [(terms, "")]
+    if spectral:
+        spectrum = _Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber) if validity[0] else None
+        block = _SpectralBlock(s, require, bundle.n, validity, alpha)
+        block.scan([((spectrum, validity), "")], pols, head, short_circuit, False, lines, counts)
+    else:
+        box = [(bundle.n, validity)], [int(bundle.twist.x)], [alpha], [(bundle.c2E, "")]
+        _pullback(s, require, *box, pols, short_circuit, False, lines, counts, math.inf, None, head)
     (failed,) = (stage for stage, count in counts.items() if count)
     return ModelRecord(lines[0], failed)
 
@@ -207,7 +209,7 @@ class _PolTerms:
 
     def __init__(self, s: BaseSurface, pol: Polarization, solves: dict | None = None):
         self.s, self.H = s, pol.H
-        self.h = None if pol.h is None else Fraction(pol.h)
+        self.h = pol.h if pol.h is None or type(pol.h) is Fraction else Fraction(pol.h)
         if pol.H is not None:
             nums, self.H_dual, self.H_den = s.integer_parts(pol.H)
             self.hsq = ratio(dot(nums, self.H_dual), self.H_den * self.H_den)
@@ -285,216 +287,259 @@ class _Spectrum:
 
 
 class _Alpha:
-    """What the blocks of one twist class alpha share, kept in the `alphas`
-    table of one `_scan` (or built by `check_model`): alpha = nums/den over
-    its least common denominator, dual = Gram.nums, a_sq = den^2 alpha^2,
-    a_c1 = den alpha.c1, its params text and, filled at line time,
-    `slopes`: per polarization, the non-split verdict of an x > 0 model
-    whose slope (2H - z c1).alpha fails, or None where the slope does not
-    fail."""
+    """What the blocks of one twist class alpha share, built once per scan
+    (or by `check_model`): alpha = nums/den over its least common
+    denominator, a_sq = den^2 alpha^2 and a_c1 = den alpha.c1 from dual =
+    Gram.nums and, once a block of alpha writes lines, its params text,
+    `rows` (`_rows`) and, for x > 0, `slopes` (`_slopes`)."""
 
-    __slots__ = ("nums", "dual", "den", "a_sq", "text", "a_c1", "slopes")
+    __slots__ = ("nums", "den", "a_sq", "a_c1", "text", "rows", "slopes")
 
-    def __init__(self, s: BaseSurface, nums, dual, den: int, text: str = ""):
-        self.nums, self.dual, self.den, self.text = nums, dual, den, text
-        self.a_sq, self.a_c1, self.slopes = dot(nums, dual), dot(dual, s.c1_ints), {}
+    def __init__(self, s: BaseSurface, nums, dual, den: int, text: str | None = None):
+        self.nums, self.den, self.text = nums, den, text
+        self.a_sq, self.a_c1, self.rows, self.slopes = dot(nums, dual), dot(dual, s.c1_ints), None, None
 
 
-class _Block:
-    """The invariants of a run of the box in which only the fastest axes
-    vary: a pullback block per (n, x, alpha), a model per c2E, and a spectral
-    one per (n, alpha), a model per (eta, lambda); polarizations fastest.
-    Built from n, validity (`_validity`), `_Alpha` and `data` (a pullback
-    twist's x); an invalid block works out nothing else.  A subclass gives
-    `scan` the models meeting the requirement (`_run`), what only lines read
-    (`_line_terms`) and verdicts (passed, '"key":{...}'): `_anomaly` per
-    model, as (failed stage, text after the params); `_slope` per
-    polarization, a failing slope's non-split verdict (else None); `_chi` per
-    model, the one the other polarizations share; `_stability` per polarization."""
+def _alpha_text(alpha: _Alpha) -> str:
+    if alpha.text is None:
+        alpha.text = '"alpha":[' + ",".join(f'"{c}"' for c in alpha.nums) + "],"
+    return alpha.text
 
-    def __init__(self, s: BaseSurface, require: str | None, n: int, validity: tuple, alpha: _Alpha, data):
-        self.s, self.require, self.n, self.validity = s, require, n, validity
-        if validity[0]:
-            self.alpha = alpha
-            self._invariants(data)
 
-    def scan(self, models, pols, head: str, tail: str, short_circuit: bool, drop: bool, lines, counts) -> None:
-        """Append the JSONL lines of the block's models times `pols`
-        ((_PolTerms, text), fastest) to `lines`, counted in `counts` by failed
-        stage (None if passed).  `models`: (key, end); a line opens with head
-        + text + tail + end.  A failure stops a model under `short_circuit`, a
-        validity failure always; under `drop` one failing validity or the
-        requirement gets no line."""
-        if not self.validity[0]:
-            counts["validity"] += len(models) * len(pols)
-            if not drop:
-                rest = ',"verdicts":{' + self.validity[1] + _TAILS["validity"]
-                lines += [head + text + tail + end + rest for _, end in models for _, text in pols]
-            return
+def _rows(alpha: _Alpha, pols, spectral: bool) -> list:
+    """`alpha.rows`: per polarization, (params text, _PolTerms, a, den H_den
+    alpha.H), a being the alpha.c1 (pullback ray h) or alpha.H of its
+    stability verdicts."""
+    if alpha.rows is None:
+        _alpha_text(alpha)
+        alpha.rows = []
+        for pol, text in pols:
+            a_h = dot(alpha.nums, pol.H_dual)
+            ray = pol.h is not None and not spectral
+            a = ratio(alpha.a_c1, alpha.den) if ray else ratio(a_h, alpha.den * pol.H_den)
+            alpha.rows.append((text, pol, a, a_h))
+    return alpha.rows
+
+
+def _slopes(alpha: _Alpha, x: int) -> list:
+    """`alpha.slopes`, for x > 0: per polarization, the verdict of its slope
+    (2H - z c1).alpha if > 0, which fails the model whatever chi is, else None."""
+    if alpha.slopes is None:
+        alpha.slopes = []
+        for _, pol, _, a_h in alpha.rows:
+            # over den * H_den * z_den
+            z = pol.z
+            num = 2 * a_h * z.denominator - z.numerator * alpha.a_c1 * pol.H_den
+            slope = ratio(num, alpha.den * pol.H_den * z.denominator)
+            verdict = None
+            if slope > 0:
+                ns = nonsplit_verdict(x, slope, None)
+                verdict = _nonsplit_text(ns.passed, ns.clause, ns.value)
+            alpha.slopes.append(verdict)
+    return alpha.slopes
+
+
+def _anomaly_tail(require: str | None, w_zero: bool, w_effective: bool) -> tuple:
+    """(None or "anomaly", flags, end) of the anomaly verdict of a valid
+    model with the flags of `w_verdict`: the text after its af and, after
+    the spectral af readings if any, its end."""
+    passed = require is None or (w_zero if require == "W_zero" else w_effective)
+    return (None if passed else "anomaly", *_AF_TAILS[w_zero, w_effective, passed])
+
+
+def _emit(terms, models, stability, short_circuit: bool, lines: list, counts: dict) -> None:
+    """Append the lines of `models` x `terms`, terms fastest, counted by
+    failed stage (None: passed): the one rule of both modes.  A term is
+    [params prefix, a failing slope's verdict (else None: chi decides), its
+    stability verdict once stability(term) gave it, _PolTerms, key]; a
+    model (end, unmet, chi): its text up to the non-split verdict, the stage
+    failed so far and the chi verdict (None where no line reads it).  A
+    failure stops a model under `short_circuit`, a validity failure always."""
+    for end, unmet, chi in models:
+        if unmet and (short_circuit or unmet == "validity"):
+            counts[unmet] += len(terms)
+            end += _TAILS[unmet]
+            lines += [term[0] + end for term in terms]
+            continue
+        for term in terms:
+            prefix, nonsplit = term[0], term[1] or chi
+            failed = unmet or (None if nonsplit[0] else "nonsplit")
+            if failed is None or not short_circuit:
+                verdict = term[2]
+                if verdict is None:
+                    verdict = term[2] = stability(term)
+                failed = failed or (None if verdict[0] else "stability")
+                lines.append(f"{prefix}{end},{nonsplit[1]},{verdict[1]}{_TAILS[failed]}")
+            else:
+                lines.append(f"{prefix}{end},{nonsplit[1]}{_TAILS[failed]}")
+            counts[failed] += 1
+
+
+def _invalid_lines(terms, models, validity: tuple, lines: list, counts: dict) -> None:
+    """`_emit` the lines of `models` x `terms`, which all fail `validity`."""
+    rest = ',"verdicts":{' + validity[1]
+    _emit(terms, [(end + rest, "validity", None) for _, end in models], None, True, lines, counts)
+
+
+def _pullback(s, require, ns, xs, alphas, c2Es, pols, short_circuit, drop, lines, counts, run, flush, params=None):
+    """`_emit` the pullback box (n, x, alpha, c2E) x `pols`, last fastest,
+    into `lines` and `counts`, and flush() after each block (n, x, alpha)
+    that leaves `run` lines or more.  ns: (n, validity verdict); c2Es:
+    (c2E, what closes the params after it); pols: (_PolTerms, params text).
+    A line opens with the params of the box, or only with `params` (from
+    `check_model`).  Under `drop`, what fails validity or the requirement
+    gets no line.  Each term is worked out where it varies: per n, k; per
+    (n, x), wB = c c1 + t alpha up to alpha, the chi coefficients and the
+    chi verdict's opening per sign of chi; per alpha, `_Alpha`; per block,
+    af0 (af = af0 - c2E), the requirement's cut, wB, its cone query where
+    some af >= 0 reads it, chi0 and the prefixes; per c2E, the texts."""
+    width, af_base, c1_ints = len(pols), s.c2 + 11 * s.c1_sq, s.c1_ints
+    # anomaly verdicts after their af, by (wB = 0, effectivity of wB) and sign of af
+    lo, anomaly_tails = c2Es[0][0], {}
+    for n, validity in ns:
+        head = params or f'{{"params":{{"base":"{s.kind}","n":{n},'
+        if not validity[0] and drop:
+            counts["validity"] += len(xs) * len(alphas) * len(c2Es) * width
+            continue
+        if not validity[0]:
+            for x in xs:
+                xtext = "" if params else f'"x":{x},"c2E":'
+                for alpha in alphas:
+                    terms = [[f"{head}{_alpha_text(alpha)}{text}{xtext}"] for _, text in pols]
+                    _invalid_lines(terms, c2Es, validity, lines, counts)
+                    if len(lines) >= run:
+                        flush()
+            continue
+        k = n * (n + 1) // 2
+        for x in xs:
+            c, t = 12 - k * x * x, 2 * k * x
+            torsion = c * s.c1.torsion % 2  # t is even: t alpha has no torsion
+            coefficients, chi_openings = chi_line_terms(n, x, s.c1_sq), [None, None, None]
+            chi_slope = coefficients[3]
+            xtext = "" if params else f'"x":{x},"c2E":'
+            for alpha in alphas:
+                den = alpha.den
+                d2 = den * den
+                af0 = ratio(af_base * d2 + k * alpha.a_sq, d2)
+                kept = c2Es
+                if drop:
+                    if require == "W_zero":
+                        i = af0 - lo
+                        kept = c2Es[i : i + 1] if type(i) is int and i >= 0 else ()
+                    else:
+                        kept = c2Es[: max(0, math.floor(af0) - lo + 1)]
+                if kept:
+                    wB_nums = [c * den * ci + t * ai for ci, ai in zip(c1_ints, alpha.nums)]
+                    wB_zero, effective = not torsion and not any(wB_nums), None
+                    # w_verdict reads the cone query of wB at af >= 0 and wB != 0
+                    # only; W_zero keeps c2E = af0 if wB = 0, and W_effective
+                    # c2E <= floor(af0) if wB is zero or effective
+                    if not (wB_zero or af0 < lo or drop and require == "W_zero"):
+                        effective = s.effective(wB_nums)
+                    if drop and not (wB_zero or effective and require == "W_effective"):
+                        kept = ()
+                if drop:
+                    counts["anomaly"] += (len(c2Es) - len(kept)) * width
+                    if not kept:
+                        continue
+                opening = _af_opening(_class_text(wB_nums, den, torsion))
+                rows = alpha.rows or _rows(alpha, pols, False)
+                slopes = (alpha.slopes or _slopes(alpha, x)) if x > 0 else repeat(None)
+                terms = [
+                    [f"{head}{alpha.text}{text}{xtext}", slope, None, pol, (n, x, a)]
+                    for (text, pol, a, _), slope in zip(rows, slopes)
+                ]
+                reads_chi = x <= 0 or None in slopes
+                chi0, models = chi_line_at(coefficients, alpha.a_sq, alpha.a_c1, den), []
+                tails = anomaly_tails.get((wB_zero, effective))  # by sign of af
+                if tails is None:
+                    tails = anomaly_tails[wB_zero, effective] = [None, None, None]
+                for c2E, end in kept:
+                    af = af0 - c2E
+                    sign = (af > 0) - (af < 0)
+                    tail = tails[sign]
+                    if tail is None:  # w_verdict reads only the sign of af
+                        w_zero, w_effective = w_verdict(sign, wB_zero, lambda: effective)
+                        unmet, flags, close = _anomaly_tail(require, w_zero, w_effective)
+                        tail = tails[sign] = unmet, flags + close
+                    unmet, chi = tail[0], None
+                    if reads_chi and not (unmet and short_circuit):
+                        # chi's passed and clause depend only on its sign, given x
+                        value = chi0 - chi_slope * c2E
+                        sign = (value > 0) - (value < 0)
+                        chi = chi_openings[sign]
+                        if chi is None:
+                            verdict = nonsplit_verdict(x, 0 if x > 0 else None, value)
+                            chi = chi_openings[sign] = verdict.passed, _nonsplit_opening(verdict.passed, verdict.clause)
+                        try:
+                            chi = chi[0], f'{chi[1]}{value}"}}'
+                        except ValueError:
+                            raise jsonio.unprintable("chi", "'n', 'x', 'alpha' or 'c2E'") from None
+                    models.append((f"{end}{opening}{af}{tail[1]}", unmet, chi))
+                _emit(terms, models, _window, short_circuit, lines, counts)
+                if len(lines) >= run:
+                    flush()
+
+
+def _window(term) -> tuple:
+    """The stability verdict of a pullback term: its window at (n, x, a),
+    solved once per (n, x, a) for all the polarizations of a scan."""
+    pol, key = term[3], term[4]
+    verdict = pol.stability.get(key)
+    if verdict is None:
+        n, x, a = key
+        solved = pol.solves.get((n, x, a, pol.sign))
+        if solved is None:
+            solved = solve_delpezzo(n, x, a, pol.s.c1_sq) if pol.h else solve_enriques(n, x, a, pol.sign)
+            pol.solves[n, x, a, pol.sign] = solved
+        verdict = pol.stability[key] = solved[3], '"stability":' + _window_text(solved, pol.scale())
+    return verdict
+
+
+def _spectral_window(term) -> tuple:
+    """The stability verdict of a spectral term: 0 < n alpha.H <
+    (Lambda.H)_min, once per (n, alpha.H)."""
+    pol, key = term[3], term[4]
+    verdict = pol.stability.get(key)
+    if verdict is None:
+        ver = spectral_stability(*key, pol.min_degree)
+        verdict = pol.stability[key] = ver.passed, (
+            f'"stability":{{"passed":{_JSON[ver.passed]},"alpha_H":"{jsonio.frac_to_str(ver.a_h)}",'
+            f'"n_alpha_H":"{jsonio.frac_to_str(ver.n_a_h)}",' + pol.min_degree_text
+        )
+    return verdict
+
+
+class _SpectralBlock:
+    """A spectral block (n, alpha), a model per (eta, lambda), k alpha^2 over
+    den^2 (k = n(n+1)/2) per block.  Per model, from its key (`_Spectrum`
+    of its (n, eta, lambda), None if invalid; validity): af with its flags,
+    the anomaly verdict, with both af readings if eta = 12 c1, and the
+    non-split verdict 3/2 resid^2 - (n+1) alpha.resid > 0."""
+
+    def __init__(self, s: BaseSurface, require: str | None, n: int, validity: tuple, alpha: _Alpha):
+        self.s, self.require, self.n, self.validity, self.alpha = s, require, n, validity, alpha
+        self.d2, self.k_a_sq = alpha.den**2, n * (n + 1) // 2 * alpha.a_sq
+
+    def scan(self, models, pols, head: str, short_circuit: bool, drop: bool, lines, counts) -> None:
+        """`_emit` the block's models ((key, what closes the params)) x
+        `pols` ((_PolTerms, params text)); a line opens with head."""
+        alpha = self.alpha
+        if not self.validity[0]:  # only from check_model: a scan's blocks are valid
+            terms = [[f"{head}{alpha.text}{text}"] for _, text in pols]
+            return _invalid_lines(terms, models, self.validity, lines, counts)
         if drop:
             models = self._run(models, counts, len(pols))
             if not models:
                 return
-        self._line_terms()
-        # per polarization: its params prefix, the verdict of a slope that
-        # fails (else None: chi decides) and, once asked, its stability verdict
-        terms = [[head + text + tail, self._slope(pol), None, pol] for pol, text in pols]
-        for key, end in models:
-            unmet, opening = self._anomaly(key)
-            end += opening
-            if unmet and (short_circuit or unmet == "validity"):
-                counts[unmet] += len(terms)
-                lines += [term[0] + end + _TAILS[unmet] for term in terms]
-                continue
-            chi = None
-            for term in terms:
-                prefix, nonsplit, stability, pol = term
-                if nonsplit is None:
-                    nonsplit = chi = chi or self._chi(key)
-                failed = unmet or (None if nonsplit[0] else "nonsplit")
-                if failed is None or not short_circuit:
-                    if stability is None:
-                        stability = term[2] = self._stability(pol)
-                    failed = failed or (None if stability[0] else "stability")
-                    lines.append(f"{prefix}{end},{nonsplit[1]},{stability[1]}{_TAILS[failed]}")
-                else:
-                    lines.append(f"{prefix}{end},{nonsplit[1]}{_TAILS[failed]}")
-                counts[failed] += 1
-
-    def _line_terms(self) -> None:
-        pass
-
-    def _slope(self, pol) -> None:
-        return None
-
-    def _meets(self, w_zero: bool, w_effective: bool) -> bool:
-        require = self.require
-        return require is None or (w_zero if require == "W_zero" else w_effective)
-
-    def _anomaly_verdict(self, opening: str, af, w_zero: bool, w_effective: bool, readings: str = "") -> tuple:
-        """(None or "anomaly", text after the params) of a valid model, from
-        the `opening` of its wB (`_af_opening`); `readings`, the text of the
-        two af readings, go before "passed".  str() of af is what
-        `jsonio.frac_to_str` writes."""
-        passed = self._meets(w_zero, w_effective)
-        flags, end = _AF_TAILS[w_zero, w_effective, passed]
-        return None if passed else "anomaly", f"{opening}{af}{flags}{readings}{end}"
-
-    def _alpha_H(self, pol: _PolTerms):
-        return ratio(dot(self.alpha.nums, pol.H_dual), self.alpha.den * pol.H_den)
-
-
-class _PullbackBlock(_Block):
-    """Per block: af0 (af = af0 - c2E) and wB over den; for lines, the terms
-    of `_line_terms`; if some af >= 0 asks, whether wB is effective.  Per
-    c2E: the anomaly verdict, from the block's opening and the flags' tail,
-    and the chi verdict, from the opening of the sign of chi.  Per (alpha,
-    polarization), for x > 0: the slope verdict.  Per polarization: the
-    stability window, solved once per (n, x, a) for all of them."""
-
-    def _invariants(self, x) -> None:
-        s, n, alpha = self.s, self.n, self.alpha
-        self.x = x = int(x)
-        den = alpha.den
-        d2, k = den * den, n * (n + 1) // 2
-        self.af0 = ratio((s.c2 + 11 * s.c1_sq) * d2 + k * alpha.a_sq, d2)
-        # wB = (12 - k x^2) c1 + 2 k x alpha, over den
-        c, t = 12 - k * x * x, 2 * k * x
-        self.wB_nums = [c * den * ci + t * ai for ci, ai in zip(s.c1_ints, alpha.nums)]
-        self.wB_torsion = c * s.c1.torsion % 2  # t is even: t alpha has no torsion
-        self.wB_zero = not self.wB_torsion and not any(self.wB_nums)
-        self.effective = None
-
-    def wB_effective(self) -> bool:
-        if self.effective is None:
-            self.effective = self.s.effective(self.wB_nums)
-        return self.effective
-
-    def _run(self, models, counts, width: int) -> list:
-        """The models meeting the requirement, the others counted as anomaly
-        failures: af = af0 - c2E, so W_zero keeps c2E = af0 if wB = 0, and
-        W_effective c2E <= floor(af0) if wB is zero or effective."""
-        lo = models[0][0]
-        if self.require == "W_zero":
-            i = self.af0 - lo
-            kept = models[i : i + 1] if self.wB_zero and type(i) is int and i >= 0 else []
-        else:
-            stop = max(0, math.floor(self.af0) - lo + 1)
-            kept = models[:stop] if stop and (self.wB_zero or self.wB_effective()) else []
-        counts["anomaly"] += (len(models) - len(kept)) * width
-        return kept
-
-    def _line_terms(self) -> None:
-        """chi0, chi_slope, the anomaly verdict up to its af and, filled per
-        sign of chi (-1, 0, 1), the chi verdicts' (passed, text up to chi)."""
-        s, den = self.s, self.alpha.den
-        self.chi0, self.chi_slope = chi_line(self.n, self.x, self.alpha.a_sq, self.alpha.a_c1, den, s.c1_sq)
-        self.af_opening = _af_opening(_class_text(self.wB_nums, den, self.wB_torsion))
-        self.chi_openings = [None, None, None]
-
-    def _anomaly(self, c2E) -> tuple:
-        af = self.af0 - c2E
-        w_zero, w_effective = w_verdict(af, self.wB_zero, self.wB_effective)  # unpacked: a starred call costs more
-        return self._anomaly_verdict(self.af_opening, af, w_zero, w_effective)
-
-    def _slope(self, pol):
-        """For x > 0, the verdict of pol's slope (2H - z c1).alpha if it is
-        > 0, which fails the model whatever chi is; None otherwise."""
-        if self.x <= 0:
-            return None
-        slopes = self.alpha.slopes
-        if pol in slopes:
-            return slopes[pol]
-        # over den * H_den * z_den
-        alpha, z = self.alpha, pol.z
-        num = 2 * dot(alpha.nums, pol.H_dual) * z.denominator - z.numerator * alpha.a_c1 * pol.H_den
-        slope = ratio(num, alpha.den * pol.H_den * z.denominator)
-        verdict = None
-        if slope > 0:
-            ns = nonsplit_verdict(self.x, slope, None)
-            verdict = _nonsplit_text(ns.passed, ns.clause, ns.value)
-        slopes[pol] = verdict
-        return verdict
-
-    def _chi(self, c2E) -> tuple:
-        """The verdict of chi at c2E, which every slope that does not fail
-        leaves to chi (0 stands for such a slope), refused if unprintable.
-        Its passed and clause depend only on the sign of chi, given x."""
-        chi = self.chi0 - self.chi_slope * c2E
-        sign = (chi > 0) - (chi < 0)
-        opening = self.chi_openings[sign]
-        if opening is None:
-            ns = nonsplit_verdict(self.x, 0 if self.x > 0 else None, chi)
-            opening = self.chi_openings[sign] = ns.passed, _nonsplit_opening(ns.passed, ns.clause)
-        try:
-            return opening[0], f'{opening[1]}{chi}"}}'
-        except ValueError:
-            raise jsonio.unprintable("chi", "'n', 'x', 'alpha' or 'c2E'") from None
-
-    def _stability(self, pol) -> tuple:
-        n, x = self.n, self.x
-        # an Enriques pullback model takes H, one on F0/dPk a ray h
-        a = self._alpha_H(pol) if pol.h is None else ratio(self.alpha.a_c1, self.alpha.den)
-        verdict = pol.stability.get((n, x, a))
-        if verdict is None:
-            key = n, x, a, pol.sign
-            if key not in pol.solves:
-                solved = solve_delpezzo(n, x, a, self.s.c1_sq) if pol.h else solve_enriques(n, x, a, pol.sign)
-                pol.solves[key] = solved
-            solved = pol.solves[key]
-            verdict = pol.stability[n, x, a] = solved[3], '"stability":' + _window_text(solved, pol.scale())
-        return verdict
-
-
-class _SpectralBlock(_Block):
-    """Per block: k alpha^2 over den^2, k = n(n+1)/2.  Per model, from its
-    key (`_Spectrum` of its (n, eta, lambda), None if invalid; validity):
-    af with its flags, the anomaly verdict, with both af readings if eta =
-    12 c1, and the non-split verdict 3/2 resid^2 - (n+1) alpha.resid > 0.
-    Per polarization: 0 < n alpha.H < (Lambda.H)_min, once per (n, alpha.H)."""
-
-    def _invariants(self, _) -> None:
-        self.d2, self.k_a_sq = self.alpha.den**2, self.n * (self.n + 1) // 2 * self.alpha.a_sq
+        rows = _rows(alpha, pols, True)
+        terms = [[f"{head}{alpha.text}{text}", None, None, pol, (self.n, a)] for text, pol, a, _ in rows]
+        lines_of = []
+        for model, end in models:
+            unmet, text = self._anomaly(model)
+            chi = None if model[0] is None or unmet and short_circuit else self._chi(model)
+            lines_of.append((end + text, unmet, chi))
+        _emit(terms, lines_of, _spectral_window, short_circuit, lines, counts)
 
     def _flags(self, spectrum: _Spectrum) -> tuple:
         """(af, W_zero, W_effective) of the model of `spectrum`."""
@@ -504,17 +549,20 @@ class _SpectralBlock(_Block):
     def _run(self, models, counts, width: int) -> list:
         """The models of valid data meeting the requirement, the others
         counted as validity or anomaly failures."""
-        kept = [m for m in models if m[0][0] is not None and self._meets(*self._flags(m[0][0])[1:])]
+        kept = [m for m in models if m[0][0] is not None]
+        kept = [m for m in kept if _anomaly_tail(self.require, *self._flags(m[0][0])[1:])[0] is None]
         invalid = sum(m[0][0] is None for m in models)
         counts["validity"] += invalid * width
         counts["anomaly"] += (len(models) - len(kept) - invalid) * width
         return kept
 
     def _anomaly(self, model) -> tuple:
+        """(None or the failed stage, text after the params) of a model."""
         spectrum, validity = model
         if spectrum is None:
             return "validity", ',"verdicts":{' + validity[1]
         af, w_zero, w_effective = self._flags(spectrum)
+        unmet, flags, end = _anomaly_tail(self.require, w_zero, w_effective)
         readings = ""
         try:
             if spectrum.af_offset is not None:
@@ -523,7 +571,7 @@ class _SpectralBlock(_Block):
                     f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
                     f',"display_agrees":{_JSON[af == displayed]}'
                 )
-            return self._anomaly_verdict(spectrum.af_opening, af, w_zero, w_effective, readings)
+            return unmet, f"{spectrum.af_opening}{af}{flags}{readings}{end}"
         except ValueError:  # str() refused an af past the digit limit
             raise jsonio.unprintable("af", "'n', 'eta', 'lambda' or 'alpha'") from None
 
@@ -533,17 +581,6 @@ class _SpectralBlock(_Block):
         p, rd = dot(self.alpha.nums, spectrum.resid_dual), spectrum.resid_den
         value = ratio(spectrum.resid_sq3 * den - 2 * (self.n + 1) * p * rd, 2 * den * rd * rd)
         return _nonsplit_text(value > 0, "spectral chi>0", value)
-
-    def _stability(self, pol) -> tuple:
-        a_h = self._alpha_H(pol)
-        verdict = pol.stability.get((self.n, a_h))
-        if verdict is None:
-            ver = spectral_stability(self.n, a_h, pol.min_degree)
-            verdict = pol.stability[self.n, a_h] = ver.passed, (
-                f'"stability":{{"passed":{_JSON[ver.passed]},"alpha_H":"{jsonio.frac_to_str(ver.a_h)}",'
-                f'"n_alpha_H":"{jsonio.frac_to_str(ver.n_a_h)}",' + pol.min_degree_text
-            )
-        return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -763,31 +800,35 @@ def _points(axes, start: int, stop: int):
         start += len(last) - column
 
 
-def _block(config: SearchConfig, s: BaseSurface, point: tuple, inner, alphas: dict, shared: dict):
-    """(block, head, tail, models) of the block at `point`: a line opens
-    with head ('{"params":' and the params up to alpha), its polarization
-    entry, tail and its model's end.  `inner`: every pullback block's models,
-    or the spectral inner axes.  The tables of one `_scan` keep per alpha its
-    `_Alpha` (den = 1), and in `shared` per n the pullback validity verdict
-    or the spectral models, whose verdicts are those of the zero twist: every
-    twist of the box is integral, so passes `validate_bundle`."""
-    n, pullback = point[0], config.mode == "pullback"
-    coords = point[2:] if pullback else point[1:]
-    alpha = alphas.get(coords)
-    if alpha is None:
-        nums = coords + (0,) * (s.rank - len(coords))
-        text = "[" + ",".join(f'"{c}"' for c in nums) + "]"
-        alpha = alphas[coords] = _Alpha(s, nums, s.dual(nums), 1, text)
-    head = f'{{"params":{{"base":"{s.kind}","n":{n},"alpha":{alpha.text},'
-    if pullback:
-        validity = shared.get(n)
-        if validity is None:
-            validity = shared[n] = _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))[0]
-        x = point[1]
-        return _PullbackBlock(s, config.require, n, validity, alpha, x), head, f'"x":{x},"c2E":', inner
-    models = shared.get(n)
-    if models is None:
-        models = shared[n] = []
+def _alphas(s: BaseSurface, axes) -> list:
+    """The `_Alpha` (den = 1) of each point of the alpha box, in order."""
+    points = _points(axes, 0, math.prod(map(len, axes))) if axes else [()]
+    nums = (point + (0,) * (s.rank - len(point)) for point in points)
+    return [_Alpha(s, vec, s.dual(vec), 1) for vec in nums]
+
+
+def _scan(config: SearchConfig, axes: tuple, lines: list, counts: dict, flush) -> None:
+    """Append the JSONL lines of the box of `axes` to `lines` in enumeration
+    order, counted in `counts` by failed stage (None: passed), and call
+    flush() after each block that leaves `_WRITE_RUN` lines or more.  The
+    polarization tables (`_PolTerms`) are those of `axes`."""
+    s = make_base(config.base)
+    block_axes, inner, pols, blocks = axes
+    if not blocks:  # a box with an empty axis has none
+        return
+    (ns, *alpha), require, run = block_axes, config.require, _WRITE_RUN
+    drop = require is not None
+    if config.mode == "pullback":
+        xs, *alpha = alpha
+        valid = ((n, _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))[0]) for n in ns)
+        c2Es = [(c2E, f"{c2E}}}") for c2E in inner[0]]
+        return _pullback(s, require, valid, xs, _alphas(s, alpha), c2Es, pols, True, drop, lines, counts, run, flush)
+    alphas = _alphas(s, alpha)
+    for n in ns:
+        # the models of n's (eta, lambda), whose verdicts are those of the
+        # zero twist: every twist of the box is integral, so passes
+        # `validate_bundle`
+        models = []
         for *eta, lam in _points(inner, 0, math.prod(map(len, inner))):
             # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
             eta = tuple(eta) or tuple(12 * c for c in s.c1_ints)
@@ -796,78 +837,36 @@ def _block(config: SearchConfig, s: BaseSurface, point: tuple, inner, alphas: di
             spectrum = _Spectrum(s, n, eta, lam, fiber) if validity[0] else None
             params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
             models.append(((spectrum, validity), _ENCODER.encode(params)[1:]))
-    return _SpectralBlock(s, config.require, n, _VALID, alpha, None), head, "", models
-
-
-def _scan(config: SearchConfig, axes: tuple, start: int, stop: int, run: float = math.inf):
-    """Yield (text, lines, counts) of blocks start..stop-1 of the box of
-    `axes` in enumeration order, per run of whole blocks of at least `run`
-    lines and for the rest: the JSONL text, its lines and the models by
-    failed stage (None: passed).  A serial scan works out the polarization
-    tables (`_PolTerms`) once, a pool chunk in its own copy."""
-    s = make_base(config.base)
-    block_axes, inner, pols, _ = axes
-    if config.mode == "pullback" and start < stop:
-        inner = [(c2E, f"{c2E}}}") for c2E in inner[0]]
-    lines, counts, alphas, shared = [], dict.fromkeys((None, *STAGES), 0), {}, {}
-    for point in _points(block_axes, start, stop):
-        block, head, tail, models = _block(config, s, point, inner, alphas, shared)
-        block.scan(models, pols, head, tail, True, config.require is not None, lines, counts)
-        if len(lines) >= run:
-            yield "\n".join(lines) + "\n", len(lines), counts
-            lines, counts = [], dict.fromkeys(counts, 0)
-    yield "\n".join(lines) + "\n" if lines else "", len(lines), counts
+        head = f'{{"params":{{"base":"{s.kind}","n":{n},'
+        for alpha in alphas:
+            _SpectralBlock(s, require, n, _VALID, alpha).scan(models, pols, head, True, drop, lines, counts)
+            if len(lines) >= run:
+                flush()
 
 
 _WRITE_RUN = 256  # lines per write of `run_search`, at least: the box's text is never held whole
-_POOL_MIN_MODELS = 60_000  # the measured crossover of `--jobs 2` (README.md)
-
-
-def _chunk(config: SearchConfig, axes: tuple, start: int, stop: int) -> list:
-    """A pool task: the runs of `_scan` over one chunk, joined in the worker."""
-    return list(_scan(config, axes, start, stop, _WRITE_RUN))
-
-
-def _pool_pays(config: SearchConfig, models: int) -> bool:
-    """Whether a pool may beat the calling process: below `_POOL_MIN_MODELS`
-    models its fixed cost (forking, pickling each chunk's text back)
-    outweighs the rendering it splits; a required box renders too few lines."""
-    return config.require is None and models >= _POOL_MIN_MODELS
 
 
 def run_search(config: SearchConfig, jobs: int = 1, out=None):
     """Scan the whole box; write JSONL records to `out`; return the summary.
 
     `config.limit` caps the records written; the summary still counts the
-    whole box.  `jobs` > 1 starts a pool only where `_pool_pays`.  Output is
-    byte-identical for any `jobs`: chunks are merged in enumeration order.
+    whole box.  `jobs` is accepted and unread: every scan runs in the
+    calling process, so the output cannot depend on it (README.md).
     """
-    axes = _axes(config, make_base(config.base))
-    _, inner, pols, blocks = axes
-    jobs = jobs if _pool_pays(config, blocks * math.prod(map(len, inner)) * len(pols)) else 1
-    step = -(-blocks // (jobs * 4))
-    counts, emitted = dict.fromkeys((None, *STAGES), 0), 0
-    with ExitStack() as stack:
-        if jobs > 1 and step < blocks:
-            # imported here, so that a serial scan never loads the pool; with
-            # fork, it starts all of its workers up front.  Each chunk gets the axes pickled.
-            from concurrent.futures import ProcessPoolExecutor
+    lines, counts, emitted = [], dict.fromkeys((None, *STAGES), 0), 0
 
-            starts = range(0, blocks, step)
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(starts))))
-            stops = [min(lo + step, blocks) for lo in starts]
-            parts = chain.from_iterable(pool.map(_chunk, repeat(config), repeat(axes), starts, stops))
-        else:
-            parts = _scan(config, axes, 0, blocks, _WRITE_RUN)
-        for text, lines, tally in parts:
-            for failed, count in tally.items():
-                counts[failed] += count
-            if config.limit is not None and emitted + lines > config.limit:
-                lines = max(0, config.limit - emitted)
-                text = "".join(line + "\n" for line in text.split("\n")[:lines])
-            if out is not None:
-                out.write(text)
-            emitted += lines
+    def flush() -> None:
+        """Write the lines so far, up to `config.limit` in all, and drop them."""
+        nonlocal emitted
+        kept = lines if config.limit is None else lines[: max(0, config.limit - emitted)]
+        if out is not None and kept:
+            out.write("\n".join(kept) + "\n")
+        emitted += len(kept)
+        lines.clear()
+
+    _scan(config, _axes(config, make_base(config.base)), lines, counts, flush)
+    flush()
     summary = {
         "scanned": sum(counts.values()),
         "passed": counts[None],

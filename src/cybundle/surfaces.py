@@ -159,7 +159,7 @@ class BaseSurface:
 
     def dual(self, nums) -> tuple:
         """Gram.nums, for a vector of ints: nums.d = dual(nums) . d."""
-        return tuple(sum(g * nums[j] for j, g in row) for row in self._gram_rows)
+        return tuple([sum([g * nums[j] for j, g in row]) for row in self._gram_rows])
 
     def _gamma11_only(self, c: DivisorClass) -> bool:
         return all(v == 0 for v in c.coeffs[2:])
@@ -268,7 +268,7 @@ def ratio(num: int, den: int):
 def _over_common_denominator(c: DivisorClass):
     """(nums, den): den is the least common denominator of the coefficients
     of c and nums = den * c, as ints."""
-    den = math.lcm(*(q.denominator for q in c.coeffs))
+    den = math.lcm(*[q.denominator for q in c.coeffs])
     return [q.numerator * (den // q.denominator) for q in c.coeffs], den
 
 

@@ -78,7 +78,8 @@ def _solve_strict_linear(rows, domain):
 def window_scale(h=None, hsq=None) -> tuple:
     """(variable, num, den, h) of the windows read at H = h c1, u = h^2 t (t
     if h = 0), or at an H with H^2 = hsq, z = |H^2| t (t if H^2 = 0), h None."""
-    q = Fraction(hsq if h is None else h)
+    q = hsq if h is None else h
+    q = q if type(q) is Fraction else Fraction(q)
     if h is None:
         return "z", abs(q.numerator) or 1, q.denominator, None
     return "u", q.numerator**2 or 1, q.denominator**2, q

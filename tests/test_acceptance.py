@@ -177,7 +177,7 @@ def test_criterion_8_minus_one_class_counts():
     print(f"PASS criterion 8: (-1)-class counts {got}")
 
 
-def test_criterion_9_search_determinism(pool_on_small_boxes):
+def test_criterion_9_search_determinism():
     """Search output is byte-identical for jobs=1 and jobs=8."""
     config = SearchConfig(
         base="F0",

@@ -16,11 +16,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cybundle import jsonio, search
 from cybundle.anomaly import anomaly_class, spectral_af
 from cybundle.bundles import PullbackBundle, SpectralBundle, bundle_chern, validate_bundle
-from cybundle.nonsplit import chi_line, chi_nonsplit, nonsplit_feasible, spectral_nonsplit
+from cybundle.nonsplit import chi_line, chi_line_at, chi_line_terms, chi_nonsplit, nonsplit_feasible, spectral_nonsplit
 from cybundle.ring import DivisorX, c2_tangent
 from cybundle.search import STAGES, ModelRecord, Polarization, SearchConfig, check_model, run_search
 from cybundle.surfaces import DivisorClass, make_base
@@ -185,7 +186,7 @@ TABLE_BOXES = {
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("box", TABLE_BOXES.values(), ids=TABLE_BOXES.keys())
-def test_validity_tables_match_check_model(pool_on_small_boxes, box, jobs):
+def test_validity_tables_match_check_model(box, jobs):
     obj, errors = box
     config = SearchConfig.from_json(obj)
     s = make_base(config.base)
@@ -271,7 +272,7 @@ def _spectral_box_models(config, s):
 
 @pytest.mark.parametrize("require", [None, "W_zero", "W_effective"])
 @pytest.mark.parametrize("kind", sorted(SPECTRAL_BLOCK_BOXES))
-def test_spectral_blocks_match_check_model(pool_on_required_boxes, kind, require):
+def test_spectral_blocks_match_check_model(kind, require):
     # the oracle: every model of the box through check_model, a block of
     # one, its record kept unless the requirement drops it, and the tally
     # of all of them; the scan's lines and summary at --jobs 1, 2 and 3
@@ -477,6 +478,27 @@ def test_chi_line_matches_riemann_roch(den):
             assert chi0 - slope * c2e == expected
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    x=st.integers(-3, 3),
+    den=st.integers(1, 3),
+    c1_sq=st.integers(0, 9),
+    alphas=st.lists(st.tuples(st.integers(-60, 60), st.integers(-20, 20)), min_size=1, max_size=4),
+    c2e=st.integers(-50, 150),
+)
+def test_chi_split_matches_chi_line(n, x, den, c1_sq, alphas, c2e):
+    # a scan works out chi's coefficients once per (n, x) and evaluates
+    # them per alpha: for every alpha of the (n, x) this is chi_line, and
+    # Riemann-Roch
+    terms = chi_line_terms(n, x, c1_sq)
+    for a_sq, a_c1 in alphas:
+        chi0 = chi_line_at(terms, a_sq, a_c1, den)
+        assert (chi0, terms[3]) == chi_line(n, x, a_sq, a_c1, den, c1_sq)
+        expected = _riemann_roch_chi(n, x, c2e, Fraction(a_sq, den * den), Fraction(a_c1, den), c1_sq)
+        assert chi0 - terms[3] * c2e == expected
+
+
 # The JSONL line is rendered from text fragments, most of them by hand; the
 # standard encoder, run on the line's own parse, is the oracle of the bytes.
 
@@ -552,7 +574,7 @@ SHARED_BOXES = {
 
 
 @pytest.mark.parametrize("base", SHARED_BOXES)
-def test_shared_fragments_match_fraction_oracles(pool_on_required_boxes, base):
+def test_shared_fragments_match_fraction_oracles(base):
     box = {"base": base, "mode": "pullback", "n_range": [2, 3], "x_values": [-1, 1, 2], **SHARED_BOXES[base]}
     config = SearchConfig.from_json(box)
 
@@ -629,7 +651,7 @@ def _pullback_box_models(config, s):
 
 @pytest.mark.parametrize("require", [None, "W_zero", "W_effective"])
 @pytest.mark.parametrize("kind", BASES)
-def test_runs_crossing_both_roots_match_check_model(pool_on_required_boxes, kind, require):
+def test_runs_crossing_both_roots_match_check_model(kind, require):
     # a block writes each c2E's anomaly verdict from its opening and the
     # tail of its flags, and its chi verdict from the opening of the sign
     # of chi: across both roots, every line is the record check_model

@@ -1,6 +1,5 @@
 """Tests for the exhaustive model scan."""
 
-import concurrent.futures
 import dataclasses
 import io
 import itertools
@@ -542,80 +541,16 @@ def search_bytes(config, jobs):
     return out.getvalue()
 
 
-class _Pools(list):
-    def __init__(self):
-        super().__init__()
-        self.chunks = []
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    """Replace the process pool by one that maps in this process; the list
-    returned holds the worker count of each pool started, and its `chunks`
-    the lines each chunk mapped in them emitted, in order."""
-    started = _Pools()
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            parts = list(map(fn, *iterables))
-            started.chunks += [[line for text, _, _ in runs for line in text.splitlines()] for runs in parts]
-            return parts
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return started
-
-
-@pytest.mark.parametrize(
-    "jobs, n_range, workers", [(2, (2, 4), [2]), (4, (2, 4), [3]), (2, (3, 3), [])]
-)
-def test_pool_has_at_most_one_worker_per_chunk(pool_on_small_boxes, recording_pool, jobs, n_range, workers):
-    # a 3-model (or 1-model) box
-    config = dataclasses.replace(SO10_CONFIG, n_range=n_range, require=None)
-    serial = search_bytes(config, 1)
-    assert search_bytes(config, jobs) == serial
-    assert recording_pool == workers
-
-
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_axes_built_once_per_scan(monkeypatch, pool_on_small_boxes, recording_pool, jobs):
-    # a 15-model box of 3 blocks, one chunk per block at --jobs 2 and 3:
-    # every chunk, serial or pooled, reads the axes that run_search built
+def test_axes_built_once_per_scan(monkeypatch, jobs):
+    # a 15-model box of 3 blocks: the scan, at any --jobs, reads the axes
+    # that run_search built
     calls = []
     axes = search._axes
     monkeypatch.setattr(search, "_axes", lambda *args: calls.append(args) or axes(*args))
     config = dataclasses.replace(SO10_CONFIG, n_range=(2, 4), c2E_range=(100, 104), require=None)
     assert search_bytes(config, jobs).count("\n") == 15 + 1
     assert len(calls) == 1
-    assert recording_pool == ([] if jobs == 1 else [jobs])
-
-
-def test_pool_starts_from_the_threshold_and_only_without_require(monkeypatch, recording_pool):
-    # the 15-model box of 3 blocks above, against a threshold one model
-    # above its volume and one equal to it
-    config = dataclasses.replace(SO10_CONFIG, n_range=(2, 4), c2E_range=(100, 104), require=None)
-    serial = search_bytes(config, 1)
-    for threshold, workers in ((16, []), (15, [2])):
-        monkeypatch.setattr(search, "_POOL_MIN_MODELS", threshold)
-        recording_pool.clear()
-        assert search_bytes(config, 2) == serial
-        assert recording_pool == workers
-    # --jobs 1, and a required box of any size, start none
-    monkeypatch.setattr(search, "_POOL_MIN_MODELS", 1)
-    recording_pool.clear()
-    assert search_bytes(config, 1) == serial
-    for require in ("W_zero", "W_effective"):
-        required = dataclasses.replace(config, require=require)
-        assert search_bytes(required, 3) == search_bytes(required, 1)
-    assert recording_pool == []
 
 
 DP2_PULLBACK = {
@@ -654,35 +589,17 @@ F0_SPECTRAL = {
             c2E_range=(100, 106),
             h_values=(1,),
         ),
-        # 54 blocks of 6 models: chunks cut by models would split blocks
+        # 54 blocks of 6 models
         SearchConfig.from_json(DP2_PULLBACK),
     ],
     ids=["F0", "dP2"],
 )
-def test_serial_parallel_equivalence(pool_on_small_boxes, config):
-    # the real process pool
+def test_serial_parallel_equivalence(config):
+    # --jobs is accepted and has no effect on the bytes
     serial = search_bytes(config, 1)
     for jobs in (2, 3, 4):
         assert search_bytes(config, jobs) == serial
     assert serial == search_bytes(config, 1)  # rerun determinism
-
-
-@pytest.mark.parametrize("config, inner", [(DP2_PULLBACK, ("c2E", "h")), (F0_SPECTRAL, ("H", "h"))])
-def test_chunks_hold_whole_blocks(pool_on_small_boxes, recording_pool, config, inner):
-    # 54 blocks of 6 models and 32 blocks of 3; cut by models, --jobs 2
-    # would split the pullback blocks and --jobs 3 both
-    config = SearchConfig.from_json(config)
-    serial = search_bytes(config, 1)
-    for jobs in (2, 3):
-        recording_pool.chunks.clear()
-        assert search_bytes(config, jobs) == serial
-        # the block keys of each chunk: params without the `inner` keys
-        chunks = [
-            {repr([(k, v) for k, v in json.loads(line)["params"].items() if k not in inner]) for line in lines}
-            for lines in recording_pool.chunks
-        ]
-        assert 1 < len(chunks) <= 4 * jobs
-        assert sum(map(len, chunks)) == len(set().union(*chunks))
 
 
 @pytest.mark.parametrize(
@@ -693,7 +610,7 @@ def test_chunks_hold_whole_blocks(pool_on_small_boxes, recording_pool, config, i
         SearchConfig.from_json(F0_SPECTRAL),
     ],
 )
-def test_jobs_give_equal_bytes_by_blocks(pool_on_small_boxes, recording_pool, config):
+def test_jobs_give_equal_bytes_by_blocks(config):
     serial = search_bytes(config, 1)
     assert serial.count("\n") > 1
     assert search_bytes(config, 2) == search_bytes(config, 3) == serial
@@ -746,7 +663,7 @@ def _stage_under(record, require):
     ],
     ids=["dP2-pullback", "F0-spectral", "enriques-pullback", "F0-pullback"],
 )
-def test_summary_tallies_the_box(pool_on_required_boxes, recording_pool, config):
+def test_summary_tallies_the_box(config):
     # the summary counts each model of the box once, by its failed stage,
     # for any --jobs; the oracle is the require-free scan's records
     lines = search_bytes(config, 1).splitlines()[:-1]
@@ -769,11 +686,10 @@ def test_summary_tallies_the_box(pool_on_required_boxes, recording_pool, config)
             }
 
 
-def test_empty_axis_starts_no_pool(pool_on_small_boxes, recording_pool):
+def test_empty_axis_starts_no_pool():
     config = dataclasses.replace(SO10_CONFIG, c2E_range=(5, 3), require=None)
     summary = run_search(config, jobs=2)
     assert summary["scanned"] == 0 and summary["emitted"] == 0
-    assert recording_pool == []
 
 
 @pytest.mark.parametrize("mode", ["pullback", "spectral"])
@@ -812,9 +728,9 @@ def _seeded_box(rng, mode):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_chunk_walks_the_product_from_its_start(pool_on_small_boxes, recording_pool, seed):
-    # a chunk that starts at block k walks what product() yields from k, for
-    # every k and the chunk ends of --jobs 1, 2 and 3; the spectral inner
+def test_chunk_walks_the_product_from_its_start(seed):
+    # a walk that starts at block k yields what product() yields from k, for
+    # every k and the stops of the box cut in 4, 8 and 12 runs; the spectral inner
     # axes walk as product() does; and the bytes do not depend on --jobs
     rng = random.Random(f"points:{seed}")
     for mode in ("pullback", "spectral"):
@@ -833,10 +749,10 @@ def test_chunk_walks_the_product_from_its_start(pool_on_small_boxes, recording_p
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_writes_runs_of_whole_blocks(monkeypatch, pool_on_small_boxes, recording_pool, jobs):
+def test_scan_writes_runs_of_whole_blocks(monkeypatch, jobs):
     # 54 blocks of 6 models: with runs of at least 10 lines, each write but
-    # the summary holds at most two whole blocks (a pool chunk of 7 blocks
-    # ends on one), so the box's text is never held whole
+    # the summary holds at most two whole blocks, so the box's text is
+    # never held whole
     config = SearchConfig.from_json(DP2_PULLBACK)
     serial = search_bytes(config, 1)
     monkeypatch.setattr(search, "_WRITE_RUN", 10)
@@ -847,7 +763,6 @@ def test_scan_writes_runs_of_whole_blocks(monkeypatch, pool_on_small_boxes, reco
     assert sum(lines) == 324 and {n % 6 for n in lines} == {0} and max(lines) == 12
     if jobs == 1:
         assert lines == [12] * 27
-    assert recording_pool == ([] if jobs == 1 else [2])
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +816,7 @@ def _box_models(config):
 
 @pytest.mark.parametrize("placement", sorted(_AF0_PLACEMENTS))
 @pytest.mark.parametrize("base, seed", [("F0", 1), ("dP5", 2), ("enriques", 3)])
-def test_required_scan_matches_check_model(pool_on_required_boxes, recording_pool, base, seed, placement):
+def test_required_scan_matches_check_model(base, seed, placement):
     # the oracle: every model of the box through check_model, the record
     # kept when it meets the requirement, and the tally of all of them
     config = SearchConfig.from_json(_required_box(base, placement, seed))
@@ -943,7 +858,9 @@ def test_required_scan_renders_only_what_it_emits(monkeypatch):
     # 130,896 models in 1,296 blocks, of which 8 meet W_zero, the two that
     # pass all stages among them (n 3, x 1, alpha (-1,-1), c2E 104 and n 2,
     # x 1, alpha (-3,-3), c2E 146): a block renders the anomaly and
-    # non-split verdicts of the c2E it keeps, and a dropped model nothing
+    # non-split verdicts of the c2E it keeps, and a dropped model nothing;
+    # only a block that keeps a model writes the text of its wB, and none
+    # asks a cone query
     config = SearchConfig.from_json({
         "base": "F0",
         "mode": "pullback",
@@ -961,13 +878,21 @@ def test_required_scan_renders_only_what_it_emits(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args: counts.update([name]) or func(*args))
 
     count(search, "nonsplit_verdict")
-    count(search._Block, "_anomaly_verdict")
-    summary = run_search(config)
+    count(search, "_anomaly_tail")
+    count(search, "_class_text")
+    count(BaseSurface, "effective")
+    out = io.StringIO()
+    summary = run_search(config, out=out)
     blocks = 4 * 4 * 9 * 9
     assert summary["scanned"] == _volume(config) == blocks * 101
     assert summary["emitted"] == 8 and summary["passed"] == 2
     assert 0 < counts["nonsplit_verdict"] <= summary["emitted"] + blocks
-    assert 0 < counts["_anomaly_verdict"] <= summary["emitted"] + blocks
+    assert 0 < counts["_anomaly_tail"] <= summary["emitted"] + blocks
+    params = [json.loads(line)["params"] for line in out.getvalue().splitlines()[:-1]]
+    kept = {(p["n"], p["x"], tuple(p["alpha"])) for p in params}
+    assert 0 < counts["_class_text"] <= len(kept)
+    # a block that W_zero keeps has wB = 0, whose cone query is never asked
+    assert counts["effective"] == 0
 
 
 def test_derived_number_past_the_digit_limit_names_its_fields():
@@ -992,9 +917,9 @@ AF_REFUSED = "derived value af has more than 4300 digits; lower field 'n', 'eta'
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_unprintable_af_names_its_fields(pool_on_small_boxes, jobs):
+def test_unprintable_af_names_its_fields(jobs):
     # two blocks, one per alpha (alpha^2 = 0 for both, so af is that of
-    # alpha = 0): at --jobs 2 each is a chunk of the pool
+    # alpha = 0), at --jobs 1 and 2
     config = SearchConfig.from_json(AF_PAST_THE_LIMIT)
     assert search._axes(config, make_base("F0"))[3] == 2
     with pytest.raises(ValueError) as info:
@@ -1028,7 +953,7 @@ BIG = 10**20  # past sys.maxsize, and far under the digit cap
         ),
     ],
 )
-def test_box_axis_past_maxsize_names_its_field(pool_on_small_boxes, jobs, fields, message):
+def test_box_axis_past_maxsize_names_its_field(jobs, fields, message):
     box = {
         "base": "F0",
         "mode": "pullback",
@@ -1064,12 +989,12 @@ def test_unprintable_chi_is_refused_only_where_a_line_prints_it():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_unprintable_chi_after_its_opening_is_refused(pool_on_small_boxes, tmp_path, capsys, jobs):
+def test_unprintable_chi_after_its_opening_is_refused(tmp_path, capsys, jobs):
     # a block keeps the chi verdict's text up to the value per sign of chi:
     # with the digit limit lowered to its least, the negative chi of the
     # block alpha = 0 prints at the first c2E and has one digit too many at
     # the next, which reuses the opening; the scan refuses it there, and so
-    # does `cybundle search`, at --jobs 1 and in a pool of two blocks
+    # does `cybundle search`, at --jobs 1 and 2
     limit, f0 = 640, make_base("F0")
     chi0, slope = chi_line(2, -1, 0, 0, 1, f0.c1_sq)
     assert slope == 3
