@@ -19,7 +19,7 @@ from .anomaly import AnomalyOutcome, spectral_af, w_verdict
 from .bundles import PullbackBundle, SpectralBundle, _resid, validate_bundle
 from .nonsplit import chi_line_at, chi_line_terms, nonsplit_verdict
 from .ring import DivisorX
-from .surfaces import BaseSurface, DivisorClass, MinDegree, dot, make_base, ratio
+from .surfaces import ENRIQUES_H0_INTS, BaseSurface, DivisorClass, MinDegree, dot, make_base, ratio, unnodal_effective
 from .windows import solve_delpezzo, solve_enriques, spectral_stability, window_scale, z_approx
 
 STAGES = ("validity", "anomaly", "nonsplit", "stability")
@@ -62,7 +62,8 @@ class ModelRecord:
 
 # A record is rendered where its verdicts are computed, as text fragments
 # that the blocks join: digits, booleans and fixed names are written by
-# hand, anything else (an error message, a window's floats) by the encoder.
+# hand, a window's floats by repr (what the encoder writes for a finite
+# float), anything else (an error message, a model's params) by the encoder.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=False)
 _JSON = {True: "true", False: "false", None: "null"}
 _VALID = (True, '"validity":{"passed":true}')
@@ -108,6 +109,11 @@ def _nonsplit_text(passed: bool, clause: str, value) -> tuple:
     return passed, f'{_nonsplit_opening(passed, clause)}{value}"}}'
 
 
+# a spectral non-split verdict's text up to its value, by its passed: its
+# clause is always "spectral chi>0"
+_SPECTRAL_CHI = {passed: _nonsplit_opening(passed, "spectral chi>0") for passed in (False, True)}
+
+
 def _quotient(p: int, q: int) -> str:
     """The JSON string of p/q, q > 0, as `jsonio.frac_to_str` writes the Fraction."""
     g = math.gcd(p, q)
@@ -117,14 +123,15 @@ def _quotient(p: int, q: int) -> str:
 def _window_text(solved, scale: tuple) -> str:
     """The stability verdict of the window `solved` in t (`windows.solve_*`)
     at `scale`, as the encoder writes {**window_to_json(w), "passed": ...} of
-    w = `windows.window_at(solved, scale)`, with no Fraction: only the
-    z_interval_approx floats go through the encoder."""
+    w = `windows.window_at(solved, scale)`, with no Fraction and no encoder:
+    the z_interval_approx floats are finite, and repr is what the encoder
+    writes for a finite float."""
     lo, hi, binding, nonempty = solved
     variable, num, den, _ = scale
     ends = ["null" if end is None else _quotient(end[0] * num, end[1] * den) for end in (lo, hi)]
     names = '"' + '","'.join(binding) + '"' if binding else ""
     approx = z_approx(solved, scale)
-    approx = "" if approx is None else ',"z_interval_approx":' + _ENCODER.encode([round(v, 12) for v in approx])
+    approx = "" if approx is None else f',"z_interval_approx":[{round(approx[0], 12)!r},{round(approx[1], 12)!r}]'
     nonempty = _JSON[nonempty]
     return (
         f'{{"variable":"{variable}","lower":{ends[0]},"upper":{ends[1]},"nonempty":{nonempty},'
@@ -157,8 +164,8 @@ def check_model(
     """Run the full verification pipeline on one model.
 
     The model is evaluated as a box of one by the walk of every scan
-    (`_pullback`, or a `_SpectralBlock`), with the validity verdict of its
-    own bundle and polarization; the first failed stage is `failed_stage`.
+    (`_pullback` or `_spectral`), with the validity verdict of its own
+    bundle and polarization; the first failed stage is `failed_stage`.
     A failure stops the run under `short_circuit`, a validity failure
     always.  `bound` is accepted and unread: the benchmark (bench/child.py)
     still passes it.
@@ -187,8 +194,8 @@ def check_model(
     head, pols = '{"params":' + _ENCODER.encode(params or {}), [(terms, "")]
     if spectral:
         spectrum = _Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber) if validity[0] else None
-        block = _SpectralBlock(s, require, bundle.n, validity, alpha)
-        block.scan([((spectrum, validity), "")], pols, head, short_circuit, False, lines, counts)
+        box = [(bundle.n, [(spectrum, validity, "")])], [alpha]
+        _spectral(s, require, *box, pols, short_circuit, False, lines, counts, math.inf, None, head)
     else:
         box = [(bundle.n, validity)], [int(bundle.twist.x)], [alpha], [(bundle.c2E, "")]
         _pullback(s, require, *box, pols, short_circuit, False, lines, counts, math.inf, None, head)
@@ -257,17 +264,19 @@ class _Spectrum:
     text up to its af (`af_opening`, which holds wB) and, on first use, the
     effectivity of wB; af0, af without n(n+1)/2 alpha^2;
     `af_offset` = af_displayed - af when eta = 12 c1 (else None), also free
-    of alpha; and resid = eta - n c1 as integer parts with 3 den^2 resid^2."""
+    of alpha; resid = eta - n c1 as integer parts with 3 den^2 resid^2; and
+    `tails`, filled by the walk: the anomaly verdict after its af
+    (`_anomaly_tail`), by sign of af."""
 
     def __init__(self, s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction, fiber: Fraction):
         self.s = s
         self.af0 = s.c2 + 11 * s.c1_sq - fiber.numerator  # the fiber term is integral
-        nums, _, den = s.integer_parts(eta)
+        nums, dual, den = s.integer_parts(eta)
         # wB = 12 c1 - eta over den; 12 c1 carries no torsion
         self.wB_nums = [12 * den * c - a for c, a in zip(s.c1_ints, nums)]
         self.af_opening = _af_opening(_class_text(self.wB_nums, den, eta.torsion))
         self.wB_zero = not eta.torsion and not any(self.wB_nums)
-        self.af_offset, self.effective = None, None
+        self.af_offset, self.effective, self.tails = None, None, [None, None, None]
         if self.wB_zero:
             # eta = 12 c1: the readings of the twist alpha = 0, whose zero
             # class is wB; no effectivity query
@@ -277,7 +286,8 @@ class _Spectrum:
             offset = report.af_displayed - report.af_direct
             self.af_offset = ratio(offset.numerator, offset.denominator)
         resid = _resid(s, n, nums, den)
-        self.resid_dual, self.resid_den = s.dual(resid), den
+        # Gram.(den resid) = Gram.nums - n den Gram.c1
+        self.resid_dual, self.resid_den = [d - n * den * g for d, g in zip(dual, s._c1_dual)], den
         self.resid_sq3 = 3 * dot(resid, self.resid_dual)
 
     def wB_effective(self) -> bool:
@@ -289,15 +299,17 @@ class _Spectrum:
 class _Alpha:
     """What the blocks of one twist class alpha share, built once per scan
     (or by `check_model`): alpha = nums/den over its least common
-    denominator, a_sq = den^2 alpha^2 and a_c1 = den alpha.c1 from dual =
-    Gram.nums and, once a block of alpha writes lines, its params text,
-    `rows` (`_rows`) and, for x > 0, `slopes` (`_slopes`)."""
+    denominator, a_sq = den^2 alpha^2, a_c1 = den alpha.c1 and, on Enriques,
+    a_h0 = den alpha.(1,1) (else None) from dual = Gram.nums and, once a
+    block of alpha writes lines, its params text, `rows` (`_rows`) and, for
+    x > 0, `slopes` (`_slopes`)."""
 
-    __slots__ = ("nums", "den", "a_sq", "a_c1", "text", "rows", "slopes")
+    __slots__ = ("nums", "den", "a_sq", "a_c1", "a_h0", "text", "rows", "slopes")
 
     def __init__(self, s: BaseSurface, nums, dual, den: int, text: str | None = None):
         self.nums, self.den, self.text = nums, den, text
         self.a_sq, self.a_c1, self.rows, self.slopes = dot(nums, dual), dot(dual, s.c1_ints), None, None
+        self.a_h0 = dot(dual, ENRIQUES_H0_INTS) if s.is_enriques else None
 
 
 def _alpha_text(alpha: _Alpha) -> str:
@@ -337,6 +349,16 @@ def _slopes(alpha: _Alpha, x: int) -> list:
                 verdict = _nonsplit_text(ns.passed, ns.clause, ns.value)
             alpha.slopes.append(verdict)
     return alpha.slopes
+
+
+def _wB_effective(s: BaseSurface, t: int, alpha: _Alpha, wB_nums) -> bool:
+    """The effectivity of the pullback wB = c c1 + t alpha, wB_nums = den wB.
+    On Enriques c1 is pure 2-torsion, so wB = t alpha up to torsion, and
+    den^2 wB^2 = t^2 a_sq and den wB.(1,1) = t a_h0 are O(1); elsewhere it is
+    `BaseSurface.effective`."""
+    if alpha.a_h0 is None:
+        return s.effective(wB_nums)
+    return unnodal_effective(t * t * alpha.a_sq, t * alpha.a_h0)
 
 
 def _anomaly_tail(require: str | None, w_zero: bool, w_effective: bool) -> tuple:
@@ -435,7 +457,7 @@ def _pullback(s, require, ns, xs, alphas, c2Es, pols, short_circuit, drop, lines
                     # only; W_zero keeps c2E = af0 if wB = 0, and W_effective
                     # c2E <= floor(af0) if wB is zero or effective
                     if not (wB_zero or af0 < lo or drop and require == "W_zero"):
-                        effective = s.effective(wB_nums)
+                        effective = _wB_effective(s, t, alpha, wB_nums)
                     if drop and not (wB_zero or effective and require == "W_effective"):
                         kept = ()
                 if drop:
@@ -510,77 +532,78 @@ def _spectral_window(term) -> tuple:
     return verdict
 
 
-class _SpectralBlock:
-    """A spectral block (n, alpha), a model per (eta, lambda), k alpha^2 over
-    den^2 (k = n(n+1)/2) per block.  Per model, from its key (`_Spectrum`
-    of its (n, eta, lambda), None if invalid; validity): af with its flags,
-    the anomaly verdict, with both af readings if eta = 12 c1, and the
-    non-split verdict 3/2 resid^2 - (n+1) alpha.resid > 0."""
-
-    def __init__(self, s: BaseSurface, require: str | None, n: int, validity: tuple, alpha: _Alpha):
-        self.s, self.require, self.n, self.validity, self.alpha = s, require, n, validity, alpha
-        self.d2, self.k_a_sq = alpha.den**2, n * (n + 1) // 2 * alpha.a_sq
-
-    def scan(self, models, pols, head: str, short_circuit: bool, drop: bool, lines, counts) -> None:
-        """`_emit` the block's models ((key, what closes the params)) x
-        `pols` ((_PolTerms, params text)); a line opens with head."""
-        alpha = self.alpha
-        if not self.validity[0]:  # only from check_model: a scan's blocks are valid
-            terms = [[f"{head}{alpha.text}{text}"] for _, text in pols]
-            return _invalid_lines(terms, models, self.validity, lines, counts)
-        if drop:
-            models = self._run(models, counts, len(pols))
+def _spectral(s, require, ns, alphas, pols, short_circuit, drop, lines, counts, run, flush, params=None):
+    """`_emit` the spectral box (n, alpha, (eta, lambda)) x `pols`, last
+    fastest, into `lines` and `counts`, and flush() after each block (n,
+    alpha) that leaves `run` lines or more.  ns: (n, its models), a model
+    being (`_Spectrum` of its (n, eta, lambda), None if invalid; validity
+    verdict; what closes the params after the polarization); pols:
+    (_PolTerms, params text).  A line opens with the params of the box, or
+    only with `params` (from `check_model`).  Under `drop`, what fails
+    validity or the requirement gets no line.  Each term is worked out where
+    it varies: per n, k and the text after the params of each invalid
+    model; per (n, alpha), k alpha^2 and the terms; per `_Spectrum`, the
+    text after its af by sign of af; per model, af, both af readings if eta
+    = 12 c1, and the non-split verdict 3/2 resid^2 - (n+1) alpha.resid > 0."""
+    width = len(pols)
+    for n, spectra in ns:
+        head = params or f'{{"params":{{"base":"{s.kind}","n":{n},'
+        k, m = n * (n + 1) // 2, 2 * (n + 1)
+        # an invalid model is its whole text after the params, for every alpha
+        spectra = [
+            (spectrum, end) if spectrum else (None, (f'{end},"verdicts":{{{validity[1]}', "validity", None))
+            for spectrum, validity, end in spectra
+        ]
+        valid = any(spectrum for spectrum, _ in spectra)
+        for alpha in alphas:
+            den, models = alpha.den, []
+            d2, k_a_sq = den * den, k * alpha.a_sq
+            for spectrum, end in spectra:
+                if spectrum is None:
+                    if drop:
+                        counts["validity"] += width
+                    else:
+                        models.append(end)
+                    continue
+                af = ratio(spectrum.af0 * d2 + k_a_sq, d2)
+                sign = (af > 0) - (af < 0)
+                tail = spectrum.tails[sign]
+                if tail is None:  # w_verdict reads only the sign of af
+                    w_zero, w_effective = w_verdict(sign, spectrum.wB_zero, spectrum.wB_effective)
+                    tail = spectrum.tails[sign] = _anomaly_tail(require, w_zero, w_effective)
+                unmet, flags, close = tail
+                if drop and unmet:
+                    counts["anomaly"] += width
+                    continue
+                readings = ""
+                try:
+                    if spectrum.af_offset is not None:
+                        displayed = af + spectrum.af_offset
+                        readings = (
+                            f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
+                            f',"display_agrees":{_JSON[af == displayed]}'
+                        )
+                    text = f"{end}{spectrum.af_opening}{af}{flags}{readings}{close}"
+                except ValueError:  # str() refused an af past the digit limit
+                    raise jsonio.unprintable("af", "'n', 'eta', 'lambda' or 'alpha'") from None
+                chi = None
+                if not (unmet and short_circuit):
+                    # 3/2 resid^2 - (n+1) alpha.resid over 2 den resid_den^2
+                    rd = spectrum.resid_den
+                    p = dot(alpha.nums, spectrum.resid_dual)
+                    value = ratio(spectrum.resid_sq3 * den - m * p * rd, 2 * den * rd * rd)
+                    chi = value > 0, f'{_SPECTRAL_CHI[value > 0]}{value}"}}'
+                models.append((text, unmet, chi))
             if not models:
-                return
-        rows = _rows(alpha, pols, True)
-        terms = [[f"{head}{alpha.text}{text}", None, None, pol, (self.n, a)] for text, pol, a, _ in rows]
-        lines_of = []
-        for model, end in models:
-            unmet, text = self._anomaly(model)
-            chi = None if model[0] is None or unmet and short_circuit else self._chi(model)
-            lines_of.append((end + text, unmet, chi))
-        _emit(terms, lines_of, _spectral_window, short_circuit, lines, counts)
-
-    def _flags(self, spectrum: _Spectrum) -> tuple:
-        """(af, W_zero, W_effective) of the model of `spectrum`."""
-        af = ratio(spectrum.af0 * self.d2 + self.k_a_sq, self.d2)
-        return af, *w_verdict(af, spectrum.wB_zero, spectrum.wB_effective)
-
-    def _run(self, models, counts, width: int) -> list:
-        """The models of valid data meeting the requirement, the others
-        counted as validity or anomaly failures."""
-        kept = [m for m in models if m[0][0] is not None]
-        kept = [m for m in kept if _anomaly_tail(self.require, *self._flags(m[0][0])[1:])[0] is None]
-        invalid = sum(m[0][0] is None for m in models)
-        counts["validity"] += invalid * width
-        counts["anomaly"] += (len(models) - len(kept) - invalid) * width
-        return kept
-
-    def _anomaly(self, model) -> tuple:
-        """(None or the failed stage, text after the params) of a model."""
-        spectrum, validity = model
-        if spectrum is None:
-            return "validity", ',"verdicts":{' + validity[1]
-        af, w_zero, w_effective = self._flags(spectrum)
-        unmet, flags, end = _anomaly_tail(self.require, w_zero, w_effective)
-        readings = ""
-        try:
-            if spectrum.af_offset is not None:
-                displayed = af + spectrum.af_offset
-                readings = (
-                    f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
-                    f',"display_agrees":{_JSON[af == displayed]}'
-                )
-            return unmet, f"{spectrum.af_opening}{af}{flags}{readings}{end}"
-        except ValueError:  # str() refused an af past the digit limit
-            raise jsonio.unprintable("af", "'n', 'eta', 'lambda' or 'alpha'") from None
-
-    def _chi(self, model) -> tuple:
-        # 3/2 resid^2 - (n+1) alpha.resid over 2 den resid_den^2
-        spectrum, den = model[0], self.alpha.den
-        p, rd = dot(self.alpha.nums, spectrum.resid_dual), spectrum.resid_den
-        value = ratio(spectrum.resid_sq3 * den - 2 * (self.n + 1) * p * rd, 2 * den * rd * rd)
-        return _nonsplit_text(value > 0, "spectral chi>0", value)
+                continue
+            if valid:
+                rows = alpha.rows or _rows(alpha, pols, True)
+                terms = [[f"{head}{alpha.text}{text}", None, None, pol, (n, a)] for text, pol, a, _ in rows]
+            else:  # only from check_model: every model fails validity, no term reads its polarization
+                terms = [[f"{head}{_alpha_text(alpha)}{text}"] for _, text in pols]
+            _emit(terms, models, _spectral_window, short_circuit, lines, counts)
+            if len(lines) >= run:
+                flush()
 
 
 # ---------------------------------------------------------------------------
@@ -823,25 +846,24 @@ def _scan(config: SearchConfig, axes: tuple, lines: list, counts: dict, flush) -
         valid = ((n, _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))[0]) for n in ns)
         c2Es = [(c2E, f"{c2E}}}") for c2E in inner[0]]
         return _pullback(s, require, valid, xs, _alphas(s, alpha), c2Es, pols, True, drop, lines, counts, run, flush)
-    alphas = _alphas(s, alpha)
-    for n in ns:
-        # the models of n's (eta, lambda), whose verdicts are those of the
-        # zero twist: every twist of the box is integral, so passes
-        # `validate_bundle`
-        models = []
-        for *eta, lam in _points(inner, 0, math.prod(map(len, inner))):
-            # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
-            eta = tuple(eta) or tuple(12 * c for c in s.c1_ints)
-            eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
-            validity, fiber = _validity(s, SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s)))
-            spectrum = _Spectrum(s, n, eta, lam, fiber) if validity[0] else None
-            params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
-            models.append(((spectrum, validity), _ENCODER.encode(params)[1:]))
-        head = f'{{"params":{{"base":"{s.kind}","n":{n},'
-        for alpha in alphas:
-            _SpectralBlock(s, require, n, _VALID, alpha).scan(models, pols, head, True, drop, lines, counts)
-            if len(lines) >= run:
-                flush()
+    ns = ((n, _spectra(s, n, inner)) for n in ns)
+    _spectral(s, require, ns, _alphas(s, alpha), pols, True, drop, lines, counts, run, flush)
+
+
+def _spectra(s: BaseSurface, n: int, inner) -> list:
+    """The models of n's (eta, lambda), in enumeration order, as `_spectral`
+    reads them.  Their verdicts are those of the zero twist: every twist of
+    the box is integral, so passes `validate_bundle`."""
+    models = []
+    for *eta, lam in _points(inner, 0, math.prod(map(len, inner))):
+        # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
+        eta = tuple(eta) or tuple(12 * c for c in s.c1_ints)
+        eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
+        validity, fiber = _validity(s, SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s)))
+        spectrum = _Spectrum(s, n, eta, lam, fiber) if validity[0] else None
+        params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
+        models.append((spectrum, validity, _ENCODER.encode(params)[1:]))
+    return models
 
 
 _WRITE_RUN = 256  # lines per write of `run_search`, at least: the box's text is never held whole

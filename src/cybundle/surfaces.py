@@ -82,7 +82,16 @@ class DivisorClass:
 # positive-component selector for the Enriques effective cone; the two
 # components of {C^2 >= 0} are symmetric and this choice is a convention.
 ENRIQUES_H0 = DivisorClass((1, 1) + (0,) * 8)
-_ENRIQUES_H0_INTS = tuple(int(v) for v in ENRIQUES_H0.coeffs)
+ENRIQUES_H0_INTS = tuple(int(v) for v in ENRIQUES_H0.coeffs)
+
+
+def unnodal_effective(square, degree) -> bool:
+    """The Enriques effectivity rule, C^2 >= 0 and C.(1,1) > 0, from
+    square = C^2 and degree = C.(1,1), each scaled by any positive factor.
+    A zero free part (pure torsion, or zero) has degree 0: c1 = f1 - f2 is
+    not effective.  A nonzero one with C.(1,1) = 0 has C^2 < 0, Gamma^{1,1}
+    being hyperbolic and E8(-1) negative definite."""
+    return square >= 0 and degree > 0
 
 
 @dataclass(frozen=True)
@@ -185,12 +194,8 @@ class BaseSurface:
         free part.  The torsion bit never changes the verdict."""
         if not self.is_enriques:
             return self._reduces_to_nef(nums, self._generator_pairings(nums))
-        # C^2 >= 0 and C.(1,1) > 0, scaled by den^2 and den.  A zero free
-        # part (pure torsion, or zero) pairs to 0 with (1,1): c1 = f1 - f2 is
-        # not effective.  A nonzero one with C.(1,1) = 0 has C^2 < 0, Gamma^{1,1}
-        # being hyperbolic and E8(-1) negative definite.
-        dual = self.dual(nums)
-        return dot(nums, dual) >= 0 and dot(dual, _ENRIQUES_H0_INTS) > 0
+        dual = self.dual(nums)  # C^2 and C.(1,1) scaled by den^2 and den
+        return unnodal_effective(dot(nums, dual), dot(dual, ENRIQUES_H0_INTS))
 
     def _reduces_to_nef(self, nums, pairings) -> bool:
         # Zariski's fixed-component reduction on nums = den * D.  Distinct
@@ -217,13 +222,14 @@ class BaseSurface:
 
     def _cone_position_enriques(self, c: DivisorClass) -> ConeVerdict:
         nums, dual, den = self.integer_parts(c)
-        effective = self.effective(nums)
+        square = dot(nums, dual)
+        effective = unnodal_effective(square, dot(dual, ENRIQUES_H0_INTS))
         if not self._gamma11_only(c):
             note = ("class lies outside Gamma^{1,1}",)
             return ConeVerdict(effective=effective, nef=None, ample=None, notes=note)
         x, y = c.coeffs[0], c.coeffs[1]
         nef = x >= 0 and y >= 0
-        sq = ratio(dot(nums, dual), den * den)
+        sq = ratio(square, den * den)
         # nef with C^2 = 2xy >= 6 forces x, y > 0, so C pairs positively with
         # every nonzero effective Gamma^{1,1} class (a, b), a, b >= 0
         ample = nef and sq >= 6

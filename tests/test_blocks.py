@@ -441,6 +441,30 @@ def test_half_integral_check_model_matches_fraction_oracles(kind):
     assert fractional > 0
 
 
+@pytest.mark.parametrize("kind", ["F0", "dP1", "dP3", "enriques"])
+def test_half_integral_eta_check_model_matches_fraction_oracles(kind):
+    # eta = nums/2, as a `check` model file may give it (a scan's eta is
+    # integral), so resid = eta - n c1 and its pairings leave Z; twists on
+    # both sides of the non-split root, so both non-split verdicts print
+    s = make_base(kind)
+    rng = random.Random(f"half-eta:{kind}")
+    base = _pad((4, 6), 10) if s.is_enriques else [12 * c for c in s.c1_ints]
+    seen = set()
+    for _ in range(60):
+        nums = [2 * b + rng.randint(-3, 3) for b in base]
+        nums[rng.randrange(2)] |= 1
+        eta = DivisorClass(tuple(Fraction(v, 2) for v in nums))
+        alpha = DivisorClass(_pad([rng.randint(-8, 8) for _ in range(2)], s.rank))
+        n, lam = rng.choice((2, 4)), rng.choice((Fraction(1, 2), Fraction(3, 2)))
+        bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=DivisorX(0, alpha))
+        pol = Polarization(H=DivisorClass(_pad((5, 6), 10))) if s.is_enriques else Polarization(h=Fraction(1))
+        record = check_model(s, bundle, pol, short_circuit=False)
+        if "nonsplit" in record.verdicts:
+            _assert_matches_oracles(s, bundle, pol, record)
+            seen.add(record.verdicts["nonsplit"]["passed"])
+    assert seen == {True, False}
+
+
 def _riemann_roch_chi(n, x, c2e, a_sq, a_c1, c1_sq):
     """chi by Riemann-Roch on the base, from the scalars a_sq = alpha^2,
     a_c1 = alpha.c1 and c1_sq = c1^2, as in tests/test_nonsplit.py: chi =
@@ -544,12 +568,17 @@ def test_error_and_float_lines_are_what_the_encoder_writes():
     bad_parity = SpectralBundle(n=2, eta=f0.c1.scale(12), lam=1, twist=twist)
     enriques = PullbackBundle(n=2, c2E=12, twist=DivisorX(1, DivisorClass(_pad((-1, 0), 10))))
     so10 = PullbackBundle(n=3, c2E=104, twist=DivisorX(1, DivisorClass((-1, -1))))
+    small = PullbackBundle(n=2, c2E=0, twist=DivisorX(-2, DivisorClass((-2, 3))))
     cases = [
         (f0, bad_parity, Polarization(H=DivisorClass((3, 34))), "spectral data invalid"),
         (enr, enriques, Polarization(), "explicit polarization H"),
         (f0, so10, Polarization(H=DivisorClass((1, 1))), "does not apply"),
         # the window of the SO(10) model at h = 10^150, whose floats the encoder writes
         (f0, so10, Polarization(h=Fraction(10**150)), "z_interval_approx"),
+        # windows whose z ends repr writes in exponent form (z < 1e-4) and
+        # with 12 significant digits
+        (f0, small, Polarization(h=Fraction(1, 10**4)), '"z_interval_approx":[6.6666667e-05,6.9848866e-05]'),
+        (f0, small, Polarization(h=Fraction(1, 3)), '"z_interval_approx":[0.222222222222,0.232829551807]'),
     ]
     for s, bundle, pol, expected in cases:
         line = check_model(s, bundle, pol, short_circuit=False, params={"case": expected}).to_json_line()

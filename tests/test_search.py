@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -346,6 +347,70 @@ def test_each_model_quantity_computed_once(monkeypatch):
     assert calls == []
 
 
+def test_each_enriques_quantity_computed_once(monkeypatch):
+    # an Enriques pullback box: the walk asks `BaseSurface.effective` nothing
+    # for wB, whose query reads alpha's pairings, and takes at most one dual
+    # per alpha and per polarization, none per block.  The set-up (`_axes`)
+    # is not counted: it takes each polarization's parts and ampleness query
+    s = make_base("enriques")
+    pullback = SearchConfig.from_json({
+        "base": "enriques",
+        "mode": "pullback",
+        "n_range": [2, 3],
+        "x_values": [-1, 1, 3],
+        "alpha_box": [[-1, 1], [-1, 1]],
+        "c2E_range": [0, 14],
+        "H_values": [[2, 3], [3, 3]],
+    })
+    counts = {}
+    for func in (BaseSurface.effective, BaseSurface.dual):
+        _count_calls(monkeypatch, counts, func, (BaseSurface,))
+    axes = search._axes(pullback, s)
+    counts.update(effective=0, dual=0)
+    lines, tally = [], dict.fromkeys((None, *search.STAGES), 0)
+    search._scan(pullback, axes, lines, tally, lambda: None)
+    alphas, pols = 9, len(pullback.H_values)
+    assert len(lines) == 2 * 3 * alphas * 15 * pols
+    assert counts["effective"] == 0 and 0 < counts["dual"] <= alphas + pols
+    # the walk asked its query where af >= 0 and wB != 0, with both answers
+    anomalies = [json.loads(line)["verdicts"]["anomaly"] for line in lines]
+    asked = [a for a in anomalies if Fraction(a["af"]) >= 0 and not jsonio.divisor_from_json(a["wB"], s).is_zero()]
+    assert {a["W_effective"] for a in asked} == {True, False}
+    # an Enriques spectral box with invalid (eta, lambda): the validity
+    # error of each is encoded once per n, and its text after the params is
+    # one object, which the block of every alpha reads
+    spectral = SearchConfig.from_json({
+        "base": "enriques",
+        "mode": "spectral",
+        "n_range": [2, 3],
+        "alpha_box": [[0, 1], [-1, 0]],
+        "eta_box": [[2, 3], [3, 4]],
+        "lambda_values": ["1/2", "1", "3/2"],
+        "H_values": [[5, 6], [3, 4]],
+    })
+    encode, emit = search._ENCODER.encode, search._emit
+    errors, texts = [], {}
+
+    def encoded(obj):
+        if isinstance(obj, dict) and "error" in obj:
+            errors.append(obj)
+        return encode(obj)
+
+    def emitted(terms, models, *rest):
+        n = int(re.search(r'"n":(\d+),', terms[0][0])[1])
+        for end, unmet, _ in models:
+            if unmet == "validity":
+                texts.setdefault((n, end), []).append(id(end))
+        return emit(terms, models, *rest)
+
+    monkeypatch.setattr(search._ENCODER, "encode", encoded)
+    monkeypatch.setattr(search, "_emit", emitted)
+    summary = run_search(spectral)
+    assert summary["stage_failures"]["validity"] > 0 and summary["passed"] > 0
+    assert len(errors) == len(texts) and {n for n, _ in texts} == {2, 3}
+    assert all(len(ids) == 4 and len(set(ids)) == 1 for ids in texts.values())
+
+
 def test_spectral_check_does_no_class_arithmetic(monkeypatch):
     # a valid F0/dPk spectral model is checked on integer parts: its spectral
     # data, af readings, wB, resid and minimum degree ask for no Fraction
@@ -378,9 +443,9 @@ def test_spectral_check_does_no_class_arithmetic(monkeypatch):
 
 
 def test_each_record_rendered_from_fragments(monkeypatch):
-    # the f0 seed-0 pullback box of the benchmark: the encoder runs at most
-    # once per block, distinct window, distinct alpha and polarization, not
-    # once per model; the rest of each line is joined from block fragments
+    # the f0 seed-0 pullback box of the benchmark: no line goes through the
+    # encoder, not even once per block; each is joined from block fragments
+    # written by hand, a window's floats by repr
     config = SearchConfig.from_json({
         "base": "F0",
         "mode": "pullback",
@@ -394,16 +459,12 @@ def test_each_record_rendered_from_fragments(monkeypatch):
     calls = []
     monkeypatch.setattr(search._ENCODER, "encode", lambda obj: calls.append(1) or encode(obj))
     records = scan_records(config)
-    f0 = make_base("F0")
-    windows_solved = {
-        (p["n"], p["x"], f0.intersect(pad([int(c) for c in p["alpha"]], 2), f0.c1), p["h"])
-        for p in (r.params for r in records if "stability" in r.verdicts)
-    }
-    blocks = _blocks(records, ("c2E", "h"))
-    alphas = {tuple(r.params["alpha"]) for r in records}
-    bound = len(blocks) + len(windows_solved) + len(alphas) + len(config.h_values)
-    assert len(records) == 3528 and bound < len(records)
-    assert 0 < len(calls) <= bound
+    assert len(records) == 3528 and calls == []
+    assert any("z_interval_approx" in r.verdicts.get("stability", {}) for r in records)
+    # the counter sees the encoder where it runs: on the params of a check
+    bundle, pol, params = next(_box_models(config))
+    check_model(make_base("F0"), bundle, pol, params=params)
+    assert calls == [1]
 
 
 def test_block_terms_computed_on_their_axes(monkeypatch):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cybundle import search
 from cybundle.search import Polarization, _PolTerms
 from cybundle.surfaces import (
     ConeVerdict,
@@ -717,6 +718,36 @@ def test_effective_kernel_matches_cone_position_and_fraction_oracle(kind):
         assert type(got) is bool and got == s.cone_position(c).effective == want, (nums, den, torsion)
         seen.add(got)
     assert seen == {True, False}
+
+
+def test_enriques_wB_query_matches_kernel_and_fraction_oracle():
+    # the pullback walk's O(1) query of wB = c c1 + t alpha, from alpha's
+    # pairings (`search._wB_effective`), against `BaseSurface.effective` on
+    # wB's numerators and the Fraction oracle on the class, for seeded alpha
+    # over den 1-3 with torsion 0 and 1, n = 1..6 and x = -3..3: x = 0 gives
+    # t = 0 and wB = 12 c1 = 0, alpha = 0 with c odd a pure-torsion wB
+    enr = make_base("enriques")
+    rng = random.Random("enriques-wB")
+    alphas = [DivisorClass((0,) * 10, torsion) for torsion in (0, 1)]
+    for i in range(12):
+        e8 = [rng.choice((0, 0, 1, -1, 2)) for _ in range(8)] if i % 2 else [0] * 8
+        nums, den = [rng.randint(-6, 6), rng.randint(-6, 6), *e8], 1 + i % 3
+        alphas.append(DivisorClass(tuple(Fraction(v, den) for v in nums), rng.randint(0, 1)))
+    seen = set()
+    for alpha in alphas:
+        nums, dual, den = enr.integer_parts(alpha)
+        parts = search._Alpha(enr, nums, dual, den)
+        for n in range(1, 7):
+            k = n * (n + 1) // 2
+            for x in range(-3, 4):
+                c, t = 12 - k * x * x, 2 * k * x
+                wB_nums = [c * den * ci + t * ai for ci, ai in zip(enr.c1_ints, nums)]
+                wB = enr.c1.scale(c) + alpha.scale(t)
+                got = search._wB_effective(enr, t, parts, wB_nums)
+                assert type(got) is bool
+                assert got == enr.effective(wB_nums) == _oracle_cone(enr, wB).effective, (alpha, n, x)
+                seen.add("zero" if wB.is_zero() else "torsion" if wB.free_is_zero() else got)
+    assert seen == {"zero", "torsion", True, False}
 
 
 def test_enriques_min_degree_tie_takes_first_witness():
