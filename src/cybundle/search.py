@@ -87,11 +87,12 @@ def _invalid(error: str) -> tuple:
     return False, '"validity":' + _ENCODER.encode({"passed": False, "error": error})
 
 
-def _class_text(nums, den: int, torsion: int) -> str:
-    """The JSON text of the class nums/den (`jsonio.divisor_to_json`): str()
-    of an int or a Fraction is what `jsonio.frac_to_str` writes."""
+def _class_text(nums, den: int, torsion: int, tail: str = "") -> str:
+    """The JSON text of the class nums/den, zeros `tail` (`_Alpha`) after it
+    (`jsonio.divisor_to_json`): str() of an int or a Fraction is what
+    `jsonio.frac_to_str` writes."""
     strings = '","'.join(map(str, nums if den == 1 else [ratio(c, den) for c in nums]))
-    return f'{{"coeffs":["{strings}"],"torsion":{torsion}}}'
+    return f'{{"coeffs":["{strings}{tail}"],"torsion":{torsion}}}'
 
 
 def _af_opening(wb_text: str) -> str:
@@ -172,7 +173,8 @@ def check_model(
     """
     alpha = bundle.twist.alpha
     # alpha of the wrong rank fails validity, and the walk reads no alpha
-    alpha = _Alpha(s, *s.integer_parts(alpha), "") if alpha.rank == s.rank else _Alpha(s, (), (), 1, "")
+    nums, dual, den = s.integer_parts(alpha) if alpha.rank == s.rank else ((), (), 1)
+    alpha = _Alpha(s, nums, den, dot(nums, dual), text="")
     validity, fiber = _validity(s, bundle)
     spectral = isinstance(bundle, SpectralBundle)
     mode = "spectral" if spectral else "pullback"
@@ -299,22 +301,24 @@ class _Spectrum:
 class _Alpha:
     """What the blocks of one twist class alpha share, built once per scan
     (or by `check_model`): alpha = nums/den over its least common
-    denominator, a_sq = den^2 alpha^2, a_c1 = den alpha.c1 and, on Enriques,
-    a_h0 = den alpha.(1,1) (else None) from dual = Gram.nums and, once a
-    block of alpha writes lines, its params text, `rows` (`_rows`) and, for
-    x > 0, `slopes` (`_slopes`)."""
+    denominator, nums over its live coordinates (`_alphas`; all of them from
+    `check_model`) and `tail` the text of the zero rest, '","0' each; the
+    given a_sq = den^2 alpha^2; a_c1 = den alpha.c1 and, on Enriques, a_h0 =
+    den alpha.(1,1) (else None), nums dotted with Gram.c1 and with Gram.(1,1)
+    = (1,1), both of full rank; and, once a block of alpha writes lines, its
+    params text, `rows` (`_rows`) and, for x > 0, `slopes` (`_slopes`)."""
 
-    __slots__ = ("nums", "den", "a_sq", "a_c1", "a_h0", "text", "rows", "slopes")
+    __slots__ = ("nums", "den", "tail", "a_sq", "a_c1", "a_h0", "text", "rows", "slopes")
 
-    def __init__(self, s: BaseSurface, nums, dual, den: int, text: str | None = None):
-        self.nums, self.den, self.text = nums, den, text
-        self.a_sq, self.a_c1, self.rows, self.slopes = dot(nums, dual), dot(dual, s.c1_ints), None, None
-        self.a_h0 = dot(dual, ENRIQUES_H0_INTS) if s.is_enriques else None
+    def __init__(self, s: BaseSurface, nums, den: int, a_sq: int, tail: str = "", text: str | None = None):
+        self.nums, self.den, self.tail, self.a_sq, self.text = nums, den, tail, a_sq, text
+        self.a_c1, self.rows, self.slopes = dot(nums, s._c1_dual), None, None
+        self.a_h0 = dot(nums, ENRIQUES_H0_INTS) if s.is_enriques else None
 
 
 def _alpha_text(alpha: _Alpha) -> str:
     if alpha.text is None:
-        alpha.text = '"alpha":[' + ",".join(f'"{c}"' for c in alpha.nums) + "],"
+        alpha.text = '"alpha":["' + '","'.join(map(str, alpha.nums)) + alpha.tail + '"],'
     return alpha.text
 
 
@@ -352,7 +356,8 @@ def _slopes(alpha: _Alpha, x: int) -> list:
 
 
 def _wB_effective(s: BaseSurface, t: int, alpha: _Alpha, wB_nums) -> bool:
-    """The effectivity of the pullback wB = c c1 + t alpha, wB_nums = den wB.
+    """The effectivity of the pullback wB = c c1 + t alpha, wB_nums = den wB
+    over alpha's live coordinates.
     On Enriques c1 is pure 2-torsion, so wB = t alpha up to torsion, and
     den^2 wB^2 = t^2 a_sq and den wB.(1,1) = t a_h0 are O(1); elsewhere it is
     `BaseSurface.effective`."""
@@ -464,7 +469,7 @@ def _pullback(s, require, ns, xs, alphas, c2Es, pols, short_circuit, drop, lines
                     counts["anomaly"] += (len(c2Es) - len(kept)) * width
                     if not kept:
                         continue
-                opening = _af_opening(_class_text(wB_nums, den, torsion))
+                opening = _af_opening(_class_text(wB_nums, den, torsion, alpha.tail))
                 rows = alpha.rows or _rows(alpha, pols, False)
                 slopes = (alpha.slopes or _slopes(alpha, x)) if x > 0 else repeat(None)
                 terms = [
@@ -824,10 +829,19 @@ def _points(axes, start: int, stop: int):
 
 
 def _alphas(s: BaseSurface, axes) -> list:
-    """The `_Alpha` (den = 1) of each point of the alpha box, in order."""
+    """The `_Alpha` (den = 1) of each point of the alpha box, in order, over
+    its live coordinates: the box's, widened to cover c1's support and to
+    one at least.  That is the full rank on F0 and dPk, and the box's on
+    Enriques, where c1 is pure torsion.  alpha^2 comes from the Gram block
+    of those coordinates, and no alpha takes a `BaseSurface.dual`."""
+    width = max(len(axes), 1, *(i + 1 for i, c in enumerate(s.c1_ints) if c))
+    # alpha^2 = sum of q alpha_i alpha_j over the block's nonzero entries, i <= j
+    rows = enumerate(s._gram_rows[:width])
+    quad = [(i, j, g if i == j else 2 * g) for i, row in rows for j, g in row if i <= j < width]
     points = _points(axes, 0, math.prod(map(len, axes))) if axes else [()]
-    nums = (point + (0,) * (s.rank - len(point)) for point in points)
-    return [_Alpha(s, vec, s.dual(vec), 1) for vec in nums]
+    pad, tail = (0,) * (width - len(axes)), '","0' * (s.rank - width)
+    nums = (point + pad for point in points)
+    return [_Alpha(s, vec, 1, sum([q * vec[i] * vec[j] for i, j, q in quad]), tail) for vec in nums]
 
 
 def _scan(config: SearchConfig, axes: tuple, lines: list, counts: dict, flush) -> None:
@@ -896,5 +910,5 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
         "emitted": emitted,
     }
     if out is not None:
-        out.write("# " + json.dumps(summary, separators=(",", ":")) + "\n")
+        out.write("# " + _ENCODER.encode(summary) + "\n")
     return summary

@@ -731,3 +731,81 @@ def test_runs_crossing_both_roots_match_check_model(kind, require):
         assert {-1, 1} <= run["af"] and {-1, 1} <= run["chi"]
         assert run["W_effective"] == {True, False}
         assert len(runs) == 2
+
+
+# A scan works each alpha over its live coordinates: the box's, widened to
+# c1's support and to one at least, with the zero rest written as one tail.
+# On Enriques, where c1 is pure torsion, that is the box's own width; on F0
+# and dPk the full rank.  Boxes of 0, 1 and all coordinates; the full ones
+# have entries off the diagonal of the Gram block (and in E8(-1) on Enriques).
+FULL_ALPHA_BOXES = {
+    "F0": [[-1, 1], [0, 1]],
+    "dP1": [[-1, 1], [0, 1]],
+    "dP8": [[-1, 1], [1, 1], *[[0, 0]] * 6, [0, 1]],
+    "enriques": [[-1, 1], [1, 1], [0, 0], [0, 0], [1, 1], *[[0, 0]] * 4, [0, 1]],
+}
+
+
+def _live_width_box(s, mode):
+    """A box of `mode` on `s` without its alpha_box: pullback c2E around af =
+    0 for alpha^2 = 0; spectral eta = 12 c1 + (d, 1, ..., 1), d = -3..1, on
+    F0 and dPk and eta = (2..3, 3) on Enriques, each holding valid models."""
+    if mode == "pullback":
+        af_zero = s.c2 + 11 * s.c1_sq
+        pols = {"H_values": [[2, 3]]} if s.is_enriques else {"h_values": ["1", "3/2"]}
+        return {"x_values": [-1, 0, 1], "c2E_range": [af_zero - 2, af_zero + 1], "n_range": [2, 2], **pols}
+    if s.is_enriques:
+        eta_box, pols = [[2, 3], [3, 3]], {"H_values": [[5, 6], [3, 4]]}
+    else:
+        twelve = [12 * c for c in s.c1_ints]
+        eta_box, pols = [[twelve[0] - 3, twelve[0] + 1]] + [[v + 1, v + 1] for v in twelve[1:]], {"h_values": ["1"]}
+    return {"eta_box": eta_box, "lambda_values": ["1/2", "1", "3/2"], "n_range": [2, 3], **pols}
+
+
+@pytest.mark.parametrize("mode", ["pullback", "spectral"])
+@pytest.mark.parametrize("kind", sorted(FULL_ALPHA_BOXES))
+def test_live_width_boxes_match_check_model(kind, mode):
+    # every record of boxes of 0, 1 and all alpha coordinates, under each
+    # requirement: the line check_model writes for its params, a block of
+    # one over the full rank, and what the encoder writes of its parse; the
+    # summary is the tally of check_model's verdicts
+    s = make_base(kind)
+    box_models = _pullback_box_models if mode == "pullback" else _spectral_box_models
+    reached, asked = set(), {}
+    for alpha_box in ([], [[-1, 1]], FULL_ALPHA_BOXES[kind]):
+        for require in (None, "W_zero", "W_effective"):
+            box = {"base": kind, "mode": mode, **_live_width_box(s, mode), "alpha_box": alpha_box}
+            config = SearchConfig.from_json({**box, "require": require})
+            kept, tally = [], Counter()
+            for bundle, pol, params in box_models(config, s):
+                record = check_model(s, bundle, pol, require=require, params=params)
+                tally[record.failed_stage] += 1
+                if require is None or record.failed_stage not in ("validity", "anomaly"):
+                    kept.append(record.line)
+                    reached.add((len(alpha_box), require, record.failed_stage))
+                anomaly = record.verdicts.get("anomaly")
+                if anomaly is not None and Fraction(anomaly["af"]) >= 0:
+                    if not jsonio.divisor_from_json(anomaly["wB"], s).is_zero():
+                        asked.setdefault(len(alpha_box), set()).add(anomaly["W_effective"])
+            out = io.StringIO()
+            summary = run_search(config, out=out)
+            assert summary == {
+                "scanned": sum(tally.values()),
+                "passed": tally[None],
+                "stage_failures": {stage: tally[stage] for stage in STAGES},
+                "emitted": len(kept),
+            }
+            lines = out.getvalue().splitlines()[:-1]
+            assert lines == kept, (alpha_box, require)
+            for line in lines:
+                _assert_canonical(line)
+    # not vacuous: each width writes lines past the anomaly stage and, in a
+    # pullback box, W_effective keeps some of them
+    for coords in (0, 1, s.rank):
+        assert {stage for c, r, stage in reached if c == coords and r is None} - {"validity", "anomaly"}
+        if mode == "pullback":
+            assert any(c == coords and r == "W_effective" for c, r, _ in reached)
+    if mode == "pullback" and s.is_enriques:
+        # alpha = (a, 0, ..., 0): wB = t alpha has wB^2 = 0 and wB.(1,1) = t a,
+        # read from the whole Gram.(1,1) while the box has one coordinate
+        assert asked[1] == {True, False}

@@ -349,9 +349,11 @@ def test_each_model_quantity_computed_once(monkeypatch):
 
 def test_each_enriques_quantity_computed_once(monkeypatch):
     # an Enriques pullback box: the walk asks `BaseSurface.effective` nothing
-    # for wB, whose query reads alpha's pairings, and takes at most one dual
-    # per alpha and per polarization, none per block.  The set-up (`_axes`)
-    # is not counted: it takes each polarization's parts and ampleness query
+    # for wB, whose query reads alpha's pairings, and takes no dual at all:
+    # alpha's pairings come from its live coordinates, the Gram block of the
+    # box and the duals the set-up holds.  So do the F0 and dP8 boxes, which
+    # ask `effective` of wB.  The set-up (`_axes`) is not counted: it takes
+    # each polarization's parts and ampleness query
     s = make_base("enriques")
     pullback = SearchConfig.from_json({
         "base": "enriques",
@@ -362,17 +364,23 @@ def test_each_enriques_quantity_computed_once(monkeypatch):
         "c2E_range": [0, 14],
         "H_values": [[2, 3], [3, 3]],
     })
+    others = [
+        dataclasses.replace(pullback, base=base, c2E_range=(lo, lo + 14), H_values=(), h_values=(1, Fraction(3, 2)))
+        for base, lo in (("F0", 90), ("dP8", 0))
+    ]
     counts = {}
     for func in (BaseSurface.effective, BaseSurface.dual):
         _count_calls(monkeypatch, counts, func, (BaseSurface,))
-    axes = search._axes(pullback, s)
-    counts.update(effective=0, dual=0)
-    lines, tally = [], dict.fromkeys((None, *search.STAGES), 0)
-    search._scan(pullback, axes, lines, tally, lambda: None)
-    alphas, pols = 9, len(pullback.H_values)
-    assert len(lines) == 2 * 3 * alphas * 15 * pols
-    assert counts["effective"] == 0 and 0 < counts["dual"] <= alphas + pols
-    # the walk asked its query where af >= 0 and wB != 0, with both answers
+    for config in [*others, pullback]:
+        axes = search._axes(config, make_base(config.base))
+        counts.update(effective=0, dual=0)
+        lines, tally = [], dict.fromkeys((None, *search.STAGES), 0)
+        search._scan(config, axes, lines, tally, lambda: None)
+        alphas, pols = 9, len(config.h_values or config.H_values)
+        assert len(lines) == 2 * 3 * alphas * 15 * pols
+        assert counts["dual"] == 0
+        assert (counts["effective"] == 0) == (config.base == "enriques"), config.base
+    # the Enriques walk asked its query where af >= 0 and wB != 0, with both answers
     anomalies = [json.loads(line)["verdicts"]["anomaly"] for line in lines]
     asked = [a for a in anomalies if Fraction(a["af"]) >= 0 and not jsonio.divisor_from_json(a["wB"], s).is_zero()]
     assert {a["W_effective"] for a in asked} == {True, False}
@@ -443,9 +451,10 @@ def test_spectral_check_does_no_class_arithmetic(monkeypatch):
 
 
 def test_each_record_rendered_from_fragments(monkeypatch):
-    # the f0 seed-0 pullback box of the benchmark: no line goes through the
-    # encoder, not even once per block; each is joined from block fragments
-    # written by hand, a window's floats by repr
+    # the f0 seed-0 pullback box of the benchmark: no record goes through
+    # the encoder, not even once per block; each is joined from block
+    # fragments written by hand, a window's floats by repr.  The encoder
+    # writes the summary line alone
     config = SearchConfig.from_json({
         "base": "F0",
         "mode": "pullback",
@@ -458,8 +467,13 @@ def test_each_record_rendered_from_fragments(monkeypatch):
     encode = search._ENCODER.encode
     calls = []
     monkeypatch.setattr(search._ENCODER, "encode", lambda obj: calls.append(1) or encode(obj))
-    records = scan_records(config)
-    assert len(records) == 3528 and calls == []
+    out = io.StringIO()
+    summary = run_search(config, out=out)
+    assert summary["scanned"] == 3528 and calls == [1]
+    assert out.getvalue().endswith(f"\n# {json.dumps(summary, separators=(',', ':'))}\n")
+    calls.clear()
+    records = [ModelRecord(line, None) for line in out.getvalue().splitlines()[:-1]]
+    assert len(records) == 3528
     assert any("z_interval_approx" in r.verdicts.get("stability", {}) for r in records)
     # the counter sees the encoder where it runs: on the params of a check
     bundle, pol, params = next(_box_models(config))

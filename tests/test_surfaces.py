@@ -14,6 +14,7 @@ from cybundle.surfaces import (
     DivisorClass,
     MINUS_ONE_COUNTS,
     MinDegree,
+    dot,
     make_base,
     minus_one_classes,
 )
@@ -736,7 +737,7 @@ def test_enriques_wB_query_matches_kernel_and_fraction_oracle():
     seen = set()
     for alpha in alphas:
         nums, dual, den = enr.integer_parts(alpha)
-        parts = search._Alpha(enr, nums, dual, den)
+        parts = search._Alpha(enr, nums, den, dot(nums, dual))
         for n in range(1, 7):
             k = n * (n + 1) // 2
             for x in range(-3, 4):
