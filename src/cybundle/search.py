@@ -164,43 +164,42 @@ def check_model(
 ) -> ModelRecord:
     """Run the full verification pipeline on one model.
 
-    The model is evaluated as a box of one by the walk of every scan
-    (`_pullback` or `_spectral`), with the validity verdict of its own
-    bundle and polarization; the first failed stage is `failed_stage`.
-    A failure stops the run under `short_circuit`, a validity failure
-    always.  `bound` is accepted and unread: the benchmark (bench/child.py)
-    still passes it.
+    A model that fails validity, by its bundle or by its polarization, gets
+    the record `_emit` writes for it: the validity verdict and nothing
+    after.  A valid model is evaluated as a box of one by the walk of every
+    scan (`_pullback` or `_spectral`); the first failed stage is
+    `failed_stage`, and a failure stops the run under `short_circuit`.
+    `bound` is accepted and unread: the benchmark (bench/child.py) still
+    passes it.
     """
-    alpha = bundle.twist.alpha
-    # alpha of the wrong rank fails validity, and the walk reads no alpha
-    nums, dual, den = s.integer_parts(alpha) if alpha.rank == s.rank else ((), (), 1)
-    alpha = _Alpha(s, nums, den, dot(nums, dual), text="")
     validity, fiber = _validity(s, bundle)
     spectral = isinstance(bundle, SpectralBundle)
     mode = "spectral" if spectral else "pullback"
-    try:
-        _refuse_wrong_kind(s, mode, pol)
-        terms = _PolTerms(s, pol)
-        if validity[0] and spectral:
-            try:  # the stability stage reads it and needs H ample
-                terms.min_degree
-            except ValueError:  # not ample, which `_refuse_unusable_H` decides alike and raises
-                _refuse_unusable_H(s, mode, pol.H, "field 'H'")
-    except ValueError as exc:
-        # a valid bundle fails validity with a polarization of the wrong kind
-        # or, if spectral, with an H that is not ample
-        terms = None
-        if validity[0]:
+    if validity[0]:
+        try:
+            _refuse_wrong_kind(s, mode, pol)
+            terms = _PolTerms(s, pol)
+            if spectral:
+                try:  # the stability stage reads it and needs H ample
+                    terms.min_degree
+                except ValueError:  # not ample, which `_refuse_unusable_H` decides alike and raises
+                    _refuse_unusable_H(s, mode, pol.H, "field 'H'")
+        except ValueError as exc:
+            # a valid bundle fails validity with a polarization of the wrong
+            # kind or, if spectral, with an H that is not ample
             validity = _invalid(str(exc))
+    head = '{"params":' + _ENCODER.encode(params or {})
+    if not validity[0]:
+        return ModelRecord(f'{head},"verdicts":{{{validity[1]}{_TAILS["validity"]}', "validity")
+    nums, dual, den = s.integer_parts(bundle.twist.alpha)
+    alpha, pols = _Alpha(s, nums, den, dot(nums, dual), text=""), [(terms, "")]
     lines, counts = [], dict.fromkeys((None, *STAGES), 0)
-    head, pols = '{"params":' + _ENCODER.encode(params or {}), [(terms, "")]
     if spectral:
-        spectrum = _Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber) if validity[0] else None
-        box = [(bundle.n, [(spectrum, validity, "")])], [alpha]
-        _spectral(s, require, *box, pols, short_circuit, False, lines, counts, math.inf, None, head)
+        ns = [(bundle.n, head, [(_Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber), validity, "")])]
+        _spectral(s, require, ns, [alpha], pols, short_circuit, False, lines, counts, lambda: None)
     else:
-        box = [(bundle.n, validity)], [int(bundle.twist.x)], [alpha], [(bundle.c2E, "")]
-        _pullback(s, require, *box, pols, short_circuit, False, lines, counts, math.inf, None, head)
+        box = [(bundle.n, head, validity)], [(int(bundle.twist.x), "")], [alpha], [(bundle.c2E, "")]
+        _pullback(s, require, *box, pols, short_circuit, False, lines, counts, lambda: None)
     (failed,) = (stage for stage, count in counts.items() if count)
     return ModelRecord(lines[0], failed)
 
@@ -402,48 +401,40 @@ def _emit(terms, models, stability, short_circuit: bool, lines: list, counts: di
             counts[failed] += 1
 
 
-def _invalid_lines(terms, models, validity: tuple, lines: list, counts: dict) -> None:
-    """`_emit` the lines of `models` x `terms`, which all fail `validity`."""
-    rest = ',"verdicts":{' + validity[1]
-    _emit(terms, [(end + rest, "validity", None) for _, end in models], None, True, lines, counts)
-
-
-def _pullback(s, require, ns, xs, alphas, c2Es, pols, short_circuit, drop, lines, counts, run, flush, params=None):
+def _pullback(s, require, ns, xs, alphas, c2Es, pols, short_circuit, drop, lines, counts, flush):
     """`_emit` the pullback box (n, x, alpha, c2E) x `pols`, last fastest,
-    into `lines` and `counts`, and flush() after each block (n, x, alpha)
-    that leaves `run` lines or more.  ns: (n, validity verdict); c2Es:
-    (c2E, what closes the params after it); pols: (_PolTerms, params text).
-    A line opens with the params of the box, or only with `params` (from
-    `check_model`).  Under `drop`, what fails validity or the requirement
-    gets no line.  Each term is worked out where it varies: per n, k; per
-    (n, x), wB = c c1 + t alpha up to alpha, the chi coefficients and the
-    chi verdict's opening per sign of chi; per alpha, `_Alpha`; per block,
-    af0 (af = af0 - c2E), the requirement's cut, wB, its cone query where
-    some af >= 0 reads it, chi0 and the prefixes; per c2E, the texts."""
+    into `lines` and `counts`, calling flush() after each block (n, x,
+    alpha).  Each axis carries the params text it adds to a line: ns (n,
+    the line's head, validity verdict), xs (x, its text), c2Es (c2E, what
+    closes the params after it) and pols (_PolTerms, its text).  Under
+    `drop`, what fails validity or the requirement gets no line.  Each term
+    is worked out where it varies: per n, k or, for an invalid n, its
+    models; per (n, x), wB = c c1 + t alpha up to alpha, the chi
+    coefficients and the chi verdict's opening per sign of chi; per alpha,
+    `_Alpha`; per block, af0 (af = af0 - c2E), the requirement's cut, wB,
+    its cone query where some af >= 0 reads it, chi0 and the prefixes; per
+    c2E, the texts."""
     width, af_base, c1_ints = len(pols), s.c2 + 11 * s.c1_sq, s.c1_ints
     # anomaly verdicts after their af, by (wB = 0, effectivity of wB) and sign of af
     lo, anomaly_tails = c2Es[0][0], {}
-    for n, validity in ns:
-        head = params or f'{{"params":{{"base":"{s.kind}","n":{n},'
-        if not validity[0] and drop:
-            counts["validity"] += len(xs) * len(alphas) * len(c2Es) * width
-            continue
+    for n, head, validity in ns:
         if not validity[0]:
-            for x in xs:
-                xtext = "" if params else f'"x":{x},"c2E":'
+            if drop:
+                counts["validity"] += len(xs) * len(alphas) * len(c2Es) * width
+                continue
+            invalid = [(f'{end},"verdicts":{{{validity[1]}', "validity", None) for _, end in c2Es]
+            for x, xtext in xs:
                 for alpha in alphas:
                     terms = [[f"{head}{_alpha_text(alpha)}{text}{xtext}"] for _, text in pols]
-                    _invalid_lines(terms, c2Es, validity, lines, counts)
-                    if len(lines) >= run:
-                        flush()
+                    _emit(terms, invalid, None, True, lines, counts)
+                    flush()
             continue
         k = n * (n + 1) // 2
-        for x in xs:
+        for x, xtext in xs:
             c, t = 12 - k * x * x, 2 * k * x
             torsion = c * s.c1.torsion % 2  # t is even: t alpha has no torsion
             coefficients, chi_openings = chi_line_terms(n, x, s.c1_sq), [None, None, None]
             chi_slope = coefficients[3]
-            xtext = "" if params else f'"x":{x},"c2E":'
             for alpha in alphas:
                 den = alpha.den
                 d2 = den * den
@@ -504,8 +495,7 @@ def _pullback(s, require, ns, xs, alphas, c2Es, pols, short_circuit, drop, lines
                             raise jsonio.unprintable("chi", "'n', 'x', 'alpha' or 'c2E'") from None
                     models.append((f"{end}{opening}{af}{tail[1]}", unmet, chi))
                 _emit(terms, models, _window, short_circuit, lines, counts)
-                if len(lines) >= run:
-                    flush()
+                flush()
 
 
 def _window(term) -> tuple:
@@ -537,29 +527,26 @@ def _spectral_window(term) -> tuple:
     return verdict
 
 
-def _spectral(s, require, ns, alphas, pols, short_circuit, drop, lines, counts, run, flush, params=None):
+def _spectral(s, require, ns, alphas, pols, short_circuit, drop, lines, counts, flush):
     """`_emit` the spectral box (n, alpha, (eta, lambda)) x `pols`, last
-    fastest, into `lines` and `counts`, and flush() after each block (n,
-    alpha) that leaves `run` lines or more.  ns: (n, its models), a model
-    being (`_Spectrum` of its (n, eta, lambda), None if invalid; validity
-    verdict; what closes the params after the polarization); pols:
-    (_PolTerms, params text).  A line opens with the params of the box, or
-    only with `params` (from `check_model`).  Under `drop`, what fails
-    validity or the requirement gets no line.  Each term is worked out where
-    it varies: per n, k and the text after the params of each invalid
-    model; per (n, alpha), k alpha^2 and the terms; per `_Spectrum`, the
-    text after its af by sign of af; per model, af, both af readings if eta
-    = 12 c1, and the non-split verdict 3/2 resid^2 - (n+1) alpha.resid > 0."""
+    fastest, into `lines` and `counts`, calling flush() after each block (n,
+    alpha).  ns: (n, the line's head, its models), a model being
+    (`_Spectrum` of its (n, eta, lambda), None if invalid; validity verdict;
+    what closes the params after the polarization); pols: (_PolTerms, its
+    params text).  Under `drop`, what fails validity or the requirement
+    gets no line.  Each term is worked out where it varies: per n, k and
+    the text after the params of each invalid model; per (n, alpha), k
+    alpha^2 and the terms; per `_Spectrum`, the text after its af by sign of
+    af; per model, af, both af readings if eta = 12 c1, and the non-split
+    verdict 3/2 resid^2 - (n+1) alpha.resid > 0."""
     width = len(pols)
-    for n, spectra in ns:
-        head = params or f'{{"params":{{"base":"{s.kind}","n":{n},'
+    for n, head, spectra in ns:
         k, m = n * (n + 1) // 2, 2 * (n + 1)
         # an invalid model is its whole text after the params, for every alpha
         spectra = [
             (spectrum, end) if spectrum else (None, (f'{end},"verdicts":{{{validity[1]}', "validity", None))
             for spectrum, validity, end in spectra
         ]
-        valid = any(spectrum for spectrum, _ in spectra)
         for alpha in alphas:
             den, models = alpha.den, []
             d2, k_a_sq = den * den, k * alpha.a_sq
@@ -601,14 +588,10 @@ def _spectral(s, require, ns, alphas, pols, short_circuit, drop, lines, counts, 
                 models.append((text, unmet, chi))
             if not models:
                 continue
-            if valid:
-                rows = alpha.rows or _rows(alpha, pols, True)
-                terms = [[f"{head}{alpha.text}{text}", None, None, pol, (n, a)] for text, pol, a, _ in rows]
-            else:  # only from check_model: every model fails validity, no term reads its polarization
-                terms = [[f"{head}{_alpha_text(alpha)}{text}"] for _, text in pols]
+            rows = alpha.rows or _rows(alpha, pols, True)
+            terms = [[f"{head}{alpha.text}{text}", None, None, pol, (n, a)] for text, pol, a, _ in rows]
             _emit(terms, models, _spectral_window, short_circuit, lines, counts)
-            if len(lines) >= run:
-                flush()
+            flush()
 
 
 # ---------------------------------------------------------------------------
@@ -768,13 +751,14 @@ def _frac_list(value, name: str) -> tuple:
 
 
 def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
-    """(block_axes, inner, pols, blocks): the sized axes, last fastest, of
-    the blocks (n, x, alpha_box; or n, alpha_box) and of their models (c2E;
-    or eta_box, lambda), the polarizations (_PolTerms, params text), H_values
-    first and sharing one table of window solves, and the number of blocks.
-    Refuses, naming its fields, a class with more coordinates than the base
-    rank, a polarization of the wrong kind or not ample, and an axis or a
-    count of pullback blocks (spectral models) past sys.maxsize."""
+    """(axes, pols): axes = (block_axes, inner), the sized axes, last
+    fastest, of the blocks (n, x, alpha_box; or n, alpha_box) and of their
+    models (c2E; or eta_box, lambda), or None for a box with an empty axis;
+    pols, the polarizations (_PolTerms, params text), H_values first and
+    sharing one table of window solves.  Refuses, naming its fields, a class
+    with more coordinates than the base rank, a polarization of the wrong
+    kind or not ample, and an axis or a count of pullback blocks (spectral
+    models) past sys.maxsize."""
     classes = [("alpha_box", config.alpha_box), ("eta_box", config.eta_box or ())]
     for name, coords in classes + [("H_values", vec) for vec in config.H_values]:
         if len(coords) > s.rank:
@@ -791,7 +775,7 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
     else:
         eta = [_axis(pair, "eta_box") for pair in config.eta_box or ()]
         block_axes, inner = [n, *alpha], [*eta, config.lambda_values or (Fraction(0),)]
-    # chunks are runs of whole blocks; a box with an empty axis has none
+    # a box with an empty axis has no block
     per_block = math.prod(map(len, inner))
     blocks = math.prod(map(len, block_axes)) if per_block else 0
     if blocks * (1 if config.mode == "pullback" else per_block) > sys.maxsize:
@@ -809,23 +793,24 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
         pols.append((_PolTerms(s, pol, solves), f'"h":"{jsonio.frac_to_str(h)}",'))
     if not pols:
         raise ValueError("config field 'H_values' or 'h_values' must list a polarization")
-    return block_axes, inner, pols, blocks
+    return ((block_axes, inner) if blocks else None), pols
 
 
-def _points(axes, start: int, stop: int):
-    """The points start..stop-1 of product(*axes), in its order, holding no
-    axis whole: each axis is a range or a short tuple, the last axis is
-    walked row by row and each row finds its prefix by mixed radix."""
+def _points(axes):
+    """The points of product(*axes), in its order, holding no axis whole:
+    each axis is a range or a short tuple, the last axis is walked row by
+    row and each row finds its prefix by mixed radix.  No axes: one point, ()."""
+    if not axes:
+        yield ()
+        return
     *outer, last = axes
-    while start < stop:
-        row, column = divmod(start, len(last))
+    for row in range(math.prod(map(len, outer))):
         prefix = []
         for axis in reversed(outer):
             row, digit = divmod(row, len(axis))
             prefix.insert(0, axis[digit])
-        for value in last[column : column + stop - start]:
+        for value in last:
             yield (*prefix, value)
-        start += len(last) - column
 
 
 def _alphas(s: BaseSurface, axes) -> list:
@@ -838,30 +823,9 @@ def _alphas(s: BaseSurface, axes) -> list:
     # alpha^2 = sum of q alpha_i alpha_j over the block's nonzero entries, i <= j
     rows = enumerate(s._gram_rows[:width])
     quad = [(i, j, g if i == j else 2 * g) for i, row in rows for j, g in row if i <= j < width]
-    points = _points(axes, 0, math.prod(map(len, axes))) if axes else [()]
     pad, tail = (0,) * (width - len(axes)), '","0' * (s.rank - width)
-    nums = (point + pad for point in points)
+    nums = (point + pad for point in _points(axes))
     return [_Alpha(s, vec, 1, sum([q * vec[i] * vec[j] for i, j, q in quad]), tail) for vec in nums]
-
-
-def _scan(config: SearchConfig, axes: tuple, lines: list, counts: dict, flush) -> None:
-    """Append the JSONL lines of the box of `axes` to `lines` in enumeration
-    order, counted in `counts` by failed stage (None: passed), and call
-    flush() after each block that leaves `_WRITE_RUN` lines or more.  The
-    polarization tables (`_PolTerms`) are those of `axes`."""
-    s = make_base(config.base)
-    block_axes, inner, pols, blocks = axes
-    if not blocks:  # a box with an empty axis has none
-        return
-    (ns, *alpha), require, run = block_axes, config.require, _WRITE_RUN
-    drop = require is not None
-    if config.mode == "pullback":
-        xs, *alpha = alpha
-        valid = ((n, _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))[0]) for n in ns)
-        c2Es = [(c2E, f"{c2E}}}") for c2E in inner[0]]
-        return _pullback(s, require, valid, xs, _alphas(s, alpha), c2Es, pols, True, drop, lines, counts, run, flush)
-    ns = ((n, _spectra(s, n, inner)) for n in ns)
-    _spectral(s, require, ns, _alphas(s, alpha), pols, True, drop, lines, counts, run, flush)
 
 
 def _spectra(s: BaseSurface, n: int, inner) -> list:
@@ -869,7 +833,7 @@ def _spectra(s: BaseSurface, n: int, inner) -> list:
     reads them.  Their verdicts are those of the zero twist: every twist of
     the box is integral, so passes `validate_bundle`."""
     models = []
-    for *eta, lam in _points(inner, 0, math.prod(map(len, inner))):
+    for *eta, lam in _points(inner):
         # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
         eta = tuple(eta) or tuple(12 * c for c in s.c1_ints)
         eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
@@ -889,20 +853,39 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
     `config.limit` caps the records written; the summary still counts the
     whole box.  `jobs` is accepted and unread: every scan runs in the
     calling process, so the output cannot depend on it (README.md).
+    The walk (`_pullback` or `_spectral`) calls flush() after each block,
+    which writes once `_WRITE_RUN` lines or more are held.
     """
+    s = make_base(config.base)
+    axes, pols = _axes(config, s)
     lines, counts, emitted = [], dict.fromkeys((None, *STAGES), 0), 0
 
-    def flush() -> None:
-        """Write the lines so far, up to `config.limit` in all, and drop them."""
+    def flush(run: int = _WRITE_RUN) -> None:
+        """Once `run` lines or more are held, write them, up to `config.limit`
+        in all, and drop them."""
         nonlocal emitted
+        if len(lines) < run:
+            return
         kept = lines if config.limit is None else lines[: max(0, config.limit - emitted)]
         if out is not None and kept:
             out.write("\n".join(kept) + "\n")
         emitted += len(kept)
         lines.clear()
 
-    _scan(config, _axes(config, make_base(config.base)), lines, counts, flush)
-    flush()
+    if axes:  # a box with an empty axis has no block
+        (ns, *alpha), inner = axes
+        require, drop = config.require, config.require is not None
+        heads = ((n, f'{{"params":{{"base":"{s.kind}","n":{n},') for n in ns)
+        if config.mode == "pullback":
+            xs, *alpha = alpha
+            xs = [(x, f'"x":{x},"c2E":') for x in xs]
+            ns = ((n, head, _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))[0]) for n, head in heads)
+            c2Es = [(c2E, f"{c2E}}}") for c2E in inner[0]]
+            _pullback(s, require, ns, xs, _alphas(s, alpha), c2Es, pols, True, drop, lines, counts, flush)
+        else:
+            ns = ((n, head, _spectra(s, n, inner)) for n, head in heads)
+            _spectral(s, require, ns, _alphas(s, alpha), pols, True, drop, lines, counts, flush)
+    flush(0)
     summary = {
         "scanned": sum(counts.values()),
         "passed": counts[None],

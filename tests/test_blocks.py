@@ -275,7 +275,7 @@ def _spectral_box_models(config, s):
 def test_spectral_blocks_match_check_model(kind, require):
     # the oracle: every model of the box through check_model, a block of
     # one, its record kept unless the requirement drops it, and the tally
-    # of all of them; the scan's lines and summary at --jobs 1, 2 and 3
+    # of all of them; the scan's lines and summary
     config = SearchConfig.from_json({**SPECTRAL_BLOCK_BOXES[kind], "require": require})
     s = make_base(kind)
     kept, tally, wb_zero, valid = [], Counter(), Counter(), {}
@@ -293,10 +293,9 @@ def test_spectral_blocks_match_check_model(kind, require):
         "stage_failures": {stage: tally[stage] for stage in STAGES},
         "emitted": len(kept),
     }
-    for jobs in (1, 2, 3):
-        out = io.StringIO()
-        assert run_search(config, jobs=jobs, out=out) == summary
-        assert out.getvalue().splitlines()[:-1] == kept
+    out = io.StringIO()
+    assert run_search(config, out=out) == summary
+    assert out.getvalue().splitlines()[:-1] == kept
     # not vacuous: blocks holding valid and invalid models, valid models
     # with wB != 0 (and on F0 with wB = 0), and, but for W_zero, which no
     # model meets, lines that reach a stage past the anomaly
@@ -684,7 +683,7 @@ def test_runs_crossing_both_roots_match_check_model(kind, require):
     # a block writes each c2E's anomaly verdict from its opening and the
     # tail of its flags, and its chi verdict from the opening of the sign
     # of chi: across both roots, every line is the record check_model
-    # writes for its model, a block of one, at --jobs 1 and 2, and every
+    # writes for its model, a block of one, and every
     # verdict of those records is that of the Fraction oracles
     n, x, alpha, c2E_range = ROOT_BLOCKS[kind]
     s = make_base(kind)
@@ -720,10 +719,9 @@ def test_runs_crossing_both_roots_match_check_model(kind, require):
         "stage_failures": {stage: tally[stage] for stage in STAGES},
         "emitted": len(kept),
     }
-    for jobs in (1, 2):
-        out = io.StringIO()
-        assert run_search(config, jobs=jobs, out=out) == summary
-        assert out.getvalue().splitlines()[:-1] == kept
+    out = io.StringIO()
+    assert run_search(config, out=out) == summary
+    assert out.getvalue().splitlines()[:-1] == kept
     if require is None:
         # the block of ROOT_BLOCKS crosses both roots, and its W_effective
         # flips with the sign of af

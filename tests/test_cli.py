@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -53,17 +55,43 @@ E6_CONFIG = {
 
 
 def run_cli(*args):
-    # the child imports cybundle from this checkout, installed or not
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
-    )
+    """`cybundle ARGS` run in this process by `cli.main`, as a
+    CompletedProcess of its exit code, stdout and stderr.  argparse and an
+    unreadable input file end it with SystemExit, which holds the code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(["cybundle", *args], code, stdout.getvalue(), stderr.getvalue())
+
+
+def child_env():
+    """The environment of a child `python -m cybundle.cli`, which imports
+    cybundle from this checkout, installed or not."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 
 def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def test_module_entry_point_writes_what_main_writes(tmp_path):
+    # `python -m cybundle.cli` in a child process: the exit code and the
+    # text of `cli.main` run in this one, for a scan (its records on
+    # stdout, its summary on stderr) and for a check that fails a stage
+    runs = [
+        (("search", write(tmp_path, "e6.json", E6_CONFIG)), 0),
+        (("check", write(tmp_path, "bad.json", BAD_PARITY_MODEL)), 1),
+    ]
+    for args, code in runs:
+        child = subprocess.run(CLI + list(args), capture_output=True, text=True, env=child_env())
+        here = run_cli(*args)
+        assert (child.returncode, child.stdout, child.stderr) == (here.returncode, here.stdout, here.stderr)
+        assert child.returncode == code and child.stdout
 
 
 def test_verify_paper_passes():
@@ -283,7 +311,8 @@ def test_search_jobs_deterministic(tmp_path):
 
 def test_search_jobs_deterministic_through_the_pool(tmp_path):
     # a require-free box of 1,800 models, 36 per c2E, most failing the
-    # anomaly stage (af < 0): --jobs 2 writes the bytes of --jobs 1
+    # anomaly stage (af < 0): --jobs 2, which no longer starts a pool,
+    # writes the bytes of --jobs 1
     config = {
         "base": "F0",
         "mode": "pullback",
@@ -834,12 +863,11 @@ def test_search_into_a_closed_pipe_exits_quietly(tmp_path):
     # scan still writes 8,232 lines
     box = {"n_range": [2, 3], "x_values": [-2, -1, 1, 2], "alpha_box": [[-3, 3], [-3, 3]], "c2E_range": [90, 110]}
     config = dict(E6_CONFIG, **box, require=None)
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.Popen(
         CLI + ["search", write(tmp_path, "box.json", config)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()

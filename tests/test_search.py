@@ -111,9 +111,11 @@ def test_check_model_error_verdict_stops_without_short_circuit():
     enr = make_base("enriques")
     b = PullbackBundle(n=2, c2E=12, twist=DivisorX(1, pad((-1, 0), 10)))
     rec = check_model(enr, b, Polarization(), short_circuit=False)
-    assert list(rec.verdicts) == ["validity"]
-    assert rec.verdicts["validity"]["passed"] is False
-    assert "explicit polarization H" in rec.verdicts["validity"]["error"]
+    error = "field 'polarization': Enriques pullback models need an explicit polarization H"
+    assert rec.line == (
+        '{"params":{},"verdicts":{"validity":{"passed":false,"error":"' + error + '"}},'
+        '"overall":false,"failed_stage":"validity"}'
+    )
     assert rec.failed_stage == "validity" and not rec.overall
 
 
@@ -134,8 +136,12 @@ def test_check_model_refuses_a_spectral_H_that_is_not_ample(kind, n, eta, lam, a
     s = make_base(kind)
     bundle = SpectralBundle(n=n, eta=pad(eta, s.rank), lam=lam, twist=DivisorX(0, pad(alpha, s.rank)))
     rec = check_model(s, bundle, Polarization(H=pad(H, s.rank)), short_circuit=short_circuit)
-    assert rec.failed_stage == "validity" and list(rec.verdicts) == ["validity"]
-    assert rec.verdicts["validity"]["error"] == f"field 'H' is {status} ample on base {kind}"
+    assert rec.failed_stage == "validity"
+    error = f"field 'H' is {status} ample on base {kind}"
+    assert rec.line == (
+        '{"params":{},"verdicts":{"validity":{"passed":false,"error":"' + error + '"}},'
+        '"overall":false,"failed_stage":"validity"}'
+    )
 
 
 def test_check_model_leaves_an_enriques_pullback_H_to_its_caller():
@@ -353,7 +359,8 @@ def test_each_enriques_quantity_computed_once(monkeypatch):
     # alpha's pairings come from its live coordinates, the Gram block of the
     # box and the duals the set-up holds.  So do the F0 and dP8 boxes, which
     # ask `effective` of wB.  The set-up (`_axes`) is not counted: it takes
-    # each polarization's parts and ampleness query
+    # each polarization's parts and ampleness query, and the counters start
+    # when it returns
     s = make_base("enriques")
     pullback = SearchConfig.from_json({
         "base": "enriques",
@@ -371,11 +378,16 @@ def test_each_enriques_quantity_computed_once(monkeypatch):
     counts = {}
     for func in (BaseSurface.effective, BaseSurface.dual):
         _count_calls(monkeypatch, counts, func, (BaseSurface,))
-    for config in [*others, pullback]:
-        axes = search._axes(config, make_base(config.base))
+    axes = search._axes
+
+    def set_up(*args):
+        built = axes(*args)
         counts.update(effective=0, dual=0)
-        lines, tally = [], dict.fromkeys((None, *search.STAGES), 0)
-        search._scan(config, axes, lines, tally, lambda: None)
+        return built
+
+    monkeypatch.setattr(search, "_axes", set_up)
+    for config in [*others, pullback]:
+        lines = search_bytes(config, 1).splitlines()[:-1]
         alphas, pols = 9, len(config.h_values or config.H_values)
         assert len(lines) == 2 * 3 * alphas * 15 * pols
         assert counts["dual"] == 0
@@ -739,8 +751,8 @@ def _stage_under(record, require):
     ids=["dP2-pullback", "F0-spectral", "enriques-pullback", "F0-pullback"],
 )
 def test_summary_tallies_the_box(config):
-    # the summary counts each model of the box once, by its failed stage,
-    # for any --jobs; the oracle is the require-free scan's records
+    # the summary counts each model of the box once, by its failed stage;
+    # the oracle is the require-free scan's records
     lines = search_bytes(config, 1).splitlines()[:-1]
     records = list(map(json.loads, lines))
     assert len(records) == _volume(config)
@@ -749,16 +761,15 @@ def test_summary_tallies_the_box(config):
         tally = Counter(stages)
         unmet = ("validity", "anomaly") if require else ()
         emitted = [line for line, failed in zip(lines, stages) if failed not in unmet]
-        for jobs in (1, 2, 3):
-            out = io.StringIO()
-            summary = run_search(dataclasses.replace(config, require=require), jobs=jobs, out=out)
-            assert out.getvalue().splitlines()[:-1] == emitted
-            assert summary == {
-                "scanned": _volume(config),
-                "passed": tally[None],
-                "stage_failures": {stage: tally[stage] for stage in search.STAGES},
-                "emitted": len(emitted),
-            }
+        out = io.StringIO()
+        summary = run_search(dataclasses.replace(config, require=require), out=out)
+        assert out.getvalue().splitlines()[:-1] == emitted
+        assert summary == {
+            "scanned": _volume(config),
+            "passed": tally[None],
+            "stage_failures": {stage: tally[stage] for stage in search.STAGES},
+            "emitted": len(emitted),
+        }
 
 
 def test_empty_axis_starts_no_pool():
@@ -804,40 +815,50 @@ def _seeded_box(rng, mode):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_chunk_walks_the_product_from_its_start(seed):
-    # a walk that starts at block k yields what product() yields from k, for
-    # every k and the stops of the box cut in 4, 8 and 12 runs; the spectral inner
-    # axes walk as product() does; and the bytes do not depend on --jobs
+    # the walk of the block axes, of the inner axes and of no axes at all
+    # yields what product() yields, from its start
     rng = random.Random(f"points:{seed}")
     for mode in ("pullback", "spectral"):
         config = _seeded_box(rng, mode)
-        block_axes, inner, _, blocks = search._axes(config, make_base(config.base))
-        points = list(itertools.product(*block_axes))
-        assert blocks == len(points) > 1
-        for jobs in (1, 2, 3):
-            step = -(-blocks // (jobs * 4))
-            for k in range(blocks):
-                for stop in {min(k + step, blocks), blocks}:
-                    assert list(search._points(block_axes, k, stop)) == points[k:stop]
-        assert list(search._points(inner, 0, math.prod(map(len, inner)))) == list(itertools.product(*inner))
-        serial = search_bytes(config, 1)
-        assert search_bytes(config, 2) == search_bytes(config, 3) == serial
+        (block_axes, inner), _ = search._axes(config, make_base(config.base))
+        assert math.prod(map(len, block_axes)) > 1
+        for axes in (block_axes, inner, []):
+            assert list(search._points(axes)) == list(itertools.product(*axes))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_writes_runs_of_whole_blocks(monkeypatch, jobs):
-    # 54 blocks of 6 models: with runs of at least 10 lines, each write but
-    # the summary holds at most two whole blocks, so the box's text is
-    # never held whole
-    config = SearchConfig.from_json(DP2_PULLBACK)
+@pytest.mark.parametrize(
+    "box, runs",
+    [
+        # 54 blocks of 6 models: each write holds two whole blocks
+        (DP2_PULLBACK, [12] * 27),
+        # n = 0 and 1 fail validity: 8 blocks (n, x, alpha) of 5 c2E x 2 h
+        (
+            {
+                "base": "F0",
+                "mode": "pullback",
+                "n_range": [0, 1],
+                "x_values": [1, 2],
+                "alpha_box": [[-1, 0], [0, 0]],
+                "c2E_range": [98, 102],
+                "h_values": ["1", "2"],
+            },
+            [10] * 8,
+        ),
+        # 8 blocks (n, alpha) of 2 eta x 2 lambda x 3 polarizations
+        (F0_SPECTRAL, [12] * 8),
+    ],
+    ids=["dP2-pullback", "F0-pullback-invalid-n", "F0-spectral"],
+)
+def test_scan_writes_runs_of_whole_blocks(monkeypatch, box, runs):
+    # with runs of at least 10 lines, each write but the summary holds the
+    # whole blocks of one run, so the box's text is never held whole
+    config = SearchConfig.from_json(box)
     serial = search_bytes(config, 1)
     monkeypatch.setattr(search, "_WRITE_RUN", 10)
     writes = []
-    run_search(config, jobs=jobs, out=SimpleNamespace(write=writes.append))
+    run_search(config, out=SimpleNamespace(write=writes.append))
     assert "".join(writes) == serial
-    lines = [text.count("\n") for text in writes[:-1] if text]
-    assert sum(lines) == 324 and {n % 6 for n in lines} == {0} and max(lines) == 12
-    if jobs == 1:
-        assert lines == [12] * 27
+    assert [text.count("\n") for text in writes[:-1]] == runs
 
 
 # ---------------------------------------------------------------------------
@@ -913,18 +934,17 @@ def test_required_scan_matches_check_model(base, seed, placement):
         # polarization of a c2E, or the next c2E
         cut = next((i for i in range(1, len(kept)) if blocks[i - 1] == blocks[i]), None)
         assert (cut is None) == (not kept)
-        for jobs in (1, 2, 3):
-            for limit in (None, cut) if kept else (None,):
-                out, required = io.StringIO(), dataclasses.replace(config, require=require, limit=limit)
-                summary = run_search(required, jobs=jobs, out=out)
-                emitted = kept[:limit]
-                assert out.getvalue().splitlines()[:-1] == emitted
-                assert summary == {
-                    "scanned": sum(tally.values()),
-                    "passed": tally[None],
-                    "stage_failures": {stage: tally[stage] for stage in search.STAGES},
-                    "emitted": len(emitted),
-                }
+        for limit in (None, cut) if kept else (None,):
+            out, required = io.StringIO(), dataclasses.replace(config, require=require, limit=limit)
+            summary = run_search(required, out=out)
+            emitted = kept[:limit]
+            assert out.getvalue().splitlines()[:-1] == emitted
+            assert summary == {
+                "scanned": sum(tally.values()),
+                "passed": tally[None],
+                "stage_failures": {stage: tally[stage] for stage in search.STAGES},
+                "emitted": len(emitted),
+            }
     # the wB = 0 block has af >= 0 at some c2E unless its af0 is below the range
     assert kinds == ({True, False} if placement == "below" else {"zero", True, False})
 
@@ -991,14 +1011,14 @@ AF_PAST_THE_LIMIT = {
 AF_REFUSED = "derived value af has more than 4300 digits; lower field 'n', 'eta', 'lambda' or 'alpha'"
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_unprintable_af_names_its_fields(jobs):
+def test_unprintable_af_names_its_fields():
     # two blocks, one per alpha (alpha^2 = 0 for both, so af is that of
-    # alpha = 0), at --jobs 1 and 2
+    # alpha = 0)
     config = SearchConfig.from_json(AF_PAST_THE_LIMIT)
-    assert search._axes(config, make_base("F0"))[3] == 2
+    (block_axes, _), _ = search._axes(config, make_base("F0"))
+    assert math.prod(map(len, block_axes)) == 2
     with pytest.raises(ValueError) as info:
-        run_search(config, jobs=jobs, out=io.StringIO())
+        run_search(config, out=io.StringIO())
     assert str(info.value) == AF_REFUSED
     n = 10**999
     eta, zero = DivisorClass((3 * n, 3 * n)), DivisorX(0, DivisorClass((0, 0)))
