@@ -42,11 +42,18 @@ def validate_bundle(s: BaseSurface, bundle) -> Fraction | None:
     """Raise ValueError if the bundle data violates its invariants.
 
     Returns what the checks computed on the way: for a spectral bundle the
-    fiber term of c2(V_n) that `check_spectral_data` returned, for a
-    pullback bundle None.
+    fiber term of c2(V_n) that `check_spectral_data` returns, for a
+    pullback bundle None.  The checks are `validate_parts`.
     """
-    if bundle.n < 2:
-        raise ValueError("bundle rank n must be >= 2")
+    fiber = validate_parts(s, bundle)
+    return None if fiber is None else Fraction(fiber)
+
+
+def validate_parts(s: BaseSurface, bundle, eta: tuple | None = None) -> int | None:
+    """The checks of `validate_bundle`, the fiber term as an int.  `eta`:
+    the integer parts (nums, dual, den) of a spectral bundle's eta where the
+    caller has them (`BaseSurface.integer_parts`), else None."""
+    check_rank(bundle.n)
     d = bundle.twist
     if d.alpha.rank != s.rank:
         raise ValueError("rank mismatch")
@@ -63,7 +70,7 @@ def validate_bundle(s: BaseSurface, bundle) -> Fraction | None:
     else:
         if d.x != 0:
             raise ValueError("spectral extensions use twists D = pi^*alpha (x = 0)")
-        fiber = check_spectral_data(s, bundle.n, bundle.eta, bundle.lam)
+        fiber = check_spectral_parts(s, bundle.n, bundle.lam, eta or bundle.eta, bundle.eta.torsion)
     # with 2D integral and x in Z, n(n+1)/2 alpha^2 is the one term of
     # c2(V) = c2(U) - n(n+1)/2 D^2 that can leave Z, so n(n+1) alpha^2 must
     # be even; c3(V) is then integral too
@@ -72,26 +79,38 @@ def validate_bundle(s: BaseSurface, bundle) -> Fraction | None:
     return fiber
 
 
+def check_rank(n: int) -> None:
+    """The rank rule of `validate_bundle`: V = O(nD) + U(-D) needs n >= 2."""
+    if n < 2:
+        raise ValueError("bundle rank n must be >= 2")
+
+
 def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
     """Parity, irreducibility and integrality constraints on spectral data
-    (n, eta, lambda); the last asks for an integral c2(V_n).  Returns the F
-    coefficient of c2(V_n), the fiber term of FMW's formula.  Works on the
-    integer parts (nums, dual, den) of eta: eta - n c1 = resid/den."""
-    lam = Fraction(lam)
+    (n, eta, lambda), the last asking for an integral c2(V_n): raises
+    ValueError, or returns the F coefficient of c2(V_n), the fiber term of
+    FMW's formula.  The rule is `check_spectral_parts`."""
+    return Fraction(check_spectral_parts(s, n, Fraction(lam), eta, eta.torsion))
+
+
+def check_spectral_parts(s: BaseSurface, n: int, lam: Fraction, eta, torsion: int) -> int:
+    """The spectral data rule of `check_spectral_data`, in integers: the
+    fiber term as an int.  `eta` is the integer parts (nums, dual, den) of
+    the class, eta = nums/den with dual = Gram.nums, and `torsion` its
+    torsion bit; or the class itself, whose parts are taken once lambda has
+    passed (a class of the wrong rank is refused there)."""
     # lambda is in Z + 1/2 for n even and in Z for n odd
     if lam.denominator != (1 if n % 2 else 2):
         raise ValueError("spectral data invalid")
-    nums, dual, den = s.integer_parts(eta)
+    nums, dual, den = s.integer_parts(eta) if isinstance(eta, DivisorClass) else eta
     # n odd: eta - c1 must be integral, torsion-free and even
-    if n % 2 and (
-        den != 1 or eta.torsion != s.c1.torsion or any((a - c) % 2 for a, c in zip(nums, s.c1_ints))
-    ):
+    if n % 2 and (den != 1 or torsion != s.c1.torsion or any((a - c) % 2 for a, c in zip(nums, s.c1_ints))):
         raise ValueError("spectral data invalid")
     resid = _resid(s, n, nums, den)
-    if not s.effective(resid):
+    if not s.effective_parts(resid, _resid_dual(s, n, dual, den)):
         raise ValueError("spectral data invalid: eta - n*c1 not effective")
-    fiber = _spectral_fiber(s, n, lam, dot(dual, resid), den * den)
-    if fiber.denominator != 1:
+    fiber, rest = divmod(*_spectral_fiber(s, n, lam, dot(dual, resid), den * den))
+    if rest:
         raise ValueError("spectral data invalid: non-integral Chern class")
     return fiber
 
@@ -135,7 +154,7 @@ def c2_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fou
     """c2 of a spectral cover bundle V_n whose data (eta, lambda) has already
     passed `check_spectral_data`, by FMW's formula
     c2 = eta sigma + (-(n^3-n)/24 c1^2 + 1/2 (lambda^2 - 1/4) n eta.(eta - n c1)) F."""
-    return FourClass(eta, _spectral_fiber(s, n, Fraction(lam), *_eta_pairing(s, n, eta)))
+    return FourClass(eta, Fraction(*_spectral_fiber(s, n, Fraction(lam), *_eta_pairing(s, n, eta))))
 
 
 def c3_spectral(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction) -> Fraction:
@@ -148,19 +167,24 @@ def _resid(s: BaseSurface, n: int, nums, den: int) -> list:
     return [a - n * den * c for a, c in zip(nums, s.c1_ints)]
 
 
+def _resid_dual(s: BaseSurface, n: int, dual, den: int) -> list:
+    """Gram.(den (eta - n c1)) = dual - n den Gram.c1, given dual = Gram.nums."""
+    return [d - n * den * g for d, g in zip(dual, s._c1_dual)]
+
+
 def _eta_pairing(s: BaseSurface, n: int, eta: DivisorClass) -> tuple:
     """(P, D) with eta.(eta - n c1) = P/D, the pairing shared by c2(V_n) and c3(V_n)."""
     nums, dual, den = s.integer_parts(eta)
     return dot(dual, _resid(s, n, nums, den)), den * den
 
 
-def _spectral_fiber(s: BaseSurface, n: int, lam: Fraction, pairing: int, den: int) -> Fraction:
+def _spectral_fiber(s: BaseSurface, n: int, lam: Fraction, pairing: int, den: int) -> tuple:
     """The F coefficient of c2(V_n) in FMW's formula, given the Fraction lam
-    = p/q and eta.(eta - n c1) = pairing/den: one Fraction,
-    (-(n^3-n) q^2 c1^2 den + 3 (4p^2 - q^2) n pairing) / (24 q^2 den)."""
+    = p/q and eta.(eta - n c1) = pairing/den, as the pair of ints
+    (-(n^3-n) q^2 c1^2 den + 3 (4p^2 - q^2) n pairing, 24 q^2 den)."""
     p, q = lam.numerator, lam.denominator
     q2 = q * q
-    return Fraction(-(n**3 - n) * q2 * s.c1_sq * den + 3 * (4 * p * p - q2) * n * pairing, 24 * q2 * den)
+    return -(n**3 - n) * q2 * s.c1_sq * den + 3 * (4 * p * p - q2) * n * pairing, 24 * q2 * den
 
 
 def bundle_chern(s: BaseSurface, bundle) -> ExtensionChern:

@@ -16,18 +16,20 @@ from itertools import product, repeat
 
 from . import jsonio
 from .anomaly import AnomalyOutcome, spectral_af, w_verdict
-from .bundles import PullbackBundle, SpectralBundle, _resid, validate_bundle
+from .bundles import (
+    PullbackBundle, SpectralBundle, _resid, _resid_dual, check_rank, check_spectral_parts, validate_parts,
+)
 from .nonsplit import chi_line_at, chi_line_terms, nonsplit_verdict
 from .ring import DivisorX
 from .surfaces import ENRIQUES_H0_INTS, BaseSurface, DivisorClass, MinDegree, dot, make_base, ratio, unnodal_effective
-from .windows import solve_delpezzo, solve_enriques, spectral_stability, window_scale, z_approx
+from .windows import solve_delpezzo, solve_enriques, window_scale, z_approx
 
 STAGES = ("validity", "anomaly", "nonsplit", "stability")
 
 # The stages run on exact scalars: ints where integral and Fractions
 # otherwise, worked out over the least common denominator of the classes
 # they pair (`BaseSurface.integer_parts`); the spectral af starts from the
-# fiber term that `validate_bundle` returns.  The public Fraction functions
+# fiber term that `validate_parts` returns.  The public Fraction functions
 # that take one model at a time (`anomaly_class`, `nonsplit_feasible`'s
 # slope, `spectral_nonsplit`, `spectral_stability_check`) are the tests'
 # oracles for these kernels; chi has one formula, `chi_line`, which
@@ -140,11 +142,11 @@ def _window_text(solved, scale: tuple) -> str:
     )
 
 
-def _validity(s: BaseSurface, bundle) -> tuple:
-    """((passed, text), fiber): the validity verdict of `validate_bundle`
+def _validity(s: BaseSurface, bundle, eta: tuple | None = None) -> tuple:
+    """((passed, text), fiber): the validity verdict of `validate_parts`
     and, for valid spectral data, the fiber term it returned (else None)."""
     try:
-        return _VALID, validate_bundle(s, bundle)
+        return _VALID, validate_parts(s, bundle, eta)
     except ValueError as exc:
         return _invalid(str(exc)), None
 
@@ -172,16 +174,18 @@ def check_model(
     `bound` is accepted and unread: the benchmark (bench/child.py) still
     passes it.
     """
-    validity, fiber = _validity(s, bundle)
     spectral = isinstance(bundle, SpectralBundle)
-    mode = "spectral" if spectral else "pullback"
+    mode, eta = ("spectral" if spectral else "pullback"), None
+    if spectral and bundle.eta.rank == s.rank:  # validity refuses another rank
+        eta = s.integer_parts(bundle.eta)
+    validity, fiber = _validity(s, bundle, eta)
     if validity[0]:
         try:
             _refuse_wrong_kind(s, mode, pol)
             terms = _PolTerms(s, pol)
             if spectral:
                 try:  # the stability stage reads it and needs H ample
-                    terms.min_degree
+                    terms.degree
                 except ValueError:  # not ample, which `_refuse_unusable_H` decides alike and raises
                     _refuse_unusable_H(s, mode, pol.H, "field 'H'")
         except ValueError as exc:
@@ -195,7 +199,8 @@ def check_model(
     alpha, pols = _Alpha(s, nums, den, dot(nums, dual), text=""), [(terms, "")]
     lines, counts = [], dict.fromkeys((None, *STAGES), 0)
     if spectral:
-        ns = [(bundle.n, head, [(_Spectrum(s, bundle.n, bundle.eta, bundle.lam, fiber), validity, "")])]
+        spectrum = _Spectrum(s, bundle.n, bundle.lam, *eta, bundle.eta.torsion, fiber)
+        ns = [(bundle.n, head, [(spectrum, validity, "")])]
         _spectral(s, require, ns, [alpha], pols, short_circuit, False, lines, counts, lambda: None)
     else:
         box = [(bundle.n, head, validity)], [(int(bundle.twist.x), "")], [alpha], [(bundle.c2E, "")]
@@ -206,28 +211,30 @@ def check_model(
 
 class _PolTerms:
     """What the stages read of one polarization, worked out once per config
-    (or per `check_model`): the class H (None for a ray h), the integer
-    parts of H, H^2 for an explicit H, the z of the non-split slope (h on
-    F0/dPk, 1 on Enriques), the `sign` of its windows and, on first use,
-    their `scale()` and the minimum degree.  `stability` holds the verdicts
-    so far, by (n, x, a) of a window (a = alpha.c1 on F0/dPk, alpha.H on
-    Enriques) and by (n, alpha.H) if spectral; `solves`, shared by the
-    polarizations of a scan, windows solved in t.  It has passed
-    `_refuse_wrong_kind`."""
+    (or per `check_model`) from the integer parts of H: the class H (None
+    for a ray h), its parts H_nums/H_den with H_dual = Gram.H_nums, H^2 for
+    an explicit H, the z of the non-split slope (h on F0/dPk, 1 on
+    Enriques), the `sign` of its windows and, on first use, their `scale()`
+    and the minimum degree (`degree`, which raises ValueError if H is not
+    ample, and `degree_text`).  `stability` holds the verdicts so far, by
+    (n, x, a) of a window (a = alpha.c1 on F0/dPk, alpha.H on Enriques) and
+    by (n, alpha.H) if spectral; `solves`, shared by the polarizations of a
+    scan, windows solved in t.  It has passed `_refuse_wrong_kind`."""
 
     def __init__(self, s: BaseSurface, pol: Polarization, solves: dict | None = None):
         self.s, self.H = s, pol.H
         self.h = pol.h if pol.h is None or type(pol.h) is Fraction else Fraction(pol.h)
         if pol.H is not None:
-            nums, self.H_dual, self.H_den = s.integer_parts(pol.H)
-            self.hsq = ratio(dot(nums, self.H_dual), self.H_den * self.H_den)
+            self.H_nums, self.H_dual, self.H_den = s.integer_parts(pol.H)
+            self.hsq = ratio(dot(self.H_nums, self.H_dual), self.H_den * self.H_den)
             self.sign = (self.hsq > 0) - (self.hsq < 0)
         else:
             # H = h c1 = (p/q) c1 over its least denominator q/k, k = gcd(q, c1)
             p, q = self.h.numerator, self.h.denominator
             k = math.gcd(q, *s.c1_ints)
             self.H_den = q // k
-            self.H_dual = s.dual([p * (c // k) for c in s.c1_ints])
+            self.H_nums = [p * (c // k) for c in s.c1_ints]
+            self.H_dual = s.dual(self.H_nums)
             self.sign = 1  # h > 0
         self.z = Fraction(1) if s.is_enriques else self.h
         self.stability, self.solves, self._scale = {}, {} if solves is None else solves, None
@@ -239,61 +246,65 @@ class _PolTerms:
         return self._scale
 
     @cached_property
+    def degree(self) -> tuple:
+        """(value, witness) of the minimum degree of H in ints
+        (`BaseSurface.min_degree_parts`)."""
+        return self.s.min_degree_parts(self.H_nums, self.H_dual, self.H_den)
+
+    @property
     def min_degree(self) -> MinDegree:
-        if self.H is not None:
-            return self.s.min_positive_degree(self.H)
-        # H = h c1 with h > 0 scales every generator degree by h: the minimum
-        # is h times that of c1, with the same witness and tie-break
-        md = self.s.min_positive_degree(self.s.c1)
-        return MinDegree(self.h * md.value, md.witness)
+        """`degree` as `BaseSurface.min_positive_degree` gives it."""
+        value, witness = self.degree
+        return MinDegree(Fraction(value), DivisorClass(witness))
 
     @cached_property
-    def min_degree_text(self) -> str:
+    def degree_text(self) -> str:
         """The end of the spectral stability verdict: min_degree on."""
-        md = self.min_degree
-        witness = _class_text(md.witness.coeffs, 1, md.witness.torsion)
+        value, witness = self.degree
         # no degree query is bounded any more; the key stays until the
         # output format next changes (ROADMAP items 7 and 9)
-        return f'"min_degree":"{jsonio.frac_to_str(md.value)}","witness":{witness},"bound_limited":false}}'
+        return f'"min_degree":"{value}","witness":{_class_text(witness, 1, 0)},"bound_limited":false}}'
 
 
 class _Spectrum:
     """What the spectral models of one valid (n, eta, lambda) share, worked
     out once per scan (or `check_model`) from the fiber term of c2(V_n) that
-    `validate_bundle` returned and eta = nums/den: wB = 12 c1 - eta (x = 0,
-    so it does not depend on alpha) as numerators, the anomaly verdict's
-    text up to its af (`af_opening`, which holds wB) and, on first use, the
-    effectivity of wB; af0, af without n(n+1)/2 alpha^2;
-    `af_offset` = af_displayed - af when eta = 12 c1 (else None), also free
-    of alpha; resid = eta - n c1 as integer parts with 3 den^2 resid^2; and
-    `tails`, filled by the walk: the anomaly verdict after its af
-    (`_anomaly_tail`), by sign of af."""
+    `check_spectral_parts` returned and the integer parts of eta = nums/den
+    (dual = Gram.nums) it read: wB = 12 c1 - eta (x = 0, so it does not
+    depend on alpha) as numerators, the anomaly verdict's text up to its af
+    (`af_opening`, which holds wB) and, on first use, the effectivity of wB;
+    af0, af without n(n+1)/2 alpha^2; `af_offset` = af_displayed - af when
+    eta = 12 c1 (else None), also free of alpha, and so `agrees`, the text
+    of display_agrees; resid = eta - n c1 as integer parts (its dual and
+    den) with 3 den^2 resid^2; and `tails`, filled by the walk: the anomaly
+    verdict after its af (`_anomaly_tail`), by sign of af."""
 
-    def __init__(self, s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction, fiber: Fraction):
+    def __init__(self, s: BaseSurface, n: int, lam: Fraction, nums, dual, den: int, torsion: int, fiber: int):
         self.s = s
-        self.af0 = s.c2 + 11 * s.c1_sq - fiber.numerator  # the fiber term is integral
-        nums, dual, den = s.integer_parts(eta)
+        self.af0 = s.c2 + 11 * s.c1_sq - fiber
         # wB = 12 c1 - eta over den; 12 c1 carries no torsion
         self.wB_nums = [12 * den * c - a for c, a in zip(s.c1_ints, nums)]
-        self.af_opening = _af_opening(_class_text(self.wB_nums, den, eta.torsion))
-        self.wB_zero = not eta.torsion and not any(self.wB_nums)
+        self.af_opening = _af_opening(_class_text(self.wB_nums, den, torsion))
+        self.wB_zero = not torsion and not any(self.wB_nums)
         self.af_offset, self.effective, self.tails = None, None, [None, None, None]
         if self.wB_zero:
             # eta = 12 c1: the readings of the twist alpha = 0, whose zero
             # class is wB; no effectivity query
             zero = _zero_twist(s)
+            eta = DivisorClass(tuple(12 * c for c in s.c1_ints))
             bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=zero)
             report = spectral_af(s, bundle, AnomalyOutcome(zero.alpha, self.af0, *w_verdict(self.af0, True, None)))
             offset = report.af_displayed - report.af_direct
             self.af_offset = ratio(offset.numerator, offset.denominator)
-        resid = _resid(s, n, nums, den)
-        # Gram.(den resid) = Gram.nums - n den Gram.c1
-        self.resid_dual, self.resid_den = [d - n * den * g for d, g in zip(dual, s._c1_dual)], den
-        self.resid_sq3 = 3 * dot(resid, self.resid_dual)
+            self.agrees = _JSON[offset == 0]
+        self.resid_dual, self.dual, self.den = _resid_dual(s, n, dual, den), dual, den
+        self.resid_sq3 = 3 * dot(_resid(s, n, nums, den), self.resid_dual)
 
     def wB_effective(self) -> bool:
         if self.effective is None:
-            self.effective = self.s.effective(self.wB_nums)
+            # Gram.(den wB) = 12 den Gram.c1 - dual
+            wB_dual = [12 * self.den * g - d for g, d in zip(self.s._c1_dual, self.dual)]
+            self.effective = self.s.effective_parts(self.wB_nums, wB_dual)
         return self.effective
 
 
@@ -514,15 +525,18 @@ def _window(term) -> tuple:
 
 
 def _spectral_window(term) -> tuple:
-    """The stability verdict of a spectral term: 0 < n alpha.H <
-    (Lambda.H)_min, once per (n, alpha.H)."""
+    """The stability verdict of a spectral term, 0 < n alpha.H <
+    (Lambda.H)_min, once per (n, alpha.H), as `windows.spectral_stability_check`
+    decides it and the encoder writes it: alpha.H and the minimum degree
+    are ints where integral (`ratio`), and str() of a Fraction is what
+    `jsonio.frac_to_str` writes."""
     pol, key = term[3], term[4]
     verdict = pol.stability.get(key)
     if verdict is None:
-        ver = spectral_stability(*key, pol.min_degree)
-        verdict = pol.stability[key] = ver.passed, (
-            f'"stability":{{"passed":{_JSON[ver.passed]},"alpha_H":"{jsonio.frac_to_str(ver.a_h)}",'
-            f'"n_alpha_H":"{jsonio.frac_to_str(ver.n_a_h)}",' + pol.min_degree_text
+        n, a = key
+        passed = 0 < n * a < pol.degree[0]
+        verdict = pol.stability[key] = passed, (
+            f'"stability":{{"passed":{_JSON[passed]},"alpha_H":"{a}","n_alpha_H":"{n * a}",' + pol.degree_text
         )
     return verdict
 
@@ -570,18 +584,17 @@ def _spectral(s, require, ns, alphas, pols, short_circuit, drop, lines, counts, 
                 readings = ""
                 try:
                     if spectrum.af_offset is not None:
-                        displayed = af + spectrum.af_offset
                         readings = (
-                            f',"af_displayed":"{jsonio.frac_to_str(displayed)}","af_direct":"{jsonio.frac_to_str(af)}"'
-                            f',"display_agrees":{_JSON[af == displayed]}'
+                            f',"af_displayed":"{af + spectrum.af_offset}","af_direct":"{af}"'
+                            f',"display_agrees":{spectrum.agrees}'
                         )
                     text = f"{end}{spectrum.af_opening}{af}{flags}{readings}{close}"
                 except ValueError:  # str() refused an af past the digit limit
                     raise jsonio.unprintable("af", "'n', 'eta', 'lambda' or 'alpha'") from None
                 chi = None
                 if not (unmet and short_circuit):
-                    # 3/2 resid^2 - (n+1) alpha.resid over 2 den resid_den^2
-                    rd = spectrum.resid_den
+                    # 3/2 resid^2 - (n+1) alpha.resid over 2 den rd^2, rd eta's den
+                    rd = spectrum.den
                     p = dot(alpha.nums, spectrum.resid_dual)
                     value = ratio(spectrum.resid_sq3 * den - m * p * rd, 2 * den * rd * rd)
                     chi = value > 0, f'{_SPECTRAL_CHI[value > 0]}{value}"}}'
@@ -830,17 +843,25 @@ def _alphas(s: BaseSurface, axes) -> list:
 
 def _spectra(s: BaseSurface, n: int, inner) -> list:
     """The models of n's (eta, lambda), in enumeration order, as `_spectral`
-    reads them.  Their verdicts are those of the zero twist: every twist of
-    the box is integral, so passes `validate_bundle`."""
+    reads them, from the ints of eta: their validity is that of the zero
+    twist, as every twist of the box is integral (`check_spectral_parts`
+    on eta's parts, taken once per eta), and their params text is written
+    by hand."""
     models = []
-    for *eta, lam in _points(inner):
+    *etas, lams = inner
+    lams = [(lam, f'"],"lambda":"{lam}"}}') for lam in lams]
+    for eta in _points(etas):
         # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
-        eta = tuple(eta) or tuple(12 * c for c in s.c1_ints)
-        eta = DivisorClass(eta + (0,) * (s.rank - len(eta)))
-        validity, fiber = _validity(s, SpectralBundle(n=n, eta=eta, lam=lam, twist=_zero_twist(s)))
-        spectrum = _Spectrum(s, n, eta, lam, fiber) if validity[0] else None
-        params = {"eta": [str(c) for c in eta.coeffs], "lambda": jsonio.frac_to_str(lam)}
-        models.append((spectrum, validity, _ENCODER.encode(params)[1:]))
+        nums = eta + (0,) * (s.rank - len(eta)) if eta else tuple(12 * c for c in s.c1_ints)
+        dual, text = s.dual(nums), '"eta":["' + '","'.join(map(str, nums))
+        for lam, lam_text in lams:
+            try:
+                check_rank(n)
+                fiber = check_spectral_parts(s, n, lam, (nums, dual, 1), 0)
+            except ValueError as exc:
+                models.append((None, _invalid(str(exc)), text + lam_text))
+                continue
+            models.append((_Spectrum(s, n, lam, nums, dual, 1, 0, fiber), _VALID, text + lam_text))
     return models
 
 

@@ -170,9 +170,6 @@ class BaseSurface:
         """Gram.nums, for a vector of ints: nums.d = dual(nums) . d."""
         return tuple([sum([g * nums[j] for j, g in row]) for row in self._gram_rows])
 
-    def _gamma11_only(self, c: DivisorClass) -> bool:
-        return all(v == 0 for v in c.coeffs[2:])
-
     def _generator_pairings(self, nums) -> list:
         """den * (D.G) for every cone generator G, given nums = den * D."""
         return [dot(nums, g_dual) for _, g_dual, _ in self._generators]
@@ -194,7 +191,13 @@ class BaseSurface:
         free part.  The torsion bit never changes the verdict."""
         if not self.is_enriques:
             return self._reduces_to_nef(nums, self._generator_pairings(nums))
-        dual = self.dual(nums)  # C^2 and C.(1,1) scaled by den^2 and den
+        return self.effective_parts(nums, self.dual(nums))
+
+    def effective_parts(self, nums, dual) -> bool:
+        """`effective`, given dual = Gram.nums too, which the Enriques rule
+        reads: C^2 and C.(1,1) scaled by den^2 and den."""
+        if not self.is_enriques:
+            return self.effective(nums)
         return unnodal_effective(dot(nums, dual), dot(dual, ENRIQUES_H0_INTS))
 
     def _reduces_to_nef(self, nums, pairings) -> bool:
@@ -222,40 +225,48 @@ class BaseSurface:
 
     def _cone_position_enriques(self, c: DivisorClass) -> ConeVerdict:
         nums, dual, den = self.integer_parts(c)
-        square = dot(nums, dual)
-        effective = unnodal_effective(square, dot(dual, ENRIQUES_H0_INTS))
-        if not self._gamma11_only(c):
-            note = ("class lies outside Gamma^{1,1}",)
-            return ConeVerdict(effective=effective, nef=None, ample=None, notes=note)
-        x, y = c.coeffs[0], c.coeffs[1]
-        nef = x >= 0 and y >= 0
-        sq = ratio(square, den * den)
-        # nef with C^2 = 2xy >= 6 forces x, y > 0, so C pairs positively with
-        # every nonzero effective Gamma^{1,1} class (a, b), a, b >= 0
-        ample = nef and sq >= 6
-        return ConeVerdict(effective=effective, nef=nef, ample=ample)
+        nef, ample = enriques_nef_ample(nums, dual, den)
+        notes = ("class lies outside Gamma^{1,1}",) if nef is None else ()
+        return ConeVerdict(effective=self.effective_parts(nums, dual), nef=nef, ample=ample, notes=notes)
 
     def min_positive_degree(self, h: DivisorClass) -> MinDegree:
+        value, witness = self.min_degree_parts(*self.integer_parts(h))
+        return MinDegree(value=Fraction(value), witness=DivisorClass(witness))
+
+    def min_degree_parts(self, nums, dual, den: int) -> tuple:
+        """(value, witness) of `min_positive_degree` for H = nums/den, given
+        dual = Gram.nums: value an int where integral (`ratio`) and witness
+        the coefficients of the class as ints.  Raises ValueError if H is
+        not ample."""
         if self.is_enriques:
-            if self.cone_position(h).ample is not True:
+            if enriques_nef_ample(nums, dual, den)[1] is not True:
                 raise ValueError("polarization not ample")
             # an ample H is (x, y) in Gamma^{1,1} with x, y > 0, and (a, b).H =
             # a*y + b*x over a, b >= 0 is smallest at (0, 1) (degree x) or at
             # (1, 0) (degree y); a tie goes to (0, 1), first in lexicographic order
-            x, y = h.coeffs[0], h.coeffs[1]
+            x, y = nums[0], nums[1]
             witness = (0, 1) if x <= y else (1, 0)
-            return MinDegree(
-                value=min(x, y), witness=DivisorClass(witness + (0,) * (self.rank - 2))
-            )
-        nums, dual, den = self.integer_parts(h)
+            return ratio(min(x, y), den), witness + (0,) * (self.rank - 2)
         # ample as `cone_position` decides it: every generator degree and
         # H^2 positive.  In (degree, coeffs) order the single-generator
         # minimum is then the exact minimum over the effective monoid
         pairings = self._generator_pairings(nums)
         if not all(p > 0 for p in pairings) or dot(nums, dual) <= 0:
             raise ValueError("polarization not ample")
-        p, _, witness = min(zip(pairings, self._generators, self.cone_generators))
-        return MinDegree(value=Fraction(p, den), witness=witness)
+        p, witness = min(zip(pairings, [g for g, _, _ in self._generators]))
+        return ratio(p, den), witness
+
+
+def enriques_nef_ample(nums, dual, den: int) -> tuple:
+    """(nef, ample) of the Enriques class C = nums/den, given dual =
+    Gram.nums: (None, None) outside Gamma^{1,1}, where neither is decided.
+    C = (x, y) in Gamma^{1,1} is nef when x, y >= 0 and ample when nef
+    with C^2 = 2xy >= 6, which forces x, y > 0, so C pairs positively with
+    every nonzero effective Gamma^{1,1} class (a, b), a, b >= 0."""
+    if any(nums[2:]):
+        return None, None
+    nef = nums[0] >= 0 and nums[1] >= 0
+    return nef, nef and dot(nums, dual) >= 6 * den * den
 
 
 def dot(a, b) -> int:

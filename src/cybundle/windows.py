@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surfaces import BaseSurface, DivisorClass, MinDegree
+from .surfaces import BaseSurface, DivisorClass
 
 
 @dataclass(frozen=True)
@@ -209,12 +209,7 @@ def spectral_stability_check(
     With J = eps*sigma + pi^*H and eps a formal infinitesimal the criterion
     reduces to 0 < n*(alpha.H) < (Lambda.H)_min.
     """
-    return spectral_stability(n, s.intersect(alpha, h), s.min_positive_degree(h))
-
-
-def spectral_stability(n: int, a_h, md: MinDegree) -> SpectralStabilityVerdict:
-    """The verdict of `spectral_stability_check` from a_h = alpha.H and
-    md = (Lambda.H)_min with its witness."""
+    a_h, md = s.intersect(alpha, h), s.min_positive_degree(h)
     return SpectralStabilityVerdict(
         passed=0 < n * a_h < md.value,
         a_h=a_h,

@@ -181,6 +181,20 @@ TABLE_BOXES = {
         },
         {"spectral data invalid: non-integral Chern class"},
     ),
+    # no eta_box: eta = 12 c1, whose valid entries build the bundle of
+    # `spectral_af`; n = 1 fails the rank rule
+    "F0-spectral-12c1-n-1-3": (
+        {
+            "base": "F0",
+            "mode": "spectral",
+            "n_range": [1, 3],
+            "alpha_box": [[-1, 0], [-12, -11]],
+            "lambda_values": ["1/2", "1", "3/2"],
+            "H_values": [[3, 34]],
+            "h_values": ["1"],
+        },
+        {"bundle rank n must be >= 2", "spectral data invalid", None},
+    ),
 }
 
 
@@ -200,11 +214,13 @@ def test_validity_tables_match_check_model(box, jobs):
 
 @pytest.mark.parametrize("box", TABLE_BOXES.values(), ids=TABLE_BOXES.keys())
 def test_scan_builds_no_bundle_per_block(monkeypatch, box):
-    # one zero-twist bundle per table entry, whose validity every block of
-    # the entry reads; the spectral boxes have no eta = 12 c1, whose
-    # `_Spectrum` builds one more for the displayed af reading
+    # a pullback scan builds one zero-twist bundle per n, whose validity
+    # every block of the n reads; a spectral scan validates each (n, eta,
+    # lambda) from the ints of eta and builds a bundle only for a valid
+    # eta = 12 c1, whose `_Spectrum` asks `spectral_af` for the displayed af
     obj, _ = box
     config = SearchConfig.from_json(obj)
+    twelve_c1 = [str(12 * c) for c in make_base(config.base).c1_ints]
     built = Counter()
 
     def counted(cls):
@@ -213,15 +229,23 @@ def test_scan_builds_no_bundle_per_block(monkeypatch, box):
     for cls in (PullbackBundle, SpectralBundle, DivisorX):
         monkeypatch.setattr(search, cls.__name__, counted(cls))
     lines = _search_bytes(config, 1).splitlines()
-    params = [json.loads(line)["params"] for line in lines if not line.startswith("#")]
+    records = [json.loads(line) for line in lines if not line.startswith("#")]
+    params = [r["params"] for r in records]
     if config.mode == "pullback":
         entries, bundle = {p["n"] for p in params}, "PullbackBundle"
         blocks = {(p["n"], p["x"], *p["alpha"]) for p in params}
+        count = len(entries)
     else:
         entries, bundle = {(p["n"], *p["eta"], p["lambda"]) for p in params}, "SpectralBundle"
         blocks = {(p["n"], *p["eta"], p["lambda"], *p["alpha"]) for p in params}
+        count = len({
+            (p["n"], p["lambda"])
+            for p, r in zip(params, records)
+            if p["eta"] == twelve_c1 and r["verdicts"]["validity"]["passed"]
+        })
     assert len(entries) < len(blocks)
-    assert built == {bundle: len(entries), "DivisorX": len(entries)}
+    assert built == Counter({bundle: count, "DivisorX": count})
+    assert count > 0 or "eta_box" in obj
 
 
 # a spectral block is one (n, alpha), its models the (eta, lambda) inner

@@ -1,5 +1,7 @@
 """Tests for extension and spectral-cover Chern classes."""
 
+import io
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,10 +15,12 @@ from cybundle.bundles import (
     c2_spectral,
     c3_spectral,
     check_spectral_data,
+    check_spectral_parts,
     chern_extension,
     validate_bundle,
 )
 from cybundle.ring import DivisorX, FourClass, c2_tangent
+from cybundle.search import SearchConfig, run_search
 from cybundle.surfaces import DivisorClass, make_base
 
 
@@ -389,3 +393,100 @@ def test_spectral_data_matches_fraction_path(kind):
     if kind.startswith("dP"):
         assert "spectral data invalid: non-integral Chern class" in seen, seen
     assert ("valid, rational eta" in seen) == (s.c1_sq % 2 == 0), seen
+
+
+def _parts_draw(s, rng):
+    """(n, eta, lambda): lambda in Z or Z + 1/2, eta = n c1 plus a shift of
+    either sign (on Enriques, where c1 is pure torsion, a Gamma^{1,1} class
+    of either sign, at times with an E8 part, and either torsion bit); for
+    odd n, half the time eta = c1 mod 2; a fifth of them over a den of 2."""
+    n = rng.randint(2, 5)
+    lam = Fraction(rng.randint(-5, 5)) + Fraction(rng.randint(0, 1), 2)
+    side, den = rng.choice((-1, 1)), 2 if rng.random() < 0.2 else 1
+    torsion = rng.randint(0, 1) if s.is_enriques else 0
+    if s.is_enriques:
+        free = [side * rng.randint(0, 6 * den) for _ in range(2)]
+        free += [rng.randint(-1, 1) if rng.random() < 0.2 else 0 for _ in range(8)]
+    else:
+        free = [n * c * den + side * rng.randint(0, 3 * den) for c in s.c1_ints]
+    if n % 2 and den == 1 and rng.random() < 0.5:
+        free = [c + 2 * (f // 2) for c, f in zip(s.c1_ints, free)]
+    return n, DivisorClass(tuple(Fraction(f, den) for f in free), torsion), lam
+
+
+@pytest.mark.parametrize("kind", BASES)
+def test_spectral_parts_rule_matches_validate_bundle(kind):
+    # differential: the integer rule a scan runs on the parts of eta,
+    # against validate_bundle on the zero-twist bundle, check_spectral_data
+    # and the Fraction body they replaced: the same verdict, the same
+    # message and the same fiber, as an int
+    s = make_base(kind)
+    zero = DivisorX(0, DivisorClass.zero(s.rank))
+    rng = random.Random(f"spectral parts {kind}")
+    seen = Counter()
+    for _ in range(400):
+        n, eta, lam = _parts_draw(s, rng)
+        got = _raised(check_spectral_parts, s, n, lam, s.integer_parts(eta), eta.torsion)
+        via_bundle = _raised(validate_bundle, s, SpectralBundle(n=n, eta=eta, lam=lam, twist=zero))
+        via_data = _raised(check_spectral_data, s, n, eta, lam)
+        want = _raised(_fraction_check_spectral_data, s, n, eta, lam)
+        assert got == via_bundle == via_data == want, (n, eta, lam)
+        assert type(via_bundle) is type(via_data) is type(want)
+        if isinstance(want, Fraction):
+            assert type(got) is int
+            seen["valid", lam.denominator, eta.torsion] += 1
+        else:
+            seen[want[1]] += 1
+    assert {"spectral data invalid", "spectral data invalid: eta - n*c1 not effective"} <= set(seen), seen
+    # (den of lambda, torsion bit) of the valid draws: lambda of both
+    # parities passes where FMW's fiber can be integral
+    valid = {key[1:] for key in seen if key[0] == "valid"}
+    if s.is_enriques:
+        # odd n asks eta - c1 to be torsion-free, so eta to carry the bit
+        assert valid == {(1, 1), (2, 0), (2, 1)}, seen
+    elif s.c1_sq % 2:
+        # odd c1^2 leaves the fiber of even n outside Z
+        assert valid == {(1, 0)} and "spectral data invalid: non-integral Chern class" in seen, seen
+    else:
+        assert valid == {(1, 0), (2, 0)}, seen
+
+
+@pytest.mark.parametrize("kind", BASES)
+def test_spectral_scan_validity_matches_validate_bundle(kind):
+    # a scan validates each (n, eta, lambda) of its eta box from the ints
+    # of eta: every record's validity verdict is that of validate_bundle on
+    # the zero twist (the box's one alpha), with eta on both sides of n c1
+    # and lambda of both parities; n = 1 fails the rank rule first
+    s = make_base(kind)
+    center = [0] * s.rank if s.is_enriques else [3 * c for c in s.c1_ints]
+    eta_box = [[center[0] - 3, center[0] + 2]] + [[c - 1, c + 1] for c in center[1:2]]
+    eta_box += [[c, c] for c in center[2:]]
+    pol = {"H_values": [[5, 6]]} if s.is_enriques else {"h_values": ["1"]}
+    config = SearchConfig.from_json({
+        "base": kind,
+        "mode": "spectral",
+        "n_range": [1, 3],
+        "alpha_box": [[0, 0]],
+        "eta_box": eta_box,
+        "lambda_values": ["0", "1/2", "-1", "3/2"],
+        **pol,
+    })
+    out = io.StringIO()
+    run_search(config, out=out)
+    zero = DivisorX(0, DivisorClass.zero(s.rank))
+    seen = Counter()
+    for line in out.getvalue().splitlines()[:-1]:
+        record = json.loads(line)
+        params = record["params"]
+        eta = DivisorClass(tuple(Fraction(c) for c in params["eta"]))
+        bundle = SpectralBundle(n=params["n"], eta=eta, lam=Fraction(params["lambda"]), twist=zero)
+        want = _raised(validate_bundle, s, bundle)
+        if bundle.n >= 2:
+            assert want == _raised(_fraction_check_spectral_data, s, bundle.n, eta, bundle.lam)
+        error = None if isinstance(want, Fraction) else want[1]
+        assert record["verdicts"]["validity"] == (
+            {"passed": True} if error is None else {"passed": False, "error": error}
+        ), params
+        seen[error] += 1
+    assert {None, "bundle rank n must be >= 2", "spectral data invalid"} <= set(seen), seen
+    assert "spectral data invalid: eta - n*c1 not effective" in seen or kind == "enriques", seen

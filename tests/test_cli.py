@@ -7,10 +7,20 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from cybundle import cli
+from cybundle import (
+    DivisorClass,
+    DivisorX,
+    SpectralBundle,
+    anomaly_class,
+    cli,
+    jsonio,
+    make_base,
+    spectral_stability_check,
+)
 
 CLI = [sys.executable, "-m", "cybundle.cli"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -655,6 +665,42 @@ def test_check_non_integral_c2_fails_validity(tmp_path):
     record = json.loads(proc.stdout)
     assert record["failed_stage"] == "validity"
     assert record["verdicts"]["validity"]["error"] == "spectral data invalid: non-integral Chern class"
+
+
+HALF_ETA_MODEL = {
+    "base": "F0",
+    "bundle": {
+        "type": "spectral",
+        "n": 2,
+        "eta": {"coeffs": ["25/2", "49/2"]},
+        "lambda": "1/2",
+        "twist": {"x": "0", "alpha": {"coeffs": ["1", "-11"]}},
+    },
+    "polarization": {"H": {"coeffs": ["3", "34"]}},
+}
+
+
+def test_check_half_integral_eta(tmp_path):
+    # a scan's eta is integral, a model file's may be half-integral: `check`
+    # validates it and runs the stages from its parts over den 2, as the
+    # public Fraction functions do; for odd n the parity rule refuses it
+    f0 = make_base("F0")
+    eta, alpha = DivisorClass((Fraction(25, 2), Fraction(49, 2))), DivisorClass((1, -11))
+    bundle = SpectralBundle(n=2, eta=eta, lam=Fraction(1, 2), twist=DivisorX(0, alpha))
+    proc = run_cli("check", write(tmp_path, "half.json", HALF_ETA_MODEL))
+    assert proc.returncode in (0, 1), proc.stderr
+    verdicts = json.loads(proc.stdout)["verdicts"]
+    assert verdicts["validity"] == {"passed": True}
+    outcome = anomaly_class(f0, bundle)
+    assert verdicts["anomaly"]["wB"] == jsonio.divisor_to_json(outcome.wB)
+    assert verdicts["anomaly"]["af"] == jsonio.frac_to_str(outcome.af)
+    stability = spectral_stability_check(f0, 2, alpha, DivisorClass((3, 34)))
+    assert verdicts["stability"]["passed"] is stability.passed
+    assert verdicts["stability"]["min_degree"] == jsonio.frac_to_str(stability.min_degree)
+    odd = {**HALF_ETA_MODEL, "bundle": {**HALF_ETA_MODEL["bundle"], "n": 3, "lambda": "1"}}
+    proc = run_cli("check", write(tmp_path, "odd.json", odd))
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["verdicts"]["validity"] == {"passed": False, "error": "spectral data invalid"}
 
 
 def test_check_twist_with_non_integral_c2_fails_validity(tmp_path):

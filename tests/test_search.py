@@ -262,14 +262,17 @@ def _wb_queries(blocks, share=()):
 def test_each_model_quantity_computed_once(monkeypatch):
     # once per pullback n: validity; once per block, not per model: the
     # pullback effectivity query of wB; once per spectral (n, eta, lambda):
-    # validity, the spectral data check and the effectivity query of
-    # wB = 12 c1 - eta; once per (n, x, alpha.c1), for every polarization:
-    # the stability window's solve in t, and no window through the Fraction
-    # wrapper.  The Chern ring is not on the scan path at all
+    # the integer spectral data rule on eta's parts, with no bundle
+    # validated, and the effectivity query of wB = 12 c1 - eta; once per
+    # (n, x, alpha.c1), for every polarization: the stability window's
+    # solve in t, and no window through the Fraction wrapper.  Neither
+    # Fraction wrapper of validity is on the scan path, nor the Chern ring
     counts = {}
     for func in (
         bundles.validate_bundle,
+        bundles.validate_parts,
         bundles.check_spectral_data,
+        bundles.check_spectral_parts,
         bundles.chern_extension,
         ring.triple_product,
         windows.solve_delpezzo,
@@ -321,8 +324,10 @@ def test_each_model_quantity_computed_once(monkeypatch):
     # the two rays share each solve
     assert 0 < len(windows_solved) < len(windows_written) < len(blocks[0])
     assert counts == {
-        "validate_bundle": len({r.params["n"] for r in records[0]}) + len(spectra),
-        "check_spectral_data": len(spectra),
+        "validate_bundle": 0,
+        "validate_parts": len({r.params["n"] for r in records[0]}),
+        "check_spectral_data": 0,
+        "check_spectral_parts": len(spectra),
         "chern_extension": 0,
         "triple_product": 0,
         "solve_delpezzo": len(windows_solved),

@@ -1,13 +1,14 @@
 """Tests for the base-surface intersection lattices."""
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cybundle import search
+from cybundle import jsonio, search
 from cybundle.search import Polarization, _PolTerms
 from cybundle.surfaces import (
     ConeVerdict,
@@ -758,6 +759,73 @@ def test_enriques_min_degree_tie_takes_first_witness():
         assert md.value == x
         assert md.witness == pad((0, 1), 10)
     assert enr.min_positive_degree(pad((6, 5), 10)).witness == pad((1, 0), 10)
+
+
+def _degree_cases(s, rng):
+    """(H or None, h or None) polarizations of `s`: on F0/dPk rays h, and
+    explicit H near the rays of c1, some with fractional coefficients and
+    some not ample, with the dP1 tie (2, -1); on Enriques, Gamma^{1,1}
+    classes (x, y) with x < y, x > y and x = y, integral and not, and some
+    that are not ample, or outside Gamma^{1,1}."""
+    if s.is_enriques:
+        pairs = [(3, 5), (5, 3), (4, 4), (Fraction(7, 2), 4), (4, Fraction(7, 2)), (Fraction(5, 2), Fraction(5, 2))]
+        pairs += [(1, 1), (1, 3), (0, 7), (-1, 9), (Fraction(3, 2), 2)]
+        cases = [(pad(p, 10), None) for p in pairs] + [(pad((4, 4, 1), 10), None)]
+        return cases + [(DivisorClass(pad(p, 10).coeffs, torsion=1), None) for p in pairs[:3]]
+    cases = [(None, h) for h in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 5))]
+    for _ in range(24):
+        den = rng.choice((1, 2, 3))
+        step = DivisorClass(tuple(Fraction(rng.randint(-2, 2), den) for _ in range(s.rank)))
+        cases.append((s.c1.scale(Fraction(rng.randint(1, 6), rng.choice((1, 2)))) + step, None))
+    cases.append((s.c1.scale(-1), None))
+    if s.kind == "dP1":
+        cases.append((DivisorClass((2, -1)), None))
+    return cases
+
+
+@pytest.mark.parametrize("kind", DEL_PEZZO_AND_F0 + ["enriques"])
+def test_min_degree_parts_match_min_positive_degree(kind):
+    # the integer minimum degree (value, witness and tie-break) that a
+    # spectral check reads through _PolTerms, against min_positive_degree
+    # and the oracle of its base: the cone_position body on F0/dPk, the
+    # bounded enumeration on Enriques; a non-ample H is refused alike
+    s = make_base(kind)
+    seen = set()
+    for H, h in _degree_cases(s, random.Random(f"degree parts {kind}")):
+        H_class = s.c1.scale(h) if H is None else H
+        want = _outcome(s.min_positive_degree, H_class)
+        if s.is_enriques:
+            oracle = _outcome(_oracle_min_degree, s, H_class, _oracle_cone(s, H_class))
+        else:
+            oracle = _outcome(_cone_min_degree, s, H_class)
+        assert want == oracle, H_class
+        terms = _PolTerms(s, Polarization(H=H, h=h))
+        got = _outcome(lambda: terms.degree)
+        assert got == _outcome(s.min_degree_parts, *s.integer_parts(H_class))
+        if isinstance(want, tuple):
+            assert got == want == ("ValueError", "polarization not ample")
+            seen.add("not ample")
+            continue
+        value, witness = got
+        assert type(want.value) is Fraction and all(type(c) is int for c in witness)
+        assert type(value) is (int if want.value.denominator == 1 else Fraction)
+        assert (value, DivisorClass(witness)) == (want.value, want.witness)
+        assert terms.degree_text == (
+            f'"min_degree":"{jsonio.frac_to_str(want.value)}",'
+            f'"witness":{json.dumps(jsonio.divisor_to_json(want.witness), separators=(",", ":"))},'
+            '"bound_limited":false}'
+        )
+        seen.add(("ray" if H is None else "H", value == int(value)))
+        if s.is_enriques:
+            x, y = H_class.coeffs[:2]
+            seen.add((x > y) - (x < y))
+            assert witness[:2] == ((1, 0) if x > y else (0, 1))
+    if s.is_enriques:
+        assert seen == {"not ample", ("H", True), ("H", False), -1, 0, 1}
+    else:
+        assert {"not ample", ("ray", True), ("ray", False), ("H", True), ("H", False)} <= seen, seen
+    if kind == "dP1":
+        assert s.min_degree_parts((2, -1), s.dual((2, -1)), 1) == (1, (0, 1))
 
 
 # ---------------------------------------------------------------------------
