@@ -45,38 +45,39 @@ def validate_bundle(s: BaseSurface, bundle) -> Fraction | None:
     fiber term of c2(V_n) that `check_spectral_data` returns, for a
     pullback bundle None.  The checks are `validate_parts`.
     """
-    fiber = validate_parts(s, bundle)
+    fiber = validate_parts(s, bundle)[0]
     return None if fiber is None else Fraction(fiber)
 
 
-def validate_parts(s: BaseSurface, bundle, eta: tuple | None = None) -> int | None:
-    """The checks of `validate_bundle`, the fiber term as an int.  `eta`:
-    the integer parts (nums, dual, den) of a spectral bundle's eta where the
-    caller has them (`BaseSurface.integer_parts`), else None."""
+def validate_parts(s: BaseSurface, bundle) -> tuple:
+    """The checks of `validate_bundle`, a class of the wrong rank refused
+    first: (fiber, eta), the fiber term as an int and eta's integer parts
+    (`BaseSurface.integer_parts`) if spectral, else (None, None)."""
     check_rank(bundle.n)
     d = bundle.twist
     if d.alpha.rank != s.rank:
         raise ValueError("rank mismatch")
+    eta = None if isinstance(bundle, PullbackBundle) else s.integer_parts(bundle.eta)
     half_integral = not d.is_integral()
     if half_integral:
         # half-integral twists are allowed only when 2D is integral
         two_d = DivisorX(2 * d.x, d.alpha.scale(2))
         if not two_d.is_integral():
             raise ValueError("twist must be integral or half-integral")
-    if isinstance(bundle, PullbackBundle):
+    if eta is None:
         if d.x.denominator != 1:
             raise ValueError("pullback twist must have integer sigma-coefficient")
         fiber = None
     else:
         if d.x != 0:
             raise ValueError("spectral extensions use twists D = pi^*alpha (x = 0)")
-        fiber = check_spectral_parts(s, bundle.n, bundle.lam, eta or bundle.eta, bundle.eta.torsion)
+        fiber = check_spectral_parts(s, bundle.n, bundle.lam, eta, bundle.eta.torsion)
     # with 2D integral and x in Z, n(n+1)/2 alpha^2 is the one term of
     # c2(V) = c2(U) - n(n+1)/2 D^2 that can leave Z, so n(n+1) alpha^2 must
     # be even; c3(V) is then integral too
     if half_integral and bundle.n * (bundle.n + 1) * s.square(d.alpha) % 2 != 0:
         raise ValueError("twist invalid: non-integral Chern class")
-    return fiber
+    return fiber, eta
 
 
 def check_rank(n: int) -> None:
@@ -89,20 +90,19 @@ def check_spectral_data(s: BaseSurface, n: int, eta: DivisorClass, lam: Fraction
     """Parity, irreducibility and integrality constraints on spectral data
     (n, eta, lambda), the last asking for an integral c2(V_n): raises
     ValueError, or returns the F coefficient of c2(V_n), the fiber term of
-    FMW's formula.  The rule is `check_spectral_parts`."""
-    return Fraction(check_spectral_parts(s, n, Fraction(lam), eta, eta.torsion))
+    FMW's formula.  The rule is `check_spectral_parts`, after the rank of eta."""
+    return Fraction(check_spectral_parts(s, n, Fraction(lam), s.integer_parts(eta), eta.torsion))
 
 
-def check_spectral_parts(s: BaseSurface, n: int, lam: Fraction, eta, torsion: int) -> int:
+def check_spectral_parts(s: BaseSurface, n: int, lam: Fraction, eta: tuple, torsion: int) -> int:
     """The spectral data rule of `check_spectral_data`, in integers: the
     fiber term as an int.  `eta` is the integer parts (nums, dual, den) of
     the class, eta = nums/den with dual = Gram.nums, and `torsion` its
-    torsion bit; or the class itself, whose parts are taken once lambda has
-    passed (a class of the wrong rank is refused there)."""
+    torsion bit."""
     # lambda is in Z + 1/2 for n even and in Z for n odd
     if lam.denominator != (1 if n % 2 else 2):
         raise ValueError("spectral data invalid")
-    nums, dual, den = s.integer_parts(eta) if isinstance(eta, DivisorClass) else eta
+    nums, dual, den = eta
     # n odd: eta - c1 must be integral, torsion-free and even
     if n % 2 and (den != 1 or torsion != s.c1.torsion or any((a - c) % 2 for a, c in zip(nums, s.c1_ints))):
         raise ValueError("spectral data invalid")

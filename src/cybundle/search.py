@@ -11,17 +11,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product, repeat
 
 from . import jsonio
 from .anomaly import AnomalyOutcome, spectral_af, w_verdict
-from .bundles import (
-    PullbackBundle, SpectralBundle, _resid, _resid_dual, check_rank, check_spectral_parts, validate_parts,
-)
+from .bundles import SpectralBundle, _resid, _resid_dual, check_rank, check_spectral_parts, validate_parts
 from .nonsplit import chi_line_at, chi_line_terms, nonsplit_verdict
 from .ring import DivisorX
-from .surfaces import ENRIQUES_H0_INTS, BaseSurface, DivisorClass, MinDegree, dot, make_base, ratio, unnodal_effective
+from .surfaces import ENRIQUES_H0_INTS, BaseSurface, DivisorClass, dot, make_base, ratio, unnodal_effective
 from .windows import solve_delpezzo, solve_enriques, window_scale, z_approx
 
 STAGES = ("validity", "anomaly", "nonsplit", "stability")
@@ -84,9 +81,9 @@ _AF_TAILS = {
 }
 
 
-def _invalid(error: str) -> tuple:
-    """(passed, text) of a validity verdict that fails with `error`."""
-    return False, '"validity":' + _ENCODER.encode({"passed": False, "error": error})
+def _invalid(error: str) -> str:
+    """The text of a validity verdict that fails with `error`."""
+    return '"validity":' + _ENCODER.encode({"passed": False, "error": error})
 
 
 def _class_text(nums, den: int, torsion: int, tail: str = "") -> str:
@@ -142,17 +139,14 @@ def _window_text(solved, scale: tuple) -> str:
     )
 
 
-def _validity(s: BaseSurface, bundle, eta: tuple | None = None) -> tuple:
-    """((passed, text), fiber): the validity verdict of `validate_parts`
-    and, for valid spectral data, the fiber term it returned (else None)."""
+def _rank_validity(n: int) -> tuple:
+    """The validity verdict of a scan's pullback n, whose twists are all
+    integral: that of `check_rank`."""
     try:
-        return _VALID, validate_parts(s, bundle, eta)
+        check_rank(n)
     except ValueError as exc:
-        return _invalid(str(exc)), None
-
-
-def _zero_twist(s: BaseSurface) -> DivisorX:
-    return DivisorX(0, DivisorClass.zero(s.rank))
+        return False, _invalid(str(exc))
+    return _VALID
 
 
 def check_model(
@@ -166,44 +160,39 @@ def check_model(
 ) -> ModelRecord:
     """Run the full verification pipeline on one model.
 
-    A model that fails validity, by its bundle or by its polarization, gets
-    the record `_emit` writes for it: the validity verdict and nothing
-    after.  A valid model is evaluated as a box of one by the walk of every
-    scan (`_pullback` or `_spectral`); the first failed stage is
-    `failed_stage`, and a failure stops the run under `short_circuit`.
-    `bound` is accepted and unread: the benchmark (bench/child.py) still
-    passes it.
+    Validity is the rule of `cybundle check` and of a scan: the bundle's
+    (`validate_parts`), then the polarization's (`_refuse_wrong_kind`, and
+    for an explicit H the ampleness that `_refuse_unusable_H` asks, read
+    from H's minimum degree).  A model that fails it gets the validity
+    verdict and nothing after.  A valid model is evaluated as a box of one
+    by the walk of every scan (`_pullback` or `_spectral`); the first
+    failed stage is `failed_stage`, and a failure stops the run under
+    `short_circuit`.  `bound` is accepted and unread: the benchmark
+    (bench/child.py) still passes it.
     """
     spectral = isinstance(bundle, SpectralBundle)
-    mode, eta = ("spectral" if spectral else "pullback"), None
-    if spectral and bundle.eta.rank == s.rank:  # validity refuses another rank
-        eta = s.integer_parts(bundle.eta)
-    validity, fiber = _validity(s, bundle, eta)
-    if validity[0]:
-        try:
-            _refuse_wrong_kind(s, mode, pol)
-            terms = _PolTerms(s, pol)
-            if spectral:
-                try:  # the stability stage reads it and needs H ample
-                    terms.degree
-                except ValueError:  # not ample, which `_refuse_unusable_H` decides alike and raises
-                    _refuse_unusable_H(s, mode, pol.H, "field 'H'")
-        except ValueError as exc:
-            # a valid bundle fails validity with a polarization of the wrong
-            # kind or, if spectral, with an H that is not ample
-            validity = _invalid(str(exc))
+    mode = "spectral" if spectral else "pullback"
     head = '{"params":' + _ENCODER.encode(params or {})
-    if not validity[0]:
-        return ModelRecord(f'{head},"verdicts":{{{validity[1]}{_TAILS["validity"]}', "validity")
+    try:
+        fiber, eta = validate_parts(s, bundle)
+        _refuse_wrong_kind(s, mode, pol)
+        terms = _PolTerms(s, pol)
+        if pol.H is not None:
+            try:  # defined exactly when H is ample
+                terms.degree
+            except ValueError:  # `_refuse_unusable_H` words the refusal, and leaves
+                # an Enriques pullback H outside Gamma^{1,1} to the caller
+                _refuse_unusable_H(s, mode, pol.H, "field 'H'")
+    except ValueError as exc:
+        return ModelRecord(f'{head},"verdicts":{{{_invalid(str(exc))}{_TAILS["validity"]}', "validity")
     nums, dual, den = s.integer_parts(bundle.twist.alpha)
     alpha, pols = _Alpha(s, nums, den, dot(nums, dual), text=""), [(terms, "")]
     lines, counts = [], dict.fromkeys((None, *STAGES), 0)
     if spectral:
-        spectrum = _Spectrum(s, bundle.n, bundle.lam, *eta, bundle.eta.torsion, fiber)
-        ns = [(bundle.n, head, [(spectrum, validity, "")])]
+        ns = [(bundle.n, head, [(_Spectrum(s, bundle.n, bundle.lam, *eta, bundle.eta.torsion, fiber), "")])]
         _spectral(s, require, ns, [alpha], pols, short_circuit, False, lines, counts, lambda: None)
     else:
-        box = [(bundle.n, head, validity)], [(int(bundle.twist.x), "")], [alpha], [(bundle.c2E, "")]
+        box = [(bundle.n, head, _VALID)], [(int(bundle.twist.x), "")], [alpha], [(bundle.c2E, "")]
         _pullback(s, require, *box, pols, short_circuit, False, lines, counts, lambda: None)
     (failed,) = (stage for stage, count in counts.items() if count)
     return ModelRecord(lines[0], failed)
@@ -214,12 +203,16 @@ class _PolTerms:
     (or per `check_model`) from the integer parts of H: the class H (None
     for a ray h), its parts H_nums/H_den with H_dual = Gram.H_nums, H^2 for
     an explicit H, the z of the non-split slope (h on F0/dPk, 1 on
-    Enriques), the `sign` of its windows and, on first use, their `scale()`
-    and the minimum degree (`degree`, which raises ValueError if H is not
-    ample, and `degree_text`).  `stability` holds the verdicts so far, by
-    (n, x, a) of a window (a = alpha.c1 on F0/dPk, alpha.H on Enriques) and
-    by (n, alpha.H) if spectral; `solves`, shared by the polarizations of a
-    scan, windows solved in t.  It has passed `_refuse_wrong_kind`."""
+    Enriques), the `sign` and `scale` (`windows.window_scale`) of its
+    windows and, on first use, the minimum degree (`degree`, which raises
+    ValueError if H is not ample, and `degree_text`), memoized in
+    attributes set here: under Python 3.11 the first use of a
+    `functools.cached_property` takes a lock and writes the instance
+    `__dict__`, a cost that `check_model` pays per model.  `stability`
+    holds the verdicts so far, by (n, x, a) of a window (a = alpha.c1 on
+    F0/dPk, alpha.H on Enriques) and by (n, alpha.H) if spectral; `solves`,
+    shared by the polarizations of a scan, windows solved in t.  It has
+    passed `_refuse_wrong_kind`."""
 
     def __init__(self, s: BaseSurface, pol: Polarization, solves: dict | None = None):
         self.s, self.H = s, pol.H
@@ -237,33 +230,28 @@ class _PolTerms:
             self.H_dual = s.dual(self.H_nums)
             self.sign = 1  # h > 0
         self.z = Fraction(1) if s.is_enriques else self.h
-        self.stability, self.solves, self._scale = {}, {} if solves is None else solves, None
+        self.scale = window_scale(self.h) if self.H is None else window_scale(hsq=self.hsq)
+        self.stability, self.solves = {}, {} if solves is None else solves
+        self._degree = self._degree_text = None
 
-    def scale(self) -> tuple:
-        """(variable, num, den, h) of its windows (`windows.window_scale`)."""
-        if self._scale is None:
-            self._scale = window_scale(self.h) if self.H is None else window_scale(hsq=self.hsq)
-        return self._scale
-
-    @cached_property
+    @property
     def degree(self) -> tuple:
         """(value, witness) of the minimum degree of H in ints
         (`BaseSurface.min_degree_parts`)."""
-        return self.s.min_degree_parts(self.H_nums, self.H_dual, self.H_den)
+        if self._degree is None:
+            self._degree = self.s.min_degree_parts(self.H_nums, self.H_dual, self.H_den)
+        return self._degree
 
     @property
-    def min_degree(self) -> MinDegree:
-        """`degree` as `BaseSurface.min_positive_degree` gives it."""
-        value, witness = self.degree
-        return MinDegree(Fraction(value), DivisorClass(witness))
-
-    @cached_property
     def degree_text(self) -> str:
         """The end of the spectral stability verdict: min_degree on."""
-        value, witness = self.degree
-        # no degree query is bounded any more; the key stays until the
-        # output format next changes (ROADMAP items 7 and 9)
-        return f'"min_degree":"{value}","witness":{_class_text(witness, 1, 0)},"bound_limited":false}}'
+        if self._degree_text is None:
+            value, witness = self.degree
+            # no degree query is bounded any more; the key stays until the
+            # output format next changes (ROADMAP items 7 and 9)
+            witness = _class_text(witness, 1, 0)
+            self._degree_text = f'"min_degree":"{value}","witness":{witness},"bound_limited":false}}'
+        return self._degree_text
 
 
 class _Spectrum:
@@ -290,7 +278,7 @@ class _Spectrum:
         if self.wB_zero:
             # eta = 12 c1: the readings of the twist alpha = 0, whose zero
             # class is wB; no effectivity query
-            zero = _zero_twist(s)
+            zero = DivisorX(0, DivisorClass.zero(s.rank))
             eta = DivisorClass(tuple(12 * c for c in s.c1_ints))
             bundle = SpectralBundle(n=n, eta=eta, lam=lam, twist=zero)
             report = spectral_af(s, bundle, AnomalyOutcome(zero.alpha, self.af0, *w_verdict(self.af0, True, None)))
@@ -391,9 +379,10 @@ def _emit(terms, models, stability, short_circuit: bool, lines: list, counts: di
     stability verdict once stability(term) gave it, _PolTerms, key]; a
     model (end, unmet, chi): its text up to the non-split verdict, the stage
     failed so far and the chi verdict (None where no line reads it).  A
-    failure stops a model under `short_circuit`, a validity failure always."""
+    failure stops a model under `short_circuit`; a model that failed
+    validity comes from a scan, which always short-circuits."""
     for end, unmet, chi in models:
-        if unmet and (short_circuit or unmet == "validity"):
+        if unmet and short_circuit:
             counts[unmet] += len(terms)
             end += _TAILS[unmet]
             lines += [term[0] + end for term in terms]
@@ -520,7 +509,7 @@ def _window(term) -> tuple:
         if solved is None:
             solved = solve_delpezzo(n, x, a, pol.s.c1_sq) if pol.h else solve_enriques(n, x, a, pol.sign)
             pol.solves[n, x, a, pol.sign] = solved
-        verdict = pol.stability[key] = solved[3], '"stability":' + _window_text(solved, pol.scale())
+        verdict = pol.stability[key] = solved[3], '"stability":' + _window_text(solved, pol.scale)
     return verdict
 
 
@@ -544,23 +533,16 @@ def _spectral_window(term) -> tuple:
 def _spectral(s, require, ns, alphas, pols, short_circuit, drop, lines, counts, flush):
     """`_emit` the spectral box (n, alpha, (eta, lambda)) x `pols`, last
     fastest, into `lines` and `counts`, calling flush() after each block (n,
-    alpha).  ns: (n, the line's head, its models), a model being
-    (`_Spectrum` of its (n, eta, lambda), None if invalid; validity verdict;
-    what closes the params after the polarization); pols: (_PolTerms, its
-    params text).  Under `drop`, what fails validity or the requirement
-    gets no line.  Each term is worked out where it varies: per n, k and
-    the text after the params of each invalid model; per (n, alpha), k
-    alpha^2 and the terms; per `_Spectrum`, the text after its af by sign of
-    af; per model, af, both af readings if eta = 12 c1, and the non-split
-    verdict 3/2 resid^2 - (n+1) alpha.resid > 0."""
+    alpha).  ns: (n, the line's head, its models as `_spectra` gives
+    them); pols: (_PolTerms, its params text).  Under `drop`, what fails
+    validity or the requirement gets no line.  Each term is worked out
+    where it varies: per n, k; per (n, alpha), k alpha^2 and the terms;
+    per `_Spectrum`, the text after its af by sign of af; per model, af,
+    both af readings if eta = 12 c1, and the non-split verdict 3/2 resid^2
+    - (n+1) alpha.resid > 0."""
     width = len(pols)
     for n, head, spectra in ns:
         k, m = n * (n + 1) // 2, 2 * (n + 1)
-        # an invalid model is its whole text after the params, for every alpha
-        spectra = [
-            (spectrum, end) if spectrum else (None, (f'{end},"verdicts":{{{validity[1]}', "validity", None))
-            for spectrum, validity, end in spectra
-        ]
         for alpha in alphas:
             den, models = alpha.den, []
             d2, k_a_sq = den * den, k * alpha.a_sq
@@ -843,10 +825,12 @@ def _alphas(s: BaseSurface, axes) -> list:
 
 def _spectra(s: BaseSurface, n: int, inner) -> list:
     """The models of n's (eta, lambda), in enumeration order, as `_spectral`
-    reads them, from the ints of eta: their validity is that of the zero
-    twist, as every twist of the box is integral (`check_spectral_parts`
-    on eta's parts, taken once per eta), and their params text is written
-    by hand."""
+    reads them: (`_Spectrum`, what closes the params after the
+    polarization) for a valid model, (None, (its whole text after the
+    params, "validity", None)) for an invalid one, the same for every
+    alpha.  Validity is that of the zero twist, as every twist of the box
+    is integral: `check_rank` and `check_spectral_parts` on eta's ints,
+    taken once per eta.  The params text is written by hand."""
     models = []
     *etas, lams = inner
     lams = [(lam, f'"],"lambda":"{lam}"}}') for lam in lams]
@@ -859,9 +843,9 @@ def _spectra(s: BaseSurface, n: int, inner) -> list:
                 check_rank(n)
                 fiber = check_spectral_parts(s, n, lam, (nums, dual, 1), 0)
             except ValueError as exc:
-                models.append((None, _invalid(str(exc)), text + lam_text))
+                models.append((None, (f'{text}{lam_text},"verdicts":{{{_invalid(str(exc))}', "validity", None)))
                 continue
-            models.append((_Spectrum(s, n, lam, nums, dual, 1, 0, fiber), _VALID, text + lam_text))
+            models.append((_Spectrum(s, n, lam, nums, dual, 1, 0, fiber), text + lam_text))
     return models
 
 
@@ -900,7 +884,7 @@ def run_search(config: SearchConfig, jobs: int = 1, out=None):
         if config.mode == "pullback":
             xs, *alpha = alpha
             xs = [(x, f'"x":{x},"c2E":') for x in xs]
-            ns = ((n, head, _validity(s, PullbackBundle(n=n, c2E=None, twist=_zero_twist(s)))[0]) for n, head in heads)
+            ns = ((n, head, _rank_validity(n)) for n, head in heads)
             c2Es = [(c2E, f"{c2E}}}") for c2E in inner[0]]
             _pullback(s, require, ns, xs, _alphas(s, alpha), c2Es, pols, True, drop, lines, counts, flush)
         else:

@@ -214,10 +214,10 @@ def test_validity_tables_match_check_model(box, jobs):
 
 @pytest.mark.parametrize("box", TABLE_BOXES.values(), ids=TABLE_BOXES.keys())
 def test_scan_builds_no_bundle_per_block(monkeypatch, box):
-    # a pullback scan builds one zero-twist bundle per n, whose validity
-    # every block of the n reads; a spectral scan validates each (n, eta,
-    # lambda) from the ints of eta and builds a bundle only for a valid
-    # eta = 12 c1, whose `_Spectrum` asks `spectral_af` for the displayed af
+    # a pullback scan builds no bundle and no twist: each n's validity is
+    # the rank rule's; a spectral scan validates each (n, eta, lambda) from
+    # the ints of eta and builds a bundle only for a valid eta = 12 c1,
+    # whose `_Spectrum` asks `spectral_af` for the displayed af
     obj, _ = box
     config = SearchConfig.from_json(obj)
     twelve_c1 = [str(12 * c) for c in make_base(config.base).c1_ints]
@@ -226,26 +226,30 @@ def test_scan_builds_no_bundle_per_block(monkeypatch, box):
     def counted(cls):
         return lambda *args, **kwargs: built.update([cls.__name__]) or cls(*args, **kwargs)
 
-    for cls in (PullbackBundle, SpectralBundle, DivisorX):
+    assert not hasattr(search, "PullbackBundle")
+    for cls in (SpectralBundle, DivisorX):
         monkeypatch.setattr(search, cls.__name__, counted(cls))
     lines = _search_bytes(config, 1).splitlines()
     records = [json.loads(line) for line in lines if not line.startswith("#")]
     params = [r["params"] for r in records]
     if config.mode == "pullback":
-        entries, bundle = {p["n"] for p in params}, "PullbackBundle"
+        entries = {p["n"] for p in params}
         blocks = {(p["n"], p["x"], *p["alpha"]) for p in params}
-        count = len(entries)
+        want = Counter()
+        # the box has blocks past validity, whose models a bundle could build
+        assert any(r["verdicts"]["validity"]["passed"] for r in records)
     else:
-        entries, bundle = {(p["n"], *p["eta"], p["lambda"]) for p in params}, "SpectralBundle"
+        entries = {(p["n"], *p["eta"], p["lambda"]) for p in params}
         blocks = {(p["n"], *p["eta"], p["lambda"], *p["alpha"]) for p in params}
         count = len({
             (p["n"], p["lambda"])
             for p, r in zip(params, records)
             if p["eta"] == twelve_c1 and r["verdicts"]["validity"]["passed"]
         })
+        want = Counter({"SpectralBundle": count, "DivisorX": count})
+        assert count > 0 or "eta_box" in obj
     assert len(entries) < len(blocks)
-    assert built == Counter({bundle: count, "DivisorX": count})
-    assert count > 0 or "eta_box" in obj
+    assert built == want
 
 
 # a spectral block is one (n, alpha), its models the (eta, lambda) inner

@@ -293,8 +293,10 @@ BASES = ["F0"] + [f"dP{k}" for k in range(9)] + ["enriques"]
 
 
 def _fraction_check_spectral_data(s, n, eta, lam):
-    """The Fraction body of `check_spectral_data`: class arithmetic, a full
-    cone query and `intersect`."""
+    """The Fraction body of `check_spectral_data`: an eta of the wrong rank
+    refused first, then class arithmetic, a full cone query and `intersect`."""
+    if eta.rank != s.rank:
+        raise ValueError("rank mismatch")
     lam = Fraction(lam)
     if n % 2 == 0:
         if (lam - Fraction(1, 2)).denominator != 1:
@@ -360,9 +362,12 @@ def _spectral_draw(s, rng):
 
 @pytest.mark.parametrize("kind", BASES)
 def test_spectral_data_matches_fraction_path(kind):
-    # differential: the integer check_spectral_data, and c2/c3 of valid data,
-    # against the Fraction bodies they replaced, fiber or exception alike
+    # differential: the integer check_spectral_data, validate_bundle on the
+    # zero twist (which refuses an eta of the wrong rank before it reads
+    # lambda, too) and c2/c3 of valid data, against the Fraction bodies they
+    # replaced, fiber or exception alike
     s = make_base(kind)
+    zero = DivisorX(0, DivisorClass.zero(s.rank))
     rng = random.Random(f"spectral data {kind}")
     seen = Counter()
     for _ in range(1500):
@@ -370,6 +375,7 @@ def test_spectral_data_matches_fraction_path(kind):
         got = _raised(check_spectral_data, s, n, eta, lam)
         want = _raised(_fraction_check_spectral_data, s, n, eta, lam)
         assert got == want and type(got) is type(want), (n, eta, lam)
+        assert _raised(validate_bundle, s, SpectralBundle(n=n, eta=eta, lam=lam, twist=zero)) == want
         seen[want[1] if isinstance(want, tuple) else "valid"] += 1
         if isinstance(want, Fraction):
             pairing = s.intersect(eta, eta - s.c1.scale(n))

@@ -14,8 +14,11 @@ import pytest
 from cybundle import (
     DivisorClass,
     DivisorX,
+    Polarization,
+    PullbackBundle,
     SpectralBundle,
     anomaly_class,
+    check_model,
     cli,
     jsonio,
     make_base,
@@ -829,6 +832,70 @@ def test_check_and_search_agree_on_polarization(tmp_path, capsys, base, mode, sh
         assert search_code == 0, search_err
     else:
         assert search_code == 2 and SEARCH_FIELD[refused] in search_err, search_err
+
+
+def _H(*coeffs, rank):
+    return {"H": {"coeffs": [str(c) for c in coeffs] + _zeros(rank - len(coeffs))}}
+
+
+# (base, mode), polarization, the field `check` refuses (None: accepted)
+POLARIZATION_CASES = {
+    "enriques-pullback-h": ("enriques", "pullback", {"h": "1"}, "h"),
+    "enriques-spectral-h": ("enriques", "spectral", {"h": "1"}, "h"),
+    "F0-pullback-H": ("F0", "pullback", _H(3, 34, rank=2), "H"),
+    "F0-pullback-h-0": ("F0", "pullback", {"h": "0"}, "h"),
+    "F0-spectral-h-negative": ("F0", "spectral", {"h": "-1/2"}, "h"),
+    "F0-spectral-H-1-0": ("F0", "spectral", _H(1, 0, rank=2), "H"),
+    **{
+        f"enriques-{mode}-H-{name}": ("enriques", mode, _H(*H, rank=10), "H")
+        for mode in ("pullback", "spectral")
+        for name, H in (("1-0", (1, 0)), ("0-0", (0, 0)), ("-2--3", (-2, -3)))
+    },
+    # outside Gamma^{1,1} ampleness is undecided, which the spectral
+    # stability stage cannot take and a pullback model leaves to its caller
+    "enriques-pullback-outside-gamma11": ("enriques", "pullback", _H(2, 3, 1, rank=10), None),
+    "enriques-spectral-outside-gamma11": ("enriques", "spectral", _H(2, 3, 1, rank=10), "H"),
+    "enriques-pullback-ample-H": ("enriques", "pullback", _H(4, 3, rank=10), None),
+    "enriques-spectral-ample-H": ("enriques", "spectral", _H(4, 3, rank=10), None),
+    "F0-pullback-h-1": ("F0", "pullback", {"h": "1"}, None),
+    "F0-spectral-ample-H": ("F0", "spectral", _H(3, 34, rank=2), None),
+}
+
+
+def _library_model(model):
+    """(surface, bundle, polarization) of a `check` model file, built with no
+    rule applied, as a library caller hands them to `check_model`."""
+    s, spec, pol = make_base(model["base"]), model["bundle"], model["polarization"]
+    twist = jsonio.divisor_x_from_json(spec["twist"], s)
+    if spec["type"] == "pullback":
+        bundle = PullbackBundle(n=spec["n"], c2E=spec["c2E"], twist=twist)
+    else:
+        eta = jsonio.divisor_from_json(spec["eta"], s)
+        bundle = SpectralBundle(n=spec["n"], eta=eta, lam=Fraction(spec["lambda"]), twist=twist)
+    H = jsonio.divisor_from_json(pol["H"], s) if "H" in pol else None
+    return s, bundle, Polarization(H=H, h=Fraction(pol["h"]) if "h" in pol else None)
+
+
+@pytest.mark.parametrize("short_circuit", [True, False])
+@pytest.mark.parametrize("case", POLARIZATION_CASES.values(), ids=POLARIZATION_CASES.keys())
+def test_check_model_applies_the_polarization_rule_of_check(tmp_path, case, short_circuit):
+    # differential: the library's check_model against `cybundle check` on
+    # models whose bundle is valid.  Where check exits 2, check_model fails
+    # validity with check's message; where check accepts the model,
+    # check_model passes validity and writes the record check prints
+    base, mode, polarization, refused = case
+    model = {"base": base, "bundle": AGREEMENT_MODELS[base, mode], "polarization": polarization}
+    result = run_cli("check", write(tmp_path, "model.json", model))
+    record = check_model(*_library_model(model), short_circuit=short_circuit)
+    validity = record.verdicts["validity"]
+    if refused is not None:
+        assert result.returncode == 2 and result.stdout == "", result
+        assert result.stderr == f"error: {validity['error']}\n" and f"field '{refused}'" in result.stderr
+        assert record.failed_stage == "validity" and list(record.verdicts) == ["validity"]
+    else:
+        assert result.returncode in (0, 1) and validity == {"passed": True}, result
+        if not short_circuit:
+            assert json.loads(result.stdout) == record.to_json()
 
 
 E6_MODEL = {

@@ -145,11 +145,13 @@ def test_check_model_refuses_a_spectral_H_that_is_not_ample(kind, n, eta, lam, a
 
 
 def test_check_model_leaves_an_enriques_pullback_H_to_its_caller():
-    # a pullback model reads H only through intersection numbers, and
-    # check_model asks no cone query of it
+    # a pullback model reads H only through intersection numbers: like
+    # `cybundle check` and a scan, check_model refuses a pullback H that is
+    # not ample, and leaves one outside Gamma^{1,1}, whose ampleness is
+    # undecided, to its caller
     enr = make_base("enriques")
     bundle = PullbackBundle(n=2, c2E=12, twist=DivisorX(0, pad((0, -1), 10)))
-    rec = check_model(enr, bundle, Polarization(H=pad((1, 0), 10)), short_circuit=False)
+    rec = check_model(enr, bundle, Polarization(H=pad((2, 3, 1), 10)), short_circuit=False)
     assert rec.verdicts["validity"] == {"passed": True}
     assert list(rec.verdicts) == list(search.STAGES)
 
@@ -260,17 +262,19 @@ def _wb_queries(blocks, share=()):
 
 
 def test_each_model_quantity_computed_once(monkeypatch):
-    # once per pullback n: validity; once per block, not per model: the
-    # pullback effectivity query of wB; once per spectral (n, eta, lambda):
-    # the integer spectral data rule on eta's parts, with no bundle
-    # validated, and the effectivity query of wB = 12 c1 - eta; once per
-    # (n, x, alpha.c1), for every polarization: the stability window's
-    # solve in t, and no window through the Fraction wrapper.  Neither
-    # Fraction wrapper of validity is on the scan path, nor the Chern ring
+    # once per pullback n: the rank rule, its whole validity; once per
+    # block, not per model: the pullback effectivity query of wB; once per
+    # spectral (n, eta, lambda): the rank rule and the integer spectral data
+    # rule on eta's parts, with no bundle validated, and the effectivity
+    # query of wB = 12 c1 - eta; once per (n, x, alpha.c1), for every
+    # polarization: the stability window's solve in t, and no window through
+    # the Fraction wrapper.  No bundle rule (`validate_parts`) nor Fraction
+    # wrapper of validity is on the scan path, nor the Chern ring
     counts = {}
     for func in (
         bundles.validate_bundle,
         bundles.validate_parts,
+        bundles.check_rank,
         bundles.check_spectral_data,
         bundles.check_spectral_parts,
         bundles.chern_extension,
@@ -325,7 +329,8 @@ def test_each_model_quantity_computed_once(monkeypatch):
     assert 0 < len(windows_solved) < len(windows_written) < len(blocks[0])
     assert counts == {
         "validate_bundle": 0,
-        "validate_parts": len({r.params["n"] for r in records[0]}),
+        "validate_parts": 0,
+        "check_rank": len({r.params["n"] for r in records[0]}) + len(spectra),
         "check_spectral_data": 0,
         "check_spectral_parts": len(spectra),
         "chern_extension": 0,

@@ -459,12 +459,14 @@ def test_integer_generator_data_is_gram_times_generator(kind):
     c1 = s.c1.coeffs
     assert s._c1_dual == tuple(sum(s.gram[i][j] * c1[j] for j in range(s.rank)) for i in range(s.rank))
     # a ray's polarization terms build the integer parts of H = h c1 from
-    # the integer c1, and its minimum degree from that of c1, scaled by h
+    # the integer c1, and its minimum degree, value and witness, from that
+    # of c1, scaled by h
     for h in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(10**50)):
         terms, H = _PolTerms(s, Polarization(h=h)), s.c1.scale(h)
         assert (terms.H_dual, terms.H_den) == s.integer_parts(H)[1:] and terms.H is None
         assert all(type(v) is int for v in (terms.H_den, *terms.H_dual))
-        assert terms.min_degree == s.min_positive_degree(H)
+        want = s.min_positive_degree(H)
+        assert terms.degree == (want.value, want.witness.coeffs)
 
 
 @pytest.mark.parametrize("kind", DEL_PEZZO_AND_F0)
