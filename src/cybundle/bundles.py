@@ -107,7 +107,7 @@ def check_spectral_parts(s: BaseSurface, n: int, lam: Fraction, eta: tuple, tors
     if n % 2 and (den != 1 or torsion != s.c1.torsion or any((a - c) % 2 for a, c in zip(nums, s.c1_ints))):
         raise ValueError("spectral data invalid")
     resid = _resid(s, n, nums, den)
-    if not s.effective_parts(resid, _resid_dual(s, n, dual, den)):
+    if not s.effective(resid, _resid_dual(s, n, dual, den)):
         raise ValueError("spectral data invalid: eta - n*c1 not effective")
     fiber, rest = divmod(*_spectral_fiber(s, n, lam, dot(dual, resid), den * den))
     if rest:

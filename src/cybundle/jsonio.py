@@ -12,11 +12,9 @@ from .windows import StabilityWindow
 
 
 def frac_to_str(f) -> str:
-    if type(f) is int:
-        return str(f)
-    if type(f) is not Fraction:
-        f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """The text of the rational f, "p/q" or "p": str() of an int or a
+    Fraction, anything else coerced to a Fraction first."""
+    return str(f if type(f) in (int, Fraction) else Fraction(f))
 
 
 def frac_from_str(s) -> Fraction:

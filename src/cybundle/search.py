@@ -88,8 +88,8 @@ def _invalid(error: str) -> str:
 
 def _class_text(nums, den: int, torsion: int, tail: str = "") -> str:
     """The JSON text of the class nums/den, zeros `tail` (`_Alpha`) after it
-    (`jsonio.divisor_to_json`): str() of an int or a Fraction is what
-    `jsonio.frac_to_str` writes."""
+    (`jsonio.divisor_to_json`): each coefficient through str(), as
+    `jsonio.frac_to_str` prints it."""
     strings = '","'.join(map(str, nums if den == 1 else [ratio(c, den) for c in nums]))
     return f'{{"coeffs":["{strings}{tail}"],"torsion":{torsion}}}'
 
@@ -115,7 +115,9 @@ _SPECTRAL_CHI = {passed: _nonsplit_opening(passed, "spectral chi>0") for passed 
 
 
 def _quotient(p: int, q: int) -> str:
-    """The JSON string of p/q, q > 0, as `jsonio.frac_to_str` writes the Fraction."""
+    """The JSON string of p/q, q > 0, as `jsonio.frac_to_str` writes the
+    Fraction, without building it: a window's fractional end costs a third
+    of str(ratio(p, q))."""
     g = math.gcd(p, q)
     return f'"{p // g}"' if g == q else f'"{p // g}/{q // g}"'
 
@@ -292,7 +294,7 @@ class _Spectrum:
         if self.effective is None:
             # Gram.(den wB) = 12 den Gram.c1 - dual
             wB_dual = [12 * self.den * g - d for g, d in zip(self.s._c1_dual, self.dual)]
-            self.effective = self.s.effective_parts(self.wB_nums, wB_dual)
+            self.effective = self.s.effective(self.wB_nums, wB_dual)
         return self.effective
 
 
@@ -517,8 +519,8 @@ def _spectral_window(term) -> tuple:
     """The stability verdict of a spectral term, 0 < n alpha.H <
     (Lambda.H)_min, once per (n, alpha.H), as `windows.spectral_stability_check`
     decides it and the encoder writes it: alpha.H and the minimum degree
-    are ints where integral (`ratio`), and str() of a Fraction is what
-    `jsonio.frac_to_str` writes."""
+    are ints where integral (`ratio`), printed through str() as
+    `jsonio.frac_to_str` prints them."""
     pol, key = term[3], term[4]
     verdict = pol.stability.get(key)
     if verdict is None:
@@ -791,35 +793,21 @@ def _axes(config: SearchConfig, s: BaseSurface) -> tuple:
     return ((block_axes, inner) if blocks else None), pols
 
 
-def _points(axes):
-    """The points of product(*axes), in its order, holding no axis whole:
-    each axis is a range or a short tuple, the last axis is walked row by
-    row and each row finds its prefix by mixed radix.  No axes: one point, ()."""
-    if not axes:
-        yield ()
-        return
-    *outer, last = axes
-    for row in range(math.prod(map(len, outer))):
-        prefix = []
-        for axis in reversed(outer):
-            row, digit = divmod(row, len(axis))
-            prefix.insert(0, axis[digit])
-        for value in last:
-            yield (*prefix, value)
-
-
 def _alphas(s: BaseSurface, axes) -> list:
     """The `_Alpha` (den = 1) of each point of the alpha box, in order, over
     its live coordinates: the box's, widened to cover c1's support and to
     one at least.  That is the full rank on F0 and dPk, and the box's on
     Enriques, where c1 is pure torsion.  alpha^2 comes from the Gram block
-    of those coordinates, and no alpha takes a `BaseSurface.dual`."""
+    of those coordinates, and no alpha takes a `BaseSurface.dual`.  The
+    points come from product(), which holds each axis whole: the list of
+    alphas is at least as long as any axis, and an empty box never gets
+    here (`_axes`)."""
     width = max(len(axes), 1, *(i + 1 for i, c in enumerate(s.c1_ints) if c))
     # alpha^2 = sum of q alpha_i alpha_j over the block's nonzero entries, i <= j
     rows = enumerate(s._gram_rows[:width])
     quad = [(i, j, g if i == j else 2 * g) for i, row in rows for j, g in row if i <= j < width]
     pad, tail = (0,) * (width - len(axes)), '","0' * (s.rank - width)
-    nums = (point + pad for point in _points(axes))
+    nums = (point + pad for point in product(*axes))
     return [_Alpha(s, vec, 1, sum([q * vec[i] * vec[j] for i, j, q in quad]), tail) for vec in nums]
 
 
@@ -830,11 +818,12 @@ def _spectra(s: BaseSurface, n: int, inner) -> list:
     params, "validity", None)) for an invalid one, the same for every
     alpha.  Validity is that of the zero twist, as every twist of the box
     is integral: `check_rank` and `check_spectral_parts` on eta's ints,
-    taken once per eta.  The params text is written by hand."""
+    taken once per eta of product(*eta axes).  The params text is written
+    by hand."""
     models = []
     *etas, lams = inner
     lams = [(lam, f'"],"lambda":"{lam}"}}') for lam in lams]
-    for eta in _points(etas):
+    for eta in product(*etas):
         # without eta_box, eta = 12 c1 (on Enriques c1 is pure 2-torsion, so 0)
         nums = eta + (0,) * (s.rank - len(eta)) if eta else tuple(12 * c for c in s.c1_ints)
         dual, text = s.dual(nums), '"eta":["' + '","'.join(map(str, nums))

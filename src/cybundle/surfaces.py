@@ -185,19 +185,16 @@ class BaseSurface:
         ample = all(p > 0 for p in pairings) and self.square(c) > 0
         return ConeVerdict(effective=self.effective(nums), nef=nef, ample=ample)
 
-    def effective(self, nums) -> bool:
+    def effective(self, nums, dual=None) -> bool:
         """Whether the class nums/den is effective, for any den > 0: the
         effectivity rule of `cone_position`, on the integer numerators of the
-        free part.  The torsion bit never changes the verdict."""
+        free part.  On F0/dPk that is Zariski's reduction; on Enriques the
+        unnodal rule, reading C^2 and C.(1,1) scaled by den^2 and den from
+        dual = Gram.nums, which is worked out if not given.  The torsion bit
+        never changes the verdict."""
         if not self.is_enriques:
             return self._reduces_to_nef(nums, self._generator_pairings(nums))
-        return self.effective_parts(nums, self.dual(nums))
-
-    def effective_parts(self, nums, dual) -> bool:
-        """`effective`, given dual = Gram.nums too, which the Enriques rule
-        reads: C^2 and C.(1,1) scaled by den^2 and den."""
-        if not self.is_enriques:
-            return self.effective(nums)
+        dual = self.dual(nums) if dual is None else dual
         return unnodal_effective(dot(nums, dual), dot(dual, ENRIQUES_H0_INTS))
 
     def _reduces_to_nef(self, nums, pairings) -> bool:
@@ -227,7 +224,7 @@ class BaseSurface:
         nums, dual, den = self.integer_parts(c)
         nef, ample = enriques_nef_ample(nums, dual, den)
         notes = ("class lies outside Gamma^{1,1}",) if nef is None else ()
-        return ConeVerdict(effective=self.effective_parts(nums, dual), nef=nef, ample=ample, notes=notes)
+        return ConeVerdict(effective=self.effective(nums, dual), nef=nef, ample=ample, notes=notes)
 
     def min_positive_degree(self, h: DivisorClass) -> MinDegree:
         value, witness = self.min_degree_parts(*self.integer_parts(h))

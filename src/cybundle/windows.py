@@ -33,30 +33,27 @@ class StabilityWindow:
     z_interval_approx: tuple | None = None
 
 
-def _solve_strict_linear(rows, domain):
+def _solve_strict_linear(rows):
     """Intersect strict linear inequalities in one variable t, in integers.
 
-    `rows` is a list of (name, coef, const, sense) with int coef and const:
-    coef*t + const < 0 (sense "lt") or > 0 ("gt"); `domain` is a list of
-    (name, num, den, side) with den > 0: t > num/den (side "gt") or
-    t < num/den ("lt").  A bound is a pair (num, den) with den > 0, and
-    bounds are compared by cross-multiplying.  Returns (lower, upper,
-    binding, nonempty) with the two ends as such pairs (None if unbounded);
-    a zero-coefficient row that fails makes the window empty, with no ends,
-    and binding names every such row.
+    `rows` is a list of (name, coef, const), int coef and const, each the
+    inequality coef*t + const < 0.  A bound is a pair (num, den) with den >
+    0, and bounds are compared by cross-multiplying.  Returns (lower, upper,
+    binding, nonempty) with the two ends as such pairs (None if unbounded)
+    and binding the rows at the lower end, then at the upper, in the order
+    of `rows`; a zero-coefficient row that fails makes the window empty,
+    with no ends, and binding names every such row.
     """
     lower = []  # (num, den, name): t > num/den
     upper = []  # (num, den, name): t < num/den
     infeasible = []
-    for name, num, den, side in domain:
-        (lower if side == "gt" else upper).append((num, den, name))
-    for name, coef, const, sense in rows:
-        # coef*t + const < 0  <=>  t < -const/coef (coef > 0) or t > -const/coef (coef < 0)
+    for name, coef, const in rows:
+        # coef*t + const < 0  <=>  t < -const/coef (coef > 0) or t > const/-coef (coef < 0)
         if coef > 0:
-            (upper if sense == "lt" else lower).append((-const, coef, name))
+            upper.append((-const, coef, name))
         elif coef < 0:
-            (lower if sense == "lt" else upper).append((const, -coef, name))
-        elif not (const < 0 if sense == "lt" else const > 0):
+            lower.append((const, -coef, name))
+        elif const >= 0:
             infeasible.append(name)
     if infeasible:
         return None, None, tuple(infeasible), False
@@ -117,17 +114,18 @@ def sign_necessity(x: int, a_h) -> bool:
 def solve_enriques(n: int, x: int, a, sign: int = 1) -> tuple:
     """The Enriques window (a = alpha.H) in t = z/|H^2| (t = z if H^2 = 0),
     `sign` that of H^2, as `_solve_strict_linear` gives it.  Raw system:
-    n(xH^2 + 2za) - 2z < 0, n(xH^2 + 2za) - H^2 < 0, xH^2 + 2za > 0, z > 0."""
+    n(xH^2 + 2za) - 2z < 0, n(xH^2 + 2za) - H^2 < 0, xH^2 + 2za > 0, z > 0;
+    the domain z > 0 goes first and DJ2>0 is negated."""
     if x == 0 and a >= 1:
         return None, None, ("na>=1 obstruction",), False
     # rows times the denominator of a
     p, q = a.numerator, a.denominator
-    rows = [
-        ("subsheaf-F", 2 * n * p - 2 * q, n * x * sign * q, "lt"),
-        ("subsheaf-G", 2 * n * p, (n * x - 1) * sign * q, "lt"),
-        ("DJ2>0", 2 * p, x * sign * q, "gt"),
-    ]
-    return _solve_strict_linear(rows, [("z>0", 0, 1, "gt")])
+    return _solve_strict_linear([
+        ("z>0", -1, 0),
+        ("subsheaf-F", 2 * n * p - 2 * q, n * x * sign * q),
+        ("subsheaf-G", 2 * n * p, (n * x - 1) * sign * q),
+        ("DJ2>0", -2 * p, -x * sign * q),
+    ])
 
 
 def window_enriques(n: int, x: int, a, hsq) -> StabilityWindow:
@@ -157,19 +155,21 @@ def solve_delpezzo(n: int, x: int, a, c1sq, sign: int = 1) -> tuple:
     """The F0/dPk window (a = alpha.c1) in t = u/h^2 (t = u and sign 0 if h
     = 0), as `_solve_strict_linear` gives it.  Raw system (in u):
     nxh^2c1^2 + (na-1-nxc1^2)u < 0, (nx-1)h^2c1^2 + (na+c1^2-nxc1^2)u < 0,
-    xh^2c1^2 + (a-xc1^2)u > 0, with u in (0, h^2)."""
+    xh^2c1^2 + (a-xc1^2)u > 0, with u in (0, h^2); the domain goes first
+    and DJ2>0 is negated."""
     if x == 0:
         return None, None, ("(na-1)(h^2-zeta^2)<0 impossible",), False
     # rows times the denominators of a and c1^2
     nx = n * x
     p, c = a.numerator * c1sq.denominator, c1sq.numerator * a.denominator
     q = a.denominator * c1sq.denominator
-    rows = [
-        ("subsheaf-F", n * p - q - nx * c, nx * c * sign, "lt"),
-        ("subsheaf-G", n * p + c - nx * c, (nx - 1) * c * sign, "lt"),
-        ("DJ2>0", p - x * c, x * c * sign, "gt"),
-    ]
-    return _solve_strict_linear(rows, [("u>0", 0, 1, "gt"), ("u<h^2", sign, 1, "lt")])
+    return _solve_strict_linear([
+        ("u>0", -1, 0),
+        ("u<h^2", 1, -sign),
+        ("subsheaf-F", n * p - q - nx * c, nx * c * sign),
+        ("subsheaf-G", n * p + c - nx * c, (nx - 1) * c * sign),
+        ("DJ2>0", x * c - p, -x * c * sign),
+    ])
 
 
 def window_delpezzo(n: int, x: int, a, c1sq, h) -> StabilityWindow:
