@@ -73,11 +73,27 @@ _TAILS = {
     failed: f'}},"overall":{_JSON[failed is None]},"failed_stage":{_ENCODER.encode(failed)}}}'
     for failed in (None, *STAGES)
 }
-# an anomaly verdict after its af, by (W_zero, W_effective, passed): the
-# flags, then, after the text of the spectral af readings if any, its end
-_AF_TAILS = {
-    (z, e, p): (f'","W_zero":{_JSON[z]},"W_effective":{_JSON[e]}', f',"passed":{_JSON[p]}}}')
-    for z, e, p in product((False, True), repeat=3)
+
+
+def _anomaly_row(require: str | None, wB_zero: bool, effective) -> tuple:
+    """By sign of af (0, 1, -1), the anomaly verdict of a valid model after
+    its af: (the stage it fails or None, its flags, then, after the text of
+    the spectral af readings if any, its end), from `w_verdict`, which reads
+    the effectivity of wB only at af >= 0 and wB != 0, and the requirement."""
+    row = []
+    for sign in (0, 1, -1):
+        w_zero, w_effective = w_verdict(sign, wB_zero, lambda: effective)
+        passed = require is None or (w_zero if require == "W_zero" else w_effective)
+        flags = f'","W_zero":{_JSON[w_zero]},"W_effective":{_JSON[w_effective]}'
+        row.append((None if passed else "anomaly", flags, f',"passed":{_JSON[passed]}}}'))
+    return tuple(row)
+
+
+# the anomaly rows by (require, wB = 0, effectivity of wB, None where no line reads it)
+_ANOMALY = {
+    (require, *key): _anomaly_row(require, *key)
+    for require in (None, "W_zero", "W_effective")
+    for key in ((True, None), (False, None), (False, False), (False, True))
 }
 
 
@@ -104,11 +120,16 @@ def _nonsplit_opening(passed: bool, clause: str) -> str:
     return f'"nonsplit":{{"passed":{_JSON[passed]},"clause":"{clause}","value":"'
 
 
-def _nonsplit_text(passed: bool, clause: str, value) -> tuple:
-    """(passed, text) of a non-split verdict."""
-    return passed, f'{_nonsplit_opening(passed, clause)}{value}"}}'
+def _opening(verdict) -> tuple:
+    """(passed, text up to the value) of a `nonsplit_verdict`."""
+    return verdict.passed, _nonsplit_opening(verdict.passed, verdict.clause)
 
 
+# a pullback non-split verdict's (passed, text up to its value): `_CHI`
+# by sign of x, then by sign of chi, for a slope <= 0, which only x > 0
+# reads; `_SLOPE` for a slope > 0, whatever x > 0 and chi are
+_CHI = tuple(tuple(_opening(nonsplit_verdict(x, 0, chi)) for chi in (0, 1, -1)) for x in (0, 1, -1))
+_SLOPE = _opening(nonsplit_verdict(1, 1, None))
 # a spectral non-split verdict's text up to its value, by its passed: its
 # clause is always "spectral chi>0"
 _SPECTRAL_CHI = {passed: _nonsplit_opening(passed, "spectral chi>0") for passed in (False, True)}
@@ -142,8 +163,8 @@ def _window_text(solved, scale: tuple) -> str:
 
 
 def _rank_validity(n: int) -> tuple:
-    """The validity verdict of a scan's pullback n, whose twists are all
-    integral: that of `check_rank`."""
+    """The rank verdict of a scan's n, that of `check_rank`: for a pullback
+    n, whose twists are all integral, its whole validity."""
     try:
         check_rank(n)
     except ValueError as exc:
@@ -265,9 +286,8 @@ class _Spectrum:
     (`af_opening`, which holds wB) and, on first use, the effectivity of wB;
     af0, af without n(n+1)/2 alpha^2; `af_offset` = af_displayed - af when
     eta = 12 c1 (else None), also free of alpha, and so `agrees`, the text
-    of display_agrees; resid = eta - n c1 as integer parts (its dual and
-    den) with 3 den^2 resid^2; and `tails`, filled by the walk: the anomaly
-    verdict after its af (`_anomaly_tail`), by sign of af."""
+    of display_agrees; and resid = eta - n c1 as integer parts (its dual and
+    den) with 3 den^2 resid^2."""
 
     def __init__(self, s: BaseSurface, n: int, lam: Fraction, nums, dual, den: int, torsion: int, fiber: int):
         self.s = s
@@ -276,7 +296,7 @@ class _Spectrum:
         self.wB_nums = [12 * den * c - a for c, a in zip(s.c1_ints, nums)]
         self.af_opening = _af_opening(_class_text(self.wB_nums, den, torsion))
         self.wB_zero = not torsion and not any(self.wB_nums)
-        self.af_offset, self.effective, self.tails = None, None, [None, None, None]
+        self.af_offset = self.effective = None
         if self.wB_zero:
             # eta = 12 c1: the readings of the twist alpha = 0, whose zero
             # class is wB; no effectivity query
@@ -337,9 +357,10 @@ def _rows(alpha: _Alpha, pols, spectral: bool) -> list:
     return alpha.rows
 
 
-def _slopes(alpha: _Alpha, x: int) -> list:
+def _slopes(alpha: _Alpha) -> list:
     """`alpha.slopes`, for x > 0: per polarization, the verdict of its slope
-    (2H - z c1).alpha if > 0, which fails the model whatever chi is, else None."""
+    (2H - z c1).alpha if > 0, which fails the model whatever chi is, written
+    after `_SLOPE`'s opening, else None."""
     if alpha.slopes is None:
         alpha.slopes = []
         for _, pol, _, a_h in alpha.rows:
@@ -347,11 +368,7 @@ def _slopes(alpha: _Alpha, x: int) -> list:
             z = pol.z
             num = 2 * a_h * z.denominator - z.numerator * alpha.a_c1 * pol.H_den
             slope = ratio(num, alpha.den * pol.H_den * z.denominator)
-            verdict = None
-            if slope > 0:
-                ns = nonsplit_verdict(x, slope, None)
-                verdict = _nonsplit_text(ns.passed, ns.clause, ns.value)
-            alpha.slopes.append(verdict)
+            alpha.slopes.append((_SLOPE[0], f'{_SLOPE[1]}{slope}"}}') if slope > 0 else None)
     return alpha.slopes
 
 
@@ -364,14 +381,6 @@ def _wB_effective(s: BaseSurface, t: int, alpha: _Alpha, wB_nums) -> bool:
     if alpha.a_h0 is None:
         return s.effective(wB_nums)
     return unnodal_effective(t * t * alpha.a_sq, t * alpha.a_h0)
-
-
-def _anomaly_tail(require: str | None, w_zero: bool, w_effective: bool) -> tuple:
-    """(None or "anomaly", flags, end) of the anomaly verdict of a valid
-    model with the flags of `w_verdict`: the text after its af and, after
-    the spectral af readings if any, its end."""
-    passed = require is None or (w_zero if require == "W_zero" else w_effective)
-    return (None if passed else "anomaly", *_AF_TAILS[w_zero, w_effective, passed])
 
 
 def _emit(terms, models, stability, short_circuit: bool, lines: list, counts: dict) -> None:
@@ -412,13 +421,11 @@ def _pullback(s, require, ns, xs, alphas, c2Es, pols, short_circuit, drop, lines
     `drop`, what fails validity or the requirement gets no line.  Each term
     is worked out where it varies: per n, k or, for an invalid n, its
     models; per (n, x), wB = c c1 + t alpha up to alpha, the chi
-    coefficients and the chi verdict's opening per sign of chi; per alpha,
-    `_Alpha`; per block, af0 (af = af0 - c2E), the requirement's cut, wB,
-    its cone query where some af >= 0 reads it, chi0 and the prefixes; per
-    c2E, the texts."""
-    width, af_base, c1_ints = len(pols), s.c2 + 11 * s.c1_sq, s.c1_ints
-    # anomaly verdicts after their af, by (wB = 0, effectivity of wB) and sign of af
-    lo, anomaly_tails = c2Es[0][0], {}
+    coefficients and the `_CHI` row of x's sign; per alpha, `_Alpha`; per
+    block, af0 (af = af0 - c2E), the requirement's cut, wB, its cone query
+    where some af >= 0 reads it, the `_ANOMALY` row, chi0 and the prefixes;
+    per c2E, af and chi, whose signs pick their verdicts' texts from the rows."""
+    width, af_base, c1_ints, lo = len(pols), s.c2 + 11 * s.c1_sq, s.c1_ints, c2Es[0][0]
     for n, head, validity in ns:
         if not validity[0]:
             if drop:
@@ -435,7 +442,7 @@ def _pullback(s, require, ns, xs, alphas, c2Es, pols, short_circuit, drop, lines
         for x, xtext in xs:
             c, t = 12 - k * x * x, 2 * k * x
             torsion = c * s.c1.torsion % 2  # t is even: t alpha has no torsion
-            coefficients, chi_openings = chi_line_terms(n, x, s.c1_sq), [None, None, None]
+            coefficients, chis = chi_line_terms(n, x, s.c1_sq), _CHI[(x > 0) - (x < 0)]
             chi_slope = coefficients[3]
             for alpha in alphas:
                 den = alpha.den
@@ -464,38 +471,26 @@ def _pullback(s, require, ns, xs, alphas, c2Es, pols, short_circuit, drop, lines
                         continue
                 opening = _af_opening(_class_text(wB_nums, den, torsion, alpha.tail))
                 rows = alpha.rows or _rows(alpha, pols, False)
-                slopes = (alpha.slopes or _slopes(alpha, x)) if x > 0 else repeat(None)
+                slopes = (alpha.slopes or _slopes(alpha)) if x > 0 else repeat(None)
                 terms = [
                     [f"{head}{alpha.text}{text}{xtext}", slope, None, pol, (n, x, a)]
                     for (text, pol, a, _), slope in zip(rows, slopes)
                 ]
                 reads_chi = x <= 0 or None in slopes
                 chi0, models = chi_line_at(coefficients, alpha.a_sq, alpha.a_c1, den), []
-                tails = anomaly_tails.get((wB_zero, effective))  # by sign of af
-                if tails is None:
-                    tails = anomaly_tails[wB_zero, effective] = [None, None, None]
+                anomaly = _ANOMALY[require, wB_zero, effective]  # by sign of af
                 for c2E, end in kept:
                     af = af0 - c2E
-                    sign = (af > 0) - (af < 0)
-                    tail = tails[sign]
-                    if tail is None:  # w_verdict reads only the sign of af
-                        w_zero, w_effective = w_verdict(sign, wB_zero, lambda: effective)
-                        unmet, flags, close = _anomaly_tail(require, w_zero, w_effective)
-                        tail = tails[sign] = unmet, flags + close
-                    unmet, chi = tail[0], None
+                    unmet, flags, close = anomaly[(af > 0) - (af < 0)]
+                    chi = None
                     if reads_chi and not (unmet and short_circuit):
-                        # chi's passed and clause depend only on its sign, given x
                         value = chi0 - chi_slope * c2E
-                        sign = (value > 0) - (value < 0)
-                        chi = chi_openings[sign]
-                        if chi is None:
-                            verdict = nonsplit_verdict(x, 0 if x > 0 else None, value)
-                            chi = chi_openings[sign] = verdict.passed, _nonsplit_opening(verdict.passed, verdict.clause)
+                        passed, chi_opening = chis[(value > 0) - (value < 0)]
                         try:
-                            chi = chi[0], f'{chi[1]}{value}"}}'
+                            chi = passed, f'{chi_opening}{value}"}}'
                         except ValueError:
                             raise jsonio.unprintable("chi", "'n', 'x', 'alpha' or 'c2E'") from None
-                    models.append((f"{end}{opening}{af}{tail[1]}", unmet, chi))
+                    models.append((f"{end}{opening}{af}{flags}{close}", unmet, chi))
                 _emit(terms, models, _window, short_circuit, lines, counts)
                 flush()
 
@@ -538,10 +533,10 @@ def _spectral(s, require, ns, alphas, pols, short_circuit, drop, lines, counts, 
     alpha).  ns: (n, the line's head, its models as `_spectra` gives
     them); pols: (_PolTerms, its params text).  Under `drop`, what fails
     validity or the requirement gets no line.  Each term is worked out
-    where it varies: per n, k; per (n, alpha), k alpha^2 and the terms;
-    per `_Spectrum`, the text after its af by sign of af; per model, af,
-    both af readings if eta = 12 c1, and the non-split verdict 3/2 resid^2
-    - (n+1) alpha.resid > 0."""
+    where it varies: per n, k; per (n, alpha), k alpha^2 and the terms; per
+    model, af, the `_ANOMALY` text after it by sign of af (at af >= 0 with
+    wB != 0, after the `_Spectrum`'s cone query), both af readings if eta =
+    12 c1, and the non-split verdict 3/2 resid^2 - (n+1) alpha.resid > 0."""
     width = len(pols)
     for n, head, spectra in ns:
         k, m = n * (n + 1) // 2, 2 * (n + 1)
@@ -557,11 +552,9 @@ def _spectral(s, require, ns, alphas, pols, short_circuit, drop, lines, counts, 
                     continue
                 af = ratio(spectrum.af0 * d2 + k_a_sq, d2)
                 sign = (af > 0) - (af < 0)
-                tail = spectrum.tails[sign]
-                if tail is None:  # w_verdict reads only the sign of af
-                    w_zero, w_effective = w_verdict(sign, spectrum.wB_zero, spectrum.wB_effective)
-                    tail = spectrum.tails[sign] = _anomaly_tail(require, w_zero, w_effective)
-                unmet, flags, close = tail
+                # the cone query of wB, asked at af >= 0 and wB != 0 only, as by w_verdict
+                effective = None if sign < 0 or spectrum.wB_zero else spectrum.wB_effective()
+                unmet, flags, close = _ANOMALY[require, spectrum.wB_zero, effective][sign]
                 if drop and unmet:
                     counts["anomaly"] += width
                     continue
@@ -817,10 +810,10 @@ def _spectra(s: BaseSurface, n: int, inner) -> list:
     polarization) for a valid model, (None, (its whole text after the
     params, "validity", None)) for an invalid one, the same for every
     alpha.  Validity is that of the zero twist, as every twist of the box
-    is integral: `check_rank` and `check_spectral_parts` on eta's ints,
-    taken once per eta of product(*eta axes).  The params text is written
-    by hand."""
-    models = []
+    is integral: n's `_rank_validity`, then, for a valid n,
+    `check_spectral_parts` on eta's ints, taken once per eta of
+    product(*eta axes).  The params text is written by hand."""
+    models, rank = [], _rank_validity(n)
     *etas, lams = inner
     lams = [(lam, f'"],"lambda":"{lam}"}}') for lam in lams]
     for eta in product(*etas):
@@ -828,13 +821,16 @@ def _spectra(s: BaseSurface, n: int, inner) -> list:
         nums = eta + (0,) * (s.rank - len(eta)) if eta else tuple(12 * c for c in s.c1_ints)
         dual, text = s.dual(nums), '"eta":["' + '","'.join(map(str, nums))
         for lam, lam_text in lams:
-            try:
-                check_rank(n)
-                fiber = check_spectral_parts(s, n, lam, (nums, dual, 1), 0)
-            except ValueError as exc:
-                models.append((None, (f'{text}{lam_text},"verdicts":{{{_invalid(str(exc))}', "validity", None)))
-                continue
-            models.append((_Spectrum(s, n, lam, nums, dual, 1, 0, fiber), text + lam_text))
+            validity = rank[1]
+            if rank[0]:
+                try:
+                    fiber = check_spectral_parts(s, n, lam, (nums, dual, 1), 0)
+                except ValueError as exc:
+                    validity = _invalid(str(exc))
+                else:
+                    models.append((_Spectrum(s, n, lam, nums, dual, 1, 0, fiber), text + lam_text))
+                    continue
+            models.append((None, (f'{text}{lam_text},"verdicts":{{{validity}', "validity", None)))
     return models
 
 

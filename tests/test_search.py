@@ -18,8 +18,9 @@ from types import SimpleNamespace
 import pytest
 
 from cybundle import anomaly, bundles, cli, ring, search, windows
+from cybundle.anomaly import w_verdict
 from cybundle.bundles import PullbackBundle, SpectralBundle
-from cybundle.nonsplit import chi_line
+from cybundle.nonsplit import chi_line, nonsplit_verdict
 from cybundle.ring import DivisorX
 from cybundle.search import (
     ModelRecord,
@@ -262,14 +263,15 @@ def _wb_queries(blocks, share=()):
 
 
 def test_each_model_quantity_computed_once(monkeypatch):
-    # once per pullback n: the rank rule, its whole validity; once per
-    # block, not per model: the pullback effectivity query of wB; once per
-    # spectral (n, eta, lambda): the rank rule and the integer spectral data
-    # rule on eta's parts, with no bundle validated, and the effectivity
-    # query of wB = 12 c1 - eta; once per (n, x, alpha.c1), for every
-    # polarization: the stability window's solve in t, and no window through
-    # the Fraction wrapper.  No bundle rule (`validate_parts`) nor Fraction
-    # wrapper of validity is on the scan path, nor the Chern ring
+    # once per n of either mode: the rank rule, a pullback n's whole
+    # validity; once per block, not per model: the pullback effectivity
+    # query of wB; once per spectral (n, eta, lambda) of a valid n: the
+    # integer spectral data rule on eta's parts, with no bundle validated,
+    # and the effectivity query of wB = 12 c1 - eta; once per (n, x,
+    # alpha.c1), for every polarization: the stability window's solve in t,
+    # and no window through the Fraction wrapper.  No bundle rule
+    # (`validate_parts`) nor Fraction wrapper of validity is on the scan
+    # path, nor the Chern ring
     counts = {}
     for func in (
         bundles.validate_bundle,
@@ -330,7 +332,7 @@ def test_each_model_quantity_computed_once(monkeypatch):
     assert counts == {
         "validate_bundle": 0,
         "validate_parts": 0,
-        "check_rank": len({r.params["n"] for r in records[0]}) + len(spectra),
+        "check_rank": sum(len({r.params["n"] for r in rs}) for rs in records),
         "check_spectral_data": 0,
         "check_spectral_parts": len(spectra),
         "chern_extension": 0,
@@ -504,10 +506,11 @@ def test_each_record_rendered_from_fragments(monkeypatch):
 
 
 def test_block_terms_computed_on_their_axes(monkeypatch):
-    # the f0 seed-0 pullback box of the benchmark: non-split verdicts once
-    # per (block, c2E) whose lines print chi and once per (alpha,
-    # polarization) whose slope fails, not once per block and polarization;
-    # at most one wB effectivity query per block, required scan or not
+    # the f0 seed-0 pullback box of the benchmark: no anomaly or non-split
+    # verdict is asked per block or per model, whose texts come from tables
+    # built at import, though slopes fail for some (alpha, polarization)
+    # and not for others; at most one wB effectivity query per block,
+    # required scan or not
     box = {
         "base": "F0",
         "mode": "pullback",
@@ -519,25 +522,56 @@ def test_block_terms_computed_on_their_axes(monkeypatch):
     }
     counts = {}
     _count_calls(monkeypatch, counts, search.nonsplit_verdict, (search,))
+    _count_calls(monkeypatch, counts, search.w_verdict, (search,))
     _count_calls(monkeypatch, counts, BaseSurface.effective, (BaseSurface,))
     records = scan_records(SearchConfig.from_json(box))
     blocks = _blocks(records, ("c2E", "h"))
-    chi_runs, slopes, pairs = set(), set(), set()
+    slopes, pairs = set(), set()
     for r in records:
         p, clause = r.params, r.verdicts["nonsplit"]["clause"]
         alpha = tuple(p["alpha"])
         if clause == "(2H-zc1).alpha<=0":
             slopes.add((alpha, p["h"]))
-        else:
-            chi_runs.add((p["n"], p["x"], alpha, p["c2E"]))
         if p["x"] > 0:
             pairs.add((alpha, p["h"]))
     assert 0 < len(slopes) < len(pairs)
-    assert 0 < counts["nonsplit_verdict"] <= len(chi_runs) + len(slopes) <= 3 * len(blocks) + len(pairs)
+    assert counts["nonsplit_verdict"] == counts["w_verdict"] == 0
     assert 0 < counts["effective"] <= len(blocks)
     counts["effective"] = 0
     assert 0 < run_search(SearchConfig.from_json({**box, "require": "W_effective"}))["emitted"]
     assert 0 < counts["effective"] <= len(blocks)
+    assert counts["nonsplit_verdict"] == counts["w_verdict"] == 0
+
+
+def test_verdict_tables_match_their_rules():
+    # every row a walk can read, against the encoder's text of the verdict
+    # that w_verdict, nonsplit_verdict and the requirement give: the
+    # effectivity of wB is known (not None) wherever w_verdict would ask it,
+    # at af >= 0 and wB != 0
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    read = [(True, None, (0, 1, -1)), (False, None, (-1,)), (False, False, (0, 1, -1)), (False, True, (0, 1, -1))]
+    assert set(search._ANOMALY) == {(r, z, e) for r in (None, "W_zero", "W_effective") for z, e, _ in read}
+    for require in (None, "W_zero", "W_effective"):
+        for wB_zero, effective, signs in read:
+            for sign in signs:
+                w_zero, w_effective = w_verdict(sign, wB_zero, lambda: effective)
+                passed = require is None or (w_zero if require == "W_zero" else w_effective)
+                unmet, flags, end = search._ANOMALY[require, wB_zero, effective][sign]
+                assert unmet == (None if passed else "anomaly")
+                verdict = {"af": "0", "W_zero": w_zero, "W_effective": w_effective, "passed": passed}
+                assert '{"af":"0' + flags + end == encode(verdict)
+    for x in (-1, 0, 1):
+        for chi in (-1, 0, 1):
+            expected = nonsplit_verdict(x, 0 if x > 0 else None, chi)
+            passed, opening = search._CHI[x][chi]
+            assert passed == expected.passed
+            value = {"passed": expected.passed, "clause": expected.clause, "value": str(chi)}
+            assert f'{opening}{chi}"}}' == '"nonsplit":' + encode(value)
+    expected = nonsplit_verdict(1, Fraction(1, 3), None)
+    passed, opening = search._SLOPE
+    assert passed == expected.passed is False
+    value = {"passed": False, "clause": expected.clause, "value": "1/3"}
+    assert f'{opening}1/3"}}' == '"nonsplit":' + encode(value)
 
 
 def _rebuilt_frac_to_str(f) -> str:
@@ -958,9 +992,10 @@ def test_required_scan_renders_only_what_it_emits(monkeypatch):
     # 130,896 models in 1,296 blocks, of which 8 meet W_zero, the two that
     # pass all stages among them (n 3, x 1, alpha (-1,-1), c2E 104 and n 2,
     # x 1, alpha (-3,-3), c2E 146): a block renders the anomaly and
-    # non-split verdicts of the c2E it keeps, and a dropped model nothing;
-    # only a block that keeps a model writes the text of its wB, and none
-    # asks a cone query
+    # non-split verdicts of the c2E it keeps from tables built at import,
+    # asking no verdict function, and a dropped model nothing; only a block
+    # that keeps a model writes the text of its wB, and none asks a cone
+    # query
     config = SearchConfig.from_json({
         "base": "F0",
         "mode": "pullback",
@@ -978,7 +1013,7 @@ def test_required_scan_renders_only_what_it_emits(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args: counts.update([name]) or func(*args))
 
     count(search, "nonsplit_verdict")
-    count(search, "_anomaly_tail")
+    count(search, "w_verdict")
     count(search, "_class_text")
     count(BaseSurface, "effective")
     out = io.StringIO()
@@ -986,8 +1021,7 @@ def test_required_scan_renders_only_what_it_emits(monkeypatch):
     blocks = 4 * 4 * 9 * 9
     assert summary["scanned"] == _volume(config) == blocks * 101
     assert summary["emitted"] == 8 and summary["passed"] == 2
-    assert 0 < counts["nonsplit_verdict"] <= summary["emitted"] + blocks
-    assert 0 < counts["_anomaly_tail"] <= summary["emitted"] + blocks
+    assert counts["nonsplit_verdict"] == counts["w_verdict"] == 0
     params = [json.loads(line)["params"] for line in out.getvalue().splitlines()[:-1]]
     kept = {(p["n"], p["x"], tuple(p["alpha"])) for p in params}
     assert 0 < counts["_class_text"] <= len(kept)
